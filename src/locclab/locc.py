@@ -27,6 +27,7 @@ from .states import StateVector
 
 _PATH_LIMIT = 100_000
 _FD_STEP = 1e-5
+_HASH_BLOCK = 2**16  # density entries hashed per block of rows
 
 
 class EstimationFailureError(RuntimeError):
@@ -66,12 +67,24 @@ class Message:
 
 @dataclass(frozen=True)
 class LoccTranscript:
-    """One sampled execution path: messages, final state, and seed."""
+    """One sampled execution path: messages, final state, and seed.
+
+    ``state`` holds the final state either as a density matrix (2-D) or, for
+    a pure state, as its amplitude vector (1-D); ``final_state`` reads as the
+    density matrix in both cases, built from the vector on each read.
+    """
 
     protocol_id: str
     seed: int | None
     messages: list[Message]
-    final_state: np.ndarray  # density matrix
+    state: np.ndarray
+
+    @property
+    def final_state(self) -> np.ndarray:
+        """Density matrix of the final state."""
+        if self.state.ndim == 1:
+            return np.outer(self.state, self.state.conj())
+        return self.state
 
     @property
     def path_probability(self) -> float:
@@ -81,10 +94,20 @@ class LoccTranscript:
         return out
 
     def final_state_hash(self) -> str:
-        arr = np.ascontiguousarray(self.final_state)
+        """SHA-256 of the density matrix. A pure state's density is hashed a
+        block of rows at a time, so it is never held whole."""
         digest = hashlib.sha256()
-        digest.update(str(arr.shape).encode())
-        digest.update(arr.tobytes())
+        if self.state.ndim == 1:
+            dim = self.state.size
+            digest.update(str((dim, dim)).encode())
+            conj = self.state.conj()
+            rows = max(1, _HASH_BLOCK // dim)
+            for start in range(0, dim, rows):
+                digest.update(np.outer(self.state[start : start + rows], conj).tobytes())
+        else:
+            arr = np.ascontiguousarray(self.state)
+            digest.update(str(arr.shape).encode())
+            digest.update(arr.tobytes())
         return digest.hexdigest()
 
     def to_json(self) -> str:

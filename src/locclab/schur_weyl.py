@@ -53,6 +53,18 @@ def _check_size(n: int, d: int):
         raise ValueError(f"d^n = {d}^{n} exceeds the desk-scale limit {_MAX_DIM}")
 
 
+def check_joint_size(n: int, d: int):
+    """Desk-scale guard for calls on |phi>^{(x)n} of a d x d state.
+
+    Such a call (``standard_form``, a protocol run) works in block
+    coordinates: it holds a few d^n x d^n complex matrices and one d^(2n)
+    amplitude vector, so (d^2)^n <= 2^14 bounds each of them to 256 KiB.
+    No d^(4n) density is built.
+    """
+    if (d * d) ** n > _MAX_DIM:
+        raise ValueError(f"joint dimension (d^2)^n exceeds {_MAX_DIM}")
+
+
 def _digit_table(n: int, d: int) -> np.ndarray:
     """Base-d digits of 0..d^n-1, most significant digit first."""
     idx = np.arange(d**n)
@@ -432,8 +444,7 @@ def standard_form(
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
-    if (d * d) ** n > _MAX_DIM:
-        raise ValueError(f"joint dimension (d^2)^n exceeds {_MAX_DIM}")
+    check_joint_size(n, d)
     phi = phi.require_normalized()
     if basis is None:
         basis = schur_basis(n, d, seed)

@@ -39,6 +39,8 @@ def test_zero_round_protocol_returns_input():
     vec = np.kron([1.0, 0.0], [0.0, 1.0]).astype(complex)
     transcript = run_locc(protocol, vec, 0)
     assert np.allclose(transcript.final_state, np.outer(vec, vec.conj()))
+    # the engine's density is held as is, not re-derived on read
+    assert transcript.final_state is transcript.state
     assert transcript.messages == []
     assert transcript.path_probability == 1.0
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from locclab.partitions import Partition, dim_u, dim_v
-from locclab.schur_weyl import weights_by_projector
+from locclab.locc import LoccTranscript
+from locclab.schur_weyl import schur_basis, weights_by_projector
 from locclab.states import bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
     NothingToTeleportError,
@@ -188,6 +190,27 @@ def test_run_teleport_transcript():
     assert parties == ["A", "A", "B"]
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_run_teleport_transcript_density_read_from_vector(n):
+    res = run_teleport(bell_state(2), n, 0)
+    a = res.final_state.amplitudes
+    density = np.outer(a, a.conj())
+    assert np.array_equal(res.transcript.final_state, density)
+    eager = LoccTranscript("eager", res.seed, res.transcript.messages, density)
+    assert res.transcript.final_state_hash() == eager.final_state_hash()
+
+
+def test_run_teleport_transcript_hash_never_holds_the_density():
+    res = run_teleport(bell_state(2), 6, 0)
+    tracemalloc.start()
+    try:
+        res.transcript.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the 4096 x 4096 density alone is 256 MB
+
+
 def test_run_teleport_product_state_raises():
     with pytest.raises(NothingToTeleportError) as err:
         run_teleport(product_state(2), 3, 0)
@@ -273,6 +296,24 @@ def test_success_probability_monte_carlo():
     hits = int(np.sum(rng.random(shots) < res.success_prob))
     sigma = math.sqrt(analytic * (1 - analytic) / shots)
     assert abs(hits / shots - analytic) <= 3 * sigma
+
+
+@pytest.mark.parametrize(
+    "p, n", [((0.5, 0.3, 0.2), 4), ((0.5, 0.5), 7)], ids=["d3-n4", "d2-n7-guard-edge"]
+)
+def test_run_teleport_memory_at_admitted_sizes(p, n):
+    # a d^(4n) density would be 690 MB at d=3 n=4 and 4.3 GB at d=2 n=7
+    schur_basis(n, len(p))  # measure the run, not the memoized basis build
+    tracemalloc.start()
+    try:
+        res = run_teleport(state_from_schmidt(p), n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    want = ideal_fidelity(p, n)
+    assert abs(res.fidelity - want) <= 1e-9
+    assert abs(res.success_prob - want) <= 1e-9
 
 
 def test_run_teleport_rejects_oversize():
