@@ -2,8 +2,9 @@
 
 Enumeration of partitions, irreducible-representation dimensions for the
 unitary and symmetric groups, symmetric-group characters via the
-Murnaghan-Nakayama rule, Schur polynomial evaluation, and the
-entropy / large-deviation bounds used by the block-weight analysis.
+Murnaghan-Nakayama rule, Schur polynomial evaluation by the
+subtraction-free branching rule, and the entropy / large-deviation bounds
+used by the block-weight analysis.
 
 All combinatorial quantities are computed in exact integer arithmetic
 (Python integers are unbounded, so the dimension formulas never overflow).
@@ -16,6 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -76,20 +79,23 @@ def enumerate_partitions(n: int, d: int) -> list[Partition]:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-
     out: list[Partition] = []
-
-    def fill(prefix: list[int], remaining: int, slots: int, cap: int):
-        if slots == 0:
-            if remaining == 0:
-                out.append(Partition(tuple(prefix)))
-            return
-        lo = -(-remaining // slots)  # ceil: keep parts non-increasing feasible
-        for p in range(min(cap, remaining), lo - 1, -1):
-            fill(prefix + [p], remaining - p, slots - 1, p)
-
-    fill([], n, d, n)
+    _fill(out, [], n, d, n)
     return out
+
+
+def _fill(
+    out: list[Partition], prefix: list[int], remaining: int, slots: int, cap: int
+):
+    # Module level, not a closure: a recursive closure is a reference cycle
+    # that would keep ``out`` alive until the cyclic garbage collector runs.
+    if slots == 0:
+        if remaining == 0:
+            out.append(Partition(tuple(prefix)))
+        return
+    lo = -(-remaining // slots)  # ceil: keep parts non-increasing feasible
+    for p in range(min(cap, remaining), lo - 1, -1):
+        _fill(out, prefix + [p], remaining - p, slots - 1, p)
 
 
 def dim_u(lam: Partition) -> int:
@@ -204,78 +210,66 @@ def character(lam: Partition, mu: Partition) -> int:
     return _mn_character(lam.trimmed(), mu_sorted)
 
 
-def _ssyt_sum(shape: tuple[int, ...], p: Sequence[float]) -> float:
-    """Schur polynomial by direct enumeration of semistandard tableaux.
+def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
+    """Schur polynomials s_lam(p) of every partition lam of n with at most
+    d = len(p) parts, keyed as in ``enumerate_partitions(n, d)``.
 
-    Rows weakly increase, columns strictly increase, entries in 1..d.
-    Exponential in general; intended for d <= 3 at small n.
+    Branching rule (Macdonald, Symmetric Functions and Hall Polynomials,
+    ch. I): s_lam(x_1..x_k) is the sum of s_mu(x_1..x_{k-1}) x_k^{|lam|-|mu|}
+    over the mu interlacing lam. For each last part a of lam, the values of
+    mu times x_k^a are carried to lam one part at a time, last part first:
+    replacing mu_j by lam_j >= mu_j is U[t] += x_k U[t - e_j] in increasing
+    t_j wherever t_j > t_{j+1} (t_{k-1} > a for the last part of mu). For
+    p >= 0 every term is a product of non-negative numbers, so nothing
+    cancels (Demmel & Koev, Math. Comp. 75 (2006)). The work arrays are flat,
+    sized by the tuples of d - 1 parts, and no call retains them.
     """
-    d = len(p)
-    rows = len(shape)
-    total = 0.0
-
-    def fill(r: int, c: int, above: list[list[int]], row: list[int], weight: float):
-        nonlocal total
-        if r == rows:
-            total += weight
-            return
-        if c == shape[r]:
-            fill(r + 1, 0, above + [row], [], weight)
-            return
-        lo = row[c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, above[r - 1][c] + 1)
-        for v in range(lo, d + 1):
-            fill(r, c + 1, above, row + [v], weight * p[v - 1])
-
-    fill(0, 0, [], [], 1.0)
-    return total
-
-
-def _complete_homogeneous(max_deg: int, p: Sequence[float]) -> list[float]:
-    """h_0..h_max_deg of the variables p, by one-variable-at-a-time DP."""
-    h = [0.0] * (max_deg + 1)
-    h[0] = 1.0
-    for x in p:
-        acc = list(h)
-        for k in range(1, max_deg + 1):
-            acc[k] = h[k] + x * acc[k - 1]
-        h = acc
-    return h
-
-
-def _jacobi_trudi(shape: tuple[int, ...], p: Sequence[float]) -> float:
-    """Schur polynomial as det(h_{shape_i - i + j})."""
-    import numpy as np
-
-    m = len(shape)
-    h = _complete_homogeneous(max(shape) + m, p)
-
-    def h_at(k: int) -> float:
-        if k < 0:
-            return 0.0
-        return h[k]
-
-    mat = np.array(
-        [[h_at(shape[i] - (i + 1) + (j + 1)) for j in range(m)] for i in range(m)]
-    )
-    return float(np.linalg.det(mat))
+    if n < 1 or len(p) < 1:
+        raise ValueError("n and d must be positive")
+    # Row r for k - 1 variables is the r-th non-increasing (k-1)-tuple mu
+    # with |mu| <= n in increasing lexicographic order: its size, last part
+    # and value, and per part j < k - 1 the row of mu - e_j (-1: none;
+    # lookups through a -1 are masked out). The empty tuple's "last part" n
+    # caps the first part.
+    size, last, table, pred = np.zeros(1, int), np.full(1, n), np.ones(1), []
+    for k, x in enumerate(map(float, p), 1):
+        count = np.minimum(n - size, last) + 1  # the last parts a that fit
+        start = np.cumsum(count) - count
+        below = np.arange(len(last)) - 1  # the row of mu - e_{k-1}
+        values = np.zeros(count.sum())  # the k-tuples (mu, a), in order
+        for a in range(count.max()):
+            # (mu, a) exists where a fits, and such rows read only such rows
+            u, fits = table * x**a, count > a
+            for step in reversed(pred + [np.where(last > a, below, -1)]):
+                step, weight = step.copy(), x  # a doubling scan along chains
+                live = np.flatnonzero((step >= 0) & fits)
+                while len(live):
+                    u[live] += weight * u[step[live]]
+                    step[live] = step[step[live]]
+                    live = live[step[live] >= 0]
+                    weight *= weight
+            values[start[fits] + a] = u[fits]
+        if k == len(p):
+            # the tuples of size n, reversed, are in enumeration order
+            top = values[(start + count - 1)[n - size <= last]][::-1]
+            return dict(zip(enumerate_partitions(n, k), top.tolist()))
+        rows = np.repeat(np.arange(len(count)), count)
+        a = np.arange(len(rows)) - start[rows]  # the rows (mu, a) of k parts
+        pred = [q[rows] for q in pred + [np.where(last > 0, below, -1)]]
+        pred = [np.where((q >= 0) & (a < count[q]), start[q] + a, -1) for q in pred]
+        size, last, table = size[rows] + a, a, values
 
 
 def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
     """Evaluate the Schur polynomial s_lam at the point p.
 
     For probability vectors p this is the per-copy block weight divided by
-    the symmetric-group dimension. Enumeration over semistandard tableaux
-    for d <= 3, Jacobi-Trudi determinant beyond.
+    the symmetric-group dimension. A lookup into ``schur_polynomials``.
     """
     d = len(p)
-    shape = lam.trimmed()
-    if len(shape) > d:
+    if len(lam.trimmed()) > d:
         return 0.0
-    if d <= 3:
-        return _ssyt_sum(shape, p)
-    return _jacobi_trudi(shape, p)
+    return schur_polynomials(p, lam.n)[lam.padded(d)]
 
 
 def as_spectrum(values: Iterable[float], tol: float = 1e-12) -> tuple[float, ...]:
@@ -335,12 +329,11 @@ def large_deviation_bound(
     """
     spectrum = as_spectrum(p)
     d = len(spectrum)
-    members = [
-        lam for lam in enumerate_partitions(n, d) if region(lam.normalized())
-    ]
+    table = schur_polynomials(spectrum, n)
+    members = [lam for lam in table if region(lam.normalized())]
     if not members:
         return 0.0, 0.0, True
-    lhs = sum(dim_v(lam) * schur_polynomial(lam, spectrum) for lam in members)
+    lhs = sum(dim_v(lam) * table[lam] for lam in members)
     min_div = min(relative_entropy(lam.normalized(), spectrum) for lam in members)
     rhs = (n + 1) ** (d * (d + 1) / 2) * math.exp(-n * min_div)
     return lhs, rhs, lhs <= rhs

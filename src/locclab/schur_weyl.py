@@ -34,7 +34,7 @@ from .partitions import (
     dim_u,
     dim_v,
     enumerate_partitions,
-    schur_polynomial,
+    schur_polynomials,
 )
 from .states import StateVector, bipartite_tensor_power
 
@@ -418,12 +418,17 @@ class StandardForm:
 
 def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
     """Block weights q_lambda = dim_v(lam) * s_lam(p) from the Schmidt
-    spectrum alone; fast path that needs no matrices."""
-    d = len(p)
-    return {
-        lam: dim_v(lam) * schur_polynomial(lam, p)
-        for lam in enumerate_partitions(n, d)
-    }
+    spectrum alone; fast path that needs no matrices. Raises ValueError
+    unless the weights are non-negative and sum to 1, as the matrix routes
+    check."""
+    weights = {lam: dim_v(lam) * s for lam, s in schur_polynomials(p, n).items()}
+    total, low = math.fsum(weights.values()), min(weights.values())
+    if low < -1e-12 or abs(total - 1.0) > 1e-9:
+        raise ValueError(
+            f"block weights of {tuple(p)} at n={n} are not a distribution: "
+            f"sum {total!r}, min {low!r}"
+        )
+    return weights
 
 
 def standard_form(

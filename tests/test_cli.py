@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from locclab import schur_weyl
 from locclab.cli import main
+from locclab.partitions import enumerate_partitions
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +40,24 @@ def test_decompose_product_n3(capsys):
 def test_decompose_custom_schmidt(capsys):
     payload = run_json(capsys, "decompose", "--schmidt", "0.8,0.2", "--n", "6")
     assert payload["weight_sum"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_decompose_skewed_d4_n60(capsys):
+    payload = run_json(
+        capsys, "decompose", "--schmidt", "0.97,0.01,0.01,0.01", "--n", "60"
+    )
+    assert abs(payload["weight_sum"] - 1.0) <= 1e-9
+    assert min(payload["weights"].values()) >= 0.0
+
+
+def test_decompose_non_distribution_is_a_structured_error(capsys, monkeypatch):
+    def negative(p, n):
+        return dict.fromkeys(enumerate_partitions(n, len(p)), -1.0)
+
+    monkeypatch.setattr(schur_weyl, "schur_polynomials", negative)
+    code, out, err = run_cli(capsys, "decompose", "--schmidt", "0.8,0.2", "--n", "4")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_decompose_requires_state(capsys):

@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -14,6 +17,7 @@ from locclab.partitions import (
     large_deviation_bound,
     relative_entropy,
     schur_polynomial,
+    schur_polynomials,
     shannon_entropy,
 )
 
@@ -95,6 +99,19 @@ def test_enumerate_order_and_uniqueness():
             assert parts == sorted(parts, reverse=True)
             for lam in lams:
                 assert lam.n == n and lam.num_parts == d
+
+
+def test_enumerate_result_freed_without_cycle_collector():
+    # every weights call enumerates; a list kept alive by a reference cycle
+    # would hold thousands of partitions until the cyclic collector runs
+    gc.disable()
+    try:
+        lams = enumerate_partitions(8, 3)
+        first = weakref.ref(lams[0])
+        del lams
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- dimensions
@@ -196,7 +213,7 @@ def test_schur_polynomial_maximally_mixed():
 
 
 def test_schur_polynomial_against_power_sum_oracle():
-    for p in [(0.5, 0.5), (0.8, 0.2), (0.5, 0.3, 0.2)]:
+    for p in [(0.5, 0.5), (0.8, 0.2), (0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1)]:
         d = len(p)
         for n in range(1, 7):
             for lam in enumerate_partitions(n, d):
@@ -206,13 +223,42 @@ def test_schur_polynomial_against_power_sum_oracle():
 
 
 def test_schur_polynomial_jacobi_trudi_path_matches():
-    # d = 4 exercises the determinant path; compare with the oracle
+    # d = 4, the size the former Jacobi-Trudi determinant path served;
+    # compare with the oracle
     p = (0.4, 0.3, 0.2, 0.1)
     for n in range(1, 6):
         for lam in enumerate_partitions(n, 4):
             assert schur_polynomial(lam, p) == pytest.approx(
                 schur_by_power_sums(lam, p), abs=1e-10
             )
+
+
+def test_schur_polynomials_cover_every_block_in_order():
+    p = (0.5, 0.3, 0.2)
+    table = schur_polynomials(p, 7)
+    assert list(table) == enumerate_partitions(7, 3)
+    for lam, value in table.items():
+        assert value == schur_polynomial(lam, p)
+    # fewer variables than rows: the block is absent, its polynomial is 0
+    assert schur_polynomial(Partition((2, 1, 1)), (0.5, 0.5)) == 0.0
+    # shorter partitions are padded to one part per variable
+    assert schur_polynomial(Partition((3, 1)), p) == schur_polynomials(p, 4)[
+        Partition((3, 1, 0))
+    ]
+
+
+def test_schur_polynomials_memory_at_admitted_sizes():
+    # flat arrays for one call, nothing retained: the spectra benchmark's
+    # peak RSS (perfbench/) has little room for a larger table
+    p = (0.97, 0.01, 0.01, 0.01)
+    schur_polynomials(p, 60)
+    tracemalloc.start()
+    try:
+        schur_polynomials(p, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_weight_normalization():
@@ -272,6 +318,16 @@ def test_large_deviation_tail_region():
     assert lhs == pytest.approx(expected_lhs, rel=1e-12)
     div = relative_entropy((0.5, 0.5), (0.9, 0.1))
     assert rhs == pytest.approx(13**3 * math.exp(-12 * div), rel=1e-12)
+
+
+def test_large_deviation_skewed_d4_n60():
+    p = (0.97, 0.01, 0.01, 0.01)
+    lhs, _, _ = large_deviation_bound(p, lambda q: True, 60)
+    assert lhs == pytest.approx(1.0, abs=1e-9)
+    far = lambda q: max(abs(a - b) for a, b in zip(q, p)) >= 0.1
+    lhs, rhs, holds = large_deviation_bound(p, far, 60)
+    assert 0.0 <= lhs <= 1.0
+    assert holds and lhs <= rhs
 
 
 def test_large_deviation_empty_region():

@@ -1,9 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from locclab import schur_weyl
 from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions
 from locclab.schur_weyl import (
     build_schur_basis,
@@ -207,6 +209,88 @@ def test_weights_analytic_examples():
     assert w6[Partition((3, 3))] == pytest.approx(5 / 64, abs=1e-12)
     w4 = weights_analytic((0.8, 0.2), 4)
     assert sum(w4.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+SKEWED = {
+    2: (0.97, 0.03),
+    3: (0.97, 0.02, 0.01),
+    4: (0.97, 0.01, 0.01, 0.01),
+    5: (0.97, 0.012, 0.008, 0.006, 0.004),
+}
+
+
+def integer_det(mat: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss): exact on integers."""
+    m = [row[:] for row in mat]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def exact_weights(p, n: int) -> dict[Partition, float]:
+    """Jacobi-Trudi over exact integers, an independent reference.
+
+    With p_i = a_i / D exactly, q_lam = dim_v(lam) det(h_{lam_i-i+j}(a)) / D^n;
+    the only rounding is the final int/int division, which Python rounds
+    correctly.
+    """
+    fracs = [Fraction(x) for x in p]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    h = [1] + [0] * (n + len(p))  # complete homogeneous h_k(ints)
+    for a in ints:
+        for k in range(1, len(h)):
+            h[k] += a * h[k - 1]
+    out = {}
+    for lam in enumerate_partitions(n, len(p)):
+        shape = lam.trimmed()
+        mat = [
+            [h[r - i + j] if r - i + j >= 0 else 0 for j in range(len(shape))]
+            for i, r in enumerate(shape)
+        ]
+        out[lam] = dim_v(lam) * integer_det(mat) / den**n
+    return out
+
+
+@pytest.mark.parametrize("d, n", [(4, 40), (4, 60), (5, 30), (5, 40)])
+def test_weights_analytic_against_exact_oracle(d, n):
+    want = exact_weights(SKEWED[d], n)
+    got = weights_analytic(SKEWED[d], n)
+    assert list(got) == list(want)
+    for lam, q in want.items():
+        assert q > 0.0
+        assert abs(got[lam] - q) <= 1e-12 * q, str(lam)
+
+
+@pytest.mark.parametrize(
+    "d, n",
+    [(2, 40), (2, 100), (3, 40), (3, 100), (4, 40), (4, 60), (4, 100),
+     (5, 30), (5, 40), (5, 60)],
+)
+def test_weights_analytic_normalized_at_admitted_sizes(d, n):
+    weights = weights_analytic(SKEWED[d], n).values()
+    assert min(weights) >= 0.0
+    assert abs(math.fsum(weights) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("value", [-1e-6, 0.5])
+def test_weights_analytic_rejects_a_non_distribution(monkeypatch, value):
+    # a negative weight, or weights summing to more than 1
+    def broken(p, n):
+        return dict.fromkeys(enumerate_partitions(n, len(p)), value)
+
+    monkeypatch.setattr(schur_weyl, "schur_polynomials", broken)
+    with pytest.raises(ValueError, match="not a distribution"):
+        weights_analytic((0.8, 0.2), 4)
 
 
 @pytest.mark.parametrize("spectrum", [(0.5, 0.5), (0.8, 0.2), (1.0, 0.0)])

@@ -47,6 +47,10 @@ def test_ideal_fidelity_product_state_is_zero():
         assert ideal_fidelity((1.0, 0.0), n) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_ideal_fidelity_skewed_d4_n60():
+    assert 0.0 <= ideal_fidelity((0.97, 0.01, 0.01, 0.01), 60) <= 1.0
+
+
 def test_ideal_fidelity_bell_values():
     assert ideal_fidelity((0.5, 0.5), 2) == pytest.approx(0.25, abs=1e-12)
     assert ideal_fidelity((0.5, 0.5), 4) == pytest.approx(0.6875, abs=1e-12)
