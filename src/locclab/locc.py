@@ -538,7 +538,7 @@ def two_stage_estimate(
 # protocol builders
 
 
-def teleport_protocol(n: int, d: int = 2, basis_seed: int = 0) -> LoccProtocol:
+def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     """The self-teleportation protocol as a two-round instrument protocol.
 
     Alice's round combines the retained-subspace projection with a finite
@@ -551,7 +551,7 @@ def teleport_protocol(n: int, d: int = 2, basis_seed: int = 0) -> LoccProtocol:
     """
     from . import teleport as tp
 
-    plan = tp.build_plan(n, d, basis_seed)
+    plan = tp.build_plan(n, d)
     if not plan.good:
         raise ValueError("no retained blocks at these parameters")
     basis = plan.basis

@@ -137,6 +137,33 @@ def dim_v(lam: Partition) -> int:
     return q
 
 
+def standard_tableaux(lam: Partition) -> list[tuple[int, ...]]:
+    """The dim_v(lam) standard tableaux of shape lam as Yamanouchi words.
+
+    Entry k of a word is the row (from 0) holding letter k + 1. Words come
+    in lexicographic order, so the first is the row-reading tableau.
+    """
+    out: list[tuple[int, ...]] = []
+    _grow_words(out, (), [0] * lam.num_parts, lam.parts)
+    return out
+
+
+def _grow_words(
+    out: list[tuple[int, ...]],
+    word: tuple[int, ...],
+    filled: list[int],
+    parts: tuple[int, ...],
+):
+    if len(word) == sum(parts):
+        out.append(word)
+        return
+    for row, cap in enumerate(parts):
+        if filled[row] < cap and (row == 0 or filled[row] < filled[row - 1]):
+            filled[row] += 1
+            _grow_words(out, word + (row,), filled, parts)
+            filled[row] -= 1
+
+
 def cycle_type(sigma: Sequence[int]) -> Partition:
     """Cycle type of a permutation in one-line notation, as a partition."""
     n = len(sigma)

@@ -8,12 +8,18 @@ standard form of the n-fold power of a bipartite pure state: per-block
 weights q_lambda, the state-dependent parts phi_lambda, and the maximally
 entangled multiplicity parts.
 
-Basis vectors are real throughout: angular-momentum coupling coefficients
-are real at d = 2, and for d >= 3 the construction only diagonalizes real
-symmetric elements of the permutation-group algebra, whose irreducible
-blocks admit real orthogonal bases. Realness is what makes the same basis
+The basis is the Young-Yamanouchi basis, built the same way for every d
+and with no randomness: the u basis of each block comes from the joint
+eigenspace of the Jucys-Murphy elements on one reference tableau, and
+Young's orthogonal form carries it to the other standard tableaux, which
+label v. Basis vectors are real throughout, since the construction only
+diagonalizes real symmetric compressions of permutations and applies
+real orthogonal combinations. Realness is what makes the same basis
 usable verbatim on both halves of a bipartite state (the pairing of
 multiplicity indices involves an entrywise conjugate).
+
+The character projectors (``isotypic_projector``, ``weights_by_projector``)
+are a separate route, kept independent of the basis to cross-check it.
 """
 
 from __future__ import annotations
@@ -35,10 +41,11 @@ from .partitions import (
     dim_v,
     enumerate_partitions,
     schur_polynomials,
+    standard_tableaux,
 )
 from .states import StateVector, bipartite_tensor_power
 
-CONSTRUCTION_VERSION = 1
+CONSTRUCTION_VERSION = 2
 
 _MAX_DIM = 2**14
 _MAX_GROUP = 40320  # 8!
@@ -158,8 +165,6 @@ class SchurBlock:
 class SchurBasis:
     n: int
     d: int
-    seed: int
-    method: str
     blocks: dict[Partition, SchurBlock]
 
     @property
@@ -181,169 +186,126 @@ class SchurBasis:
         return out
 
 
-def _cg_couple_qubits(n: int) -> dict[Partition, SchurBlock]:
-    """Sequential angular-momentum coupling of n two-level factors.
-
-    Exact real coefficients; the total-spin value j maps to
-    lambda = (n/2 + j, n/2 - j), the magnetic index to u, the coupling
-    path to v.
-    """
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    # entries: path -> (j2, cols) with j2 = 2j and cols[:, j - m] the m-column
-    entries: dict[tuple[int, ...], tuple[int, np.ndarray]] = {
-        (): (1, np.stack([e0, e1], axis=1))
-    }
-    for _ in range(n - 1):
-        new_entries: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
-        for path, (j2, cols) in entries.items():
-            dim_in = cols.shape[0]
-
-            def col_for(m2: int) -> np.ndarray:
-                if abs(m2) > j2:
-                    return np.zeros(dim_in)
-                return cols[:, (j2 - m2) // 2]
-
-            for up, new_j2 in ((True, j2 + 1), (False, j2 - 1)):
-                if new_j2 < 0:
-                    continue
-                new_cols = np.zeros((dim_in * 2, new_j2 + 1))
-                for idx in range(new_j2 + 1):
-                    m2 = new_j2 - 2 * idx
-                    # coupling j with spin 1/2: coefficients in terms of 2m
-                    cu = math.sqrt((j2 + m2 + 1) / (2 * (j2 + 1)))
-                    cd = math.sqrt((j2 - m2 + 1) / (2 * (j2 + 1)))
-                    if not up:
-                        cu, cd = -cd, cu
-                    new_cols[:, idx] = cu * np.kron(col_for(m2 - 1), e0) + cd * np.kron(
-                        col_for(m2 + 1), e1
-                    )
-                new_entries[path + (new_j2,)] = (new_j2, new_cols)
-        entries = new_entries
-
-    by_j2: dict[int, list[np.ndarray]] = {}
-    for path in sorted(entries):
-        j2, cols = entries[path]
-        by_j2.setdefault(j2, []).append(cols)
-
-    blocks: dict[Partition, SchurBlock] = {}
-    for lam in enumerate_partitions(n, 2):
-        j2 = lam.parts[0] - lam.parts[1]
-        paths = by_j2.get(j2)
-        if paths is None:
-            continue
-        du, dv = j2 + 1, len(paths)
-        vectors = np.zeros((2**n, du * dv))
-        for u in range(du):
-            for v, cols in enumerate(paths):
-                vectors[:, u * dv + v] = cols[:, u]
-        blocks[lam] = SchurBlock(lam, du, dv, vectors)
-    return blocks
-
-
-def _random_algebra_element(
-    n: int, d: int, rng: np.random.Generator, symmetric: bool
-) -> np.ndarray:
-    """Random real element of the span of permutation operators."""
-    dim = d**n
-    out = np.zeros((dim, dim))
-    for _ in range(2 * n + 2):
-        sigma = tuple(int(x) for x in rng.permutation(n))
-        coeff = rng.standard_normal()
-        mat = permutation_operator(sigma, d)
-        out += coeff * (mat + mat.T if symmetric else mat)
+def _contents(word: tuple[int, ...]) -> list[int]:
+    """Content (column minus row) of each letter of a Yamanouchi word."""
+    filled = [0] * (max(word) + 1)
+    out = []
+    for row in word:
+        out.append(filled[row] - row)
+        filled[row] += 1
     return out
 
 
-def _split_and_align(
-    proj: np.ndarray, du: int, dv: int, n: int, d: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Basis of one block from its projector.
+def _swap_factors(vecs: np.ndarray, n: int, d: int, i: int, j: int) -> np.ndarray:
+    """Each column of vecs with tensor factors i and j exchanged."""
+    tensor = vecs.reshape((d,) * n + vecs.shape[1:])
+    return np.swapaxes(tensor, i, j).reshape(vecs.shape)
 
-    A generic symmetric group-algebra element restricted to the block acts
-    only on the multiplicity factor, so its eigenspaces are the dv copies of
-    the unitary-group factor; a second (non-symmetric) group-algebra element
-    provides the intertwiners that align the u index across copies.
+
+def _reference_vectors(lam: Partition, d: int) -> np.ndarray:
+    """The u basis of the lam block, on its row-reading tableau T0.
+
+    Letter by letter, the space W built so far is widened to W (x) C^d,
+    compressed onto X_k = sum_{i<k} (i k), and cut to the eigenvectors of
+    eigenvalue c_k(T0); the eigenvalues are integers, so the cut is exact.
+    Permutations keep the torus weight (the letter counts of a
+    computational basis state), so each weight is diagonalized apart. The
+    columns come out ordered by weight, highest first, each with its first
+    non-zero entry positive.
     """
-    rank = du * dv
-    evals, evecs = np.linalg.eigh(proj)
-    range_basis = evecs[:, evals > 0.5]
-    if range_basis.shape[1] != rank:
-        raise BasisAlignmentError(
-            f"projector rank {range_basis.shape[1]} != dim_u*dim_v = {rank}"
+    word = tuple(row for row, part in enumerate(lam.parts) for _ in range(part))
+    contents = _contents(word)
+    units = [tuple(int(a == b) for a in range(d)) for b in range(d)]
+    vecs, weights = np.eye(d), units
+    filled = [1] + [0] * (d - 1)
+    for k in range(1, lam.n):
+        wide = np.kron(vecs, np.eye(d))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for col, (w, e) in enumerate(itertools.product(weights, units)):
+            groups.setdefault(tuple(map(sum, zip(w, e))), []).append(col)
+        kept, weights = [], []
+        for label, cols in groups.items():
+            part = wide[:, cols]
+            x = sum(_swap_factors(part, k + 1, d, i, k) for i in range(k))
+            evals, evecs = np.linalg.eigh(part.T @ x)
+            keep = np.abs(evals - contents[k]) < 0.5
+            kept.append(part @ evecs[:, keep])
+            weights += [label] * int(keep.sum())
+        vecs = np.hstack(kept)
+        filled[word[k]] += 1
+        want = dim_u(Partition(tuple(filled)))
+        if vecs.shape[1] != want:
+            raise BasisAlignmentError(
+                f"eigenspace of {lam} at letter {k + 1} has dimension "
+                f"{vecs.shape[1]}, not dim_u = {want}"
+            )
+    vecs = vecs[:, sorted(range(len(weights)), key=weights.__getitem__, reverse=True)]
+    first = np.argmax(np.abs(vecs) > 1e-10, axis=0)
+    return vecs * np.sign(vecs[first, np.arange(vecs.shape[1])])
+
+
+def _block_vectors(lam: Partition, d: int) -> np.ndarray:
+    """Columns of the lam block, column u * dim_v + v.
+
+    Tableau v is the v-th word of ``standard_tableaux(lam)``. Every
+    tableau T after the first has a descent k (letter k + 1 in a lower row
+    than letter k + 2), and swapping the two gives an earlier tableau P.
+    Young's orthogonal form, s_k v_P = v_P / r + sqrt(1 - 1/r^2) v_T with
+    r = c_{k+1}(P) - c_k(P), then yields v_T from v_P. s_k commutes with
+    the unitary action, so the u index stays aligned across tableaux.
+    """
+    n = lam.n
+    words = standard_tableaux(lam)
+    ref = _reference_vectors(lam, d)
+    copies = np.empty((len(words),) + ref.shape)
+    copies[0] = ref
+    index = {word: v for v, word in enumerate(words)}
+    for v, word in enumerate(words[1:], 1):
+        k = next(k for k in range(n - 1) if word[k] > word[k + 1])
+        prev = word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
+        c = _contents(prev)
+        r = c[k + 1] - c[k]
+        src = copies[index[prev]]
+        copies[v] = (_swap_factors(src, n, d, k, k + 1) - src / r) / math.sqrt(
+            1 - 1 / r**2
         )
-
-    for _ in range(5):
-        x = _random_algebra_element(n, d, rng, symmetric=True)
-        y = range_basis.T @ x @ range_basis
-        w, vecs = np.linalg.eigh(y)
-        order = np.argsort(-w)
-        w, vecs = w[order], vecs[:, order]
-        scale = max(1.0, float(np.max(np.abs(w))))
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, rank):
-            if abs(w[i] - w[clusters[-1][0]]) <= 1e-8 * scale:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        if len(clusters) == dv and all(len(c) == du for c in clusters):
-            break
-    else:
-        raise BasisAlignmentError("could not split multiplicity copies")
-
-    copies = [vecs[:, c] for c in clusters]
-
-    # deterministic sign gauge for the reference copy
-    ref = copies[0].copy()
-    for col in range(du):
-        k = int(np.argmax(np.abs(ref[:, col])))
-        if ref[k, col] < 0:
-            ref[:, col] = -ref[:, col]
-    aligned = [ref]
-
-    if dv > 1:
-        z = range_basis.T @ _random_algebra_element(n, d, rng, symmetric=False) @ range_basis
-        for k in range(1, dv):
-            g = copies[k].T @ z @ ref
-            ul, sv, vr = np.linalg.svd(g)
-            if sv[0] < 1e-10 or (sv[0] - sv[-1]) > 1e-6 * sv[0]:
-                raise BasisAlignmentError(
-                    f"intertwiner not scalar: singular values {sv}"
-                )
-            aligned.append(copies[k] @ (ul @ vr))
-
-    vectors = np.zeros((proj.shape[0], rank))
-    for u in range(du):
-        for v in range(dv):
-            vectors[:, u * dv + v] = range_basis @ aligned[v][:, u]
-    return vectors
+    return np.ascontiguousarray(copies.transpose(1, 2, 0)).reshape(d**n, -1)
 
 
-def build_schur_basis(n: int, d: int, seed: int = 0) -> SchurBasis:
-    """Deterministic orthonormal block basis of (C^d)^{(x)n}.
+def build_schur_basis(n: int, d: int, seed: int | None = None) -> SchurBasis:
+    """Deterministic orthonormal block basis of (C^d)^{(x)n}, the
+    Young-Yamanouchi basis.
 
-    d = 2 uses exact angular-momentum coupling; d >= 3 uses character
-    projectors followed by multiplicity splitting and copy alignment.
+    Column (u, v) of block lam is an eigenvector of every Jucys-Murphy
+    element X_k = sum_{i<k} (i k) with eigenvalue the content of letter k
+    in the v-th standard tableau of ``standard_tableaux(lam)``
+    (Okounkov-Vershik). The u basis is built on the row-reading tableau
+    and carried to the others by Young's orthogonal form, so it is the same
+    for every v. Permutations are applied as axis swaps of the reshaped
+    vectors, never as matrices. ``seed`` is ignored; it is accepted for
+    callers that still pass one.
     """
     _check_size(n, d)
-    if d == 2:
-        blocks = _cg_couple_qubits(n)
-        return SchurBasis(n, d, seed, "coupling", blocks)
-
-    rng = np.random.default_rng(seed)
-    blocks: dict[Partition, SchurBlock] = {}
-    for lam in enumerate_partitions(n, d):
-        du, dv = dim_u(lam), dim_v(lam)
-        proj = isotypic_projector(lam, d)
-        vectors = _split_and_align(proj, du, dv, n, d, rng)
-        blocks[lam] = SchurBlock(lam, du, dv, vectors)
-    return SchurBasis(n, d, seed, "projector", blocks)
+    blocks = {
+        lam: SchurBlock(lam, dim_u(lam), dim_v(lam), _block_vectors(lam, d))
+        for lam in enumerate_partitions(n, d)
+    }
+    return SchurBasis(n, d, blocks)
 
 
 @lru_cache(maxsize=32)
-def schur_basis(n: int, d: int, seed: int = 0) -> SchurBasis:
-    """Memoized basis constructor; bases are immutable and shareable."""
-    return build_schur_basis(n, d, seed)
+def _memo_basis(n: int, d: int) -> SchurBasis:
+    return build_schur_basis(n, d)
+
+
+def schur_basis(n: int, d: int, seed: int | None = None) -> SchurBasis:
+    """Memoized basis constructor, one entry per (n, d); bases are
+    immutable and shareable. ``seed`` is ignored."""
+    return _memo_basis(n, d)
+
+
+# hit and miss counts for callers that report them (perfbench/worker.py)
+schur_basis.cache_info = _memo_basis.cache_info
 
 
 def save_basis(basis: SchurBasis, path: str | Path) -> Path:
@@ -352,10 +314,7 @@ def save_basis(basis: SchurBasis, path: str | Path) -> Path:
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     payload: dict[str, np.ndarray] = {
-        "meta": np.array(
-            [basis.n, basis.d, basis.seed, CONSTRUCTION_VERSION], dtype=np.int64
-        ),
-        "method": np.array(basis.method),
+        "meta": np.array([basis.n, basis.d, CONSTRUCTION_VERSION], dtype=np.int64)
     }
     for lam, block in basis.blocks.items():
         key = "block_" + "_".join(str(p) for p in lam.parts)
@@ -367,32 +326,33 @@ def save_basis(basis: SchurBasis, path: str | Path) -> Path:
 def load_basis(path: str | Path) -> SchurBasis:
     """Load a basis saved by :func:`save_basis`, bit-identical amplitudes."""
     with np.load(Path(path)) as data:
-        n, d, seed, version = (int(x) for x in data["meta"])
-        if version != CONSTRUCTION_VERSION:
+        meta = [int(x) for x in data["meta"]]
+        if meta[-1] != CONSTRUCTION_VERSION:
             raise ValueError(
-                f"cache version {version} != supported {CONSTRUCTION_VERSION}"
+                f"cache version {meta[-1]} != supported {CONSTRUCTION_VERSION}"
             )
-        method = str(data["method"])
+        n, d = meta[:2]
         blocks: dict[Partition, SchurBlock] = {}
         for lam in enumerate_partitions(n, d):
             key = "block_" + "_".join(str(p) for p in lam.parts)
             vectors = data[key]
             blocks[lam] = SchurBlock(lam, dim_u(lam), dim_v(lam), vectors)
-    return SchurBasis(n, d, seed, method, blocks)
+    return SchurBasis(n, d, blocks)
 
 
 def load_or_build_basis(
-    n: int, d: int, seed: int = 0, cache_dir: str | Path | None = None
+    n: int, d: int, seed: int | None = None, cache_dir: str | Path | None = None
 ) -> SchurBasis:
-    """Fetch a basis from the cache directory, building and saving on miss."""
+    """Fetch a basis from the cache directory, building and saving on miss.
+    ``seed`` is ignored."""
     if cache_dir is None:
-        return schur_basis(n, d, seed)
+        return schur_basis(n, d)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"schur_n{n}_d{d}_s{seed}_v{CONSTRUCTION_VERSION}.npz"
+    path = cache_dir / f"schur_n{n}_d{d}_v{CONSTRUCTION_VERSION}.npz"
     if path.exists():
         return load_basis(path)
-    basis = build_schur_basis(n, d, seed)
+    basis = build_schur_basis(n, d)
     save_basis(basis, path)
     return basis
 
@@ -435,7 +395,6 @@ def standard_form(
     phi: StateVector,
     n: int,
     basis: SchurBasis | None = None,
-    seed: int = 0,
     weight_floor: float = 1e-14,
 ) -> StandardForm:
     """Decompose |phi>^{(x)n} into weights, paired-block states, and
@@ -452,7 +411,7 @@ def standard_form(
     check_joint_size(n, d)
     phi = phi.require_normalized()
     if basis is None:
-        basis = schur_basis(n, d, seed)
+        basis = schur_basis(n, d)
 
     psi = bipartite_tensor_power(phi, n)
     bmat = basis.matrix

@@ -94,8 +94,8 @@ class TeleportPlan:
         return {lam: slices[lam] for lam in self.good}
 
 
-def build_plan(n: int, d: int, seed: int = 0) -> TeleportPlan:
-    return TeleportPlan(n, d, tuple(good_set(n, d)), schur_basis(n, d, seed))
+def build_plan(n: int, d: int) -> TeleportPlan:
+    return TeleportPlan(n, d, tuple(good_set(n, d)), schur_basis(n, d))
 
 
 def _outcome_schur_vector(
@@ -198,7 +198,6 @@ def run_teleport(
     phi: StateVector,
     n: int,
     rng: np.random.Generator | int | None = None,
-    basis_seed: int = 0,
 ) -> TeleportResult:
     """Simulate one full protocol run on |phi>^{(x)n}.
 
@@ -218,7 +217,7 @@ def run_teleport(
     phi = phi.require_normalized()
     spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
 
-    plan = build_plan(n, d, basis_seed)
+    plan = build_plan(n, d)
     if not plan.good:
         return _vacuous_result(n, d, spectrum, seed)
 

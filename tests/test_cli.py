@@ -20,6 +20,16 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def test_consecutive_in_process_calls_share_no_state(capsys):
+    run_json(capsys, "teleport", "--state", "bell", "--n", "4", "--seed", "3")
+    payload = run_json(capsys, "decompose", "--state", "bell", "--n", "4")
+    assert payload["seed"] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--n", "4"])
+    assert exc.value.code == 2
+    assert run_json(capsys, "decompose", "--state", "bell", "--n", "4") == payload
+
+
 # ---------------------------------------------------------------- decompose
 
 

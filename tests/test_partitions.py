@@ -19,6 +19,7 @@ from locclab.partitions import (
     schur_polynomial,
     schur_polynomials,
     shannon_entropy,
+    standard_tableaux,
 )
 
 
@@ -134,6 +135,26 @@ def test_dim_v_matches_hook_lengths():
     for n in range(1, 11):
         for lam in enumerate_partitions(n, min(n, 4)):
             assert dim_v(lam) == hook_length_count(lam.parts), str(lam)
+
+
+def test_standard_tableaux_examples():
+    assert standard_tableaux(Partition((2, 1))) == [(0, 0, 1), (0, 1, 0)]
+    assert standard_tableaux(Partition((2, 2, 0))) == [(0, 0, 1, 1), (0, 1, 0, 1)]
+    assert standard_tableaux(Partition((3, 0))) == [(0, 0, 0)]
+
+
+def test_standard_tableaux_are_standard_sorted_and_counted():
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n, 4):
+            words = standard_tableaux(lam)
+            assert len(words) == dim_v(lam) and words == sorted(set(words))
+            for word in words:
+                # every prefix fills the rows as a partition does
+                filled = [0] * lam.num_parts
+                for row in word:
+                    filled[row] += 1
+                    assert row == 0 or filled[row] <= filled[row - 1]
+                assert tuple(filled) == lam.parts
 
 
 def test_schur_weyl_completeness():

@@ -1,13 +1,22 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from locclab import schur_weyl
-from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions
+from locclab.partitions import (
+    Partition,
+    dim_u,
+    dim_v,
+    enumerate_partitions,
+    standard_tableaux,
+)
 from locclab.schur_weyl import (
+    CONSTRUCTION_VERSION,
+    BasisAlignmentError,
     build_schur_basis,
     isotypic_projector,
     load_basis,
@@ -97,7 +106,12 @@ def test_projector_rank_example_31():
 # ---------------------------------------------------------------- basis invariants
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (6, 2), (3, 3), (4, 3)])
+ADMITTED = [(7, 3), (5, 4), (4, 5)]
+
+
+@pytest.mark.parametrize(
+    "n,d", [(2, 2), (3, 2), (4, 2), (6, 2), (3, 3), (4, 3)] + ADMITTED
+)
 def test_basis_orthonormal(n, d):
     basis = schur_basis(n, d)
     mat = basis.matrix
@@ -122,7 +136,7 @@ def test_basis_triplet_singlet_vectors():
     assert abs(np.dot(sym.column(1, 0), singlet)) < 1e-12
 
 
-@pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (4, 3)])
+@pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (4, 3)] + ADMITTED)
 def test_permutations_act_on_multiplicity_index_only(n, d):
     basis = schur_basis(n, d)
     mat = basis.matrix
@@ -176,6 +190,57 @@ def test_basis_deterministic():
     b = build_schur_basis(4, 3, seed=0)
     for lam in a.blocks:
         assert np.array_equal(a.blocks[lam].vectors, b.blocks[lam].vectors)
+
+
+def jucys_murphy(k: int, n: int, d: int) -> np.ndarray:
+    """X_k = sum_{i<k} (i k) on (C^d)^{(x)n}, letters counted from 1."""
+    out = np.zeros((d**n, d**n))
+    for i in range(k - 1):
+        sigma = list(range(n))
+        sigma[i], sigma[k - 1] = k - 1, i
+        out += permutation_operator(sigma, d)
+    return out
+
+
+def word_contents(word: tuple[int, ...]) -> list[int]:
+    """Column minus row of each letter of a tableau given by its row word."""
+    return [word[:k].count(row) - row for k, row in enumerate(word)]
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (4, 3), (3, 4)])
+def test_basis_columns_are_jucys_murphy_eigenvectors(n, d):
+    basis = schur_basis(n, d)
+    xs = [jucys_murphy(k, n, d) for k in range(1, n + 1)]
+    for lam, block in basis.blocks.items():
+        words = standard_tableaux(lam)
+        assert len(words) == block.dim_v
+        cols = block.vectors.reshape(d**n, block.dim_u, block.dim_v)
+        for v, word in enumerate(words):
+            for x, content in zip(xs, word_contents(word)):
+                err = np.max(np.abs(x @ cols[:, :, v] - content * cols[:, :, v]))
+                assert err < 1e-10, (str(lam), v)
+
+
+def test_basis_build_memory_at_d3_n7():
+    tracemalloc.start()
+    try:
+        basis = build_schur_basis(7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(block.vectors.nbytes for block in basis.blocks.values())
+    assert output == 8 * 3**14
+    assert peak < 2 * output
+
+
+def test_basis_dimension_mismatch_is_an_alignment_error(monkeypatch):
+    monkeypatch.setattr(schur_weyl, "dim_u", lambda lam: 1)
+    with pytest.raises(BasisAlignmentError, match="not dim_u"):
+        build_schur_basis(3, 2)
+
+
+def test_schur_basis_memoized_per_size():
+    assert schur_basis(4, 3, 0) is schur_basis(4, 3) is schur_basis(4, 3, 5)
 
 
 # ---------------------------------------------------------------- standard form
@@ -434,6 +499,33 @@ def test_basis_round_trip_bit_identical(tmp_path):
     assert loaded.n == 4 and loaded.d == 2
     for lam in basis.blocks:
         assert np.array_equal(basis.blocks[lam].vectors, loaded.blocks[lam].vectors)
+
+
+def test_load_basis_rejects_the_previous_version(tmp_path):
+    path = save_basis(build_schur_basis(3, 2), tmp_path / "basis")
+    with np.load(path) as data:
+        payload = dict(data)
+    payload["meta"][-1] = CONSTRUCTION_VERSION - 1
+    np.savez(path, **payload)
+    with pytest.raises(ValueError, match="cache version"):
+        load_basis(path)
+
+
+def test_load_or_build_ignores_a_stale_version(tmp_path):
+    n, d = 3, 3
+    # a file as the previous version wrote it, with vectors that a load
+    # would return as they are
+    fresh = build_schur_basis(n, d)
+    stale = tmp_path / f"schur_n{n}_d{d}_s0_v{CONSTRUCTION_VERSION - 1}.npz"
+    payload = {"meta": np.array([n, d, 0, CONSTRUCTION_VERSION - 1])}
+    for lam, block in fresh.blocks.items():
+        key = "block_" + "_".join(str(p) for p in lam.parts)
+        payload[key] = np.zeros_like(block.vectors)
+    np.savez(stale, **payload)
+    basis = load_or_build_basis(n, d, cache_dir=tmp_path)
+    for lam in fresh.blocks:
+        assert np.array_equal(basis.blocks[lam].vectors, fresh.blocks[lam].vectors)
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_load_or_build_cache_hit(tmp_path):
