@@ -3,9 +3,11 @@
 Protocols are ordered lists of rounds; each round names the acting party
 and an instrument, a history-dependent list of labeled completely positive
 maps (given by Kraus operators on the acting party's factor) that together
-preserve trace. The engine runs in density-matrix form, samples one
-execution path with exact branch probabilities, and can exhaustively
-enumerate the joint outcome distribution for Fisher-information analysis.
+preserve trace. The engine holds the state as a factor V of its density
+V V^dagger, shaped (d_A, d_B, r), and contracts each Kraus operator with the
+acting party's axis. It samples one execution path with exact branch
+probabilities, and can exhaustively enumerate the joint outcome
+distribution for Fisher-information analysis.
 
 Kraus operators may be rectangular (the acting party's local dimension then
 changes), which lets a measure-and-discard or an embed-into-larger-register
@@ -123,25 +125,59 @@ class LoccTranscript:
         return json.dumps(payload, sort_keys=True)
 
 
-def _as_density(state, dim: int) -> np.ndarray:
-    if isinstance(state, StateVector):
-        vec = state.amplitudes
+def _as_generator(rng) -> tuple[np.random.Generator, int | None]:
+    """A generator and the seed to record: an int seeds a fresh generator
+    (None means 0); a given generator is used as is and records no seed."""
+    if isinstance(rng, (int, np.integer)) or rng is None:
+        seed = int(rng) if rng is not None else 0
+        return np.random.default_rng(seed), seed
+    return rng, None
+
+
+def _as_factor(state, dim_a: int, dim_b: int) -> np.ndarray:
+    """The input state as a factor V of its density V V^dagger, shaped
+    (d_A, d_B, r). A vector is one column; a density matrix is factored
+    once by its eigendecomposition. Anything but a normalized state raises.
+    """
+    dim = dim_a * dim_b
+    arr = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
+    if arr.ndim == 2:
+        if arr.shape != (dim, dim):
+            raise ValueError(f"density matrix must be {dim}x{dim}")
+        if np.max(np.abs(arr - arr.conj().T)) > 1e-10:
+            raise ValueError("density matrix is not Hermitian")
+        evals, evecs = np.linalg.eigh(arr)
+        if evals[0] < -1e-10:
+            raise ValueError(f"density matrix has eigenvalue {evals[0]} < 0")
+        norm2 = float(np.trace(arr).real)
+        factor = evecs[:, evals > 0] * np.sqrt(evals[evals > 0])
     else:
-        arr = np.asarray(state, dtype=complex)
-        if arr.ndim == 2:
-            if arr.shape != (dim, dim):
-                raise ValueError(f"density matrix must be {dim}x{dim}")
-            return arr
-        vec = arr.reshape(-1)
-    if vec.size != dim:
-        raise ValueError(f"state has dimension {vec.size}, expected {dim}")
-    return np.outer(vec, vec.conj())
+        factor = arr.reshape(-1, 1)
+        if factor.size != dim:
+            raise ValueError(f"state has dimension {factor.size}, expected {dim}")
+        norm2 = float(np.vdot(factor, factor).real)
+    if abs(norm2 - 1.0) > 1e-9:
+        raise ValueError(f"state is not normalized: its density has trace {norm2}")
+    return factor.reshape(dim_a, dim_b, -1)
 
 
-def _lift(kraus: np.ndarray, party: str, dim_a: int, dim_b: int) -> np.ndarray:
+def _apply(kraus_list, factor: np.ndarray, party: str) -> tuple[np.ndarray, float]:
+    """Unnormalized factor of the branch state sum_K K rho K^dagger, each K
+    contracted with the party's axis, and its probability ||K V||^2."""
+    dim_a, dim_b, cols = factor.shape
     if party == "A":
-        return np.kron(kraus, np.eye(dim_b))
-    return np.kron(np.eye(dim_a), kraus)
+        flat = factor.reshape(dim_a, -1)
+        parts = [(np.asarray(k, dtype=complex) @ flat).reshape(-1, dim_b, cols)
+                 for k in kraus_list]
+    else:
+        parts = [np.asarray(k, dtype=complex) @ factor for k in kraus_list]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+    rows = out.shape[0] * out.shape[1]
+    if out.shape[2] > rows:
+        # V V^dagger = R^dagger R for the QR factors of V^dagger
+        r_mat = np.linalg.qr(out.reshape(rows, -1).conj().T, mode="r")
+        out = r_mat.conj().T.reshape(out.shape[0], out.shape[1], -1)
+    return out, float(np.vdot(out, out).real)
 
 
 def _check_trace_preserving(ops: list[tuple[str, list[np.ndarray]]], dim: int):
@@ -163,50 +199,33 @@ def run_locc(
     input_state,
     rng: np.random.Generator | int | None = None,
 ) -> LoccTranscript:
-    """Sample one execution path; deterministic given the seed."""
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        seed = int(rng) if rng is not None else 0
-        rng = np.random.default_rng(seed)
-    else:
-        seed = None
-    dim_a, dim_b = protocol.dim_a, protocol.dim_b
-    rho = _as_density(input_state, dim_a * dim_b)
+    """Sample one execution path; deterministic given the seed. The
+    transcript holds the final density matrix."""
+    rng, seed = _as_generator(rng)
+    factor = _as_factor(input_state, protocol.dim_a, protocol.dim_b)
     history: tuple[str, ...] = ()
     messages: list[Message] = []
     for idx, rnd in enumerate(protocol.rounds):
-        local_dim = dim_a if rnd.party == "A" else dim_b
         ops = rnd.instrument(history)
-        _check_trace_preserving(ops, local_dim)
-        branches = []
-        for label, kraus_list in ops:
-            lifted = [_lift(np.asarray(k, dtype=complex), rnd.party, dim_a, dim_b)
-                      for k in kraus_list]
-            out = sum(lk @ rho @ lk.conj().T for lk in lifted)
-            branches.append((label, out, float(np.real(np.trace(out)))))
+        _check_trace_preserving(ops, factor.shape["AB".index(rnd.party)])
+        branches = [(label, *_apply(kraus_list, factor, rnd.party)) for label, kraus_list in ops]
         probs = np.array([b[2] for b in branches])
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        choice = int(rng.choice(len(branches), p=probs))
+        choice = int(rng.choice(len(branches), p=probs / probs.sum()))
         label, out, p = branches[choice]
-        rho = out / p
-        if rnd.party == "A":
-            dim_a = rho.shape[0] // dim_b
-        else:
-            dim_b = rho.shape[0] // dim_a
+        factor = out / math.sqrt(p)
         history += (label,)
         messages.append(Message(idx, rnd.party, label, p))
-    return LoccTranscript(protocol.protocol_id, seed, messages, rho)
+    flat = factor.reshape(-1, factor.shape[2])
+    return LoccTranscript(protocol.protocol_id, seed, messages, flat @ flat.conj().T)
 
 
 def enumerate_paths(protocol: LoccProtocol, input_state) -> dict[tuple[str, ...], float]:
     """Exact probabilities of every outcome sequence (zero-probability
     branches omitted); probabilities sum to 1."""
-    dim_a0, dim_b0 = protocol.dim_a, protocol.dim_b
-    rho0 = _as_density(input_state, dim_a0 * dim_b0)
     out: dict[tuple[str, ...], float] = {}
     counter = [0]
 
-    def walk(rho, history, prob, idx, dim_a, dim_b):
+    def walk(factor, history, prob, idx):
         if idx == len(protocol.rounds):
             counter[0] += 1
             if counter[0] > _PATH_LIMIT:
@@ -214,24 +233,15 @@ def enumerate_paths(protocol: LoccProtocol, input_state) -> dict[tuple[str, ...]
             out[history] = prob
             return
         rnd = protocol.rounds[idx]
-        local_dim = dim_a if rnd.party == "A" else dim_b
         ops = rnd.instrument(history)
-        _check_trace_preserving(ops, local_dim)
+        _check_trace_preserving(ops, factor.shape["AB".index(rnd.party)])
         for label, kraus_list in ops:
-            lifted = [_lift(np.asarray(k, dtype=complex), rnd.party, dim_a, dim_b)
-                      for k in kraus_list]
-            new_rho = sum(lk @ rho @ lk.conj().T for lk in lifted)
-            p = float(np.real(np.trace(new_rho)))
+            new, p = _apply(kraus_list, factor, rnd.party)
             if p <= 1e-15:
                 continue
-            new_a, new_b = dim_a, dim_b
-            if rnd.party == "A":
-                new_a = new_rho.shape[0] // dim_b
-            else:
-                new_b = new_rho.shape[0] // dim_a
-            walk(new_rho / p, history + (label,), prob * p, idx + 1, new_a, new_b)
+            walk(new / math.sqrt(p), history + (label,), prob * p, idx + 1)
 
-    walk(rho0, (), 1.0, 0, dim_a0, dim_b0)
+    walk(_as_factor(input_state, protocol.dim_a, protocol.dim_b), (), 1.0, 0)
     return out
 
 
@@ -421,11 +431,7 @@ def two_stage_estimate(
         raise ValueError("two-stage scheme handles one-parameter families")
     if n < 25:
         raise ValueError("need n >= 25 so that sqrt(n) first-stage copies >= 5")
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        seed = int(rng) if rng is not None else 0
-        rng = np.random.default_rng(seed)
-    else:
-        seed = None
+    rng, seed = _as_generator(rng)
 
     j_ref = _qfi(model_a, theta_true) + _qfi(model_b, theta_true)
     if trials == 0:
@@ -557,17 +563,21 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     basis = plan.basis
     bmat = basis.matrix
     dim = d**n
-    slices = basis.slices()
 
     good_cols = np.zeros(dim, dtype=bool)
-    for lam in plan.good:
-        good_cols[slices[lam]] = True
+    for sl in plan.good_slices.values():
+        good_cols[sl] = True
     proj_good = (bmat[:, good_cols] @ bmat[:, good_cols].T).astype(complex)
 
+    weyls: dict = {}
+
     def weyl(dv: int, a: int, b: int, sign: int) -> np.ndarray:
-        shift = np.roll(np.eye(dv), a, axis=0)
-        clock = np.diag(np.exp(2j * np.pi * b * np.arange(dv) / dv))
-        return sign * shift @ clock
+        key = (dv, a, b, sign)
+        if key not in weyls:
+            shift = np.roll(np.eye(dv), a, axis=0)
+            clock = np.diag(np.exp(2j * np.pi * b * np.arange(dv) / dv))
+            weyls[key] = sign * shift @ clock
+        return weyls[key]
 
     outcome_sets = []
     for lam in plan.good:
@@ -586,12 +596,16 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
             for k, lam in enumerate(plan.good)
         }
 
+    # Alice's outcomes do not depend on the history: built on first use
+    alice_ops: list = []
+
     def alice_instrument(history):
-        ops = [("fail", [np.eye(dim, dtype=complex) - proj_good])]
-        for m, combo in enumerate(combos):
-            a_op = tp.kraus_operator(plan, unitaries_for(combo))
-            ops.append((f"w{m}", [a_op / math.sqrt(n_outcomes)]))
-        return ops
+        if not alice_ops:
+            alice_ops.append(("fail", [np.eye(dim, dtype=complex) - proj_good]))
+            for m, combo in enumerate(combos):
+                a_op = tp.kraus_operator(plan, unitaries_for(combo))
+                alice_ops.append((f"w{m}", [a_op / math.sqrt(n_outcomes)]))
+        return alice_ops
 
     embed = _teleport_embedding(basis, plan.good, d, n)
 
@@ -599,17 +613,10 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
         label = history[-1]
         if label == "fail":
             return [("abort", [np.eye(dim, dtype=complex)])]
-        combo = combos[int(label[1:])]
-        recover = np.zeros((dim, dim), dtype=complex)
-        for lam, sl in slices.items():
-            block = basis.blocks[lam]
-            width = block.dim_u * block.dim_v
-            if lam in plan.good:
-                w_mat = unitaries_for(combo)[lam]
-                local = np.kron(np.eye(block.dim_u), w_mat.T)
-            else:
-                local = np.eye(width)
-            recover[sl, sl] = local
+        unitaries = unitaries_for(combos[int(label[1:])])
+        recover = np.eye(dim, dtype=complex)  # identity on the retired blocks
+        for lam, sl in plan.good_slices.items():
+            recover[sl, sl] = np.kron(np.eye(basis.blocks[lam].dim_u), unitaries[lam].T)
         recover_full = bmat @ recover @ bmat.T
         return [("done", [embed @ recover_full])]
 
@@ -665,14 +672,11 @@ def random_adaptive_protocol(
     """Random adaptive protocol on a qubit pair: each round measures the
     acting party projectively in a basis selected by the history so far."""
 
-    def random_unitary(r: np.random.Generator) -> np.ndarray:
-        z = (r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2))) / math.sqrt(2)
-        q, rr = np.linalg.qr(z)
-        return q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
+    from .teleport import sample_haar_unitary
 
     parties = ["A" if k % 2 == 0 else "B" for k in range(rounds)]
     tables = [
-        [random_unitary(rng) for _ in range(n_choices)] for _ in range(rounds)
+        [sample_haar_unitary(2, rng) for _ in range(n_choices)] for _ in range(rounds)
     ]
 
     def make_instrument(idx: int) -> Instrument:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .locc import LoccTranscript, Message
+from .locc import LoccTranscript, Message, _as_generator
 from .partitions import Partition, as_spectrum, dim_u, dim_v, enumerate_partitions
 from .schur_weyl import SchurBasis, check_joint_size, schur_basis, weights_analytic
 from .states import StateVector, bipartite_tensor_power
@@ -205,11 +205,7 @@ def run_teleport(
     reconstruction; the final state is checked against the analytic target
     and the reported fidelity equals the retained weight.
     """
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        seed = int(rng) if rng is not None else 0
-        rng = np.random.default_rng(seed)
-    else:
-        seed = None
+    rng, seed = _as_generator(rng)
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,157 @@ def test_adaptive_distribution_factorizes_into_party_chains():
         assert p == pytest.approx(p_x1[x1] * p_y1_given * p_x2_given, abs=1e-12)
 
 
+# ---------------------------------------------------------------- dense reference
+
+
+def dense_lift(kraus, party, dim_a, dim_b):
+    if party == "A":
+        return np.kron(kraus, np.eye(dim_b))
+    return np.kron(np.eye(dim_a), kraus)
+
+
+def dense_branches(rnd, history, rho, dim_a, dim_b):
+    """(label, K rho K^dagger summed over the outcome's Kraus operators,
+    probability, new dimensions) for every outcome, on the full density."""
+    out = []
+    for label, kraus_list in rnd.instrument(history):
+        lifted = [dense_lift(k, rnd.party, dim_a, dim_b) for k in kraus_list]
+        new = sum(lk @ rho @ lk.conj().T for lk in lifted)
+        if rnd.party == "A":
+            dims = (new.shape[0] // dim_b, dim_b)
+        else:
+            dims = (dim_a, new.shape[0] // dim_a)
+        out.append((label, new, float(np.real(np.trace(new))), dims))
+    return out
+
+
+def dense_enumerate_paths(protocol, rho):
+    out = {}
+
+    def walk(rho, history, prob, idx, dims):
+        if idx == len(protocol.rounds):
+            out[history] = prob
+            return
+        for label, new, p, new_dims in dense_branches(
+            protocol.rounds[idx], history, rho, *dims
+        ):
+            if p > 1e-15:
+                walk(new / p, history + (label,), prob * p, idx + 1, new_dims)
+
+    walk(rho, (), 1.0, 0, (protocol.dim_a, protocol.dim_b))
+    return out
+
+
+def dense_run_locc(protocol, rho, seed):
+    rng = np.random.default_rng(seed)
+    dims = (protocol.dim_a, protocol.dim_b)
+    history, probs_taken = (), []
+    for rnd in protocol.rounds:
+        branches = dense_branches(rnd, history, rho, *dims)
+        probs = np.array([b[2] for b in branches])
+        label, new, p, dims = branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
+        rho = new / p
+        history += (label,)
+        probs_taken.append(p)
+    return history, probs_taken, rho
+
+
+def random_instrument(rng, dim_in, dim_out, n_outcomes):
+    """Outcomes with 2-4 Kraus operators each, cut from one random isometry."""
+    counts = rng.integers(2, 5, size=n_outcomes)
+    z = rng.standard_normal((counts.sum() * dim_out, dim_in))
+    iso = np.linalg.qr(z + 1j * rng.standard_normal(z.shape))[0]
+    kraus = iso.reshape(-1, dim_out, dim_in)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    return [(str(m), list(kraus[bounds[m] : bounds[m + 1]])) for m in range(n_outcomes)]
+
+
+def random_kraus_protocol(seed, dim_a, dim_b, steps):
+    """History-dependent protocol; ``steps`` lists (party, output dimension),
+    so Kraus operators are rectangular whenever the dimension changes."""
+    rng = np.random.default_rng(seed)
+    dims = {"A": dim_a, "B": dim_b}
+    rounds = []
+    for idx, (party, dim_out) in enumerate(steps):
+        table = [random_instrument(rng, dims[party], dim_out, 2 + idx % 2) for _ in range(3)]
+        rounds.append(Round(party, lambda h, t=table: t[sum(map(int, h)) % len(t)]))
+        dims[party] = dim_out
+    return LoccProtocol(dim_a, dim_b, tuple(rounds), f"random-kraus-{seed}")
+
+
+def random_input(rng, dim, rank):
+    """A pure state (rank 0, as a vector) or a mixed state of the given rank."""
+    g = rng.standard_normal((dim, max(rank, 1))) + 1j * rng.standard_normal((dim, max(rank, 1)))
+    if rank == 0:
+        return g[:, 0] / np.linalg.norm(g)
+    return g @ g.conj().T / np.linalg.norm(g) ** 2
+
+
+KRAUS_STEPS = [
+    (2, 3, [("A", 3), ("B", 2), ("A", 1), ("B", 3)]),
+    (2, 2, [("B", 4), ("A", 2), ("B", 1), ("A", 3)]),
+    (3, 2, [("A", 2), ("A", 2), ("B", 2), ("A", 4)]),
+]
+
+
+@pytest.mark.parametrize("rank", [0, 2, 6])
+@pytest.mark.parametrize("dim_a, dim_b, steps", KRAUS_STEPS)
+def test_engine_matches_dense_reference(dim_a, dim_b, steps, rank, monkeypatch):
+    # 2-4 Kraus operators per outcome over four rounds would give up to 256
+    # factor columns per input column on at most 9 rows, so the compression
+    # must run
+    qr = np.linalg.qr
+    calls = []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    rng = np.random.default_rng(100 * dim_a + 10 * dim_b + rank)
+    for seed in range(3):
+        protocol = random_kraus_protocol(seed, dim_a, dim_b, steps)
+        state = random_input(rng, dim_a * dim_b, min(rank, dim_a * dim_b))
+        rho = state if state.ndim == 2 else np.outer(state, state.conj())
+
+        calls.clear()
+        dist = enumerate_paths(protocol, state)
+        assert calls
+        reference = dense_enumerate_paths(protocol, rho)
+        assert set(dist) == set(reference)
+        for path, p in reference.items():
+            assert dist[path] == pytest.approx(p, abs=1e-12)
+        assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+        for run_seed in range(4):
+            transcript = run_locc(protocol, state, run_seed)
+            history, probs, final = dense_run_locc(protocol, rho, run_seed)
+            assert tuple(m.outcome for m in transcript.messages) == history
+            assert [m.prob for m in transcript.messages] == pytest.approx(probs, abs=1e-12)
+            assert transcript.final_state.shape == final.shape
+            assert np.max(np.abs(transcript.final_state - final)) <= 1e-12
+
+
+def _bad_inputs():
+    vec = np.zeros(4, dtype=complex)
+    vec[0] = 1.01
+    skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    skew[0, 1] = 1e-6
+    return {
+        "unnormalized-vector": (vec, "not normalized"),
+        "non-hermitian": (skew, "not Hermitian"),
+        "negative-eigenvalue": (np.diag([0.7, 0.4, -0.1, 0.0]), "eigenvalue"),
+        "trace-not-one": (np.diag([0.5, 0.5, 0.1, 0.0]), "not normalized"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+@pytest.mark.parametrize("engine", ["run_locc", "enumerate_paths"])
+def test_engine_rejects_inputs_that_are_not_states(case, engine):
+    state, message = _bad_inputs()[case]
+    protocol = LoccProtocol(
+        2, 2, (Round("A", projective_instrument(np.eye(2, dtype=complex))),), "born"
+    )
+    fn = run_locc if engine == "run_locc" else enumerate_paths
+    with pytest.raises(ValueError, match=message):
+        fn(protocol, state)
+
+
 # ---------------------------------------------------------------- additivity
 
 
@@ -247,6 +399,29 @@ def test_teleport_protocol_matches_direct_run():
         fidelity = float(np.real(reference.conj() @ transcript.final_state @ reference))
         assert fidelity >= 1 - 1e-9
     assert successes >= 3
+
+
+def test_teleport_protocol_n5_matches_direct_run_in_bounded_memory():
+    # the final 1024 x 1024 density alone is 16 MiB; a Kraus operator
+    # lifted to the joint space would be another 16 MiB
+    protocol = teleport_protocol(5, 2)
+    joint = bipartite_tensor_power(bell_state(2), 5).reshape(-1)
+    reference = run_teleport(bell_state(2), 5, 0).final_state.amplitudes
+    successes = 0
+    for seed in range(3):
+        tracemalloc.start()
+        try:
+            transcript = run_locc(protocol, joint, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        if transcript.messages[0].outcome == "fail":
+            continue
+        successes += 1
+        fidelity = float(np.real(reference.conj() @ transcript.final_state @ reference))
+        assert fidelity >= 1 - 1e-9
+    assert successes >= 1
 
 
 def test_teleport_protocol_n2():
