@@ -71,7 +71,6 @@ def _partition_key(lam) -> str:
 def cmd_decompose(args) -> int:
     phi, spectrum = _parse_state(args)
     weights = schur_weyl.weights_analytic(spectrum, args.n)
-    good = set(teleport.good_set(args.n, phi.dims[0]))
     payload = {
         "command": "decompose",
         "n": args.n,
@@ -79,7 +78,9 @@ def cmd_decompose(args) -> int:
         "seed": args.seed,
         "schmidt_spectrum": list(spectrum),
         "weights": {_partition_key(lam): q for lam, q in weights.items()},
-        "good_set": sorted(_partition_key(lam) for lam in good),
+        "good_set": sorted(
+            _partition_key(lam) for lam in weights if teleport.retained(lam)
+        ),
         "dims": {
             _partition_key(lam): {"dim_u": dim_u(lam), "dim_v": dim_v(lam)}
             for lam in weights

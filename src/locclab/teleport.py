@@ -37,17 +37,20 @@ class NothingToTeleportError(RuntimeError):
         )
 
 
+def retained(lam: Partition) -> bool:
+    """Whether the protocol keeps block lam: dim_u <= dim_v."""
+    return dim_u(lam) <= dim_v(lam)
+
+
 def good_set(n: int, d: int) -> list[Partition]:
-    """Blocks kept by the protocol: those with dim_u <= dim_v."""
-    return [lam for lam in enumerate_partitions(n, d) if dim_u(lam) <= dim_v(lam)]
+    """Blocks kept by the protocol, in enumeration order."""
+    return [lam for lam in enumerate_partitions(n, d) if retained(lam)]
 
 
 def ideal_fidelity(p: Sequence[float], n: int) -> float:
     """Retained weight sum over the good set, from the Schmidt spectrum."""
-    spectrum = as_spectrum(p)
-    weights = weights_analytic(spectrum, n)
-    keep = set(good_set(n, len(spectrum)))
-    return float(sum(q for lam, q in weights.items() if lam in keep))
+    weights = weights_analytic(as_spectrum(p), n)
+    return float(sum(q for lam, q in weights.items() if retained(lam)))
 
 
 def fidelity_lower_bound(p1: float, n: int, d: int) -> float:

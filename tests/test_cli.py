@@ -70,6 +70,13 @@ def test_decompose_non_distribution_is_a_structured_error(capsys, monkeypatch):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_decompose_beyond_float_range_is_a_structured_error(capsys):
+    # dim_v of the middle blocks at n=1200 is far above the largest float
+    code, out, err = run_cli(capsys, "decompose", "--schmidt", "0.6,0.4", "--n", "1200")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_decompose_requires_state(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--n", "3"])

@@ -377,6 +377,35 @@ def test_projector_weight_agreement(n):
         assert abs(projected[lam] - q) < 1e-9
 
 
+@pytest.mark.parametrize("spectrum, n", [((0.6, 0.4), 14), ((0.5, 0.3, 0.2), 10)])
+def test_projector_weights_beyond_the_permutation_sum(spectrum, n):
+    # sizes where summing n! permutation matrices of side d^n is out of reach
+    tracemalloc.start()
+    try:
+        projected = weights_by_projector(state_from_schmidt(spectrum), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    analytic = weights_analytic(spectrum, n)
+    assert projected.keys() == analytic.keys()
+    assert max(abs(projected[lam] - q) for lam, q in analytic.items()) < 1e-9
+    assert peak < 4 * 2**20
+
+
+def test_projector_weights_refuse_n_above_14():
+    with pytest.raises(ValueError, match="above 14"):
+        weights_by_projector(bell_state(2), 15)
+
+
+def test_projector_weights_must_form_a_distribution(monkeypatch):
+    true_character = schur_weyl.character
+    monkeypatch.setattr(
+        schur_weyl, "character", lambda lam, mu: 2 * true_character(lam, mu)
+    )
+    with pytest.raises(ValueError, match="not a distribution"):
+        weights_by_projector(state_from_schmidt((0.7, 0.3)), 4)
+
+
 def test_standard_form_rotated_schmidt_basis():
     # weights and multiplicity parts must not care about local basis choice
     rng = np.random.default_rng(3)
