@@ -56,7 +56,6 @@ from .models import (
 from .estimation import (
     FisherData,
     Povm,
-    anticopy_model,
     beta_combination,
     bures_expansion_check,
     detection_condition,

@@ -45,23 +45,15 @@ def _emit_json(payload: dict, path: Path | None):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
-def _parse_state(args) -> tuple[StateVector, tuple[float, ...]]:
-    if args.schmidt is not None:
-        spectrum = as_spectrum([float(x) for x in args.schmidt.split(",")])
-        return state_from_schmidt(spectrum), spectrum
-    if args.state == "bell":
-        return bell_state(args.d), (1.0 / args.d,) * args.d
-    if args.state == "product":
-        return product_state(args.d), (1.0,) + (0.0,) * (args.d - 1)
-    raise ValueError(f"unknown state preset '{args.state}'")
-
-
-def _parse_state_arg(text: str, d: int) -> StateVector:
+def _parse_state(text: str, d: int) -> tuple[StateVector, tuple[float, ...]]:
+    """A preset name ('bell', 'product') or a comma-separated Schmidt list,
+    as the state and its Schmidt spectrum."""
     if text == "bell":
-        return bell_state(d)
+        return bell_state(d), (1.0 / d,) * d
     if text == "product":
-        return product_state(d)
-    return state_from_schmidt(as_spectrum([float(x) for x in text.split(",")]))
+        return product_state(d), (1.0,) + (0.0,) * (d - 1)
+    spectrum = as_spectrum([float(x) for x in text.split(",")])
+    return state_from_schmidt(spectrum), spectrum
 
 
 def _partition_key(lam) -> str:
@@ -69,7 +61,7 @@ def _partition_key(lam) -> str:
 
 
 def cmd_decompose(args) -> int:
-    phi, spectrum = _parse_state(args)
+    phi, spectrum = _parse_state(args.schmidt or args.state, args.d)
     weights = schur_weyl.weights_analytic(spectrum, args.n)
     payload = {
         "command": "decompose",
@@ -92,7 +84,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_teleport(args) -> int:
-    phi, _ = _parse_state(args)
+    phi, _ = _parse_state(args.schmidt or args.state, args.d)
     try:
         res = teleport.run_teleport(phi, args.n, args.seed)
     except teleport.NothingToTeleportError as exc:
@@ -178,7 +170,7 @@ def cmd_gap(args) -> int:
 
 def cmd_anticopy(args) -> int:
     theta = np.array([float(x) for x in args.theta.split(",")])
-    model_a, model_b = estimation.anticopy_model()
+    model_a, model_b = models.anticopy_pair()
     data_a = estimation.fisher_data(model_a, theta)
     data_b = estimation.fisher_data(model_b, theta)
     prod = models.product_model(model_a, model_b)
@@ -202,7 +194,7 @@ def cmd_anticopy(args) -> int:
 def cmd_detect(args) -> int:
     if len(args.states) < 2:
         raise UsageError("detect needs at least two states")
-    states = [_parse_state_arg(s, args.d) for s in args.states]
+    states = [_parse_state(s, args.d)[0] for s in args.states]
     lhs, rhs, holds = estimation.detection_condition(states)
     payload = {
         "command": "detect",

@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .models import PureStateModel, anticopy_pair, product_model
+from .models import PureStateModel, richardson_derivative
 from .states import StateVector
 
-_FD_STEP = 1e-5
+_SUPPORT_RTOL = 1e-10  # relative cutoff of the metric's support
 
 
 class DegenerateModelError(RuntimeError):
@@ -53,7 +53,7 @@ class FisherData:
     betas: tuple[float, ...]
 
 
-def fisher_data(model: PureStateModel, theta, support_rtol: float = 1e-10) -> FisherData:
+def fisher_data(model: PureStateModel, theta) -> FisherData:
     """Gram data of the horizontal lifts and the invariant angle spectrum.
 
     The angles are the paired singular values of S^{-1/2} J_tilde S^{-1/2}
@@ -67,7 +67,7 @@ def fisher_data(model: PureStateModel, theta, support_rtol: float = 1e-10) -> Fi
 
     evals, evecs = np.linalg.eigh(j_s)
     scale = float(evals[-1]) if evals.size else 0.0
-    cutoff = support_rtol * max(scale, 0.0)
+    cutoff = _SUPPORT_RTOL * max(scale, 0.0)
     on = evals > cutoff
     if not np.all(on):
         off = evecs[:, ~on]
@@ -133,47 +133,51 @@ class Povm:
                 raise ValueError("POVM element is not positive semidefinite")
 
 
-def measurement_fisher(
-    povm: Povm, model: PureStateModel, theta, h: float = _FD_STEP
+def fisher_of_distribution(
+    dist_fn: Callable[[np.ndarray], Mapping[Hashable, float]], theta0, param_dim: int
 ) -> np.ndarray:
-    """Fisher matrix of the outcome distribution, in half-derivative units.
+    """Classical Fisher matrix (standard normalization) of the outcome law
+    ``dist_fn``, keyed by sortable outcomes, over the outcomes it has at
+    theta0, by :func:`models.richardson_derivative`. Outcomes with probability
+    below 1e-12 are excluded, with a warning when their probability varies."""
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    base = dict(dist_fn(theta0))
+    outcomes = sorted(base)
 
-    Computed by central finite differences on the outcome probabilities;
-    outcomes with probability below 1e-12 are excluded (with a warning when
-    their probability still varies). Satisfies J_M <= 4 J_S.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    dim = model.param_dim
+    def prob_vector(at: np.ndarray) -> np.ndarray:
+        dist = dist_fn(at)
+        return np.array([dist.get(x, 0.0) for x in outcomes])
 
-    def probs(at: np.ndarray) -> np.ndarray:
-        phi = model.state(at)
-        return np.array([float(np.real(np.vdot(phi, e @ phi))) for e in povm.elements])
+    grads = np.zeros((len(outcomes), param_dim))
+    for i in range(param_dim):
+        grads[:, i] = richardson_derivative(prob_vector, theta0, i)
 
-    p0 = probs(theta)
-    grads = np.zeros((len(povm.elements), dim))
-    for i in range(dim):
-        up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        d1 = (probs(up) - probs(down)) / (2 * h)
-        up2, down2 = theta.copy(), theta.copy()
-        up2[i] += h / 2
-        down2[i] -= h / 2
-        d2 = (probs(up2) - probs(down2)) / h
-        grads[:, i] = (4 * d2 - d1) / 3
-
-    fisher = np.zeros((dim, dim))
-    for x, p in enumerate(p0):
+    fisher = np.zeros((param_dim, param_dim))
+    for row, x in enumerate(outcomes):
+        p = base[x]
         if p < 1e-12:
-            if np.max(np.abs(grads[x])) > 1e-8:
+            if np.max(np.abs(grads[row])) > 1e-8:
                 warnings.warn(
-                    f"outcome {povm.labels[x]} has vanishing probability but "
-                    "varying derivative; information diverges at the boundary",
+                    f"outcome {x} has vanishing probability but varying "
+                    "derivative; information diverges at the boundary",
                     stacklevel=2,
                 )
             continue
-        fisher += np.outer(grads[x], grads[x]) / p
-    return fisher / 4.0
+        fisher += np.outer(grads[row], grads[row]) / p
+    return fisher
+
+
+def measurement_fisher(povm: Povm, model: PureStateModel, theta) -> np.ndarray:
+    """Fisher matrix of the outcome distribution, in half-derivative units:
+    :func:`fisher_of_distribution` of the outcome law keyed by outcome index,
+    divided by 4. Satisfies J_M <= 4 J_S.
+    """
+
+    def outcome_law(at: np.ndarray) -> dict[int, float]:
+        phi = model.state(at)
+        return {x: float(np.real(np.vdot(phi, e @ phi))) for x, e in enumerate(povm.elements)}
+
+    return fisher_of_distribution(outcome_law, theta, model.param_dim) / 4.0
 
 
 def beta_combination(a: float, b: float, beta_a: float, beta_b: float) -> tuple[float, float]:
@@ -215,11 +219,6 @@ def locc_gap(a: float, b: float, beta_a: float, beta_b: float, sign: str = "+") 
         a * (1.0 + math.sqrt(1.0 - beta_a**2)) + b * (1.0 + math.sqrt(1.0 - beta_b**2))
     ) / (a + b)
     return GapResult(global_best, locc_best, global_best - locc_best)
-
-
-def anticopy_model() -> tuple[PureStateModel, PureStateModel]:
-    """The two-parameter qubit family and its conjugate partner."""
-    return anticopy_pair()
 
 
 def detection_condition(states: Sequence[StateVector]) -> tuple[float, float, bool]:

@@ -17,18 +17,21 @@ step be expressed directly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .estimation import fisher_of_distribution
 from .models import PureStateModel, rotation_model
 from .states import StateVector
 
 _PATH_LIMIT = 100_000
-_FD_STEP = 1e-5
+_GRID_POINTS = 512  # likelihood grid of the two-stage estimate
+_BASIS_CHOICES = 4  # bases per round of a random adaptive protocol
 _HASH_BLOCK = 2**16  # density entries hashed per block of rows
 
 
@@ -200,7 +203,8 @@ def run_locc(
     rng: np.random.Generator | int | None = None,
 ) -> LoccTranscript:
     """Sample one execution path; deterministic given the seed. The
-    transcript holds the final density matrix."""
+    transcript holds a pure final state as its amplitude vector and a mixed
+    one as its density matrix."""
     rng, seed = _as_generator(rng)
     factor = _as_factor(input_state, protocol.dim_a, protocol.dim_b)
     history: tuple[str, ...] = ()
@@ -216,7 +220,8 @@ def run_locc(
         history += (label,)
         messages.append(Message(idx, rnd.party, label, p))
     flat = factor.reshape(-1, factor.shape[2])
-    return LoccTranscript(protocol.protocol_id, seed, messages, flat @ flat.conj().T)
+    final = flat[:, 0] if flat.shape[1] == 1 else flat @ flat.conj().T
+    return LoccTranscript(protocol.protocol_id, seed, messages, final)
 
 
 def enumerate_paths(protocol: LoccProtocol, input_state) -> dict[tuple[str, ...], float]:
@@ -250,42 +255,6 @@ def joint_outcome_distribution(
 ) -> dict[tuple[str, ...], float]:
     """Outcome-sequence distribution of the protocol on the model state."""
     return enumerate_paths(protocol, model.state(theta))
-
-
-def fisher_of_distribution(
-    dist_fn: Callable[[np.ndarray], Mapping[tuple[str, ...], float]],
-    theta0,
-    param_dim: int,
-    h: float = _FD_STEP,
-    prob_floor: float = 1e-12,
-) -> np.ndarray:
-    """Classical Fisher matrix of a path distribution, by Richardson-
-    extrapolated central differences in theta (standard normalization)."""
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    base = dict(dist_fn(theta0))
-    paths = sorted(base)
-
-    def prob_vector(at: np.ndarray) -> np.ndarray:
-        dist = dist_fn(at)
-        return np.array([dist.get(path, 0.0) for path in paths])
-
-    grads = np.zeros((len(paths), param_dim))
-    for i in range(param_dim):
-        def central(step: float) -> np.ndarray:
-            up, down = theta0.copy(), theta0.copy()
-            up[i] += step
-            down[i] -= step
-            return (prob_vector(up) - prob_vector(down)) / (2 * step)
-
-        grads[:, i] = (4 * central(h / 2) - central(h)) / 3
-
-    fisher = np.zeros((param_dim, param_dim))
-    for row, path in enumerate(paths):
-        p = base[path]
-        if p < prob_floor:
-            continue
-        fisher += np.outer(grads[row], grads[row]) / p
-    return fisher
 
 
 @dataclass(frozen=True)
@@ -416,7 +385,6 @@ def two_stage_estimate(
     trials: int,
     rng: np.random.Generator | int | None = None,
     theta_true: float = 1.0,
-    grid_points: int = 512,
 ) -> EstimationReport:
     """Adaptive local estimation of a shared one-parameter family.
 
@@ -454,7 +422,7 @@ def two_stage_estimate(
 
     fixed = np.array([1.0, 0.0], dtype=complex)  # computational basis, first vector
 
-    def prob_in_basis(model: PureStateModel, vec: np.ndarray, grid_states: np.ndarray):
+    def prob_in_basis(vec: np.ndarray, grid_states: np.ndarray):
         return np.abs(grid_states @ vec.conj()) ** 2
 
     def build_grid(points: int):
@@ -463,9 +431,9 @@ def two_stage_estimate(
         states_b = np.stack([model_b.state(np.array([t])) for t in grid])
         return grid, states_a, states_b
 
-    grid, grid_a, grid_b = build_grid(grid_points)
-    p1a_grid = prob_in_basis(model_a, fixed, grid_a)
-    p1b_grid = prob_in_basis(model_b, fixed, grid_b)
+    grid, grid_a, grid_b = build_grid(_GRID_POINTS)
+    p1a_grid = prob_in_basis(fixed, grid_a)
+    p1b_grid = prob_in_basis(fixed, grid_b)
     p1a_true = float(abs(np.vdot(fixed, model_a.state(np.array([theta_true])))) ** 2)
     p1b_true = float(abs(np.vdot(fixed, model_b.state(np.array([theta_true])))) ** 2)
 
@@ -492,8 +460,8 @@ def two_stage_estimate(
                 )
             cur_grid, cur_a, cur_b = build_grid(cur_grid.size * 2)
             loglik1 = _binom_loglik(
-                [(k1a, n1, prob_in_basis(model_a, fixed, cur_a)),
-                 (k1b, n1, prob_in_basis(model_b, fixed, cur_b))]
+                [(k1a, n1, prob_in_basis(fixed, cur_a)),
+                 (k1b, n1, prob_in_basis(fixed, cur_b))]
             )
         theta_aux = float(cur_grid[int(np.argmax(loglik1))])
 
@@ -504,8 +472,8 @@ def two_stage_estimate(
         k2a = int(trial_rng.binomial(n2, p2a_true))
         k2b = int(trial_rng.binomial(n2, p2b_true))
 
-        p2a_grid = prob_in_basis(model_a, vec_a, grid_a)
-        p2b_grid = prob_in_basis(model_b, vec_b, grid_b)
+        p2a_grid = prob_in_basis(vec_a, grid_a)
+        p2b_grid = prob_in_basis(vec_b, grid_b)
         blocks = [
             (k1a, n1, p1a_grid),
             (k1b, n1, p1b_grid),
@@ -579,16 +547,15 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
             weyls[key] = sign * shift @ clock
         return weyls[key]
 
-    outcome_sets = []
-    for lam in plan.good:
-        dv = basis.blocks[lam].dim_v
-        outcome_sets.append(
-            [(a, b, s) for a in range(dv) for b in range(dv) for s in (1, -1)]
+    dims_v = [basis.blocks[lam].dim_v for lam in plan.good]
+    n_outcomes = math.prod(2 * dv**2 for dv in dims_v)
+    if n_outcomes > _PATH_LIMIT:
+        raise ValueError(
+            f"Alice's instrument would have {n_outcomes} outcomes, more than {_PATH_LIMIT}"
         )
-    combos: list[tuple[tuple[int, int, int], ...]] = [()]
-    for options in outcome_sets:
-        combos = [prefix + (opt,) for prefix in combos for opt in options]
-    n_outcomes = len(combos)
+    # one (shift, clock, sign) Weyl choice per retained block
+    choices = [itertools.product(range(dv), range(dv), (1, -1)) for dv in dims_v]
+    combos = list(itertools.product(*choices))
 
     def unitaries_for(combo) -> dict:
         return {
@@ -666,9 +633,7 @@ def random_qubit_model(rng: np.random.Generator, label: str = "") -> PureStateMo
     return rotation_model(gen, psi0, name=label or "random-qubit")
 
 
-def random_adaptive_protocol(
-    rng: np.random.Generator, rounds: int = 2, n_choices: int = 4
-) -> LoccProtocol:
+def random_adaptive_protocol(rng: np.random.Generator, rounds: int = 2) -> LoccProtocol:
     """Random adaptive protocol on a qubit pair: each round measures the
     acting party projectively in a basis selected by the history so far."""
 
@@ -676,12 +641,12 @@ def random_adaptive_protocol(
 
     parties = ["A" if k % 2 == 0 else "B" for k in range(rounds)]
     tables = [
-        [sample_haar_unitary(2, rng) for _ in range(n_choices)] for _ in range(rounds)
+        [sample_haar_unitary(2, rng) for _ in range(_BASIS_CHOICES)] for _ in range(rounds)
     ]
 
     def make_instrument(idx: int) -> Instrument:
         def instrument(history):
-            key = (sum(int(h) for h in history) + 7 * len(history)) % n_choices
+            key = (sum(int(h) for h in history) + 7 * len(history)) % _BASIS_CHOICES
             basis = tables[idx][key]
             return [
                 ("0", [np.outer(basis[:, 0], basis[:, 0].conj())]),

@@ -20,6 +20,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+_SPECTRUM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -299,16 +301,16 @@ def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
     return schur_polynomials(p, lam.n)[lam.padded(d)]
 
 
-def as_spectrum(values: Iterable[float], tol: float = 1e-12) -> tuple[float, ...]:
+def as_spectrum(values: Iterable[float]) -> tuple[float, ...]:
     """Validate a Schmidt-coefficient spectrum: non-increasing, sums to 1."""
     vec = tuple(float(v) for v in values)
     if not vec:
         raise ValueError("empty spectrum")
-    if any(v < -tol or v > 1 + tol for v in vec):
+    if any(v < -_SPECTRUM_TOL or v > 1 + _SPECTRUM_TOL for v in vec):
         raise ValueError(f"entries outside [0,1]: {vec}")
-    if any(vec[i] < vec[i + 1] - tol for i in range(len(vec) - 1)):
+    if any(vec[i] < vec[i + 1] - _SPECTRUM_TOL for i in range(len(vec) - 1)):
         raise ValueError(f"spectrum not sorted non-increasing: {vec}")
-    if abs(sum(vec) - 1.0) > max(tol, 1e-12):
+    if abs(sum(vec) - 1.0) > _SPECTRUM_TOL:
         raise ValueError(f"spectrum sums to {sum(vec)}, not 1")
     return vec
 

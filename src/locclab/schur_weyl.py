@@ -53,6 +53,7 @@ CONSTRUCTION_VERSION = 2
 _MAX_DIM = 2**14
 _MAX_GROUP = 40320  # 8!
 _MAX_CHARACTER_N = 14
+_WEIGHT_FLOOR = 1e-14  # blocks at or below this weight are not factored
 
 
 class BasisAlignmentError(RuntimeError):
@@ -373,7 +374,6 @@ def standard_form(
     phi: StateVector,
     n: int,
     basis: SchurBasis | None = None,
-    weight_floor: float = 1e-14,
 ) -> StandardForm:
     """Decompose |phi>^{(x)n} into weights, paired-block states, and
     maximally entangled multiplicity parts.
@@ -418,7 +418,7 @@ def standard_form(
         fb = coeff[sl, sl].reshape(du, dv, du, dv)
         q = float(np.linalg.norm(fb) ** 2)
         weights[lam] = q
-        if q <= weight_floor:
+        if q <= _WEIGHT_FLOOR:
             residual_sq += q
             continue
         g = fb.transpose(0, 2, 1, 3).reshape(du * du, dv * dv)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_NORM_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -40,9 +42,9 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.amplitudes / nrm, self.dims)
 
-    def require_normalized(self, tol: float = 1e-10) -> "StateVector":
-        if abs(self.norm() - 1.0) > tol:
-            raise ValueError(f"state norm {self.norm()} is not 1 within {tol}")
+    def require_normalized(self) -> "StateVector":
+        if abs(self.norm() - 1.0) > _NORM_TOL:
+            raise ValueError(f"state norm {self.norm()} is not 1 within {_NORM_TOL}")
         return self
 
     def overlap(self, other: "StateVector") -> complex:

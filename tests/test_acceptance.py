@@ -12,7 +12,6 @@ import pytest
 
 from locclab.cli import main as cli_main
 from locclab.estimation import (
-    anticopy_model,
     fisher_data,
     locc_gap,
     weighted_cr_value,
@@ -24,7 +23,7 @@ from locclab.locc import (
     two_stage_estimate,
     verify_fisher_additivity,
 )
-from locclab.models import product_model, real_amplitude, reparametrized
+from locclab.models import anticopy_pair, product_model, real_amplitude, reparametrized
 from locclab.partitions import (
     dim_u,
     dim_v,
@@ -271,7 +270,7 @@ def test_criterion_08_group_averaging_suite():
 
 def test_criterion_09_anticopy_example():
     theta = [1.0, 0.7]
-    model_a, model_b = anticopy_model()
+    model_a, model_b = anticopy_pair()
     data_a = fisher_data(model_a, theta)
     data_b = fisher_data(model_b, theta)
     data_p = fisher_data(product_model(model_a, model_b), theta)

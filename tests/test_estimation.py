@@ -5,11 +5,11 @@ import pytest
 
 from locclab.estimation import (
     Povm,
-    anticopy_model,
     beta_combination,
     bures_expansion_check,
     detection_condition,
     fisher_data,
+    fisher_of_distribution,
     horizontal_lift,
     locc_gap,
     measurement_fisher,
@@ -17,6 +17,7 @@ from locclab.estimation import (
 )
 from locclab.models import (
     PureStateModel,
+    anticopy_pair,
     get_model,
     model_from_json,
     product_model,
@@ -194,6 +195,33 @@ def test_quantum_information_inequality():
             assert np.linalg.eigvalsh(j_s4 - j_m).min() > -1e-8
 
 
+def test_measurement_fisher_is_outcome_law_fisher_over_four():
+    rng = np.random.default_rng(31)
+    for name, theta in (("real-amplitude", [1.0]), ("qubit-full", THETA),
+                        ("anticopy-pair", THETA)):
+        model = get_model(name)
+        dim = model.state(theta).size
+        povm = random_povm(rng, dim, parts=4)
+
+        def law(at):
+            phi = model.state(at)
+            return {x: float(np.real(np.vdot(phi, e @ phi)))
+                    for x, e in enumerate(povm.elements)}
+
+        j_m = measurement_fisher(povm, model, theta)
+        assert np.array_equal(j_m, fisher_of_distribution(law, theta, model.param_dim) / 4)
+
+
+def test_vanishing_outcome_with_varying_probability_warns():
+    def law(theta):
+        p = max(theta[0], 0.0)
+        return {"a": p, "b": 1.0 - p}
+
+    with pytest.warns(UserWarning, match="vanishing probability"):
+        j = fisher_of_distribution(law, [0.0], 1)
+    assert np.all(np.isfinite(j))
+
+
 def test_povm_validation():
     with pytest.raises(ValueError):
         Povm((np.eye(2) * 0.5,))
@@ -205,7 +233,7 @@ def test_povm_validation():
 
 
 def test_product_additivity_on_example_pair():
-    model_a, model_b = anticopy_model()
+    model_a, model_b = anticopy_pair()
     prod = product_model(model_a, model_b)
     data_a = fisher_data(model_a, THETA)
     data_b = fisher_data(model_b, THETA)
@@ -228,7 +256,7 @@ def test_product_additivity_random_models():
 
 
 def test_product_lift_identity():
-    model_a, model_b = anticopy_model()
+    model_a, model_b = anticopy_pair()
     prod = product_model(model_a, model_b)
     phi_a = model_a.state(THETA)
     phi_b = model_b.state(THETA)
@@ -288,7 +316,7 @@ def test_locc_gap_nonnegative_grid():
 
 
 def test_anticopy_example_values():
-    model_a, model_b = anticopy_model()
+    model_a, model_b = anticopy_pair()
     for theta in ([1.0, 0.7], [0.5, -0.3], [2.0, 1.1]):
         data_a = fisher_data(model_a, theta)
         data_b = fisher_data(model_b, theta)

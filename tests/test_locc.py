@@ -39,11 +39,16 @@ def test_zero_round_protocol_returns_input():
     protocol = LoccProtocol(2, 2, (), "identity")
     vec = np.kron([1.0, 0.0], [0.0, 1.0]).astype(complex)
     transcript = run_locc(protocol, vec, 0)
+    # a pure final state is held as its amplitude vector
+    assert transcript.state.ndim == 1
     assert np.allclose(transcript.final_state, np.outer(vec, vec.conj()))
-    # the engine's density is held as is, not re-derived on read
-    assert transcript.final_state is transcript.state
     assert transcript.messages == []
     assert transcript.path_probability == 1.0
+    density = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    transcript = run_locc(protocol, density, 0)
+    assert np.allclose(transcript.final_state, density)
+    # a mixed density is held as is, not re-derived on read
+    assert transcript.final_state is transcript.state
 
 
 def test_transcript_determinism_and_schema():
@@ -430,6 +435,12 @@ def test_teleport_protocol_n2():
     dist = enumerate_paths(protocol, joint)
     success = sum(p for path, p in dist.items() if path[0] != "fail")
     assert success == pytest.approx(0.25, abs=1e-12)
+
+
+def test_teleport_protocol_refuses_outcome_count_beyond_path_limit():
+    # Alice's instrument at n=6 would have 405,000 outcomes, each a Kraus operator
+    with pytest.raises(ValueError, match="outcomes"):
+        teleport_protocol(6, 2)
 
 
 # ---------------------------------------------------------------- two-stage estimation
