@@ -56,10 +56,6 @@ def _parse_state(text: str, d: int) -> tuple[StateVector, tuple[float, ...]]:
     return state_from_schmidt(spectrum), spectrum
 
 
-def _partition_key(lam) -> str:
-    return str(lam)
-
-
 def cmd_decompose(args) -> int:
     phi, spectrum = _parse_state(args.schmidt or args.state, args.d)
     weights = schur_weyl.weights_analytic(spectrum, args.n)
@@ -69,12 +65,12 @@ def cmd_decompose(args) -> int:
         "d": phi.dims[0],
         "seed": args.seed,
         "schmidt_spectrum": list(spectrum),
-        "weights": {_partition_key(lam): q for lam, q in weights.items()},
+        "weights": {str(lam): q for lam, q in weights.items()},
         "good_set": sorted(
-            _partition_key(lam) for lam in weights if teleport.retained(lam)
+            str(lam) for lam in weights if teleport.retained(lam)
         ),
         "dims": {
-            _partition_key(lam): {"dim_u": dim_u(lam), "dim_v": dim_v(lam)}
+            str(lam): {"dim_u": dim_u(lam), "dim_v": dim_v(lam)}
             for lam in weights
         },
         "weight_sum": sum(weights.values()),
@@ -112,13 +108,13 @@ def cmd_teleport(args) -> int:
 def cmd_bound_sweep(args) -> int:
     if not 0.0 < args.p1 <= 1.0:
         raise UsageError("--p1 must be in (0, 1]")
-    if args.d != 2:
-        raise UsageError("bound-sweep currently supports d = 2")
+    if args.n_max < 1:
+        raise UsageError("--n-max must be at least 1")
     rows = ["n,fidelity,bound"]
     spectrum = (args.p1, 1.0 - args.p1)
     for n in range(1, args.n_max + 1):
         fid = teleport.ideal_fidelity(spectrum, n)
-        bound = teleport.fidelity_lower_bound(args.p1, n, args.d)
+        bound = teleport.fidelity_lower_bound(args.p1, n, len(spectrum))
         rows.append(f"{n},{fid!r},{bound!r}")
     _emit("\n".join(rows) + "\n", _resolve_output(args.output))
     return 0
@@ -303,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p1", type=float, required=True, help="largest Schmidt coefficient")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
     add_common(p)
     p.set_defaults(func=cmd_bound_sweep)
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .estimation import fisher_of_distribution
 from .models import PureStateModel, rotation_model
-from .states import StateVector
+from .partitions import dim_v
+from .states import StateVector, check_bytes
 
 _PATH_LIMIT = 100_000
 _GRID_POINTS = 512  # likelihood grid of the two-stage estimate
@@ -88,6 +89,7 @@ class LoccTranscript:
     def final_state(self) -> np.ndarray:
         """Density matrix of the final state."""
         if self.state.ndim == 1:
+            check_bytes(16 * self.state.size**2, "the final density matrix")
             return np.outer(self.state, self.state.conj())
         return self.state
 
@@ -525,12 +527,23 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     """
     from . import teleport as tp
 
-    plan = tp.build_plan(n, d)
-    if not plan.good:
+    good = tp.good_set(n, d)
+    if not good:
         raise ValueError("no retained blocks at these parameters")
+    dims_v = [dim_v(lam) for lam in good]
+    n_outcomes = math.prod(2 * dv**2 for dv in dims_v)
+    if n_outcomes > _PATH_LIMIT:
+        raise ValueError(
+            f"Alice's instrument would have {n_outcomes} outcomes, more than {_PATH_LIMIT}"
+        )
+    dim = d**n
+    # held at once by construction and one run: five d^(3n) arrays, three
+    # d^n rows with their headers per Alice outcome, eight d^(2n) arrays
+    nbytes = 16 * (5 * dim**3 + 3 * n_outcomes * (dim + 16) + 8 * dim**2)
+    check_bytes(nbytes, f"teleport_protocol(n={n}, d={d})")
+    plan = tp.build_plan(n, d)
     basis = plan.basis
     bmat = basis.matrix
-    dim = d**n
 
     good_cols = np.zeros(dim, dtype=bool)
     for sl in plan.good_slices.values():
@@ -547,12 +560,6 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
             weyls[key] = sign * shift @ clock
         return weyls[key]
 
-    dims_v = [basis.blocks[lam].dim_v for lam in plan.good]
-    n_outcomes = math.prod(2 * dv**2 for dv in dims_v)
-    if n_outcomes > _PATH_LIMIT:
-        raise ValueError(
-            f"Alice's instrument would have {n_outcomes} outcomes, more than {_PATH_LIMIT}"
-        )
     # one (shift, clock, sign) Weyl choice per retained block
     choices = [itertools.product(range(dv), range(dv), (1, -1)) for dv in dims_v]
     combos = list(itertools.product(*choices))
@@ -643,15 +650,15 @@ def random_adaptive_protocol(rng: np.random.Generator, rounds: int = 2) -> LoccP
     tables = [
         [sample_haar_unitary(2, rng) for _ in range(_BASIS_CHOICES)] for _ in range(rounds)
     ]
+    instruments = [  # the two projectors of each basis, built once
+        [[(str(k), [np.outer(u[:, k], u[:, k].conj())]) for k in range(2)] for u in table]
+        for table in tables
+    ]
 
     def make_instrument(idx: int) -> Instrument:
         def instrument(history):
             key = (sum(int(h) for h in history) + 7 * len(history)) % _BASIS_CHOICES
-            basis = tables[idx][key]
-            return [
-                ("0", [np.outer(basis[:, 0], basis[:, 0].conj())]),
-                ("1", [np.outer(basis[:, 1], basis[:, 1].conj())]),
-            ]
+            return instruments[idx][key]
 
         return instrument
 

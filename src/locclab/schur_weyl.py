@@ -22,6 +22,9 @@ The character route, kept independent of the basis and of the Schur
 evaluator to cross-check both, takes the weights by the Frobenius formula
 from the power traces tr(rho^k), with no d^n array (``weights_by_projector``);
 ``isotypic_projector`` builds one projector as a d^n x d^n matrix.
+
+Calls that build arrays growing with d or n first pass the bytes they will
+allocate to ``states.check_bytes``, the one size guard.
 """
 
 from __future__ import annotations
@@ -46,35 +49,16 @@ from .partitions import (
     schur_polynomials,
     standard_tableaux,
 )
-from .states import StateVector, bipartite_tensor_power
+from .states import StateVector, bipartite_tensor_power, check_bytes
 
 CONSTRUCTION_VERSION = 2
 
-_MAX_DIM = 2**14
-_MAX_GROUP = 40320  # 8!
 _MAX_CHARACTER_N = 14
 _WEIGHT_FLOOR = 1e-14  # blocks at or below this weight are not factored
 
 
 class BasisAlignmentError(RuntimeError):
     """The multiplicity-index pairing check failed for a block."""
-
-
-def _check_size(n: int, d: int):
-    if d**n > _MAX_DIM:
-        raise ValueError(f"d^n = {d}^{n} exceeds the desk-scale limit {_MAX_DIM}")
-
-
-def check_joint_size(n: int, d: int):
-    """Desk-scale guard for calls on |phi>^{(x)n} of a d x d state.
-
-    Such a call (``standard_form``, a protocol run) works in block
-    coordinates: it holds a few d^n x d^n complex matrices and one d^(2n)
-    amplitude vector, so (d^2)^n <= 2^14 bounds each of them to 256 KiB.
-    No d^(4n) density is built.
-    """
-    if (d * d) ** n > _MAX_DIM:
-        raise ValueError(f"joint dimension (d^2)^n exceeds {_MAX_DIM}")
 
 
 def permutation_operator(sigma: Sequence[int], d: int) -> np.ndarray:
@@ -84,10 +68,10 @@ def permutation_operator(sigma: Sequence[int], d: int) -> np.ndarray:
     Composition follows operator order: op(sigma o tau) = op(sigma) op(tau).
     """
     n = len(sigma)
-    _check_size(n, d)
     if sorted(sigma) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
     dim = d**n
+    check_bytes(8 * dim * (dim + 3), f"a permutation operator at n={n}, d={d}")
     # entry j of the index tensor, axes permuted, is the image of state j
     out = np.arange(dim).reshape((d,) * n).transpose(sigma).ravel()
     mat = np.zeros((dim, dim))
@@ -98,12 +82,11 @@ def permutation_operator(sigma: Sequence[int], d: int) -> np.ndarray:
 def isotypic_projector(lam: Partition, d: int) -> np.ndarray:
     """Orthogonal projector onto the lambda block of (C^d)^{(x)n}, built
     from symmetric-group characters; hermitian and idempotent. Each
-    permutation is one scatter-add of its character into one array."""
+    permutation is one scatter-add of its character into one array, and
+    allocates one d^n index array, which the byte count includes."""
     n = lam.n
-    _check_size(n, d)
-    if math.factorial(n) > _MAX_GROUP:
-        raise ValueError(f"symmetric group of degree {n} is beyond desk scale")
     dim = d**n
+    check_bytes(8 * dim * (dim + math.factorial(n)), f"the {lam} projector at d={d}")
     index, cols = np.arange(dim).reshape((d,) * n), np.arange(dim)
     proj = np.zeros((dim, dim))
     for sigma in itertools.permutations(range(n)):
@@ -253,9 +236,10 @@ def build_schur_basis(n: int, d: int, seed: int | None = None) -> SchurBasis:
     and carried to the others by Young's orthogonal form, so it is the same
     for every v. Permutations are applied as axis swaps of the reshaped
     vectors, never as matrices. ``seed`` is ignored; it is accepted for
-    callers that still pass one.
+    callers that still pass one. The byte count is the output and one
+    block copy while it is built.
     """
-    _check_size(n, d)
+    check_bytes(2 * 8 * d ** (2 * n), f"the block basis at n={n}, d={d}")
     blocks = {
         lam: SchurBlock(lam, dim_u(lam), dim_v(lam), _block_vectors(lam, d))
         for lam in enumerate_partitions(n, d)
@@ -386,7 +370,8 @@ def standard_form(
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
-    check_joint_size(n, d)
+    # six d^n x d^n complex arrays at the peak, the basis build included
+    check_bytes(6 * 16 * d ** (2 * n), f"standard_form at n={n}, d={d}")
     phi = phi.require_normalized()
     if basis is None:
         basis = schur_basis(n, d)

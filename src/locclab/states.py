@@ -8,6 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 _NORM_TOL = 1e-10
+_MAX_BYTES = 2**32
+
+
+def check_bytes(nbytes: int, what: str):
+    """The one size guard: ValueError when ``nbytes``, the bytes a call is
+    about to allocate as counted from its array shapes, exceed the budget."""
+    if nbytes > _MAX_BYTES:
+        raise ValueError(f"{what} needs {nbytes} bytes, over the {_MAX_BYTES}-byte budget")
 
 
 @dataclass(frozen=True)
@@ -53,11 +61,6 @@ class StateVector:
     def fidelity(self, other: "StateVector") -> float:
         return float(abs(self.overlap(other)) ** 2)
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(
-            np.kron(self.amplitudes, other.amplitudes), self.dims + other.dims
-        )
-
     def amplitude_matrix(self) -> np.ndarray:
         """For a bipartite state, the matrix M with |phi> = (M x 1)|Omega>."""
         if len(self.dims) != 2:
@@ -77,27 +80,33 @@ class StateVector:
         return m.T @ m.conj()
 
 
-def basis_state(index: int, dims: tuple[int, ...]) -> StateVector:
-    vec = np.zeros(math.prod(dims), dtype=complex)
-    vec[index] = 1.0
-    return StateVector(vec, dims)
+def _preset_matrix(d: int) -> np.ndarray:
+    """The zero d x d amplitude matrix of a preset, for 1 <= d in budget."""
+    if d < 1:
+        raise ValueError(f"local dimension {d} is below 1")
+    check_bytes(16 * d * d, f"a {d} x {d} preset state")
+    return np.zeros((d, d), dtype=complex)
 
 
 def bell_state(d: int = 2) -> StateVector:
     """Maximally entangled d x d state, flat Schmidt spectrum."""
-    m = np.eye(d, dtype=complex) / math.sqrt(d)
+    m = _preset_matrix(d)
+    np.fill_diagonal(m, 1 / math.sqrt(d))
     return StateVector(m.reshape(-1), (d, d))
 
 
 def product_state(d: int = 2) -> StateVector:
     """|00>: the extreme case with largest Schmidt coefficient 1."""
-    return basis_state(0, (d, d))
+    m = _preset_matrix(d)
+    m[0, 0] = 1.0
+    return StateVector(m.reshape(-1), (d, d))
 
 
 def state_from_schmidt(spectrum) -> StateVector:
     """Bipartite state sum_k sqrt(p_k)|kk> with the given Schmidt spectrum."""
     p = np.asarray(spectrum, dtype=float)
     d = p.size
+    check_bytes(24 * d * d, f"a {d} x {d} state")  # real diagonal, complex copy
     m = np.diag(np.sqrt(p)).astype(complex)
     return StateVector(m.reshape(-1), (d, d))
 
@@ -110,6 +119,7 @@ def bipartite_tensor_power(phi: StateVector, n: int) -> np.ndarray:
     which equals the n-fold Kronecker power of the amplitude matrix.
     """
     m = phi.amplitude_matrix()
+    check_bytes(32 * m.size**n, f"the {n}-fold tensor power")  # and the one before
     out = np.array([[1.0 + 0j]])
     for _ in range(n):
         out = np.kron(out, m)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .locc import LoccTranscript, Message, _as_generator
 from .partitions import Partition, as_spectrum, dim_u, dim_v, enumerate_partitions
-from .schur_weyl import SchurBasis, check_joint_size, schur_basis, weights_analytic
-from .states import StateVector, bipartite_tensor_power
+from .schur_weyl import SchurBasis, schur_basis, weights_analytic
+from .states import StateVector, bipartite_tensor_power, check_bytes
 
 
 class NothingToTeleportError(RuntimeError):
@@ -212,7 +212,8 @@ def run_teleport(
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
-    check_joint_size(n, d)
+    # eight d^n x d^n complex arrays at the peak, the basis build included
+    check_bytes(8 * 16 * d ** (2 * n), f"run_teleport at n={n}, d={d}")
     phi = phi.require_normalized()
     spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
 
@@ -222,14 +223,14 @@ def run_teleport(
 
     basis = plan.basis
     bmat = basis.matrix
-    coeff = bmat.T @ bipartite_tensor_power(phi, n) @ bmat
     slices = basis.slices()
     good_mask = np.zeros(d**n, dtype=bool)
     for lam in plan.good:
         good_mask[slices[lam]] = True
 
     # step I: Alice projects onto the retained blocks
-    projected = np.where(good_mask[:, None], coeff, 0.0)
+    projected = bmat.T @ bipartite_tensor_power(phi, n) @ bmat
+    projected[~good_mask] = 0.0
     success = float(np.linalg.norm(projected) ** 2)
     if success < 1e-12:
         raise NothingToTeleportError(n, d, spectrum)

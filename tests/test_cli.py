@@ -6,6 +6,7 @@ import pytest
 from locclab import schur_weyl
 from locclab.cli import main
 from locclab.partitions import enumerate_partitions
+from locclab.teleport import ideal_fidelity
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,28 @@ def test_teleport_product_structured_error(capsys):
     assert payload["fidelity"] == 0.0
 
 
+def test_teleport_bell_n8_is_inside_the_budget(capsys):
+    payload = run_json(capsys, "teleport", "--state", "bell", "--n", "8")
+    assert abs(payload["fidelity"] - ideal_fidelity((0.5, 0.5), 8)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["teleport", "--state", "bell", "--n", "13"],
+        ["decompose", "--state", "bell", "--d", "100000", "--n", "1"],
+        ["decompose", "--state", "bell", "--d", "0", "--n", "2"],
+        ["detect", "--states", "bell", "product", "--d", "0"],
+        ["teleport", "--state", "product", "--d", "0", "--n", "2"],
+    ],
+    ids=["teleport-n13", "bell-d100000", "decompose-d0", "detect-d0", "teleport-d0"],
+)
+def test_sizes_and_dimensions_outside_the_guards_are_structured_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 # ---------------------------------------------------------------- bound sweep
 
 
@@ -133,6 +156,13 @@ def test_bound_sweep_product(capsys):
 def test_bound_sweep_bad_p1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound-sweep", "--p1", "1.5", "--n-max", "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("extra", [["--n-max", "0"], ["--n-max", "-3"], ["--n-max", "5", "--d", "2"]])
+def test_bound_sweep_usage_errors(extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound-sweep", "--p1", "0.5", *extra])
     assert exc.value.code == 2
 
 

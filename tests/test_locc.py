@@ -70,6 +70,15 @@ def test_transcript_determinism_and_schema():
     assert first.path_probability == pytest.approx(math.prod(probs), abs=1e-12)
 
 
+def test_random_adaptive_instruments_are_built_once():
+    protocol = random_adaptive_protocol(np.random.default_rng(5), rounds=3)
+    for idx, rnd in enumerate(protocol.rounds):
+        history = ("1",) * idx
+        first, again = rnd.instrument(history), rnd.instrument(history)
+        assert [label for label, _ in first] == ["0", "1"]
+        assert all(a is b for (_, ka), (_, kb) in zip(first, again) for a, b in zip(ka, kb))
+
+
 def test_instrument_must_preserve_trace():
     bad = LoccProtocol(
         2,

@@ -466,7 +466,7 @@ def test_standard_form_rejects_bad_input():
     with pytest.raises(ValueError):
         standard_form(StateVector(np.ones(6) / math.sqrt(6), (2, 3)), 2)
     with pytest.raises(ValueError):
-        standard_form(bell_state(2), 10)  # over the size limit
+        standard_form(bell_state(2), 13)  # over the size limit
 
 
 # ---------------------------------------------------------------- group-averaging checks

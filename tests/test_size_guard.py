@@ -1,0 +1,133 @@
+"""The one size guard: every call that allocates arrays growing with d or n
+declares its bytes to ``states.check_bytes`` before it allocates them."""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from locclab import locc, schur_weyl, states, teleport
+from locclab.locc import LoccTranscript, run_locc, teleport_protocol
+from locclab.partitions import Partition
+from locclab.schur_weyl import (
+    build_schur_basis,
+    isotypic_projector,
+    permutation_operator,
+    standard_form,
+)
+from locclab.states import (
+    bell_state,
+    bipartite_tensor_power,
+    product_state,
+    state_from_schmidt,
+)
+from locclab.teleport import run_teleport
+
+PHI = state_from_schmidt((0.7, 0.3))
+BELL = bell_state(2)
+
+
+def traced_peak(fn) -> int:
+    """Traced peak of fn() in bytes, from a cold basis memo."""
+    schur_weyl._memo_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def refused_peak(fn) -> int:
+    """Traced peak of fn(), which must raise the guard's ValueError."""
+
+    def call():
+        with pytest.raises(ValueError, match="budget"):
+            fn()
+
+    return traced_peak(call)
+
+
+# each of these would allocate more than 1 MiB if the guard let it through
+GUARDED_CALLS = {
+    "bipartite_tensor_power": lambda: bipartite_tensor_power(PHI, 9),
+    "bell_state": lambda: bell_state(400),
+    "product_state": lambda: product_state(400),
+    "state_from_schmidt": lambda: state_from_schmidt(np.full(300, 1 / 300)),
+    "permutation_operator": lambda: permutation_operator(tuple(np.roll(range(10), 1)), 2),
+    "isotypic_projector": lambda: isotypic_projector(Partition((5, 5)), 2),
+    "build_schur_basis": lambda: build_schur_basis(10, 2),
+    "standard_form": lambda: standard_form(PHI, 8),
+    "run_teleport": lambda: run_teleport(PHI, 8, 0),
+    "teleport_protocol": lambda: teleport_protocol(5, 2),
+    "final_state": lambda: LoccTranscript("t", 0, [], np.ones(512) / np.sqrt(512)).final_state,
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDED_CALLS))
+def test_zero_budget_refuses_before_allocating(name, monkeypatch):
+    monkeypatch.setattr(states, "_MAX_BYTES", 0)
+    assert refused_peak(GUARDED_CALLS[name]) < 2**20
+
+
+@pytest.fixture
+def declared(monkeypatch):
+    """Bytes declared to the guard, in call order, under a 2^24 budget."""
+    counts = []
+    check = states.check_bytes
+
+    def record(nbytes, what):
+        counts.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(states, "_MAX_BYTES", 2**24)
+    for module in (states, schur_weyl, teleport, locc):
+        monkeypatch.setattr(module, "check_bytes", record)
+    return counts
+
+
+def _protocol_run(n):
+    joint = bipartite_tensor_power(BELL, n).reshape(-1)
+
+    def run():
+        run_locc(teleport_protocol(n, 2), joint, 0)
+
+    return run
+
+
+# (call at d = 2, its largest n admitted by a 2^24 budget)
+EDGES = {
+    "build_schur_basis": (lambda n: lambda: build_schur_basis(n, 2), 10),
+    "standard_form": (lambda n: lambda: standard_form(PHI, n), 8),
+    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 8),
+    "teleport_protocol": (_protocol_run, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGES))
+def test_declared_bytes_bound_the_peak_at_the_admitted_edge(name, declared):
+    call, n = EDGES[name]
+    run = call(n)
+    declared.clear()
+    peak = traced_peak(run)
+    assert peak <= declared[0]
+    with pytest.raises(ValueError):
+        call(n + 1)()
+
+
+@pytest.mark.parametrize(
+    "fn", [lambda: teleport_protocol(5, 4), lambda: bell_state(10**5)],
+    ids=["teleport_protocol(5, 4)", "bell_state(10**5)"],
+)
+def test_real_budget_refuses_quickly(fn):
+    start = time.perf_counter()
+    assert refused_peak(fn) < 2**20
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("preset", [bell_state, product_state])
+@pytest.mark.parametrize("d", [0, -1])
+def test_presets_refuse_dimension_below_one(preset, d):
+    with pytest.raises(ValueError, match="below 1"):
+        preset(d)

@@ -322,4 +322,4 @@ def test_run_teleport_memory_at_admitted_sizes(p, n):
 
 def test_run_teleport_rejects_oversize():
     with pytest.raises(ValueError):
-        run_teleport(bell_state(2), 10, 0)
+        run_teleport(bell_state(2), 13, 0)
