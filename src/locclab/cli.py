@@ -57,7 +57,7 @@ def _parse_state(text: str, d: int) -> tuple[StateVector, tuple[float, ...]]:
 
 
 def cmd_decompose(args) -> int:
-    phi, spectrum = _parse_state(args.schmidt or args.state, args.d)
+    phi, spectrum = _parse_state(args.state or args.schmidt, args.d)
     weights = schur_weyl.weights_analytic(spectrum, args.n)
     payload = {
         "command": "decompose",
@@ -80,7 +80,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_teleport(args) -> int:
-    phi, _ = _parse_state(args.schmidt or args.state, args.d)
+    phi, _ = _parse_state(args.state or args.schmidt, args.d)
     try:
         res = teleport.run_teleport(phi, args.n, args.seed)
     except teleport.NothingToTeleportError as exc:
@@ -274,20 +274,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed echoed into outputs")
         p.add_argument("--output", default=None, help="output file (default stdout)")
 
+    def add_state(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--state", choices=["bell", "product"])
+        group.add_argument("--schmidt", help="comma list, e.g. 0.8,0.2")
+
     p = sub.add_parser(
         "decompose",
         help="block weights of the n-fold power of a bipartite state",
     )
-    p.add_argument("--state", default=None, choices=["bell", "product"])
-    p.add_argument("--schmidt", default=None, help="comma list, e.g. 0.8,0.2")
+    add_state(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
     add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("teleport", help="run the transfer protocol end to end")
-    p.add_argument("--state", default=None, choices=["bell", "product"])
-    p.add_argument("--schmidt", default=None)
+    add_state(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
     add_common(p)
@@ -359,10 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("decompose", "teleport") and not (
-        args.state or args.schmidt
-    ):
-        parser.error("provide --state or --schmidt")
     try:
         return args.func(args)
     except UsageError as exc:

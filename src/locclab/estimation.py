@@ -115,15 +115,10 @@ class Povm:
     """A discrete positive operator-valued measure."""
 
     elements: tuple[np.ndarray, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         elements = tuple(np.asarray(e, dtype=complex) for e in self.elements)
         object.__setattr__(self, "elements", elements)
-        labels = self.labels or tuple(str(i) for i in range(len(elements)))
-        object.__setattr__(self, "labels", labels)
-        if len(labels) != len(elements):
-            raise ValueError("one label per element required")
         total = sum(elements)
         dim = elements[0].shape[0]
         if np.max(np.abs(total - np.eye(dim))) > 1e-10:

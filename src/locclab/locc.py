@@ -404,12 +404,12 @@ def two_stage_estimate(
     rng, seed = _as_generator(rng)
 
     j_ref = _qfi(model_a, theta_true) + _qfi(model_b, theta_true)
+    n1 = math.ceil(math.sqrt(n))
     if trials == 0:
         return EstimationReport(
-            n, 0, theta_true, math.isqrt(n), np.array([]), 0.0, 0.0, 1.0 / j_ref, seed
+            n, 0, theta_true, n1, np.array([]), 0.0, 0.0, 1.0 / j_ref, seed
         )
 
-    n1 = math.ceil(math.sqrt(n))
     n2 = n - n1
     lo, hi = model_a.box()[0]
     lo2, hi2 = model_b.box()[0]
@@ -537,28 +537,23 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
             f"Alice's instrument would have {n_outcomes} outcomes, more than {_PATH_LIMIT}"
         )
     dim = d**n
-    # held at once by construction and one run: five d^(3n) arrays, three
-    # d^n rows with their headers per Alice outcome, eight d^(2n) arrays
+    # counted for construction and one run: five d^(3n) arrays, three d^n
+    # rows with their headers per Alice outcome, eight d^(2n) arrays; the
+    # run holds three d^(3n) arrays at most (the embedding, one Bob operator
+    # and the conjugate copy the trace-preservation check makes)
     nbytes = 16 * (5 * dim**3 + 3 * n_outcomes * (dim + 16) + 8 * dim**2)
     check_bytes(nbytes, f"teleport_protocol(n={n}, d={d})")
     plan = tp.build_plan(n, d)
     basis = plan.basis
     bmat = basis.matrix
+    slices = basis.slices()
 
-    good_cols = np.zeros(dim, dtype=bool)
-    for sl in plan.good_slices.values():
-        good_cols[sl] = True
-    proj_good = (bmat[:, good_cols] @ bmat[:, good_cols].T).astype(complex)
-
-    weyls: dict = {}
+    retired = np.hstack([b.vectors for lam, b in basis.blocks.items() if lam not in plan.good])
+    fail = (retired @ retired.T).astype(complex)
 
     def weyl(dv: int, a: int, b: int, sign: int) -> np.ndarray:
-        key = (dv, a, b, sign)
-        if key not in weyls:
-            shift = np.roll(np.eye(dv), a, axis=0)
-            clock = np.diag(np.exp(2j * np.pi * b * np.arange(dv) / dv))
-            weyls[key] = sign * shift @ clock
-        return weyls[key]
+        clock = np.exp(2j * np.pi * b * np.arange(dv) / dv)
+        return sign * np.roll(np.diag(clock), a, axis=0)
 
     # one (shift, clock, sign) Weyl choice per retained block
     choices = [itertools.product(range(dv), range(dv), (1, -1)) for dv in dims_v]
@@ -575,24 +570,28 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
 
     def alice_instrument(history):
         if not alice_ops:
-            alice_ops.append(("fail", [np.eye(dim, dtype=complex) - proj_good]))
+            alice_ops.append(("fail", [fail]))
             for m, combo in enumerate(combos):
                 a_op = tp.kraus_operator(plan, unitaries_for(combo))
                 alice_ops.append((f"w{m}", [a_op / math.sqrt(n_outcomes)]))
         return alice_ops
 
-    embed = _teleport_embedding(basis, plan.good, d, n)
+    embed = _teleport_embedding(basis, plan.good)
+    abort = [("abort", [np.eye(dim, dtype=complex)])]
+    bmat_t = np.ascontiguousarray(bmat.T, dtype=complex)
 
     def bob_instrument(history):
         label = history[-1]
         if label == "fail":
-            return [("abort", [np.eye(dim, dtype=complex)])]
-        unitaries = unitaries_for(combos[int(label[1:])])
-        recover = np.eye(dim, dtype=complex)  # identity on the retired blocks
-        for lam, sl in plan.good_slices.items():
-            recover[sl, sl] = np.kron(np.eye(basis.blocks[lam].dim_u), unitaries[lam].T)
-        recover_full = bmat @ recover @ bmat.T
-        return [("done", [embed @ recover_full])]
+            return abort
+        # the recovery 1 (x) U^T on each retained block's rows of B^T, so
+        # that embed @ rotated takes Bob's computational basis to the
+        # doubled register; the retired rows are left as they are
+        rotated = bmat_t.copy()
+        for lam, w in unitaries_for(combos[int(label[1:])]).items():
+            rows = rotated[slices[lam]]
+            rotated[slices[lam]] = (w.T @ rows.reshape(-1, w.shape[0], dim)).reshape(-1, dim)
+        return [("done", [embed @ rotated])]
 
     return LoccProtocol(
         dim_a=dim,
@@ -602,42 +601,32 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     )
 
 
-def _teleport_embedding(basis, good, d: int, n: int) -> np.ndarray:
-    """Isometry from Bob's register into the doubled register that moves the
-    received content into the fresh factor and installs the maximally
-    entangled multiplicity parts; unused directions go to a retired block."""
-    dim = d**n
-    slices = basis.slices()
-    bmat = basis.matrix
-    bad = [lam for lam in basis.blocks if lam not in set(good)]
-    junk_lam = bad[0]
-    junk_vec = bmat[:, slices[junk_lam].start]  # first column of a retired block
-
-    embed = np.zeros((dim * dim, dim), dtype=complex)
-    for lam, sl in slices.items():
-        block = basis.blocks[lam]
-        du, dv = block.dim_u, block.dim_v
-        for u in range(du):
-            for v in range(dv):
-                col = sl.start + u * dv + v
-                if lam in set(good) and v < du:
-                    target = np.zeros(dim * dim, dtype=complex)
-                    for w in range(dv):
-                        target += np.kron(block.column(v, w), block.column(u, w))
-                    embed[:, col] = target / math.sqrt(dv)
-                else:
-                    embed[:, col] = np.kron(bmat[:, col], junk_vec)
-    # columns above are indexed by block coordinates; compose with the
-    # change of basis so the isometry acts on computational-basis vectors
-    return embed @ bmat.T
+def _teleport_embedding(basis, good) -> np.ndarray:
+    """Isometry from Bob's register, in block coordinates, into the doubled
+    register: it moves the received content into the fresh factor and
+    installs the maximally entangled multiplicity parts; unused directions
+    go to a retired block."""
+    bmat = basis.matrix.astype(complex)
+    dim = bmat.shape[0]
+    junk = next(b.vectors[:, 0] for lam, b in basis.blocks.items() if lam not in good)
+    embed = np.einsum("xc,y->xyc", bmat, junk)  # every column retired at first
+    for lam, sl in basis.slices().items():
+        if lam in good:
+            block = basis.blocks[lam]
+            du, dv = block.dim_u, block.dim_v
+            vecs = block.vectors.reshape(dim, du, dv)
+            # column u * dv + v with v < du holds sum_w |v w> (x) |u w> / sqrt(dv)
+            cols = embed[:, :, sl].reshape(dim, dim, du, dv)
+            cols[..., :du] = np.einsum("xvw,yuw->xyuv", vecs, vecs) / math.sqrt(dv)
+    return embed.reshape(dim * dim, dim)
 
 
-def random_qubit_model(rng: np.random.Generator, label: str = "") -> PureStateModel:
+def random_qubit_model(rng: np.random.Generator) -> PureStateModel:
     """Random smooth one-parameter qubit family with analytic derivatives."""
     gen = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     gen = (gen + gen.conj().T) / 2
     psi0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return rotation_model(gen, psi0, name=label or "random-qubit")
+    return rotation_model(gen, psi0, name="random-qubit")
 
 
 def random_adaptive_protocol(rng: np.random.Generator, rounds: int = 2) -> LoccProtocol:

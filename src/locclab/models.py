@@ -27,7 +27,6 @@ class PureStateModel:
     state_fn: Callable[[np.ndarray], np.ndarray]
     derivative_fn: Callable[[np.ndarray, int], np.ndarray] | None = None
     domain: tuple[tuple[float, float], ...] = ()
-    dims: tuple[int, ...] | None = None
     name: str = ""
 
     def box(self) -> tuple[tuple[float, float], ...]:
@@ -184,28 +183,14 @@ def product_model(model_a: PureStateModel, model_b: PureStateModel) -> PureState
                 model_a.state(theta), model_b.derivative(theta, i)
             )
 
-    dims_a = model_a.dims or (_model_dim(model_a),)
-    dims_b = model_b.dims or (_model_dim(model_b),)
     domain = _intersect_domains(model_a.box(), model_b.box())
     return PureStateModel(
         model_a.param_dim,
         state,
         deriv,
         domain=domain,
-        dims=dims_a + dims_b,
         name=f"product({model_a.name},{model_b.name})",
     )
-
-
-def _model_dim(model: PureStateModel) -> int:
-    theta = np.array([_midpoint(lo, hi) for lo, hi in model.box()])
-    return model.state(theta).size
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    if math.isinf(lo) or math.isinf(hi):
-        return 0.0 if math.isinf(lo) and math.isinf(hi) else (lo if math.isinf(hi) else hi)
-    return 0.5 * (lo + hi)
 
 
 def _intersect_domains(a, b):
@@ -235,10 +220,7 @@ def reparametrized(model: PureStateModel, a_matrix: np.ndarray) -> PureStateMode
                 for j in range(model.param_dim)
             )
 
-    return PureStateModel(
-        model.param_dim, state, deriv, dims=model.dims,
-        name=f"{model.name}@reparam",
-    )
+    return PureStateModel(model.param_dim, state, deriv, name=f"{model.name}@reparam")
 
 
 def tabulated_model(thetas: Sequence[float], states: Sequence[Sequence[complex]],

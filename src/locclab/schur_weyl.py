@@ -354,11 +354,7 @@ def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
     return _require_distribution(weights, f"{tuple(p)} at n={n}")
 
 
-def standard_form(
-    phi: StateVector,
-    n: int,
-    basis: SchurBasis | None = None,
-) -> StandardForm:
+def standard_form(phi: StateVector, n: int) -> StandardForm:
     """Decompose |phi>^{(x)n} into weights, paired-block states, and
     maximally entangled multiplicity parts.
 
@@ -373,8 +369,7 @@ def standard_form(
     # six d^n x d^n complex arrays at the peak, the basis build included
     check_bytes(6 * 16 * d ** (2 * n), f"standard_form at n={n}, d={d}")
     phi = phi.require_normalized()
-    if basis is None:
-        basis = schur_basis(n, d)
+    basis = schur_basis(n, d)
 
     psi = bipartite_tensor_power(phi, n)
     bmat = basis.matrix

@@ -91,11 +91,6 @@ class TeleportPlan:
     good: tuple[Partition, ...]
     basis: SchurBasis
 
-    @property
-    def good_slices(self) -> dict[Partition, slice]:
-        slices = self.basis.slices()
-        return {lam: slices[lam] for lam in self.good}
-
 
 def build_plan(n: int, d: int) -> TeleportPlan:
     return TeleportPlan(n, d, tuple(good_set(n, d)), schur_basis(n, d))
@@ -116,10 +111,7 @@ def _outcome_schur_vector(
             raise ValueError(f"unitary for {lam} must be {dv}x{dv}")
         if np.max(np.abs(u_mat.conj().T @ u_mat - np.eye(dv))) > 1e-10:
             raise ValueError(f"matrix for {lam} is not unitary")
-        coeffs = np.zeros(du * dv, dtype=complex)
-        for u in range(du):
-            coeffs[u * dv : (u + 1) * dv] = math.sqrt(dv) * u_mat[:, u]
-        vec[slices[lam]] = coeffs
+        vec[slices[lam]] = math.sqrt(dv) * u_mat[:, :du].T.reshape(-1)
     return vec
 
 

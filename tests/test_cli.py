@@ -84,6 +84,13 @@ def test_decompose_requires_state(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["decompose", "teleport"])
+def test_state_and_schmidt_are_mutually_exclusive(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--state", "bell", "--schmidt", "0.9,0.1", "--n", "2"])
+    assert exc.value.code == 2
+
+
 def test_decompose_malformed_schmidt(capsys):
     code, out, err = run_cli(capsys, "decompose", "--schmidt", "0.2,0.8", "--n", "3")
     assert code == 1

@@ -168,7 +168,7 @@ def test_measurement_fisher_uninformative():
 
 
 def test_measurement_fisher_projective_qubit():
-    povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), ("0", "1"))
+    povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     j = measurement_fisher(povm, real_amplitude(), [1.0])
     assert j[0, 0] == pytest.approx(0.25, abs=1e-8)
 

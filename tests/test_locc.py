@@ -20,7 +20,7 @@ from locclab.locc import (
     verify_fisher_additivity,
 )
 from locclab.models import product_model, real_amplitude
-from locclab.states import bell_state, bipartite_tensor_power
+from locclab.states import bell_state, bipartite_tensor_power, state_from_schmidt
 from locclab.teleport import run_teleport, sample_haar_unitary
 
 
@@ -446,6 +446,28 @@ def test_teleport_protocol_n2():
     assert success == pytest.approx(0.25, abs=1e-12)
 
 
+def test_teleport_protocol_d3_matches_direct_run():
+    phi = state_from_schmidt((0.5, 0.3, 0.2))
+    protocol = teleport_protocol(4, 3)
+    joint = bipartite_tensor_power(phi, 4).reshape(-1)
+    direct = run_teleport(phi, 4, 0)
+    assert direct.success_prob == pytest.approx(0.09, abs=1e-12)
+    dist = enumerate_paths(protocol, joint)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    success = sum(p for path, p in dist.items() if path[0] != "fail")
+    assert success == pytest.approx(direct.success_prob, abs=1e-12)
+    reference = direct.final_state.amplitudes
+    successes = 0
+    for seed in range(100):
+        transcript = run_locc(protocol, joint, seed)
+        if transcript.messages[0].outcome == "fail":
+            continue
+        successes += 1
+        # the final state is pure: compare amplitudes, not a d^(2n) x d^(2n) density
+        assert abs(np.vdot(reference, transcript.state)) ** 2 >= 1 - 1e-9
+    assert successes >= 5
+
+
 def test_teleport_protocol_refuses_outcome_count_beyond_path_limit():
     # Alice's instrument at n=6 would have 405,000 outcomes, each a Kraus operator
     with pytest.raises(ValueError, match="outcomes"):
@@ -490,6 +512,14 @@ def test_two_stage_empty_and_validation():
     assert empty.trials == 0 and empty.mse == 0.0
     with pytest.raises(ValueError):
         two_stage_estimate(model, model, n=16, trials=10, rng=0, theta_true=1.0)
+
+
+def test_two_stage_stage1_copies_do_not_depend_on_trials():
+    model = real_amplitude()
+    for n, n1 in [(30, 6), (400, 20)]:
+        for trials in (0, 1):
+            report = two_stage_estimate(model, model, n=n, trials=trials, rng=0)
+            assert report.stage1_copies == n1
 
 
 def test_two_stage_csv(tmp_path):
