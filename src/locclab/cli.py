@@ -228,7 +228,7 @@ def cmd_additivity(args) -> int:
 
 def cmd_two_stage(args) -> int:
     model_a = models.get_model(args.model)
-    model_b = models.get_model(args.model_b or args.model)
+    model_b = models.get_model(args.model_b) if args.model_b else model_a
     report = locc.two_stage_estimate(
         model_a, model_b, args.n, args.trials, args.seed, theta_true=args.theta
     )

@@ -20,8 +20,9 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .states import StateVector, check_bytes
 
 _PATH_LIMIT = 100_000
 _GRID_POINTS = 512  # likelihood grid of the two-stage estimate
+_TRIAL_CHUNK = 64  # two-stage trials advanced together; bounds the working memory
+_GOLDEN_ITERS = 60  # golden-section steps: the bracket shrinks by 0.618^60
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BASIS_CHOICES = 4  # bases per round of a random adaptive protocol
 _HASH_BLOCK = 2**16  # density entries hashed per block of rows
 
@@ -231,6 +235,9 @@ def enumerate_paths(protocol: LoccProtocol, input_state) -> dict[tuple[str, ...]
     branches omitted); probabilities sum to 1."""
     out: dict[tuple[str, ...], float] = {}
     counter = [0]
+    # (id, party dimension) -> an instrument list already checked; holding
+    # the list keeps its id from being reused by another list in this walk
+    checked: dict[tuple[int, int], list] = {}
 
     def walk(factor, history, prob, idx):
         if idx == len(protocol.rounds):
@@ -241,12 +248,19 @@ def enumerate_paths(protocol: LoccProtocol, input_state) -> dict[tuple[str, ...]
             return
         rnd = protocol.rounds[idx]
         ops = rnd.instrument(history)
-        _check_trace_preserving(ops, factor.shape["AB".index(rnd.party)])
+        key = (id(ops), factor.shape["AB".index(rnd.party)])
+        if checked.get(key) is not ops:
+            _check_trace_preserving(ops, key[1])
+            checked[key] = ops
         for label, kraus_list in ops:
             new, p = _apply(kraus_list, factor, rnd.party)
             if p <= 1e-15:
                 continue
             walk(new / math.sqrt(p), history + (label,), prob * p, idx + 1)
+        if sys.getrefcount(ops) <= 3:
+            # only this frame and the memo hold it: a list built for this
+            # node alone, whose operators the memo must not keep alive
+            del checked[key]
 
     walk(_as_factor(input_state, protocol.dim_a, protocol.dim_b), (), 1.0, 0)
     return out
@@ -353,31 +367,29 @@ def _optimal_basis_vector(model: PureStateModel, theta: float) -> np.ndarray:
     return (phi + chi) / math.sqrt(2.0)
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int = 60) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
+def _log_terms(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log p and log(1 - p), with p clipped to [1e-12, 1 - 1e-12]."""
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return np.log(p), np.log1p(-p)
+
+
+def _lockstep_golden_max(
+    fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Golden-section maxima over the brackets [a, b], every bracket
+    advanced together: ``fn`` maps one point per bracket to its value."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
+    for _ in range(_GOLDEN_ITERS):
+        left = fc > fd  # the maximum lies in [a, d]: d becomes the upper end
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = fn(x)
+        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
+        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
     return 0.5 * (a + b)
-
-
-def _binom_loglik(counts: Sequence[tuple[int, int, np.ndarray]]) -> np.ndarray:
-    """Log-likelihood over a grid from (successes, total, p_grid) blocks."""
-    total = 0.0
-    for k, n, p in counts:
-        p = np.clip(p, 1e-12, 1.0 - 1e-12)
-        total = total + k * np.log(p) + (n - k) * np.log1p(-p)
-    return total
 
 
 def two_stage_estimate(
@@ -396,6 +408,13 @@ def two_stage_estimate(
     final estimate maximizes the likelihood of the full transcript. The
     report compares n * MSE against the single-copy reference 1/J with J
     the summed per-party information at the true parameter.
+
+    Each trial draws from its own child of one ``SeedSequence``, stage-1
+    counts before stage-2 counts, so a trial's counts do not depend on how
+    many trials run. Trials advance ``_TRIAL_CHUNK`` at a time, together:
+    grid likelihoods are (chunk x grid) arrays and one golden-section
+    search refines every trial's grid peak. When ``model_b is model_a`` each
+    state is evaluated once.
     """
     if model_a.param_dim != 1 or model_b.param_dim != 1:
         raise ValueError("two-stage scheme handles one-parameter families")
@@ -422,87 +441,101 @@ def two_stage_estimate(
     if not (lo < theta_true < hi):
         raise ValueError("theta_true must lie inside the model domain")
 
+    # one entry per distinct family; party B reads the last entry
+    parties = (model_a,) if model_b is model_a else (model_a, model_b)
     fixed = np.array([1.0, 0.0], dtype=complex)  # computational basis, first vector
 
-    def prob_in_basis(vec: np.ndarray, grid_states: np.ndarray):
-        return np.abs(grid_states @ vec.conj()) ** 2
+    def states(thetas) -> list[np.ndarray]:
+        return [np.stack([model.state(t) for t in thetas]) for model in parties]
 
-    def build_grid(points: int):
+    def stage1_rows(points: int):
+        """A grid and the log terms of the fixed outcome on it, per family."""
         grid = np.linspace(lo, hi, points)
-        states_a = np.stack([model_a.state(np.array([t])) for t in grid])
-        states_b = np.stack([model_b.state(np.array([t])) for t in grid])
-        return grid, states_a, states_b
+        grid_states = states(grid)
+        rows = [_log_terms(np.abs(s @ fixed.conj()) ** 2) for s in grid_states]
+        return grid, grid_states, rows
 
-    grid, grid_a, grid_b = build_grid(_GRID_POINTS)
-    p1a_grid = prob_in_basis(fixed, grid_a)
-    p1b_grid = prob_in_basis(fixed, grid_b)
-    p1a_true = float(abs(np.vdot(fixed, model_a.state(np.array([theta_true])))) ** 2)
-    p1b_true = float(abs(np.vdot(fixed, model_b.state(np.array([theta_true])))) ** 2)
+    grid, grid_states, rows1 = stage1_rows(_GRID_POINTS)
+    span = float(grid[1] - grid[0])
+    true_states = [s[0] for s in states([theta_true])]
+    p1_true = [float(abs(np.vdot(fixed, s)) ** 2) for s in true_states]
+    totals = (n1, n1, n2, n2)  # copies behind the counts: stage 1 A, B, stage 2 A, B
 
-    def refine(loglik_fn: Callable[[float], float], center: float, span: float) -> float:
-        return _golden_max(loglik_fn, max(lo, center - span), min(hi, center + span))
+    def loglik_of(counts, terms1, terms2=None):
+        """Binomial log-likelihood of the counts (stage 1 only when there is
+        no stage-2 term) from each family's (log p, log(1 - p)) terms,
+        summed in count order; the arrays broadcast against each other."""
+        terms = [terms1[0], terms1[-1]] + ([terms2[0], terms2[-1]] if terms2 else [])
+        total = 0.0
+        for k, n_tot, (log_p, log_q) in zip(counts, totals, terms):
+            total = total + k * log_p + (n_tot - k) * log_q
+        return total
+
+    finer: dict[int, tuple] = {}  # doubled grids for flat stage-1 likelihoods
+
+    def finer_aux(counts) -> float:
+        """Stage-1 ML estimate on doubled grids, when the likelihood is flat
+        on the base grid."""
+        points = _GRID_POINTS
+        for _ in range(3):
+            points *= 2
+            if points not in finer:
+                finer[points] = stage1_rows(points)
+            fine_grid, _, rows = finer[points]
+            loglik1 = loglik_of(counts, rows)
+            if float(np.max(loglik1) - np.min(loglik1)) >= 1e-9:
+                return float(fine_grid[int(np.argmax(loglik1))])
+        raise EstimationFailureError(
+            "stage-1 likelihood is flat; the fixed basis carries no "
+            "information about this family"
+        )
+
+    # per auxiliary estimate: each family's optimal vector and its
+    # probability at theta_true
+    bases: dict[float, list[tuple[np.ndarray, float]]] = {}
+
+    def stage2_basis(theta_aux: float) -> list[tuple[np.ndarray, float]]:
+        if theta_aux not in bases:
+            vecs = [_optimal_basis_vector(model, theta_aux) for model in parties]
+            bases[theta_aux] = [
+                (v, float(abs(np.vdot(v, s)) ** 2)) for v, s in zip(vecs, true_states)
+            ]
+        return bases[theta_aux]
 
     estimates = np.empty(trials)
-    children = np.random.SeedSequence(rng.integers(2**63)).spawn(trials)
-    for t in range(trials):
-        trial_rng = np.random.default_rng(children[t])
-        k1a = int(trial_rng.binomial(n1, p1a_true))
-        k1b = int(trial_rng.binomial(n1, p1b_true))
+    root = np.random.SeedSequence(rng.integers(2**63))
+    for start in range(0, trials, _TRIAL_CHUNK):
+        # spawning is sequential: these are children start.. of the root
+        gens = [np.random.default_rng(child)
+                for child in root.spawn(min(_TRIAL_CHUNK, trials - start))]
+        k1 = np.array([(g.binomial(n1, p1_true[0]), g.binomial(n1, p1_true[-1]))
+                       for g in gens])
 
-        stage1 = [(k1a, n1, p1a_grid), (k1b, n1, p1b_grid)]
-        loglik1 = _binom_loglik(stage1)
-        cur_grid, cur_a, cur_b = grid, grid_a, grid_b
-        attempts = 0
-        while float(np.max(loglik1) - np.min(loglik1)) < 1e-9:
-            attempts += 1
-            if attempts > 3:
-                raise EstimationFailureError(
-                    "stage-1 likelihood is flat; the fixed basis carries no "
-                    "information about this family"
-                )
-            cur_grid, cur_a, cur_b = build_grid(cur_grid.size * 2)
-            loglik1 = _binom_loglik(
-                [(k1a, n1, prob_in_basis(fixed, cur_a)),
-                 (k1b, n1, prob_in_basis(fixed, cur_b))]
-            )
-        theta_aux = float(cur_grid[int(np.argmax(loglik1))])
+        loglik1 = loglik_of(k1.T[:, :, None], rows1)
+        aux = grid[np.argmax(loglik1, axis=1)]
+        for t in np.flatnonzero(np.max(loglik1, axis=1) - np.min(loglik1, axis=1) < 1e-9):
+            aux[t] = finer_aux(k1[t])
 
-        vec_a = _optimal_basis_vector(model_a, theta_aux)
-        vec_b = _optimal_basis_vector(model_b, theta_aux)
-        p2a_true = float(abs(np.vdot(vec_a, model_a.state(np.array([theta_true])))) ** 2)
-        p2b_true = float(abs(np.vdot(vec_b, model_b.state(np.array([theta_true])))) ** 2)
-        k2a = int(trial_rng.binomial(n2, p2a_true))
-        k2b = int(trial_rng.binomial(n2, p2b_true))
+        chosen = [stage2_basis(th) for th in aux.tolist()]
+        k2 = np.array([(g.binomial(n2, b[0][1]), g.binomial(n2, b[-1][1]))
+                       for g, b in zip(gens, chosen)])
+        counts = np.hstack([k1, k2]).T
+        # each trial's stage-2 vector per family, as rows
+        vecs = [np.stack([b[j][0] for b in chosen]) for j in range(len(parties))]
 
-        p2a_grid = prob_in_basis(vec_a, grid_a)
-        p2b_grid = prob_in_basis(vec_b, grid_b)
-        blocks = [
-            (k1a, n1, p1a_grid),
-            (k1b, n1, p1b_grid),
-            (k2a, n2, p2a_grid),
-            (k2b, n2, p2b_grid),
-        ]
-        loglik = _binom_loglik(blocks)
-        peak = float(grid[int(np.argmax(loglik))])
+        rows2 = [_log_terms(np.abs(v.conj() @ s.T) ** 2) for v, s in zip(vecs, grid_states)]
+        peak = grid[np.argmax(loglik_of(counts[:, :, None], rows1, rows2), axis=1)]
 
-        def loglik_at(th: float) -> float:
-            sa = model_a.state(np.array([th]))
-            sb = model_b.state(np.array([th]))
-            vals = [
-                (k1a, n1, abs(np.vdot(fixed, sa)) ** 2),
-                (k1b, n1, abs(np.vdot(fixed, sb)) ** 2),
-                (k2a, n2, abs(np.vdot(vec_a, sa)) ** 2),
-                (k2b, n2, abs(np.vdot(vec_b, sb)) ** 2),
-            ]
-            return float(
-                sum(
-                    k * math.log(min(max(p, 1e-12), 1 - 1e-12))
-                    + (n_tot - k) * math.log(min(max(1 - p, 1e-12), 1 - 1e-12))
-                    for k, n_tot, p in vals
-                )
-            )
+        def loglik_at(thetas: np.ndarray) -> np.ndarray:
+            at = states(thetas)
+            terms1 = [_log_terms(np.abs(s @ fixed.conj()) ** 2) for s in at]
+            terms2 = [_log_terms(np.abs(np.einsum("td,td->t", v.conj(), s)) ** 2)
+                      for v, s in zip(vecs, at)]
+            return loglik_of(counts, terms1, terms2)
 
-        estimates[t] = refine(loglik_at, peak, float(grid[1] - grid[0]))
+        estimates[start : start + len(gens)] = _lockstep_golden_max(
+            loglik_at, np.maximum(lo, peak - span), np.minimum(hi, peak + span)
+        )
 
     mse = float(np.mean((estimates - theta_true) ** 2))
     return EstimationReport(
@@ -527,6 +560,8 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     """
     from . import teleport as tp
 
+    if d == 1:
+        raise ValueError("d = 1 has no retired block to hold the unused directions")
     good = tp.good_set(n, d)
     if not good:
         raise ValueError("no retained blocks at these parameters")

@@ -44,7 +44,7 @@ class PureStateModel:
         if theta.size != self.param_dim:
             raise ValueError(f"theta must have {self.param_dim} entries")
         vec = np.asarray(self.state_fn(theta), dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(vec)
+        nrm = math.sqrt(np.vdot(vec, vec).real)
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"family state has norm {nrm}, not 1")
         return vec

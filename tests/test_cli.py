@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from locclab import schur_weyl
+from locclab import locc, schur_weyl
 from locclab.cli import main
 from locclab.partitions import enumerate_partitions
 from locclab.teleport import ideal_fidelity
@@ -221,6 +221,20 @@ def test_two_stage_command(capsys):
     )
     assert payload["reference_cr"] == pytest.approx(0.5, abs=1e-12)
     assert payload["n_mse"] > 0
+
+
+def test_two_stage_passes_one_family_without_model_b(capsys, monkeypatch):
+    shared = []
+    estimate = locc.two_stage_estimate
+
+    def spy(model_a, model_b, *args, **kwargs):
+        shared.append(model_b is model_a)
+        return estimate(model_a, model_b, *args, **kwargs)
+
+    monkeypatch.setattr(locc, "two_stage_estimate", spy)
+    run_json(capsys, "two-stage", "--n", "100", "--trials", "2")
+    run_json(capsys, "two-stage", "--n", "100", "--trials", "2", "--model-b", "real-amplitude")
+    assert shared == [True, False]
 
 
 # ---------------------------------------------------------------- reproducibility

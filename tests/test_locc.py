@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from locclab import locc
 from locclab.locc import (
     EstimationFailureError,
     LoccProtocol,
@@ -19,7 +20,7 @@ from locclab.locc import (
     two_stage_estimate,
     verify_fisher_additivity,
 )
-from locclab.models import product_model, real_amplitude
+from locclab.models import PureStateModel, product_model, real_amplitude, rotation_model
 from locclab.states import bell_state, bipartite_tensor_power, state_from_schmidt
 from locclab.teleport import run_teleport, sample_haar_unitary
 
@@ -88,6 +89,31 @@ def test_instrument_must_preserve_trace():
     )
     with pytest.raises(ValueError):
         run_locc(bad, np.kron([1, 0], [1, 0]).astype(complex), 0)
+
+
+def test_enumerate_paths_checks_a_list_built_on_a_deep_branch():
+    # every call builds a fresh list, so a list freed after its branch could
+    # hand its id to the next one; only the deepest "1", "1" list is lossy
+    def instrument(history):
+        if history == ("1", "1"):
+            return [("0", [np.diag([1.0, 0.0])])]
+        return [(str(k), [np.diag(np.eye(2)[k])]) for k in range(2)]
+
+    protocol = LoccProtocol(
+        2, 2, tuple(Round(party, instrument) for party in "ABA"), "deep-lossy"
+    )
+    plus = np.full(2, 1 / math.sqrt(2))
+    with pytest.raises(ValueError, match="trace-preserving"):
+        enumerate_paths(protocol, np.kron(plus, plus).astype(complex))
+
+
+def test_enumerate_paths_checks_each_shared_list_once(monkeypatch):
+    protocol = random_adaptive_protocol(np.random.default_rng(5), rounds=6)
+    checked = []
+    monkeypatch.setattr(locc, "_check_trace_preserving", lambda ops, dim: checked.append(id(ops)))
+    dist = enumerate_paths(protocol, np.kron([1, 0], [1, 0]).astype(complex))
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    assert len(checked) == len(set(checked)) < len(dist)
 
 
 def test_path_probabilities_sum_to_one():
@@ -347,8 +373,6 @@ def test_additivity_anticopy_pair_with_adaptive_rounds():
 
     # restrict the pair to one parameter (the polar angle) for the 1-D engine
     def slice_model(model):
-        from locclab.models import PureStateModel
-
         return PureStateModel(
             1,
             lambda t: model.state_fn(np.array([t[0], 0.4])),
@@ -398,6 +422,21 @@ def test_teleport_protocol_paths_and_success():
     # outcomes are uniform over the discrete unitary choices
     probs = sorted(p for path, p in dist.items() if path[0] != "fail")
     assert probs[0] == pytest.approx(probs[-1], abs=1e-12)
+
+
+def test_enumerate_paths_keeps_no_per_node_operators():
+    # Bob builds a fresh 256 x 16 operator (64 KiB) for each of the 144
+    # Alice outcomes; the walk holds one at a time, not 9 MiB of them
+    protocol = teleport_protocol(4, 2)
+    joint = bipartite_tensor_power(bell_state(2), 4).reshape(-1)
+    enumerate_paths(protocol, joint)  # Alice's operators are built on first use
+    tracemalloc.start()
+    try:
+        enumerate_paths(protocol, joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_teleport_protocol_matches_direct_run():
@@ -474,7 +513,186 @@ def test_teleport_protocol_refuses_outcome_count_beyond_path_limit():
         teleport_protocol(6, 2)
 
 
+def test_teleport_protocol_refuses_d1():
+    with pytest.raises(ValueError, match="d = 1 has no retired block"):
+        teleport_protocol(2, 1)
+
+
 # ---------------------------------------------------------------- two-stage estimation
+
+
+def reference_two_stage(model_a, model_b, n, trials, seed, theta_true):
+    """The two-stage estimate one trial at a time, with a scalar
+    golden-section search: every trial's four counts and its estimate."""
+    rng = np.random.default_rng(seed)
+    n1 = math.ceil(math.sqrt(n))
+    n2 = n - n1
+    lo, hi = model_a.box()[0]
+    lo2, hi2 = model_b.box()[0]
+    lo, hi = max(lo, lo2), min(hi, hi2)
+    lo = -math.pi if math.isinf(lo) else lo
+    hi = math.pi if math.isinf(hi) else hi
+    fixed = np.array([1.0, 0.0], dtype=complex)
+
+    def state(model, th):
+        return model.state(np.array([th]))
+
+    def loglik(blocks):
+        total = 0.0
+        for k, n_tot, p in blocks:
+            p = np.clip(p, 1e-12, 1.0 - 1e-12)
+            total = total + k * np.log(p) + (n_tot - k) * np.log1p(-p)
+        return total
+
+    def golden_max(fn, a, b):
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        fc, fd = fn(c), fn(d)
+        for _ in range(60):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = fn(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = fn(d)
+        return 0.5 * (a + b)
+
+    def fixed_probs(points):
+        grid = np.linspace(lo, hi, points)
+        states_a = np.stack([state(model_a, t) for t in grid])
+        states_b = np.stack([state(model_b, t) for t in grid])
+        return grid, states_a, states_b
+
+    grid, grid_a, grid_b = fixed_probs(512)
+    p1a_true = float(abs(np.vdot(fixed, state(model_a, theta_true))) ** 2)
+    p1b_true = float(abs(np.vdot(fixed, state(model_b, theta_true))) ** 2)
+    counts, estimates = [], []
+    for child in np.random.SeedSequence(rng.integers(2**63)).spawn(trials):
+        trial_rng = np.random.default_rng(child)
+        k1a = int(trial_rng.binomial(n1, p1a_true))
+        k1b = int(trial_rng.binomial(n1, p1b_true))
+        cur_grid, cur_a, cur_b = grid, grid_a, grid_b
+        for _ in range(4):
+            loglik1 = loglik([(k1a, n1, np.abs(cur_a @ fixed) ** 2),
+                              (k1b, n1, np.abs(cur_b @ fixed) ** 2)])
+            if float(np.max(loglik1) - np.min(loglik1)) >= 1e-9:
+                break
+            cur_grid, cur_a, cur_b = fixed_probs(2 * cur_grid.size)
+        else:
+            raise EstimationFailureError("flat")
+        theta_aux = float(cur_grid[int(np.argmax(loglik1))])
+        vec_a = locc._optimal_basis_vector(model_a, theta_aux)
+        vec_b = locc._optimal_basis_vector(model_b, theta_aux)
+        k2a = int(trial_rng.binomial(n2, abs(np.vdot(vec_a, state(model_a, theta_true))) ** 2))
+        k2b = int(trial_rng.binomial(n2, abs(np.vdot(vec_b, state(model_b, theta_true))) ** 2))
+        counts.append((k1a, k1b, k2a, k2b))
+
+        def loglik_at(th):
+            sa, sb = state(model_a, th), state(model_b, th)
+            return float(loglik([
+                (k1a, n1, abs(np.vdot(fixed, sa)) ** 2),
+                (k1b, n1, abs(np.vdot(fixed, sb)) ** 2),
+                (k2a, n2, abs(np.vdot(vec_a, sa)) ** 2),
+                (k2b, n2, abs(np.vdot(vec_b, sb)) ** 2),
+            ]))
+
+        peak = float(grid[int(np.argmax(loglik([
+            (k1a, n1, np.abs(grid_a @ fixed) ** 2),
+            (k1b, n1, np.abs(grid_b @ fixed) ** 2),
+            (k2a, n2, np.abs(grid_a @ vec_a.conj()) ** 2),
+            (k2b, n2, np.abs(grid_b @ vec_b.conj()) ** 2),
+        ])))])
+        span = float(grid[1] - grid[0])
+        estimates.append(golden_max(loglik_at, max(lo, peak - span), min(hi, peak + span)))
+    return counts, np.array(estimates)
+
+
+def record_trial_draws(monkeypatch) -> dict:
+    """Every binomial count drawn by a generator seeded from a spawned
+    SeedSequence, in draw order, keyed by the child's spawn key."""
+    draws = {}
+    make = np.random.default_rng
+
+    class Recording:
+        def __init__(self, gen, log):
+            self.gen, self.log = gen, log
+
+        def binomial(self, n, p):
+            k = self.gen.binomial(n, p)
+            self.log.append(int(k))
+            return k
+
+    def default_rng(seed=None):
+        gen = make(seed)
+        if isinstance(seed, np.random.SeedSequence) and seed.spawn_key:
+            return Recording(gen, draws.setdefault(seed.spawn_key, []))
+        return gen
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return draws
+
+
+def oscillating_model():
+    """A family whose fixed-basis probability is 1 at every point of the
+    512-point grid on [0, 1] and varies between them: its stage-1
+    likelihood is flat on the base grid and not on the doubled one."""
+    rate = 511 * math.pi
+
+    def state(theta):
+        return np.array([math.cos(rate * theta[0]), math.sin(rate * theta[0])], dtype=complex)
+
+    def deriv(theta, i):
+        return rate * np.array(
+            [-math.sin(rate * theta[0]), math.cos(rate * theta[0])], dtype=complex
+        )
+
+    return PureStateModel(1, state, deriv, domain=((0.0, 1.0),), name="oscillating")
+
+
+def _families(case):
+    if case == "shared":
+        model = real_amplitude()
+        return model, model, 400, locc._TRIAL_CHUNK + 3, 1.0
+    if case == "distinct":
+        rotation = rotation_model(np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.7]]),
+                                  np.array([0.6, 0.8j]))
+        return real_amplitude(), rotation, 400, 24, 1.2
+    model = oscillating_model()
+    return model, model, 100, 12, 0.5 + 1 / (4 * 511)
+
+
+@pytest.mark.parametrize("case", ["shared", "distinct", "flat-fallback"])
+def test_two_stage_matches_per_trial_reference(case, monkeypatch):
+    model_a, model_b, n, trials, theta = _families(case)
+    counts, expected = reference_two_stage(model_a, model_b, n, trials, 4, theta)
+    draws = record_trial_draws(monkeypatch)
+    report = two_stage_estimate(model_a, model_b, n, trials, rng=4, theta_true=theta)
+    assert [tuple(draws[(t,)]) for t in range(trials)] == counts
+    assert np.max(np.abs(report.estimates - expected)) <= 1e-6
+
+
+def test_two_stage_estimates_do_not_depend_on_trial_count():
+    model = real_amplitude()
+    k = locc._TRIAL_CHUNK - 5  # 2k trials cross a chunk boundary
+    short = two_stage_estimate(model, model, n=400, trials=k, rng=9, theta_true=1.3)
+    long = two_stage_estimate(model, model, n=400, trials=2 * k, rng=9, theta_true=1.3)
+    assert np.array_equal(long.estimates[:k], short.estimates)
+
+
+def test_two_stage_memory_does_not_grow_with_trials():
+    model = real_amplitude()
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            two_stage_estimate(model, model, n=400, trials=trials, rng=2, theta_true=1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * locc._TRIAL_CHUNK) - peak(locc._TRIAL_CHUNK) <= 2**20
 
 
 def test_two_stage_polar_family():
@@ -533,8 +751,6 @@ def test_two_stage_csv(tmp_path):
 
 
 def test_two_stage_flat_likelihood_fails_structurally():
-    from locclab.models import PureStateModel
-
     constant = PureStateModel(
         1,
         lambda t: np.array([1.0, 0.0], dtype=complex),
