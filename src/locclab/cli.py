@@ -59,6 +59,7 @@ def _parse_state(text: str, d: int) -> tuple[StateVector, tuple[float, ...]]:
 def cmd_decompose(args) -> int:
     phi, spectrum = _parse_state(args.state or args.schmidt, args.d)
     weights = schur_weyl.weights_analytic(spectrum, args.n)
+    dims = {str(lam): {"dim_u": dim_u(lam), "dim_v": dim_v(lam)} for lam in weights}
     payload = {
         "command": "decompose",
         "n": args.n,
@@ -66,13 +67,11 @@ def cmd_decompose(args) -> int:
         "seed": args.seed,
         "schmidt_spectrum": list(spectrum),
         "weights": {str(lam): q for lam, q in weights.items()},
+        # the retained blocks, dim_u <= dim_v (teleport.retained)
         "good_set": sorted(
-            str(lam) for lam in weights if teleport.retained(lam)
+            key for key, dim in dims.items() if dim["dim_u"] <= dim["dim_v"]
         ),
-        "dims": {
-            str(lam): {"dim_u": dim_u(lam), "dim_v": dim_v(lam)}
-            for lam in weights
-        },
+        "dims": dims,
         "weight_sum": sum(weights.values()),
     }
     _emit_json(payload, _resolve_output(args.output))

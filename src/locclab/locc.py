@@ -190,6 +190,15 @@ def _apply(kraus_list, factor: np.ndarray, party: str) -> tuple[np.ndarray, floa
 
 
 def _check_trace_preserving(ops: list[tuple[str, list[np.ndarray]]], dim: int):
+    """sum_k K^dagger K = 1 within 1e-10, with no copy of an operator of
+    more than ``dim`` rows.
+
+    A short K adds K^dagger K through its conjugate, no larger than the sum.
+    A tall K is read as the real array R = [Re K_0, Im K_0, Re K_1, ...]
+    (a view). Read as complex along its rows, G = R^T R is P with
+    P[2i, j] = (Re K_i . K_j) and P[2i + 1, j] = (Im K_i . K_j), so
+    K^dagger K = P[0::2] - i P[1::2].
+    """
     total = np.zeros((dim, dim), dtype=complex)
     for _, kraus_list in ops:
         for k in kraus_list:
@@ -198,7 +207,12 @@ def _check_trace_preserving(ops: list[tuple[str, list[np.ndarray]]], dim: int):
                 raise ValueError(
                     f"Kraus input dimension {k.shape[1]} != party dimension {dim}"
                 )
-            total += k.conj().T @ k
+            if k.shape[0] <= dim:
+                total += k.conj().T @ k
+            else:
+                parts = np.ascontiguousarray(k, dtype=complex).view(np.float64)
+                pairs = (parts.T @ parts).view(complex)
+                total += pairs[0::2] - 1j * pairs[1::2]
     if np.max(np.abs(total - np.eye(dim))) > 1e-10:
         raise ValueError("instrument maps do not sum to a trace-preserving map")
 
@@ -572,18 +586,18 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
             f"Alice's instrument would have {n_outcomes} outcomes, more than {_PATH_LIMIT}"
         )
     dim = d**n
-    # counted for construction and one run: five d^(3n) arrays, three d^n
+    # counted for construction and one run: four d^(3n) arrays, three d^n
     # rows with their headers per Alice outcome, eight d^(2n) arrays; the
-    # run holds three d^(3n) arrays at most (the embedding, one Bob operator
-    # and the conjugate copy the trace-preservation check makes)
-    nbytes = 16 * (5 * dim**3 + 3 * n_outcomes * (dim + 16) + 8 * dim**2)
+    # run holds two d^(3n) arrays at most (the embedding and one Bob
+    # operator: the trace-preservation check copies no operator)
+    nbytes = 16 * (4 * dim**3 + 3 * n_outcomes * (dim + 16) + 8 * dim**2)
     check_bytes(nbytes, f"teleport_protocol(n={n}, d={d})")
     plan = tp.build_plan(n, d)
     basis = plan.basis
     bmat = basis.matrix
     slices = basis.slices()
 
-    retired = np.hstack([b.vectors for lam, b in basis.blocks.items() if lam not in plan.good])
+    retired = np.hstack([bmat[:, sl] for lam, sl in slices.items() if lam not in plan.good])
     fail = (retired @ retired.T).astype(complex)
 
     def weyl(dv: int, a: int, b: int, sign: int) -> np.ndarray:
@@ -641,15 +655,16 @@ def _teleport_embedding(basis, good) -> np.ndarray:
     register: it moves the received content into the fresh factor and
     installs the maximally entangled multiplicity parts; unused directions
     go to a retired block."""
-    bmat = basis.matrix.astype(complex)
-    dim = bmat.shape[0]
-    junk = next(b.vectors[:, 0] for lam, b in basis.blocks.items() if lam not in good)
-    embed = np.einsum("xc,y->xyc", bmat, junk)  # every column retired at first
-    for lam, sl in basis.slices().items():
+    real = basis.matrix
+    dim = real.shape[0]
+    slices = basis.slices()
+    junk = next(real[:, sl.start] for lam, sl in slices.items() if lam not in good)
+    embed = np.einsum("xc,y->xyc", real.astype(complex), junk)  # every column retired at first
+    for lam, sl in slices.items():
         if lam in good:
             block = basis.blocks[lam]
             du, dv = block.dim_u, block.dim_v
-            vecs = block.vectors.reshape(dim, du, dv)
+            vecs = real[:, sl].reshape(dim, du, dv)
             # column u * dv + v with v < du holds sum_w |v w> (x) |u w> / sqrt(dv)
             cols = embed[:, :, sl].reshape(dim, dim, du, dv)
             cols[..., :du] = np.einsum("xvw,yuw->xyuv", vecs, vecs) / math.sqrt(dv)

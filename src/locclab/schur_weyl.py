@@ -18,6 +18,15 @@ real orthogonal combinations. Realness is what makes the same basis
 usable verbatim on both halves of a bipartite state (the pairing of
 multiplicity indices involves an entrywise conjugate).
 
+Permutations keep the torus weight of a string (its letter counts), so
+every basis vector lies in the span of the strings of one weight w, and
+with rows and columns grouped by weight the basis is block-diagonal. The
+basis is built, stored, saved and loaded as these m_w x m_w blocks, m_w
+the multinomial count of w (Bacon-Chuang-Harrow, arXiv:quant-ph/0407082);
+the dense block columns (``SchurBlock.vectors``) and the dense d^n x d^n
+matrix (``SchurBasis.matrix``) are built on access, for callers that do
+dense arithmetic.
+
 The character route, kept independent of the basis and of the Schur
 evaluator to cross-check both, takes the weights by the Frobenius formula
 from the power traces tr(rho^k), with no d^n array (``weights_by_projector``);
@@ -32,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -51,7 +60,7 @@ from .partitions import (
 )
 from .states import StateVector, bipartite_tensor_power, check_bytes
 
-CONSTRUCTION_VERSION = 2
+CONSTRUCTION_VERSION = 3
 
 _MAX_CHARACTER_N = 14
 _WEIGHT_FLOOR = 1e-14  # blocks at or below this weight are not factored
@@ -99,16 +108,32 @@ def isotypic_projector(lam: Partition, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchurBlock:
-    """Orthonormal vectors of one lambda block.
+    """Orthonormal vectors of one lambda block, stored by torus weight.
 
-    ``vectors`` has shape (d^n, dim_u * dim_v); column u * dim_v + v holds
-    the basis vector with unitary-group index u and multiplicity index v.
+    Column u * dim_v + v holds the basis vector with unitary-group index u
+    and multiplicity index v. The u index runs over torus weights, highest
+    first, so the columns of one weight form one range: ``pieces`` holds,
+    per weight of the block, (rows, first column, amplitudes), the rows
+    being the codes of the strings of that weight and the amplitudes a view
+    of the basis's weight block.
     """
 
     lam: Partition
     dim_u: int
     dim_v: int
-    vectors: np.ndarray
+    size: int  # d^n, the number of rows
+    pieces: tuple[tuple[np.ndarray, int, np.ndarray], ...]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The block's columns as a dense (d^n, dim_u * dim_v) array, built
+        on every access."""
+        width = self.dim_u * self.dim_v
+        check_bytes(8 * self.size * width, f"the dense {self.lam} block")
+        out = np.zeros((self.size, width))
+        for rows, start, amps in self.pieces:
+            out[rows, start : start + amps.shape[1]] = amps
+        return out
 
     def column(self, u: int, v: int) -> np.ndarray:
         return self.vectors[:, u * self.dim_v + v]
@@ -116,9 +141,27 @@ class SchurBlock:
 
 @dataclass(frozen=True)
 class SchurBasis:
+    """Block basis of (C^d)^{(x)n}, stored by torus weight.
+
+    Every column lies in the span of the strings of one torus weight w (one
+    set of letter counts), so with rows and columns grouped by weight the
+    basis is block-diagonal. ``weight_blocks`` holds the m_w x m_w blocks,
+    weights highest first, m_w the multinomial count of w, as views of the
+    flat ``amplitudes``; a block's columns are in increasing matrix-column
+    order. ``rows`` and ``columns`` give the matrix row and column of each
+    weight-block row and column, weight blocks in order. ``kostka[i, w]``
+    is the number of u indices of weight w in the i-th block of
+    ``enumerate_partitions(n, d)``.
+    """
+
     n: int
     d: int
     blocks: dict[Partition, SchurBlock]
+    kostka: np.ndarray
+    amplitudes: np.ndarray
+    weight_blocks: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    columns: np.ndarray
 
     @property
     def partitions(self) -> list[Partition]:
@@ -126,8 +169,24 @@ class SchurBasis:
 
     @property
     def matrix(self) -> np.ndarray:
-        """All basis vectors as columns, blocks in decreasing-lex order."""
-        return np.hstack([b.vectors for b in self.blocks.values()])
+        """All basis vectors as dense columns, blocks in decreasing-lex
+        order, built on every access by one scatter of ``amplitudes``."""
+        dim = self.rows.size
+        check_bytes(2 * 8 * dim * dim, f"the dense basis at n={self.n}, d={self.d}")
+        out = np.zeros(dim * dim)
+        out[self._places] = self.amplitudes
+        return out.reshape(dim, dim)
+
+    @cached_property
+    def _places(self) -> np.ndarray:
+        """Place of each entry of ``amplitudes`` in the flattened matrix,
+        made on the first ``matrix`` access and kept."""
+        dim, at, out = self.rows.size, 0, []
+        for square in self.weight_blocks:
+            span = slice(at, at + len(square))
+            out.append((self.rows[span, None] * dim + self.columns[span]).ravel())
+            at += len(square)
+        return np.concatenate(out)
 
     def slices(self) -> dict[Partition, slice]:
         out = {}
@@ -137,6 +196,92 @@ class SchurBasis:
             out[lam] = slice(offset, offset + width)
             offset += width
         return out
+
+
+@dataclass(frozen=True)
+class _TorusWeights:
+    """The d^length strings of ``length`` letters grouped by torus weight.
+
+    A string's code reads its letters as base-d digits, first letter most
+    significant. Weights are numbered in decreasing lexicographic order of
+    their letter counts (c_0, ..., c_{d-1}), which is increasing order of
+    the code of the sorted string. ``order`` lists the codes weight by
+    weight, each weight's in increasing order, weight w from ``starts[w]``
+    on; ``rank[c]`` is the place of code c among the strings of its weight
+    ``label[c]``.
+    """
+
+    label: np.ndarray
+    rank: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    def rows(self, w: int) -> np.ndarray:
+        return self.order[self.starts[w] : self.starts[w + 1]]
+
+
+def _torus_weights(length: int, d: int) -> _TorusWeights:
+    shape = (d,) * length
+    letters = np.array(np.unravel_index(np.arange(d**length), shape))
+    letters.sort(axis=0)
+    _, label = np.unique(np.ravel_multi_index(tuple(letters), shape), return_inverse=True)
+    order = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.repeat(starts[:-1], sizes)
+    return _TorusWeights(label, rank, order, starts)
+
+
+class _Strings:
+    """The torus weights of the strings of 1..n letters over d
+    (``by_length``), and the permutations that exchange two letters, as
+    maps from each string's place in its weight to the place of its image;
+    made for one build."""
+
+    def __init__(self, n: int, d: int):
+        self.d = d
+        self.by_length = [None] + [_torus_weights(k, d) for k in range(1, n + 1)]
+        self._swaps: dict[tuple[int, int, int], np.ndarray] = {}
+        self._last: dict[tuple[int, int], list[np.ndarray]] = {}
+
+    def swap(self, length: int, i: int, j: int, w: int) -> np.ndarray:
+        """Letters i and j exchanged, on the strings of weight w."""
+        key = (length, i, j)
+        weights = self.by_length[length]
+        if key not in self._swaps:
+            codes = np.arange(self.d**length).reshape((self.d,) * length)
+            self._swaps[key] = weights.rank[codes.swapaxes(i, j).ravel()[weights.order]]
+        return self._swaps[key][weights.starts[w] : weights.starts[w + 1]]
+
+    def swaps_with_last(self, length: int, w: int) -> list[np.ndarray]:
+        """``swap(length, i, length - 1, w)`` for every i < length - 1: the
+        terms of the Jucys-Murphy element of the last letter."""
+        if (length, w) not in self._last:
+            last = length - 1
+            self._last[length, w] = [self.swap(length, i, last, w) for i in range(last)]
+        return self._last[length, w]
+
+
+def _same_weight_pairs(n: int, d: int) -> int:
+    """Sum over the torus weights w of n letters of m_w^2: the pairs of
+    strings with the same letter counts. Splitting the alphabet into a and
+    b letters, S(a + b, j) = sum_k C(j, k)^2 S(a, k) S(b, j - k); d letters
+    are reached by squaring."""
+
+    def join(s, t):
+        return [
+            sum(math.comb(j, k) ** 2 * s[k] * t[j - k] for k in range(j + 1))
+            for j in range(n + 1)
+        ]
+
+    out, power = [1] + [0] * n, [1] * (n + 1)
+    while d:
+        if d & 1:
+            out = join(out, power)
+        power = join(power, power)
+        d >>= 1
+    return out[n]
 
 
 def _contents(word: tuple[int, ...]) -> list[int]:
@@ -149,102 +294,220 @@ def _contents(word: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _swap_factors(vecs: np.ndarray, n: int, d: int, i: int, j: int) -> np.ndarray:
-    """Each column of vecs with tensor factors i and j exchanged."""
-    tensor = vecs.reshape((d,) * n + vecs.shape[1:])
-    return np.swapaxes(tensor, i, j).reshape(vecs.shape)
-
-
-def _reference_vectors(lam: Partition, d: int) -> np.ndarray:
-    """The u basis of the lam block, on its row-reading tableau T0.
+def _reference_vectors(lam: Partition, d: int, strings: _Strings, path: list) -> list:
+    """The u basis of the lam block, on its row-reading tableau T0, as
+    (w, amplitudes on the strings of weight w) per torus weight w, highest
+    first.
 
     Letter by letter, the space W built so far is widened to W (x) C^d,
     compressed onto X_k = sum_{i<k} (i k), and cut to the eigenvectors of
     eigenvalue c_k(T0); the eigenvalues are integers, so the cut is exact.
-    Permutations keep the torus weight (the letter counts of a
-    computational basis state), so each weight is diagonalized apart. The
-    columns come out ordered by weight, highest first, each with its first
-    non-zero entry positive.
+    Permutations keep the torus weight, so each weight is widened and
+    diagonalized on its own strings. Each column's first non-zero entry is
+    positive.
+
+    The spaces depend only on the word read so far. ``path`` holds (letter,
+    spaces after it) along the word of the block built before and is cut
+    back to the prefix the two words share, then extended along this one;
+    blocks in decreasing lex order have their words in increasing lex
+    order, so the block before shares the longest prefix.
     """
     word = tuple(row for row, part in enumerate(lam.parts) for _ in range(part))
     contents = _contents(word)
-    units = [tuple(int(a == b) for a in range(d)) for b in range(d)]
-    vecs, weights = np.eye(d), units
-    filled = [1] + [0] * (d - 1)
-    for k in range(1, lam.n):
-        wide = np.kron(vecs, np.eye(d))
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for col, (w, e) in enumerate(itertools.product(weights, units)):
-            groups.setdefault(tuple(map(sum, zip(w, e))), []).append(col)
-        kept, weights = [], []
-        for label, cols in groups.items():
-            part = wide[:, cols]
-            x = sum(_swap_factors(part, k + 1, d, i, k) for i in range(k))
-            evals, evecs = np.linalg.eigh(part.T @ x)
+    shared = 1  # every word starts with letter 0
+    while shared < min(len(path), lam.n) and path[shared][0] == word[shared]:
+        shared += 1
+    del path[shared:]
+    if not path:
+        path.append((0, [(b, np.ones((1, 1))) for b in range(d)]))  # letter b has weight b
+    for k in range(shared, lam.n):
+        short, wide = strings.by_length[k], strings.by_length[k + 1]
+        parts: dict[int, list] = {}
+        for w, vecs in path[-1][1]:
+            codes = short.rows(w) * d
+            for b in range(d):
+                wide_w = int(wide.label[codes[0] + b])
+                parts.setdefault(wide_w, []).append((codes + b, vecs))
+        built, grams = [], []
+        for w, cands in parts.items():
+            part = np.zeros((len(wide.rows(w)), sum(v.shape[1] for _, v in cands)))
+            col = 0
+            for codes, vecs in cands:
+                part[wide.rank[codes], col : col + vecs.shape[1]] = vecs
+                col += vecs.shape[1]
+            x = sum(part[swap] for swap in strings.swaps_with_last(k + 1, w))
+            built.append((w, part))
+            grams.append(part.T @ x)
+        groups = []
+        for (w, part), (evals, evecs) in zip(built, _eigh_all(grams)):
             keep = np.abs(evals - contents[k]) < 0.5
-            kept.append(part @ evecs[:, keep])
-            weights += [label] * int(keep.sum())
-        vecs = np.hstack(kept)
-        filled[word[k]] += 1
-        want = dim_u(Partition(tuple(filled)))
-        if vecs.shape[1] != want:
+            if keep.any():
+                groups.append((w, part @ evecs[:, keep]))
+        want = dim_u(Partition(tuple(word[: k + 1].count(row) for row in range(d))))
+        got = sum(vecs.shape[1] for _, vecs in groups)
+        if got != want:
             raise BasisAlignmentError(
-                f"eigenspace of {lam} at letter {k + 1} has dimension "
-                f"{vecs.shape[1]}, not dim_u = {want}"
+                f"eigenspace of {lam} at letter {k + 1} has dimension {got}, "
+                f"not dim_u = {want}"
             )
-    vecs = vecs[:, sorted(range(len(weights)), key=weights.__getitem__, reverse=True)]
-    first = np.argmax(np.abs(vecs) > 1e-10, axis=0)
-    return vecs * np.sign(vecs[first, np.arange(vecs.shape[1])])
+        path.append((word[k], groups))
+    out = []
+    for w, vecs in sorted(path[-1][1], key=lambda group: group[0]):
+        first = np.argmax(np.abs(vecs) > 1e-10, axis=0)
+        out.append((w, vecs * np.sign(vecs[first, np.arange(vecs.shape[1])])))
+    return out
 
 
-def _block_vectors(lam: Partition, d: int) -> np.ndarray:
-    """Columns of the lam block, column u * dim_v + v.
+def _eigh_all(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``np.linalg.eigh`` of each matrix, in one call per size."""
+    out: list = [None] * len(grams)
+    by_size: dict[int, list[int]] = {}
+    for at, gram in enumerate(grams):
+        by_size.setdefault(len(gram), []).append(at)
+    for at in by_size.values():
+        evals, evecs = np.linalg.eigh(np.stack([grams[i] for i in at]))
+        for i, pair in zip(at, zip(evals, evecs)):
+            out[i] = pair
+    return out
 
-    Tableau v is the v-th word of ``standard_tableaux(lam)``. Every
-    tableau T after the first has a descent k (letter k + 1 in a lower row
-    than letter k + 2), and swapping the two gives an earlier tableau P.
-    Young's orthogonal form, s_k v_P = v_P / r + sqrt(1 - 1/r^2) v_T with
-    r = c_{k+1}(P) - c_k(P), then yields v_T from v_P. s_k commutes with
-    the unitary action, so the u index stays aligned across tableaux.
+
+def _young_steps(lam: Partition) -> list[tuple[int, int, int]]:
+    """(k, earlier tableau, r) for every standard tableau after the first.
+
+    Tableau v is the v-th word of ``standard_tableaux(lam)``. Every tableau
+    T after the first has a descent k (letter k + 1 in a lower row than
+    letter k + 2), and swapping the two gives an earlier tableau P. Young's
+    orthogonal form, s_k v_P = v_P / r + sqrt(1 - 1/r^2) v_T with
+    r = c_{k+1}(P) - c_k(P), then yields v_T from v_P.
     """
-    n = lam.n
     words = standard_tableaux(lam)
-    ref = _reference_vectors(lam, d)
-    copies = np.empty((len(words),) + ref.shape)
-    copies[0] = ref
     index = {word: v for v, word in enumerate(words)}
-    for v, word in enumerate(words[1:], 1):
-        k = next(k for k in range(n - 1) if word[k] > word[k + 1])
+    steps = []
+    for word in words[1:]:
+        k = next(k for k in range(lam.n - 1) if word[k] > word[k + 1])
         prev = word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
-        c = _contents(prev)
-        r = c[k + 1] - c[k]
-        src = copies[index[prev]]
-        copies[v] = (_swap_factors(src, n, d, k, k + 1) - src / r) / math.sqrt(
-            1 - 1 / r**2
-        )
-    return np.ascontiguousarray(copies.transpose(1, 2, 0)).reshape(d**n, -1)
+        # in P, letter k + 1 sits in row a = word[k] and letter k in row
+        # b = word[k + 1], each after the letters of word[:k] in its row
+        a, b = word[k], word[k + 1]
+        r = (word[:k].count(a) - a) - (word[:k].count(b) - b)
+        steps.append((k, index[prev], r))
+    return steps
+
+
+def _young_form(ref: list, steps: list, strings: _Strings, n: int) -> np.ndarray:
+    """The block's amplitudes for every tableau, one row per tableau v:
+    weight by weight as in ``ref``, the (string, u) entries of that weight,
+    row-major. Row 0 is ``ref``; each later row comes from an earlier one
+    by Young's orthogonal form, s_k applied as a row permutation within
+    each weight."""
+    places, size = [], 0  # the place of each (string, u) entry in a row
+    for _, vecs in ref:
+        places.append(size + np.arange(vecs.size).reshape(vecs.shape))
+        size += vecs.size
+    copies = np.empty((len(steps) + 1, size))
+    copies[0] = np.concatenate([vecs for _, vecs in ref], axis=None)
+    swaps: dict[int, np.ndarray] = {}
+    for v, (k, prev, r) in enumerate(steps, 1):
+        if k not in swaps:
+            # where s_k v_P reads each entry: the string with letters k and
+            # k + 1 exchanged, the same u
+            swaps[k] = np.concatenate(
+                [at[strings.swap(n, k, k + 1, w)] for at, (w, _) in zip(places, ref)], axis=None
+            )
+        src = copies[prev]
+        copies[v] = (src[swaps[k]] - src / r) / math.sqrt(1 - 1 / r**2)
+    return copies
 
 
 def build_schur_basis(n: int, d: int, seed: int | None = None) -> SchurBasis:
     """Deterministic orthonormal block basis of (C^d)^{(x)n}, the
-    Young-Yamanouchi basis.
+    Young-Yamanouchi basis, built weight block by weight block.
 
     Column (u, v) of block lam is an eigenvector of every Jucys-Murphy
     element X_k = sum_{i<k} (i k) with eigenvalue the content of letter k
     in the v-th standard tableau of ``standard_tableaux(lam)``
     (Okounkov-Vershik). The u basis is built on the row-reading tableau
-    and carried to the others by Young's orthogonal form, so it is the same
-    for every v. Permutations are applied as axis swaps of the reshaped
-    vectors, never as matrices. ``seed`` is ignored; it is accepted for
-    callers that still pass one. The byte count is the output and one
-    block copy while it is built.
+    and carried to the others by Young's orthogonal form (``_young_steps``),
+    so it is the same for every v; s_k commutes with the unitary action, so
+    the u index stays aligned across tableaux. Permutations keep the torus
+    weight and are applied as row permutations within each weight, never
+    as matrices. ``seed`` is ignored; it is accepted for callers that still
+    pass one.
     """
-    check_bytes(2 * 8 * d ** (2 * n), f"the block basis at n={n}, d={d}")
-    blocks = {
-        lam: SchurBlock(lam, dim_u(lam), dim_v(lam), _block_vectors(lam, d))
-        for lam in enumerate_partitions(n, d)
-    }
-    return SchurBasis(n, d, blocks)
+    # the weight blocks and the Young copies of one block, both at most
+    # sum_w m_w^2 floats; 2 KiB per string for the reference vectors, the
+    # index arrays and the small arrays and records kept per weight, which
+    # set the peak when there are few letters over many
+    nbytes = 16 * _same_weight_pairs(n, d) + 2048 * d**n
+    check_bytes(nbytes, f"the block basis at n={n}, d={d}")
+    partitions = enumerate_partitions(n, d)
+    strings = _Strings(n, d)
+    weights = strings.by_length[n]
+    sizes = np.diff(weights.starts)
+    amplitudes = np.empty(int(sizes @ sizes))
+    squares = _weight_blocks(amplitudes, sizes)
+    kostka = np.zeros((len(partitions), sizes.size), dtype=np.int64)
+    filled = np.zeros_like(sizes)
+    path: list = []
+    for row, lam in enumerate(partitions):
+        ref = _reference_vectors(lam, d, strings, path)
+        copies = _young_form(ref, _young_steps(lam), strings, n)
+        end = 0
+        for w, vecs in ref:
+            m, c = vecs.shape
+            start, stop = filled[w], filled[w] + c * len(copies)
+            if stop > m:
+                raise BasisAlignmentError(f"more than m_w = {m} columns of weight {w}")
+            # column u * dim_v + v of the block; the reshape of the column
+            # range is a view, as its rows are contiguous
+            cols = squares[w][:, start:stop].reshape(m, c, len(copies))
+            entries = copies[:, end : end + vecs.size].reshape(-1, m, c)
+            cols[...] = entries.transpose(1, 2, 0)
+            kostka[row, w], filled[w] = c, stop
+            end += vecs.size
+    if np.any(filled != sizes):
+        raise BasisAlignmentError("the weight blocks are not filled")
+    return _assemble(n, d, kostka, amplitudes, weights)
+
+
+def _weight_blocks(amplitudes: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The m_w x m_w blocks, one after the other in ``amplitudes``, as views."""
+    ends = np.cumsum(sizes * sizes)
+    return tuple(
+        amplitudes[end - m * m : end].reshape(m, m) for m, end in zip(sizes, ends)
+    )
+
+
+def _assemble(
+    n: int, d: int, kostka: np.ndarray, amplitudes: np.ndarray, weights: _TorusWeights
+) -> SchurBasis:
+    """The basis with weight blocks ``amplitudes`` and u counts ``kostka``:
+    each block's pieces, and the matrix row and column of each weight-block
+    row and column."""
+    sizes = np.diff(weights.starts)
+    squares = _weight_blocks(amplitudes, sizes)
+    rows = [weights.rows(w) for w in range(sizes.size)]
+    filled = [0] * sizes.size
+    spans = []  # (weight, first matrix column, width), block by block
+    blocks = {}
+    offset = 0
+    for lam, counts in zip(enumerate_partitions(n, d), kostka.tolist()):
+        du, dv = dim_u(lam), dim_v(lam)
+        pieces, u = [], 0
+        for w, count in enumerate(counts):
+            if count:
+                start, width = filled[w], count * dv
+                pieces.append((rows[w], u * dv, squares[w][:, start : start + width]))
+                spans.append((w, offset + u * dv, width))
+                filled[w] += width
+                u += count
+        blocks[lam] = SchurBlock(lam, du, dv, d**n, tuple(pieces))
+        offset += du * dv
+    spans.sort(key=lambda span: span[0])  # stable: blocks in order within a weight
+    _, first, width = np.array(spans).T
+    # the columns of each span, the spans one after the other
+    columns = np.repeat(first - (np.cumsum(width) - width), width) + np.arange(width.sum())
+    return SchurBasis(n, d, blocks, kostka, amplitudes, squares, weights.order, columns)
 
 
 @lru_cache(maxsize=32)
@@ -263,17 +526,13 @@ schur_basis.cache_info = _memo_basis.cache_info
 
 
 def save_basis(basis: SchurBasis, path: str | Path) -> Path:
-    """Serialize a basis to a versioned binary cache file."""
+    """Serialize a basis to a versioned binary cache file: the weight
+    blocks, flat, and the u counts per block and weight."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
-    payload: dict[str, np.ndarray] = {
-        "meta": np.array([basis.n, basis.d, CONSTRUCTION_VERSION], dtype=np.int64)
-    }
-    for lam, block in basis.blocks.items():
-        key = "block_" + "_".join(str(p) for p in lam.parts)
-        payload[key] = block.vectors
-    np.savez(path, **payload)
+    meta = np.array([basis.n, basis.d, CONSTRUCTION_VERSION], dtype=np.int64)
+    np.savez(path, meta=meta, kostka=basis.kostka, amplitudes=basis.amplitudes)
     return path
 
 
@@ -286,12 +545,14 @@ def load_basis(path: str | Path) -> SchurBasis:
                 f"cache version {meta[-1]} != supported {CONSTRUCTION_VERSION}"
             )
         n, d = meta[:2]
-        blocks: dict[Partition, SchurBlock] = {}
-        for lam in enumerate_partitions(n, d):
-            key = "block_" + "_".join(str(p) for p in lam.parts)
-            vectors = data[key]
-            blocks[lam] = SchurBlock(lam, dim_u(lam), dim_v(lam), vectors)
-    return SchurBasis(n, d, blocks)
+        kostka, amplitudes = data["kostka"], data["amplitudes"]
+    weights = _torus_weights(n, d)
+    sizes = np.diff(weights.starts)
+    if kostka.shape != (len(enumerate_partitions(n, d)), sizes.size) or (
+        amplitudes.shape != (sizes @ sizes,)
+    ):
+        raise ValueError(f"{path} does not hold the weight blocks of n={n}, d={d}")
+    return _assemble(n, d, kostka, amplitudes, weights)
 
 
 def load_or_build_basis(

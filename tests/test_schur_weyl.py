@@ -36,6 +36,7 @@ from locclab.states import (
     state_from_schmidt,
 )
 from locclab.teleport import sample_haar_unitary
+from tests_support import dense_basis_matrix
 
 
 def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
@@ -190,6 +191,32 @@ def test_basis_deterministic():
     b = build_schur_basis(4, 3, seed=0)
     for lam in a.blocks:
         assert np.array_equal(a.blocks[lam].vectors, b.blocks[lam].vectors)
+
+
+ORACLE_SIZES = [(n, d) for d in range(1, 46) for n in range(1, 12) if d**n <= 2048]
+
+
+@pytest.mark.parametrize("n,d", ORACLE_SIZES)
+def test_weight_blocks_match_the_dense_construction(n, d):
+    basis = build_schur_basis(n, d)
+    dense = dense_basis_matrix(n, d)
+    for lam, sl in basis.slices().items():
+        vectors = basis.blocks[lam].vectors
+        assert vectors.shape == dense[:, sl].shape
+        assert np.max(np.abs(vectors - dense[:, sl]), initial=0.0) <= 1e-15, str(lam)
+    assert np.max(np.abs(basis.matrix - dense)) <= 1e-15
+
+
+@pytest.mark.parametrize("n,d", [(12, 2), (6, 3), (5, 4), (3, 7)])
+def test_basis_stores_only_the_weight_blocks(n, d):
+    basis = build_schur_basis(n, d)
+    weights = sorted(
+        (w for w in itertools.product(range(n + 1), repeat=d) if sum(w) == n), reverse=True
+    )
+    counts = [math.factorial(n) // math.prod(map(math.factorial, w)) for w in weights]
+    assert [len(square) for square in basis.weight_blocks] == counts
+    assert basis.amplitudes.size == sum(m * m for m in counts)
+    assert schur_weyl._same_weight_pairs(n, d) == sum(m * m for m in counts)
 
 
 def jucys_murphy(k: int, n: int, d: int) -> np.ndarray:
@@ -528,6 +555,25 @@ def test_basis_round_trip_bit_identical(tmp_path):
     assert loaded.n == 4 and loaded.d == 2
     for lam in basis.blocks:
         assert np.array_equal(basis.blocks[lam].vectors, loaded.blocks[lam].vectors)
+
+
+def test_saved_basis_holds_only_the_weight_blocks(tmp_path):
+    basis = build_schur_basis(10, 2)
+    path = save_basis(basis, tmp_path / "basis")
+    pairs = sum(len(square) ** 2 for square in basis.weight_blocks)
+    assert path.stat().st_size <= 8 * pairs + 64 * 1024
+
+
+@pytest.mark.parametrize("cut", [-5, 3])
+def test_load_basis_rejects_blocks_of_another_size(tmp_path, cut):
+    path = save_basis(build_schur_basis(4, 3), tmp_path / "basis")
+    with np.load(path) as data:
+        payload = dict(data)
+    amplitudes = payload["amplitudes"]
+    payload["amplitudes"] = amplitudes[:cut] if cut < 0 else np.append(amplitudes, [0.0] * cut)
+    np.savez(path, **payload)
+    with pytest.raises(ValueError, match="weight blocks"):
+        load_basis(path)
 
 
 def test_load_basis_rejects_the_previous_version(tmp_path):

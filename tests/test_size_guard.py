@@ -26,6 +26,7 @@ from locclab.teleport import run_teleport
 
 PHI = state_from_schmidt((0.7, 0.3))
 BELL = bell_state(2)
+BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
 
 
 def traced_peak(fn) -> int:
@@ -58,6 +59,8 @@ GUARDED_CALLS = {
     "permutation_operator": lambda: permutation_operator(tuple(np.roll(range(10), 1)), 2),
     "isotypic_projector": lambda: isotypic_projector(Partition((5, 5)), 2),
     "build_schur_basis": lambda: build_schur_basis(10, 2),
+    "SchurBlock.vectors": lambda: BASIS.blocks[Partition((6, 4))].vectors,
+    "SchurBasis.matrix": lambda: BASIS.matrix,
     "standard_form": lambda: standard_form(PHI, 8),
     "run_teleport": lambda: run_teleport(PHI, 8, 0),
     "teleport_protocol": lambda: teleport_protocol(5, 2),
@@ -98,7 +101,7 @@ def _protocol_run(n):
 
 # (call at d = 2, its largest n admitted by a 2^24 budget)
 EDGES = {
-    "build_schur_basis": (lambda n: lambda: build_schur_basis(n, 2), 10),
+    "build_schur_basis": (lambda n: lambda: build_schur_basis(n, 2), 11),
     "standard_form": (lambda n: lambda: standard_form(PHI, n), 8),
     "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 8),
     "teleport_protocol": (_protocol_run, 5),
@@ -114,6 +117,14 @@ def test_declared_bytes_bound_the_peak_at_the_admitted_edge(name, declared):
     assert peak <= declared[0]
     with pytest.raises(ValueError):
         call(n + 1)()
+
+
+@pytest.mark.parametrize("n,d", [(2, 16), (2, 32), (3, 12), (3, 16)])
+def test_basis_build_peak_within_its_count_at_large_d(n, d, declared):
+    # few letters over many: the per-weight arrays and records, not the
+    # weight blocks, set the peak here
+    peak = traced_peak(lambda: build_schur_basis(n, d))
+    assert peak <= declared[0]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
 """Shared test helpers."""
 
+import itertools
+import math
+
 import numpy as np
 
 from locclab.models import PureStateModel
+from locclab.partitions import Partition, dim_u, enumerate_partitions, standard_tableaux
 
 
 def random_two_param_model(seed: int) -> PureStateModel:
@@ -31,3 +35,97 @@ def random_two_param_model(seed: int) -> PureStateModel:
         return u1 @ (-1j * gens[1]) @ u2 @ psi0
 
     return PureStateModel(2, state, deriv, name=f"random-{seed}")
+
+
+# ----------------------------------------------------------------------
+# the dense block basis: every column on all d^n rows, the construction the
+# library used before it stored the basis by torus weight; kept as the
+# oracle the weight-block build is compared with. Its two matrix products
+# run over the rows of the group's weight, the only non-zero rows of
+# ``part``: over all d^(k+1) rows BLAS sums in another order, and where a
+# weight holds more than one u vector (d >= 3) that rounding rotates the
+# eigenvectors within the degenerate eigenspace.
+
+
+def _contents(word: tuple[int, ...]) -> list[int]:
+    """Content (column minus row) of each letter of a Yamanouchi word."""
+    filled = [0] * (max(word) + 1)
+    out = []
+    for row in word:
+        out.append(filled[row] - row)
+        filled[row] += 1
+    return out
+
+
+def _swap_factors(vecs: np.ndarray, n: int, d: int, i: int, j: int) -> np.ndarray:
+    """Each column of vecs with tensor factors i and j exchanged."""
+    tensor = vecs.reshape((d,) * n + vecs.shape[1:])
+    return np.swapaxes(tensor, i, j).reshape(vecs.shape)
+
+
+def _letter_counts(length: int, d: int) -> np.ndarray:
+    """Torus weight (letter counts) of each of the d^length strings."""
+    letters = np.indices((d,) * length).reshape(length, -1)
+    return (letters[:, :, None] == np.arange(d)).sum(axis=0)
+
+
+def dense_reference_vectors(lam: Partition, d: int) -> np.ndarray:
+    """The u basis of the lam block on its row-reading tableau, as d^n x
+    dim_u columns: W (x) C^d compressed onto X_k = sum_{i<k} (i k) per
+    torus weight, cut to the eigenvalue c_k, ordered by weight, highest
+    first, each column's first non-zero entry positive."""
+    word = tuple(row for row, part in enumerate(lam.parts) for _ in range(part))
+    contents = _contents(word)
+    units = [tuple(int(a == b) for a in range(d)) for b in range(d)]
+    vecs, weights = np.eye(d), units
+    filled = [1] + [0] * (d - 1)
+    for k in range(1, lam.n):
+        wide = np.kron(vecs, np.eye(d))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for col, (w, e) in enumerate(itertools.product(weights, units)):
+            groups.setdefault(tuple(map(sum, zip(w, e))), []).append(col)
+        kept, weights = [], []
+        rows_of: dict[tuple[int, ...], list[int]] = {}
+        for row, label in enumerate(map(tuple, _letter_counts(k + 1, d).tolist())):
+            rows_of.setdefault(label, []).append(row)
+        for label, cols in groups.items():
+            part = wide[:, cols]
+            x = sum(_swap_factors(part, k + 1, d, i, k) for i in range(k))
+            rows = rows_of[label]
+            evals, evecs = np.linalg.eigh(part[rows].T @ x[rows])
+            keep = np.abs(evals - contents[k]) < 0.5
+            kept.append(np.zeros((d ** (k + 1), int(keep.sum()))))
+            kept[-1][rows] = part[rows] @ evecs[:, keep]
+            weights += [label] * int(keep.sum())
+        vecs = np.hstack(kept)
+        filled[word[k]] += 1
+        assert vecs.shape[1] == dim_u(Partition(tuple(filled)))
+    vecs = vecs[:, sorted(range(len(weights)), key=weights.__getitem__, reverse=True)]
+    first = np.argmax(np.abs(vecs) > 1e-10, axis=0)
+    return vecs * np.sign(vecs[first, np.arange(vecs.shape[1])])
+
+
+def dense_block_vectors(lam: Partition, d: int) -> np.ndarray:
+    """Columns u * dim_v + v of the lam block on all d^n rows: Young's
+    orthogonal form carries the reference vectors to tableau v."""
+    n = lam.n
+    words = standard_tableaux(lam)
+    ref = dense_reference_vectors(lam, d)
+    copies = np.empty((len(words),) + ref.shape)
+    copies[0] = ref
+    index = {word: v for v, word in enumerate(words)}
+    for v, word in enumerate(words[1:], 1):
+        k = next(k for k in range(n - 1) if word[k] > word[k + 1])
+        prev = word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
+        c = _contents(prev)
+        r = c[k + 1] - c[k]
+        src = copies[index[prev]]
+        copies[v] = (_swap_factors(src, n, d, k, k + 1) - src / r) / math.sqrt(
+            1 - 1 / r**2
+        )
+    return np.ascontiguousarray(copies.transpose(1, 2, 0)).reshape(d**n, -1)
+
+
+def dense_basis_matrix(n: int, d: int) -> np.ndarray:
+    """All dense block columns, blocks in ``enumerate_partitions`` order."""
+    return np.hstack([dense_block_vectors(lam, d) for lam in enumerate_partitions(n, d)])
