@@ -45,14 +45,19 @@ def _emit_json(payload: dict, path: Path | None):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
-def _parse_state(text: str, d: int) -> tuple[StateVector, tuple[float, ...]]:
-    """A preset name ('bell', 'product') or a comma-separated Schmidt list,
-    as the state and its Schmidt spectrum."""
-    if text == "bell":
-        return bell_state(d), (1.0 / d,) * d
-    if text == "product":
+def _parse_state(text: str, d: int | None) -> tuple[StateVector, tuple[float, ...]]:
+    """A preset name ('bell', 'product') of local dimension d (default 2) or
+    a comma-separated Schmidt list, as the state and its Schmidt spectrum. A
+    d given beside a list must be the list's length (UsageError)."""
+    if text in ("bell", "product"):
+        d = 2 if d is None else d
+        if text == "bell":
+            return bell_state(d), (1.0 / d,) * d
         return product_state(d), (1.0,) + (0.0,) * (d - 1)
-    spectrum = as_spectrum([float(x) for x in text.split(",")])
+    values = [float(x) for x in text.split(",")]
+    if d is not None and d != len(values):
+        raise UsageError(f"--d {d} disagrees with the {len(values)} Schmidt coefficients {text}")
+    spectrum = as_spectrum(values)
     return state_from_schmidt(spectrum), spectrum
 
 
@@ -258,6 +263,9 @@ class UsageError(Exception):
     pass
 
 
+_D_HELP = "local dimension of a preset (default 2); beside a Schmidt list, its length"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locclab",
@@ -284,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_state(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None, help=_D_HELP)
     add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("teleport", help="run the transfer protocol end to end")
     add_state(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None, help=_D_HELP)
     add_common(p)
     p.set_defaults(func=cmd_teleport)
 
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="local state-detection sufficient condition")
     p.add_argument("--states", nargs="+", required=True,
                    help="presets or Schmidt lists, e.g. bell 0.8,0.2")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None, help=_D_HELP)
     add_common(p)
     p.set_defaults(func=cmd_detect)
 

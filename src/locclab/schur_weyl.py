@@ -576,11 +576,12 @@ def load_or_build_basis(
 class StandardForm:
     """Per-block decomposition data of the n-fold power of a bipartite state.
 
-    weights[lam] is the squared amplitude q_lambda; phi[lam] the normalized
-    state on the paired unitary-group factors; entangled[lam] the extracted
-    multiplicity-factor state, which is maximally entangled and independent
-    of the input state. Blocks with negligible weight carry no phi/entangled
-    entry.
+    weights[lam] is the squared amplitude q_lambda, the squared norm of the
+    block; phi[lam] the normalized state on the paired unitary-group
+    factors; entangled[lam] the multiplicity-factor state the block was
+    verified against, sum_v |v v> / sqrt(dim_v), which does not depend on
+    the input state. Blocks of weight at or below 1e-14 carry no
+    phi/entangled entry.
     """
 
     n: int
@@ -619,10 +620,15 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
     """Decompose |phi>^{(x)n} into weights, paired-block states, and
     maximally entangled multiplicity parts.
 
-    The same block basis is used on both halves; the coefficient matrix in
-    that basis is block-diagonal with multiplicity indices paired one-to-one,
-    which is verified (cross blocks below 1e-10, factorization residual
-    below 1e-8) rather than assumed.
+    The same real basis B is used on both halves, so by Schur-Weyl duality
+    block lam of B^T psi B is its u part x_lam (x) sum_v |v v> / sqrt(dim_v),
+    whose multiplicity factor does not depend on phi (Harrow,
+    arXiv:quant-ph/0512255). This is verified: the amplitude outside the
+    diagonal blocks is at most 1e-10, and each block differs from that
+    product by at most 1e-8 of its norm, x_lam being its partial trace over
+    v divided by sqrt(dim_v). Blocks of weight at most 1e-14 are not
+    factored; their residuals join the cross-block amplitude in a
+    reassembly residual, at most 1e-8.
     """
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
@@ -632,24 +638,17 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
     phi = phi.require_normalized()
     basis = schur_basis(n, d)
 
-    psi = bipartite_tensor_power(phi, n)
     bmat = basis.matrix
-    coeff = bmat.T @ psi @ bmat
+    coeff = bmat.T @ bipartite_tensor_power(phi, n) @ bmat
     slices = basis.slices()
 
-    # inequivalent blocks must not mix
-    residual_sq = 0.0
-    for lam_a, sl_a in slices.items():
-        for lam_b, sl_b in slices.items():
-            if lam_a == lam_b:
-                continue
-            cross = np.linalg.norm(coeff[sl_a, sl_b])
-            if cross > 1e-10:
-                raise BasisAlignmentError(
-                    f"cross-block amplitude {cross:.2e} between {lam_a} and {lam_b}"
-                )
-            residual_sq += float(cross**2)
+    # inequivalent blocks must not mix: the owner of each row and column
+    owner = np.repeat(np.arange(len(slices)), [sl.stop - sl.start for sl in slices.values()])
+    cross = float(np.linalg.norm(coeff[owner[:, None] != owner]))
+    if cross > 1e-10:
+        raise BasisAlignmentError(f"cross-block amplitude {cross:.2e} above 1e-10")
 
+    residual_sq = cross**2
     weights: dict[Partition, float] = {}
     phis: dict[Partition, StateVector] = {}
     ents: dict[Partition, StateVector] = {}
@@ -659,32 +658,19 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
         fb = coeff[sl, sl].reshape(du, dv, du, dv)
         q = float(np.linalg.norm(fb) ** 2)
         weights[lam] = q
+        ent = np.eye(dv) / math.sqrt(dv)
+        u_part = np.einsum("avbv->ab", fb) / math.sqrt(dv)
+        residual = float(np.linalg.norm(fb - np.einsum("ab,vw->avbw", u_part, ent)))
         if q <= _WEIGHT_FLOOR:
-            residual_sq += q
+            residual_sq += residual**2
             continue
-        g = fb.transpose(0, 2, 1, 3).reshape(du * du, dv * dv)
-        left, svals, right = np.linalg.svd(g, full_matrices=False)
-        if svals.size > 1 and svals[1] > 1e-8 * svals[0]:
+        if residual > 1e-8 * math.sqrt(q):
             raise BasisAlignmentError(
-                f"block {lam} does not factor: singular values {svals[:3]}"
+                f"block {lam} does not factor against the maximally entangled "
+                f"multiplicity state: residual {residual / math.sqrt(q):.2e} of its norm"
             )
-        u_vec = left[:, 0]
-        v_vec = right[0, :]
-        k = int(np.argmax(np.abs(v_vec)))
-        phase = v_vec[k] / abs(v_vec[k])
-        u_vec = u_vec * phase
-        v_vec = v_vec / phase
-        rebuilt = (svals[0] * np.outer(u_vec, v_vec)).reshape(du, du, dv, dv)
-        residual_sq += float(np.linalg.norm(fb - rebuilt.transpose(0, 2, 1, 3)) ** 2)
-
-        ent = StateVector(v_vec, (dv, dv))
-        schmidt = ent.schmidt_coefficients()
-        if np.max(np.abs(schmidt - 1.0 / dv)) > 1e-8:
-            raise BasisAlignmentError(
-                f"multiplicity part of {lam} is not maximally entangled: {schmidt}"
-            )
-        phis[lam] = StateVector(u_vec, (du, du))
-        ents[lam] = ent
+        phis[lam] = StateVector(u_part, (du, du)).normalized()
+        ents[lam] = StateVector(ent, (dv, dv))
 
     if math.sqrt(residual_sq) > 1e-8:
         raise BasisAlignmentError(

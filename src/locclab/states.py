@@ -116,11 +116,13 @@ def bipartite_tensor_power(phi: StateVector, n: int) -> np.ndarray:
 
     The n-fold power of a bipartite state interleaves A and B factors; this
     reorders them to (A_1..A_n, B_1..B_n) and reshapes to a d^n x d^n matrix,
-    which equals the n-fold Kronecker power of the amplitude matrix.
+    which equals the n-fold Kronecker power of the amplitude matrix. Each
+    factor is one broadcast product, entry for entry the product ``np.kron``
+    forms.
     """
     m = phi.amplitude_matrix()
     check_bytes(32 * m.size**n, f"the {n}-fold tensor power")  # and the one before
     out = np.array([[1.0 + 0j]])
     for _ in range(n):
-        out = np.kron(out, m)
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(out.shape[0] * len(m), -1)
     return out

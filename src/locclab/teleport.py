@@ -21,8 +21,8 @@ import numpy as np
 
 from .locc import LoccTranscript, Message, _as_generator
 from .partitions import Partition, as_spectrum, dim_u, dim_v, enumerate_partitions
-from .schur_weyl import SchurBasis, schur_basis, weights_analytic
-from .states import StateVector, bipartite_tensor_power, check_bytes
+from .schur_weyl import SchurBasis, schur_basis, standard_form, weights_analytic
+from .states import StateVector, check_bytes
 
 
 class NothingToTeleportError(RuntimeError):
@@ -96,12 +96,21 @@ def build_plan(n: int, d: int) -> TeleportPlan:
     return TeleportPlan(n, d, tuple(good_set(n, d)), schur_basis(n, d))
 
 
-def _outcome_schur_vector(
+def kraus_operator(
     plan: TeleportPlan, unitaries: Mapping[Partition, np.ndarray]
 ) -> np.ndarray:
-    """Measurement-vector coordinates in the block basis for one outcome."""
-    dim = plan.d**plan.n
-    vec = np.zeros(dim, dtype=complex)
+    """The outcome operator for one sampled tuple of unitaries, as a
+    (1, d^n) matrix on Alice's space in the computational basis.
+
+    In block coordinates it reads sqrt(dim_v) U[v, u] at (u, v) of each
+    retained block, for u < dim_u. It annihilates every block outside the
+    good set, and the average of A^dagger A over outcomes is the projector
+    onto the retained subspace.
+    """
+    missing = [lam for lam in plan.good if lam not in unitaries]
+    if missing:
+        raise ValueError(f"missing unitaries for blocks {missing}")
+    vec = np.zeros(plan.d**plan.n, dtype=complex)
     slices = plan.basis.slices()
     for lam in plan.good:
         block = plan.basis.blocks[lam]
@@ -112,23 +121,7 @@ def _outcome_schur_vector(
         if np.max(np.abs(u_mat.conj().T @ u_mat - np.eye(dv))) > 1e-10:
             raise ValueError(f"matrix for {lam} is not unitary")
         vec[slices[lam]] = math.sqrt(dv) * u_mat[:, :du].T.reshape(-1)
-    return vec
-
-
-def kraus_operator(
-    plan: TeleportPlan, unitaries: Mapping[Partition, np.ndarray]
-) -> np.ndarray:
-    """The outcome operator for one sampled tuple of unitaries, as a
-    (1, d^n) matrix on Alice's space in the computational basis.
-
-    It annihilates every block outside the good set, and the average of
-    A^dagger A over outcomes is the projector onto the retained subspace.
-    """
-    missing = [lam for lam in plan.good if lam not in unitaries]
-    if missing:
-        raise ValueError(f"missing unitaries for blocks {missing}")
-    vec = plan.basis.matrix @ _outcome_schur_vector(plan, unitaries)
-    return vec.conj()[None, :]
+    return (plan.basis.matrix @ vec).conj()[None, :]
 
 
 @dataclass(frozen=True)
@@ -196,69 +189,69 @@ def run_teleport(
 ) -> TeleportResult:
     """Simulate one full protocol run on |phi>^{(x)n}.
 
-    Projection, one sampled measurement outcome, recovery, and local
-    reconstruction; the final state is checked against the analytic target
-    and the reported fidelity equals the retained weight.
+    Steps I-III act on the u parts of ``standard_form``'s retained blocks:
+    projection (its success probability is the retained weight), one
+    sampled outcome, then recovery and local reconstruction. The final
+    state, the one dense array, is checked against the analytic target; the
+    reported fidelity equals the retained weight.
     """
     rng, seed = _as_generator(rng)
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
-    # eight d^n x d^n complex arrays at the peak, the basis build included
-    check_bytes(8 * 16 * d ** (2 * n), f"run_teleport at n={n}, d={d}")
+    # six d^n x d^n complex arrays at the peak: in standard_form, or at the
+    # final state (its block coefficients, the dense basis with its scatter
+    # index, and two products, each with a complex copy of the basis)
+    check_bytes(6 * 16 * d ** (2 * n), f"run_teleport at n={n}, d={d}")
     phi = phi.require_normalized()
     spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
 
-    plan = build_plan(n, d)
-    if not plan.good:
+    good = tuple(good_set(n, d))
+    if not good:
         return _vacuous_result(n, d, spectrum, seed)
 
-    basis = plan.basis
-    bmat = basis.matrix
-    slices = basis.slices()
-    good_mask = np.zeros(d**n, dtype=bool)
-    for lam in plan.good:
-        good_mask[slices[lam]] = True
-
-    # step I: Alice projects onto the retained blocks
-    projected = bmat.T @ bipartite_tensor_power(phi, n) @ bmat
-    projected[~good_mask] = 0.0
-    success = float(np.linalg.norm(projected) ** 2)
+    # step I: Alice projects onto the retained blocks; the conditioned
+    # state's u part on block lam is sqrt(q_lam / success) phi_lam
+    form = standard_form(phi, n)
+    success = math.fsum(form.weights[lam] for lam in good)
     if success < 1e-12:
         raise NothingToTeleportError(n, d, spectrum)
-    # Alice's projection alone already lands in Bob's retained subspace
-    leak = np.linalg.norm(projected[:, ~good_mask])
-    if leak > 1e-10:
-        raise AssertionError(f"one-sided projection leaks {leak:.2e} outside")
-    cond = projected / math.sqrt(success)
+    targets = {
+        lam: math.sqrt(form.weights[lam] / success) * form.phi[lam].amplitude_matrix()
+        for lam in good
+        if lam in form.phi
+    }
 
-    # step II: sample one outcome and apply its operator on Alice's side
-    unitaries = {lam: sample_haar_unitary(dim_v(lam), rng) for lam in plan.good}
-    a_schur = _outcome_schur_vector(plan, unitaries)
-    bob = a_schur.conj() @ cond  # Bob-side coordinates, length d^n
-    bob /= np.linalg.norm(bob)
+    # step II: sample one outcome, a tuple of unitaries
+    blocks = form.basis.blocks
+    unitaries = {lam: sample_haar_unitary(blocks[lam].dim_v, rng) for lam in good}
 
-    # step III: recovery undoes the sampled unitaries on the multiplicity
-    # index, then the retained content is relabeled into a fresh register
-    # and the maximally entangled parts are reattached
+    # Alice's outcome vector reads sqrt(dim_v) U[v, u] at (u, v), u < dim_u,
+    # so Bob's share of block lam is t^T U_u^dagger, U_u the first dim_u
+    # columns of U; step III: recovery undoes U on the multiplicity index,
+    # then the retained content is relabeled into a fresh register and the
+    # maximally entangled parts are reattached
+    slices = form.basis.slices()
     final_coeff = np.zeros((d**n, d**n), dtype=complex)
-    for lam in plan.good:
-        block = basis.blocks[lam]
-        du, dv = block.dim_u, block.dim_v
-        c = bob[slices[lam]].reshape(du, dv)
-        c = c @ unitaries[lam]  # apply 1 (x) U^T on the v index
-        x_rec = c[:, :du].T / math.sqrt(dv)
+    overlap = 0j  # with the target, in block coordinates
+    for lam, t in targets.items():
+        du, dv = blocks[lam].dim_u, blocks[lam].dim_v
+        u_mat = unitaries[lam]
+        c = t.T @ u_mat[:, :du].conj().T @ u_mat  # 1 (x) U^T on the v index
         if np.linalg.norm(c[:, du:]) > 1e-10:
             raise AssertionError(f"recovery left weight beyond dim_u in {lam}")
+        x_rec = c[:, :du].T / math.sqrt(dv)
         fb = np.einsum("ij,vw->ivjw", x_rec, np.eye(dv)).reshape(du * dv, du * dv)
         final_coeff[slices[lam], slices[lam]] = fb
+        overlap += math.sqrt(dv) * np.vdot(x_rec, t)
 
     # the basis is real and orthonormal, so the fidelity with the target
     # (the conditioned state) is the same in block coordinates
-    check = abs(np.vdot(final_coeff, cond)) ** 2 / np.linalg.norm(final_coeff) ** 2
+    check = abs(overlap) ** 2 / np.linalg.norm(final_coeff) ** 2
     if check < 1.0 - 1e-8:
         raise AssertionError(f"final state misses the analytic target: {check}")
 
+    bmat = form.basis.matrix
     final_vec = (bmat @ final_coeff @ bmat.T).reshape(-1)
     final_state = StateVector(final_vec, (d,) * (2 * n)).normalized()
     fidelity = success  # retained weight; equals |<target|phi^n>|^2
@@ -276,7 +269,7 @@ def run_teleport(
         n=n,
         d=d,
         schmidt_spectrum=spectrum,
-        good=plan.good,
+        good=good,
         success_prob=success,
         fidelity=fidelity,
         unconditional_fidelity=success * fidelity,

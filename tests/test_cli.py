@@ -91,6 +91,33 @@ def test_state_and_schmidt_are_mutually_exclusive(command, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--schmidt", "0.6,0.4", "--d", "3", "--n", "3"],
+        ["teleport", "--schmidt", "0.6,0.4", "--d", "3", "--n", "3"],
+        ["detect", "--states", "bell", "0.9,0.1", "--d", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_d_that_disagrees_with_the_schmidt_list_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--d 3 disagrees" in capsys.readouterr().err
+
+
+def test_d_sets_presets_and_may_restate_the_list_length(capsys):
+    default = run_json(capsys, "teleport", "--state", "bell", "--n", "3")
+    assert default["d"] == 2
+    payload = run_json(capsys, "teleport", "--state", "bell", "--d", "3", "--n", "3")
+    assert payload["d"] == 3
+    listed = ["decompose", "--schmidt", "0.5,0.3,0.2", "--n", "3"]
+    assert run_json(capsys, *listed, "--d", "3") == run_json(capsys, *listed)
+    payload = run_json(capsys, "detect", "--states", "bell", "bell", "--d", "3")
+    assert payload["max_largest_schmidt"] == pytest.approx(1 / 3)
+
+
 def test_decompose_malformed_schmidt(capsys):
     code, out, err = run_cli(capsys, "decompose", "--schmidt", "0.2,0.8", "--n", "3")
     assert code == 1

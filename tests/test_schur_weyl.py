@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -35,7 +36,7 @@ from locclab.states import (
     product_state,
     state_from_schmidt,
 )
-from locclab.teleport import sample_haar_unitary
+from locclab.teleport import retained, run_teleport, sample_haar_unitary
 from tests_support import dense_basis_matrix
 
 
@@ -487,6 +488,59 @@ def test_standard_form_reassembly():
     rebuilt = (basis.matrix @ coeff @ basis.matrix.T).reshape(-1)
     direct = bipartite_tensor_power(phi, n).reshape(-1)
     assert np.linalg.norm(rebuilt - direct) < 1e-8
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 1), (2, 5), (3, 4), (4, 3)])
+def test_tensor_power_is_bit_identical_to_the_kron_chain(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    phi = StateVector(amps / np.linalg.norm(amps), (d, d))
+    power = bipartite_tensor_power(phi, n)
+    assert power.tobytes() == kron_power(phi.amplitude_matrix(), n).tobytes()
+
+
+@pytest.mark.parametrize("spectrum, n", [((0.9999, 0.0001), 8), ((0.99999, 0.00001), 6)])
+def test_standard_form_accepts_blocks_at_the_weight_floor(spectrum, n):
+    # some blocks weigh 1e-14 or less; they must not count whole in the residual
+    form = standard_form(state_from_schmidt(spectrum), n)
+    analytic = weights_analytic(spectrum, n)
+    assert min(analytic.values()) <= schur_weyl._WEIGHT_FLOOR
+    assert max(abs(form.weights[lam] - q) for lam, q in analytic.items()) <= 1e-9
+
+
+def _swapped_basis(n, d, a, b):
+    """The basis with matrix columns a and b exchanged."""
+    basis = build_schur_basis(n, d)
+    columns = basis.columns.copy()
+    at_a, at_b = np.flatnonzero(columns == a)[0], np.flatnonzero(columns == b)[0]
+    columns[[at_a, at_b]] = b, a
+    return dataclasses.replace(basis, columns=columns)
+
+
+def test_standard_form_and_run_teleport_refuse_mixed_blocks(monkeypatch):
+    retired, kept = Partition((3, 0)), Partition((2, 1))
+    assert not retained(retired) and retained(kept)
+    slices = schur_basis(3, 2).slices()
+    swapped = _swapped_basis(3, 2, slices[retired].start, slices[kept].start)
+    monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
+    # not in Schmidt form, so the u parts, and with them the mixing, are not
+    # confined to one torus weight
+    amps = np.array([0.6, 0.2 + 0.3j, -0.1j, 0.5])
+    phi = StateVector(amps / np.linalg.norm(amps), (2, 2))
+    with pytest.raises(BasisAlignmentError, match="cross-block amplitude"):
+        standard_form(phi, 3)
+    with pytest.raises(BasisAlignmentError, match="cross-block amplitude"):
+        run_teleport(phi, 3, 0)
+
+
+def test_standard_form_refuses_a_block_paired_off_the_maximally_entangled_state(monkeypatch):
+    lam = Partition((2, 1))
+    start, dv = schur_basis(3, 2).slices()[lam].start, dim_v(lam)
+    # (u=0, v=1) and (u=1, v=0) exchanged: the multiplicity pairing is wrong
+    swapped = _swapped_basis(3, 2, start + 1, start + dv)
+    monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
+    with pytest.raises(BasisAlignmentError, match=r"block \(2,1\) does not factor"):
+        standard_form(state_from_schmidt((0.7, 0.3)), 3)
 
 
 def test_standard_form_rejects_bad_input():
