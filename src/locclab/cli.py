@@ -42,7 +42,8 @@ def _emit(text: str, path: Path | None):
 
 
 def _emit_json(payload: dict, path: Path | None):
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
+    # a NaN or infinite figure raises ValueError rather than print invalid JSON
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def _parse_state(text: str, d: int | None) -> tuple[StateVector, tuple[float, ...]]:

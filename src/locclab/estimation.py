@@ -179,8 +179,8 @@ def beta_combination(a: float, b: float, beta_a: float, beta_b: float) -> tuple[
     """Both sign branches of the conformal combination rule
     (a beta_A +/- b beta_B)/(a+b); the minus branch is returned as its
     absolute value since angles are non-negative."""
-    if a <= 0 or b <= 0:
-        raise ValueError("weights a, b must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"weights a, b must be positive and finite, got {a}, {b}")
     plus = (a * beta_a + b * beta_b) / (a + b)
     minus = abs(a * beta_a - b * beta_b) / (a + b)
     return plus, minus

@@ -29,6 +29,7 @@ import numpy as np
 from .estimation import fisher_of_distribution
 from .models import PureStateModel, rotation_model
 from .partitions import dim_v
+from .schur_weyl import schur_basis
 from .states import StateVector, check_bytes
 
 _PATH_LIMIT = 100_000
@@ -165,7 +166,7 @@ def _as_factor(state, dim_a: int, dim_b: int) -> np.ndarray:
         if factor.size != dim:
             raise ValueError(f"state has dimension {factor.size}, expected {dim}")
         norm2 = float(np.vdot(factor, factor).real)
-    if abs(norm2 - 1.0) > 1e-9:
+    if not abs(norm2 - 1.0) <= 1e-9:  # a NaN trace fails too
         raise ValueError(f"state is not normalized: its density has trace {norm2}")
     return factor.reshape(dim_a, dim_b, -1)
 
@@ -434,6 +435,8 @@ def two_stage_estimate(
         raise ValueError("two-stage scheme handles one-parameter families")
     if n < 25:
         raise ValueError("need n >= 25 so that sqrt(n) first-stage copies >= 5")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     rng, seed = _as_generator(rng)
 
     j_ref = _qfi(model_a, theta_true) + _qfi(model_b, theta_true)
@@ -592,12 +595,12 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     # operator: the trace-preservation check copies no operator)
     nbytes = 16 * (4 * dim**3 + 3 * n_outcomes * (dim + 16) + 8 * dim**2)
     check_bytes(nbytes, f"teleport_protocol(n={n}, d={d})")
-    plan = tp.build_plan(n, d)
-    basis = plan.basis
+    basis = schur_basis(n, d)
     bmat = basis.matrix
-    slices = basis.slices()
 
-    retired = np.hstack([bmat[:, sl] for lam, sl in slices.items() if lam not in plan.good])
+    retired = np.hstack(
+        [bmat[:, block.span] for lam, block in basis.blocks.items() if lam not in good]
+    )
     fail = (retired @ retired.T).astype(complex)
 
     def weyl(dv: int, a: int, b: int, sign: int) -> np.ndarray:
@@ -611,7 +614,7 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     def unitaries_for(combo) -> dict:
         return {
             lam: weyl(basis.blocks[lam].dim_v, *combo[k])
-            for k, lam in enumerate(plan.good)
+            for k, lam in enumerate(good)
         }
 
     # Alice's outcomes do not depend on the history: built on first use
@@ -621,11 +624,11 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
         if not alice_ops:
             alice_ops.append(("fail", [fail]))
             for m, combo in enumerate(combos):
-                a_op = tp.kraus_operator(plan, unitaries_for(combo))
+                a_op = tp.kraus_operator(basis, unitaries_for(combo))
                 alice_ops.append((f"w{m}", [a_op / math.sqrt(n_outcomes)]))
         return alice_ops
 
-    embed = _teleport_embedding(basis, plan.good)
+    embed = _teleport_embedding(basis, good)
     abort = [("abort", [np.eye(dim, dtype=complex)])]
     bmat_t = np.ascontiguousarray(bmat.T, dtype=complex)
 
@@ -638,8 +641,9 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
         # doubled register; the retired rows are left as they are
         rotated = bmat_t.copy()
         for lam, w in unitaries_for(combos[int(label[1:])]).items():
-            rows = rotated[slices[lam]]
-            rotated[slices[lam]] = (w.T @ rows.reshape(-1, w.shape[0], dim)).reshape(-1, dim)
+            span = basis.blocks[lam].span
+            rows = rotated[span]
+            rotated[span] = (w.T @ rows.reshape(-1, w.shape[0], dim)).reshape(-1, dim)
         return [("done", [embed @ rotated])]
 
     return LoccProtocol(
@@ -657,17 +661,17 @@ def _teleport_embedding(basis, good) -> np.ndarray:
     go to a retired block."""
     real = basis.matrix
     dim = real.shape[0]
-    slices = basis.slices()
-    junk = next(real[:, sl.start] for lam, sl in slices.items() if lam not in good)
+    junk = next(
+        real[:, block.span.start] for lam, block in basis.blocks.items() if lam not in good
+    )
     embed = np.einsum("xc,y->xyc", real.astype(complex), junk)  # every column retired at first
-    for lam, sl in slices.items():
-        if lam in good:
-            block = basis.blocks[lam]
-            du, dv = block.dim_u, block.dim_v
-            vecs = real[:, sl].reshape(dim, du, dv)
-            # column u * dv + v with v < du holds sum_w |v w> (x) |u w> / sqrt(dv)
-            cols = embed[:, :, sl].reshape(dim, dim, du, dv)
-            cols[..., :du] = np.einsum("xvw,yuw->xyuv", vecs, vecs) / math.sqrt(dv)
+    for lam in good:
+        block = basis.blocks[lam]
+        du, dv = block.dim_u, block.dim_v
+        vecs = real[:, block.span].reshape(dim, du, dv)
+        # column u * dv + v with v < du holds sum_w |v w> (x) |u w> / sqrt(dv)
+        cols = embed[:, :, block.span].reshape(dim, dim, du, dv)
+        cols[..., :du] = np.einsum("xvw,yuw->xyuv", vecs, vecs) / math.sqrt(dv)
     return embed.reshape(dim * dim, dim)
 
 
@@ -682,6 +686,8 @@ def random_qubit_model(rng: np.random.Generator) -> PureStateModel:
 def random_adaptive_protocol(rng: np.random.Generator, rounds: int = 2) -> LoccProtocol:
     """Random adaptive protocol on a qubit pair: each round measures the
     acting party projectively in a basis selected by the history so far."""
+    if rounds < 0:
+        raise ValueError(f"rounds must be non-negative, got {rounds}")
 
     from .teleport import sample_haar_unitary
 

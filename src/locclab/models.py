@@ -45,7 +45,7 @@ class PureStateModel:
             raise ValueError(f"theta must have {self.param_dim} entries")
         vec = np.asarray(self.state_fn(theta), dtype=complex).reshape(-1)
         nrm = math.sqrt(np.vdot(vec, vec).real)
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"family state has norm {nrm}, not 1")
         return vec
 

@@ -306,11 +306,12 @@ def as_spectrum(values: Iterable[float]) -> tuple[float, ...]:
     vec = tuple(float(v) for v in values)
     if not vec:
         raise ValueError("empty spectrum")
-    if any(v < -_SPECTRUM_TOL or v > 1 + _SPECTRUM_TOL for v in vec):
+    # every check is written so that a NaN entry fails it
+    if not all(-_SPECTRUM_TOL <= v <= 1 + _SPECTRUM_TOL for v in vec):
         raise ValueError(f"entries outside [0,1]: {vec}")
     if any(vec[i] < vec[i + 1] - _SPECTRUM_TOL for i in range(len(vec) - 1)):
         raise ValueError(f"spectrum not sorted non-increasing: {vec}")
-    if abs(sum(vec) - 1.0) > _SPECTRUM_TOL:
+    if not abs(sum(vec) - 1.0) <= _SPECTRUM_TOL:
         raise ValueError(f"spectrum sums to {sum(vec)}, not 1")
     return vec
 

@@ -5,8 +5,8 @@ product of a unitary-group factor (dimension dim_u) and a symmetric-group
 factor (dimension dim_v). This module constructs an orthonormal basis
 organized by these blocks, with explicit (u, v) index maps, and extracts the
 standard form of the n-fold power of a bipartite pure state: per-block
-weights q_lambda, the state-dependent parts phi_lambda, and the maximally
-entangled multiplicity parts.
+weights q_lambda and the state-dependent parts phi_lambda, after checking
+that every multiplicity part is the same maximally entangled state.
 
 The basis is the Young-Yamanouchi basis, built the same way for every d
 and with no randomness: the u basis of each block comes from the joint
@@ -111,17 +111,19 @@ class SchurBlock:
     """Orthonormal vectors of one lambda block, stored by torus weight.
 
     Column u * dim_v + v holds the basis vector with unitary-group index u
-    and multiplicity index v. The u index runs over torus weights, highest
-    first, so the columns of one weight form one range: ``pieces`` holds,
-    per weight of the block, (rows, first column, amplitudes), the rows
-    being the codes of the strings of that weight and the amplitudes a view
-    of the basis's weight block.
+    and multiplicity index v; ``span`` is the range of the basis matrix's
+    columns (and of block coordinates) that the block occupies. The u index
+    runs over torus weights, highest first, so the columns of one weight
+    form one range: ``pieces`` holds, per weight of the block, (rows, first
+    column, amplitudes), the rows being the codes of the strings of that
+    weight and the amplitudes a view of the basis's weight block.
     """
 
     lam: Partition
     dim_u: int
     dim_v: int
     size: int  # d^n, the number of rows
+    span: slice
     pieces: tuple[tuple[np.ndarray, int, np.ndarray], ...]
 
     @property
@@ -134,9 +136,6 @@ class SchurBlock:
         for rows, start, amps in self.pieces:
             out[rows, start : start + amps.shape[1]] = amps
         return out
-
-    def column(self, u: int, v: int) -> np.ndarray:
-        return self.vectors[:, u * self.dim_v + v]
 
 
 @dataclass(frozen=True)
@@ -164,10 +163,6 @@ class SchurBasis:
     columns: np.ndarray
 
     @property
-    def partitions(self) -> list[Partition]:
-        return list(self.blocks)
-
-    @property
     def matrix(self) -> np.ndarray:
         """All basis vectors as dense columns, blocks in decreasing-lex
         order, built on every access by one scatter of ``amplitudes``."""
@@ -187,15 +182,6 @@ class SchurBasis:
             out.append((self.rows[span, None] * dim + self.columns[span]).ravel())
             at += len(square)
         return np.concatenate(out)
-
-    def slices(self) -> dict[Partition, slice]:
-        out = {}
-        offset = 0
-        for lam, block in self.blocks.items():
-            width = block.dim_u * block.dim_v
-            out[lam] = slice(offset, offset + width)
-            offset += width
-        return out
 
 
 @dataclass(frozen=True)
@@ -488,7 +474,7 @@ def _assemble(
     squares = _weight_blocks(amplitudes, sizes)
     rows = [weights.rows(w) for w in range(sizes.size)]
     filled = [0] * sizes.size
-    spans = []  # (weight, first matrix column, width), block by block
+    runs = []  # (weight, first matrix column, width), block by block
     blocks = {}
     offset = 0
     for lam, counts in zip(enumerate_partitions(n, d), kostka.tolist()):
@@ -498,14 +484,15 @@ def _assemble(
             if count:
                 start, width = filled[w], count * dv
                 pieces.append((rows[w], u * dv, squares[w][:, start : start + width]))
-                spans.append((w, offset + u * dv, width))
+                runs.append((w, offset + u * dv, width))
                 filled[w] += width
                 u += count
-        blocks[lam] = SchurBlock(lam, du, dv, d**n, tuple(pieces))
-        offset += du * dv
-    spans.sort(key=lambda span: span[0])  # stable: blocks in order within a weight
-    _, first, width = np.array(spans).T
-    # the columns of each span, the spans one after the other
+        span = slice(offset, offset + du * dv)
+        blocks[lam] = SchurBlock(lam, du, dv, d**n, span, tuple(pieces))
+        offset = span.stop
+    runs.sort(key=lambda run: run[0])  # stable: blocks in order within a weight
+    _, first, width = np.array(runs).T
+    # the columns of each run, the runs one after the other
     columns = np.repeat(first - (np.cumsum(width) - width), width) + np.arange(width.sum())
     return SchurBasis(n, d, blocks, kostka, amplitudes, squares, weights.order, columns)
 
@@ -577,26 +564,26 @@ class StandardForm:
     """Per-block decomposition data of the n-fold power of a bipartite state.
 
     weights[lam] is the squared amplitude q_lambda, the squared norm of the
-    block; phi[lam] the normalized state on the paired unitary-group
-    factors; entangled[lam] the multiplicity-factor state the block was
-    verified against, sum_v |v v> / sqrt(dim_v), which does not depend on
-    the input state. Blocks of weight at or below 1e-14 carry no
-    phi/entangled entry.
+    block; phi[lam] the normalized dim_u x dim_u amplitude matrix of the
+    state on the paired unitary-group factors. Block lam of B^T psi B (its
+    rows and columns ``basis.blocks[lam].span``) is sqrt(q_lambda) phi[lam]
+    (x) 1/sqrt(dim_v): the multiplicity part sum_v |v v> / sqrt(dim_v) does
+    not depend on the input state. Blocks of weight at or below 1e-14 carry
+    no phi entry.
     """
 
     n: int
     d: int
     weights: dict[Partition, float]
-    phi: dict[Partition, StateVector]
-    entangled: dict[Partition, StateVector]
+    phi: dict[Partition, np.ndarray]
     basis: SchurBasis
 
 
 def _require_distribution(weights: dict[Partition, float], what: str) -> dict:
     """The weights, unless one is below -1e-12 or their fsum is more than
-    1e-9 from 1: then ValueError."""
+    1e-9 from 1 (or either is NaN): then ValueError."""
     total, low = math.fsum(weights.values()), min(weights.values())
-    if low < -1e-12 or abs(total - 1.0) > 1e-9:
+    if not (low >= -1e-12 and abs(total - 1.0) <= 1e-9):
         raise ValueError(
             f"block weights of {what} are not a distribution: "
             f"sum {total!r}, min {low!r}"
@@ -617,8 +604,8 @@ def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
 
 
 def standard_form(phi: StateVector, n: int) -> StandardForm:
-    """Decompose |phi>^{(x)n} into weights, paired-block states, and
-    maximally entangled multiplicity parts.
+    """Decompose |phi>^{(x)n} into block weights and paired-block states,
+    the u parts normalized.
 
     The same real basis B is used on both halves, so by Schur-Weyl duality
     block lam of B^T psi B is its u part x_lam (x) sum_v |v v> / sqrt(dim_v),
@@ -640,26 +627,24 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
 
     bmat = basis.matrix
     coeff = bmat.T @ bipartite_tensor_power(phi, n) @ bmat
-    slices = basis.slices()
 
     # inequivalent blocks must not mix: the owner of each row and column
-    owner = np.repeat(np.arange(len(slices)), [sl.stop - sl.start for sl in slices.values()])
+    widths = [block.dim_u * block.dim_v for block in basis.blocks.values()]
+    owner = np.repeat(np.arange(len(widths)), widths)
     cross = float(np.linalg.norm(coeff[owner[:, None] != owner]))
     if cross > 1e-10:
         raise BasisAlignmentError(f"cross-block amplitude {cross:.2e} above 1e-10")
 
     residual_sq = cross**2
     weights: dict[Partition, float] = {}
-    phis: dict[Partition, StateVector] = {}
-    ents: dict[Partition, StateVector] = {}
-    for lam, sl in slices.items():
-        block = basis.blocks[lam]
+    phis: dict[Partition, np.ndarray] = {}
+    for lam, block in basis.blocks.items():
         du, dv = block.dim_u, block.dim_v
-        fb = coeff[sl, sl].reshape(du, dv, du, dv)
+        fb = coeff[block.span, block.span].reshape(du, dv, du, dv)
         q = float(np.linalg.norm(fb) ** 2)
         weights[lam] = q
-        ent = np.eye(dv) / math.sqrt(dv)
         u_part = np.einsum("avbv->ab", fb) / math.sqrt(dv)
+        ent = np.eye(dv) / math.sqrt(dv)
         residual = float(np.linalg.norm(fb - np.einsum("ab,vw->avbw", u_part, ent)))
         if q <= _WEIGHT_FLOOR:
             residual_sq += residual**2
@@ -669,8 +654,7 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
                 f"block {lam} does not factor against the maximally entangled "
                 f"multiplicity state: residual {residual / math.sqrt(q):.2e} of its norm"
             )
-        phis[lam] = StateVector(u_part, (du, du)).normalized()
-        ents[lam] = StateVector(ent, (dv, dv))
+        phis[lam] = u_part / np.linalg.norm(u_part)
 
     if math.sqrt(residual_sq) > 1e-8:
         raise BasisAlignmentError(
@@ -679,7 +663,7 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
     total = sum(weights.values())
     if abs(total - 1.0) > 1e-10:
         raise BasisAlignmentError(f"weights sum to {total}, not 1")
-    return StandardForm(n, d, weights, phis, ents, basis)
+    return StandardForm(n, d, weights, phis, basis)
 
 
 def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:

@@ -51,7 +51,7 @@ class StateVector:
         return StateVector(self.amplitudes / nrm, self.dims)
 
     def require_normalized(self) -> "StateVector":
-        if abs(self.norm() - 1.0) > _NORM_TOL:
+        if not abs(self.norm() - 1.0) <= _NORM_TOL:  # a NaN norm fails too
             raise ValueError(f"state norm {self.norm()} is not 1 within {_NORM_TOL}")
         return self
 

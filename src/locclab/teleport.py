@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .locc import LoccTranscript, Message, _as_generator
 from .partitions import Partition, as_spectrum, dim_u, dim_v, enumerate_partitions
-from .schur_weyl import SchurBasis, schur_basis, standard_form, weights_analytic
+from .schur_weyl import SchurBasis, standard_form, weights_analytic
 from .states import StateVector, check_bytes
 
 
@@ -42,9 +43,11 @@ def retained(lam: Partition) -> bool:
     return dim_u(lam) <= dim_v(lam)
 
 
-def good_set(n: int, d: int) -> list[Partition]:
-    """Blocks kept by the protocol, in enumeration order."""
-    return [lam for lam in enumerate_partitions(n, d) if retained(lam)]
+@lru_cache(maxsize=32)
+def good_set(n: int, d: int) -> tuple[Partition, ...]:
+    """Blocks kept by the protocol, in enumeration order; memoized per
+    (n, d), like ``schur_basis``."""
+    return tuple(lam for lam in enumerate_partitions(n, d) if retained(lam))
 
 
 def ideal_fidelity(p: Sequence[float], n: int) -> float:
@@ -81,47 +84,35 @@ def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-@dataclass(frozen=True)
-class TeleportPlan:
-    """Frozen geometry of one protocol instance: retained blocks and the
-    block basis shared by all registers."""
-
-    n: int
-    d: int
-    good: tuple[Partition, ...]
-    basis: SchurBasis
-
-
-def build_plan(n: int, d: int) -> TeleportPlan:
-    return TeleportPlan(n, d, tuple(good_set(n, d)), schur_basis(n, d))
-
-
 def kraus_operator(
-    plan: TeleportPlan, unitaries: Mapping[Partition, np.ndarray]
+    basis: SchurBasis, unitaries: Mapping[Partition, np.ndarray]
 ) -> np.ndarray:
-    """The outcome operator for one sampled tuple of unitaries, as a
-    (1, d^n) matrix on Alice's space in the computational basis.
+    """The outcome operator for one sampled tuple of unitaries, one dim_v x
+    dim_v unitary per retained block of ``basis``, as a (1, d^n) matrix on
+    Alice's space in the computational basis.
 
     In block coordinates it reads sqrt(dim_v) U[v, u] at (u, v) of each
-    retained block, for u < dim_u. It annihilates every block outside the
-    good set, and the average of A^dagger A over outcomes is the projector
-    onto the retained subspace.
+    retained block, for u < dim_u, in the block's ``span``. It annihilates
+    every block outside the good set, and the average of A^dagger A over
+    outcomes is the projector onto the retained subspace. Raises ValueError
+    when a retained block has no unitary, or one of the wrong shape or not
+    unitary within 1e-10.
     """
-    missing = [lam for lam in plan.good if lam not in unitaries]
+    good = good_set(basis.n, basis.d)
+    missing = [lam for lam in good if lam not in unitaries]
     if missing:
         raise ValueError(f"missing unitaries for blocks {missing}")
-    vec = np.zeros(plan.d**plan.n, dtype=complex)
-    slices = plan.basis.slices()
-    for lam in plan.good:
-        block = plan.basis.blocks[lam]
+    vec = np.zeros(basis.d**basis.n, dtype=complex)
+    for lam in good:
+        block = basis.blocks[lam]
         du, dv = block.dim_u, block.dim_v
         u_mat = np.asarray(unitaries[lam], dtype=complex)
         if u_mat.shape != (dv, dv):
             raise ValueError(f"unitary for {lam} must be {dv}x{dv}")
-        if np.max(np.abs(u_mat.conj().T @ u_mat - np.eye(dv))) > 1e-10:
+        if not np.max(np.abs(u_mat.conj().T @ u_mat - np.eye(dv))) <= 1e-10:
             raise ValueError(f"matrix for {lam} is not unitary")
-        vec[slices[lam]] = math.sqrt(dv) * u_mat[:, :du].T.reshape(-1)
-    return (plan.basis.matrix @ vec).conj()[None, :]
+        vec[block.span] = math.sqrt(dv) * u_mat[:, :du].T.reshape(-1)
+    return (basis.matrix @ vec).conj()[None, :]
 
 
 @dataclass(frozen=True)
@@ -165,7 +156,6 @@ class TeleportResult:
 def _vacuous_result(
     n: int, d: int, spectrum: tuple[float, ...], seed: int | None
 ) -> TeleportResult:
-    bound = fidelity_lower_bound(spectrum[0], n, d) if d >= 2 else float("-inf")
     return TeleportResult(
         n=n,
         d=d,
@@ -174,7 +164,7 @@ def _vacuous_result(
         success_prob=0.0,
         fidelity=0.0,
         unconditional_fidelity=0.0,
-        bound=bound,
+        bound=fidelity_lower_bound(spectrum[0], n, d),
         final_state=None,
         transcript=None,
         seed=seed,
@@ -206,7 +196,7 @@ def run_teleport(
     phi = phi.require_normalized()
     spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
 
-    good = tuple(good_set(n, d))
+    good = good_set(n, d)
     if not good:
         return _vacuous_result(n, d, spectrum, seed)
 
@@ -217,7 +207,7 @@ def run_teleport(
     if success < 1e-12:
         raise NothingToTeleportError(n, d, spectrum)
     targets = {
-        lam: math.sqrt(form.weights[lam] / success) * form.phi[lam].amplitude_matrix()
+        lam: math.sqrt(form.weights[lam] / success) * form.phi[lam]
         for lam in good
         if lam in form.phi
     }
@@ -231,18 +221,18 @@ def run_teleport(
     # columns of U; step III: recovery undoes U on the multiplicity index,
     # then the retained content is relabeled into a fresh register and the
     # maximally entangled parts are reattached
-    slices = form.basis.slices()
     final_coeff = np.zeros((d**n, d**n), dtype=complex)
     overlap = 0j  # with the target, in block coordinates
     for lam, t in targets.items():
-        du, dv = blocks[lam].dim_u, blocks[lam].dim_v
+        block = blocks[lam]
+        du, dv = block.dim_u, block.dim_v
         u_mat = unitaries[lam]
         c = t.T @ u_mat[:, :du].conj().T @ u_mat  # 1 (x) U^T on the v index
         if np.linalg.norm(c[:, du:]) > 1e-10:
             raise AssertionError(f"recovery left weight beyond dim_u in {lam}")
         x_rec = c[:, :du].T / math.sqrt(dv)
         fb = np.einsum("ij,vw->ivjw", x_rec, np.eye(dv)).reshape(du * dv, du * dv)
-        final_coeff[slices[lam], slices[lam]] = fb
+        final_coeff[block.span, block.span] = fb
         overlap += math.sqrt(dv) * np.vdot(x_rec, t)
 
     # the basis is real and orthonormal, so the fidelity with the target

@@ -40,7 +40,6 @@ from locclab.schur_weyl import (
 from locclab.states import bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
     NothingToTeleportError,
-    build_plan,
     good_set,
     fidelity_lower_bound,
     ideal_fidelity,
@@ -86,7 +85,7 @@ def test_criterion_02_bell_teleport_fidelities():
         oracle = sum(
             q
             for lam, q in weights_by_projector(bell_state(2), n).items()
-            if lam in set(good_set(n, 2))
+            if lam in good_set(n, 2)
         )
         worst = max(worst, abs(analytic - target), abs(oracle - target))
     res = run_teleport(bell_state(2), 4, 0)
@@ -95,17 +94,11 @@ def test_criterion_02_bell_teleport_fidelities():
     # 1e-8; re-check the achieved overlap explicitly
     form = standard_form(bell_state(2), 4)
     basis = form.basis
-    slices = basis.slices()
     coeff = np.zeros((16, 16), dtype=complex)
     for lam in res.good:
         block = basis.blocks[lam]
-        du, dv = block.dim_u, block.dim_v
-        piece = np.einsum(
-            "ab,vw->avbw",
-            form.phi[lam].amplitudes.reshape(du, du),
-            form.entangled[lam].amplitudes.reshape(dv, dv),
-        ).reshape(du * dv, du * dv)
-        coeff[slices[lam], slices[lam]] = math.sqrt(form.weights[lam]) * piece
+        piece = np.kron(form.phi[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
+        coeff[block.span, block.span] = math.sqrt(form.weights[lam]) * piece
     target_vec = (basis.matrix @ coeff @ basis.matrix.T).reshape(-1)
     target_vec /= np.linalg.norm(target_vec)
     overlap = abs(np.vdot(target_vec, res.final_state.amplitudes)) ** 2
@@ -153,12 +146,11 @@ def test_criterion_04_product_state_behavior():
 
 def test_criterion_05_povm_completeness():
     start = time.time()
-    plan = build_plan(4, 2)
-    basis = plan.basis
-    slices = basis.slices()
+    basis = schur_basis(4, 2)
+    good = good_set(4, 2)
     good_mask = np.zeros(16, dtype=bool)
-    for lam in plan.good:
-        good_mask[slices[lam]] = True
+    for lam in good:
+        good_mask[basis.blocks[lam].span] = True
     projector = basis.matrix[:, good_mask] @ basis.matrix[:, good_mask].T
     rng = np.random.default_rng(0)
     n_samples = 2000
@@ -166,9 +158,9 @@ def test_criterion_05_povm_completeness():
     for _ in range(n_samples):
         unitaries = {
             lam: sample_haar_unitary(basis.blocks[lam].dim_v, rng)
-            for lam in plan.good
+            for lam in good
         }
-        op = kraus_operator(plan, unitaries)
+        op = kraus_operator(basis, unitaries)
         acc += op.conj().T @ op
     acc /= n_samples
     deviation = float(np.linalg.norm(acc - projector, 2))
@@ -216,7 +208,7 @@ def test_criterion_08_group_averaging_suite():
 
     n, d = 4, 2
     basis = schur_basis(n, d)
-    slices = basis.slices()
+    blocks = basis.blocks.values()
     rng = np.random.default_rng(5)
     perms = list(itertools.permutations(range(n)))
     from locclab.schur_weyl import permutation_operator
@@ -229,10 +221,10 @@ def test_criterion_08_group_averaging_suite():
             for k in chosen
         )
         rep = basis.matrix.T @ x @ basis.matrix
-        for lam_a, sl_a in slices.items():
-            for lam_b, sl_b in slices.items():
-                if lam_a != lam_b:
-                    worst_cross = max(worst_cross, float(np.max(np.abs(rep[sl_a, sl_b]))))
+        for a in blocks:
+            for b in blocks:
+                if a is not b:
+                    worst_cross = max(worst_cross, float(np.max(np.abs(rep[a.span, b.span]))))
 
     samples = 500
     rng = np.random.default_rng(12)
@@ -250,10 +242,9 @@ def test_criterion_08_group_averaging_suite():
     rep = basis.matrix.T @ acc @ basis.matrix
     tol = 3.0 / math.sqrt(samples)
     worst_scalar = 0.0
-    for lam, sl in slices.items():
-        block = basis.blocks[lam]
+    for block in blocks:
         du, dv = block.dim_u, block.dim_v
-        tensor = rep[sl, sl].reshape(du, dv, du, dv)
+        tensor = rep[block.span, block.span].reshape(du, dv, du, dv)
         for v in range(dv):
             sub = tensor[:, v, :, v]
             scalar = np.trace(sub) / du

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from locclab import locc, schur_weyl
+from locclab import estimation, locc, schur_weyl
 from locclab.cli import main
 from locclab.partitions import enumerate_partitions
 from locclab.teleport import ideal_fidelity
@@ -160,6 +160,36 @@ def test_teleport_bell_n8_is_inside_the_budget(capsys):
 )
 def test_sizes_and_dimensions_outside_the_guards_are_structured_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decompose", "--schmidt", "nan,0.5", "--n", "3"], "outside"),
+        (["gap", "--a", "nan", "--b", "1", "--betaA", "0.5", "--betaB", "0.5"], "finite"),
+        (["gap", "--a", "1", "--b", "inf", "--betaA", "0.5", "--betaB", "0.5"], "finite"),
+        (["additivity", "--theta", "nan"], "norm nan"),
+        (["additivity", "--rounds", "-1"], "rounds"),
+        (["two-stage", "--n", "100", "--trials", "-1"], "trials"),
+    ],
+    ids=["decompose-nan", "gap-nan", "gap-inf", "additivity-nan", "rounds-negative",
+         "trials-negative"],
+)
+def test_non_finite_input_and_negative_counts_are_structured_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError" and message in error["message"]
+
+
+def test_a_nan_figure_is_never_printed(capsys, monkeypatch):
+    nan = estimation.GapResult(math.nan, math.nan, math.nan)
+    monkeypatch.setattr(estimation, "locc_gap", lambda *args: nan)
+    code, out, err = run_cli(
+        capsys, "gap", "--a", "1", "--b", "1", "--betaA", "0.5", "--betaB", "0.5"
+    )
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ValueError"
 

@@ -280,6 +280,12 @@ def test_beta_combination_examples():
     assert plus == pytest.approx(0.7) and minus == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+def test_beta_combination_needs_positive_finite_weights(a, b):
+    with pytest.raises(ValueError, match="positive and finite"):
+        beta_combination(a, b, 0.5, 0.5)
+
+
 def test_locc_gap_anticopy_maximal():
     res = locc_gap(1.0, 1.0, 1.0, 1.0, "-")
     assert res.global_best == pytest.approx(2.0)
@@ -403,6 +409,13 @@ def test_tabulated_model_from_json():
     assert data.j_s[0, 0] == pytest.approx(1 / 16, rel=1e-3)
     with pytest.raises(ValueError):
         model.state([1.016])  # off the grid
+
+
+def test_nan_states_fail_the_norm_checks():
+    with pytest.raises(ValueError, match="is not 1"):
+        StateVector(np.array([np.nan, 0.0]), (2,)).require_normalized()
+    with pytest.raises(ValueError, match="norm nan"):
+        real_amplitude().state(math.nan)
 
 
 def test_degenerate_model_reported():

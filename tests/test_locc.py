@@ -320,6 +320,7 @@ def _bad_inputs():
         "non-hermitian": (skew, "not Hermitian"),
         "negative-eigenvalue": (np.diag([0.7, 0.4, -0.1, 0.0]), "eigenvalue"),
         "trace-not-one": (np.diag([0.5, 0.5, 0.1, 0.0]), "not normalized"),
+        "nan-vector": (np.array([np.nan, 0, 0, 0]), "not normalized"),
     }
 
 

@@ -76,6 +76,12 @@ def test_spectrum_validation():
         as_spectrum([0.9, 0.2])  # does not sum to 1
 
 
+@pytest.mark.parametrize("values", [[math.nan, 0.5], [1.0, math.nan], [math.inf, 0.0]])
+def test_spectrum_validation_rejects_non_finite_entries(values):
+    with pytest.raises(ValueError):
+        as_spectrum(values)
+
+
 # ---------------------------------------------------------------- enumeration
 
 

@@ -130,31 +130,30 @@ def test_basis_block_dims_small_qubit_cases():
 
 def test_basis_triplet_singlet_vectors():
     basis = schur_basis(2, 2)
-    sym = basis.blocks[Partition((2, 0))]
+    sym = basis.blocks[Partition((2, 0))].vectors[:, 1]  # u = 1, v = 0
     s2 = math.sqrt(0.5)
-    assert np.allclose(np.abs(sym.column(1, 0)), [0, s2, s2, 0])
-    singlet = basis.blocks[Partition((1, 1))].column(0, 0)
+    assert np.allclose(np.abs(sym), [0, s2, s2, 0])
+    singlet = basis.blocks[Partition((1, 1))].vectors[:, 0]
     assert np.allclose(np.abs(singlet), [0, s2, s2, 0])
-    assert abs(np.dot(sym.column(1, 0), singlet)) < 1e-12
+    assert abs(np.dot(sym, singlet)) < 1e-12
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (4, 3)] + ADMITTED)
 def test_permutations_act_on_multiplicity_index_only(n, d):
     basis = schur_basis(n, d)
     mat = basis.matrix
-    slices = basis.slices()
+    blocks = basis.blocks.values()
     rng = np.random.default_rng(7)
     for _ in range(4):
         sigma = tuple(rng.permutation(n))
         rep = mat.T @ permutation_operator(sigma, d) @ mat
-        for lam_a, sl_a in slices.items():
-            for lam_b, sl_b in slices.items():
-                if lam_a != lam_b:
-                    assert np.max(np.abs(rep[sl_a, sl_b])) < 1e-10
-        for lam, sl in slices.items():
-            block = basis.blocks[lam]
+        for a in blocks:
+            for b in blocks:
+                if a is not b:
+                    assert np.max(np.abs(rep[a.span, b.span])) < 1e-10
+        for block in blocks:
             du, dv = block.dim_u, block.dim_v
-            tensor = rep[sl, sl].reshape(du, dv, du, dv)
+            tensor = rep[block.span, block.span].reshape(du, dv, du, dv)
             pi = tensor[0, :, 0, :]
             for u in range(du):
                 for u2 in range(du):
@@ -167,19 +166,18 @@ def test_permutations_act_on_multiplicity_index_only(n, d):
 def test_unitaries_act_on_u_index_only(n, d):
     basis = schur_basis(n, d)
     mat = basis.matrix
-    slices = basis.slices()
+    blocks = basis.blocks.values()
     rng = np.random.default_rng(11)
     for _ in range(3):
         u_local = sample_haar_unitary(d, rng)
         rep = mat.T @ kron_power(u_local, n) @ mat
-        for lam_a, sl_a in slices.items():
-            for lam_b, sl_b in slices.items():
-                if lam_a != lam_b:
-                    assert np.max(np.abs(rep[sl_a, sl_b])) < 1e-10
-        for lam, sl in slices.items():
-            block = basis.blocks[lam]
+        for a in blocks:
+            for b in blocks:
+                if a is not b:
+                    assert np.max(np.abs(rep[a.span, b.span])) < 1e-10
+        for block in blocks:
             du, dv = block.dim_u, block.dim_v
-            tensor = rep[sl, sl].reshape(du, dv, du, dv)
+            tensor = rep[block.span, block.span].reshape(du, dv, du, dv)
             act = tensor[:, 0, :, 0]
             for v in range(dv):
                 for v2 in range(dv):
@@ -201,10 +199,10 @@ ORACLE_SIZES = [(n, d) for d in range(1, 46) for n in range(1, 12) if d**n <= 20
 def test_weight_blocks_match_the_dense_construction(n, d):
     basis = build_schur_basis(n, d)
     dense = dense_basis_matrix(n, d)
-    for lam, sl in basis.slices().items():
-        vectors = basis.blocks[lam].vectors
-        assert vectors.shape == dense[:, sl].shape
-        assert np.max(np.abs(vectors - dense[:, sl]), initial=0.0) <= 1e-15, str(lam)
+    for lam, block in basis.blocks.items():
+        vectors = block.vectors
+        assert vectors.shape == dense[:, block.span].shape
+        assert np.max(np.abs(vectors - dense[:, block.span]), initial=0.0) <= 1e-15, str(lam)
     assert np.max(np.abs(basis.matrix - dense)) <= 1e-15
 
 
@@ -375,9 +373,9 @@ def test_weights_analytic_normalized_at_admitted_sizes(d, n):
     assert abs(math.fsum(weights) - 1.0) <= 1e-9
 
 
-@pytest.mark.parametrize("value", [-1e-6, 0.5])
+@pytest.mark.parametrize("value", [-1e-6, 0.5, math.nan])
 def test_weights_analytic_rejects_a_non_distribution(monkeypatch, value):
-    # a negative weight, or weights summing to more than 1
+    # a negative weight, weights summing to more than 1, or NaN weights
     def broken(p, n):
         return dict.fromkeys(enumerate_partitions(n, len(p)), value)
 
@@ -456,35 +454,25 @@ def test_standard_form_d3():
         assert abs(form.weights[lam] - q) < 1e-9
 
 
-def test_entangled_part_flat_and_state_independent():
-    form_a = standard_form(bell_state(2), 4)
-    form_b = standard_form(state_from_schmidt((0.7, 0.3)), 4)
-    for lam, ent in form_a.entangled.items():
-        dv = dim_v(lam)
-        schmidt = ent.schmidt_coefficients()
-        assert np.max(np.abs(schmidt - 1.0 / dv)) < 1e-8
-        if lam in form_b.entangled:
-            assert form_b.entangled[lam].fidelity(ent) > 1 - 1e-8
-
-
-def test_standard_form_reassembly():
-    phi = state_from_schmidt((0.8, 0.2))
+@pytest.mark.parametrize(
+    "phi",
+    [state_from_schmidt((0.8, 0.2)), state_from_schmidt((0.7, 0.3)), bell_state(2)],
+    ids=["schmidt-0.8", "schmidt-0.7", "bell"],
+)
+def test_standard_form_reassembly(phi):
+    # the same flat multiplicity part 1/sqrt(dim_v) for every input state
     n = 4
     form = standard_form(phi, n)
     basis = form.basis
-    slices = basis.slices()
     coeff = np.zeros((2**n, 2**n), dtype=complex)
     for lam, q in form.weights.items():
         if lam not in form.phi:
             continue
         block = basis.blocks[lam]
         du, dv = block.dim_u, block.dim_v
-        piece = np.einsum(
-            "ab,vw->avbw",
-            form.phi[lam].amplitudes.reshape(du, du),
-            form.entangled[lam].amplitudes.reshape(dv, dv),
-        ).reshape(du * dv, du * dv)
-        coeff[slices[lam], slices[lam]] = math.sqrt(q) * piece
+        assert form.phi[lam].shape == (du, du)
+        piece = np.kron(form.phi[lam], np.eye(dv) / math.sqrt(dv))
+        coeff[block.span, block.span] = math.sqrt(q) * piece
     rebuilt = (basis.matrix @ coeff @ basis.matrix.T).reshape(-1)
     direct = bipartite_tensor_power(phi, n).reshape(-1)
     assert np.linalg.norm(rebuilt - direct) < 1e-8
@@ -520,8 +508,8 @@ def _swapped_basis(n, d, a, b):
 def test_standard_form_and_run_teleport_refuse_mixed_blocks(monkeypatch):
     retired, kept = Partition((3, 0)), Partition((2, 1))
     assert not retained(retired) and retained(kept)
-    slices = schur_basis(3, 2).slices()
-    swapped = _swapped_basis(3, 2, slices[retired].start, slices[kept].start)
+    blocks = schur_basis(3, 2).blocks
+    swapped = _swapped_basis(3, 2, blocks[retired].span.start, blocks[kept].span.start)
     monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
     # not in Schmidt form, so the u parts, and with them the mixing, are not
     # confined to one torus weight
@@ -535,7 +523,7 @@ def test_standard_form_and_run_teleport_refuse_mixed_blocks(monkeypatch):
 
 def test_standard_form_refuses_a_block_paired_off_the_maximally_entangled_state(monkeypatch):
     lam = Partition((2, 1))
-    start, dv = schur_basis(3, 2).slices()[lam].start, dim_v(lam)
+    start, dv = schur_basis(3, 2).blocks[lam].span.start, dim_v(lam)
     # (u=0, v=1) and (u=1, v=0) exchanged: the multiplicity pairing is wrong
     swapped = _swapped_basis(3, 2, start + 1, start + dv)
     monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
@@ -558,7 +546,7 @@ def test_cross_block_compressions_vanish():
     # inequivalent blocks
     n, d = 4, 2
     basis = schur_basis(n, d)
-    slices = basis.slices()
+    blocks = basis.blocks.values()
     rng = np.random.default_rng(5)
     perms = list(itertools.permutations(range(n)))
     for _ in range(5):
@@ -567,17 +555,16 @@ def test_cross_block_compressions_vanish():
             rng.standard_normal() * permutation_operator(perms[k], d) for k in chosen
         )
         rep = basis.matrix.T @ x @ basis.matrix
-        for lam_a, sl_a in slices.items():
-            for lam_b, sl_b in slices.items():
-                if lam_a != lam_b:
-                    assert np.max(np.abs(rep[sl_a, sl_b])) < 1e-10
+        for a in blocks:
+            for b in blocks:
+                if a is not b:
+                    assert np.max(np.abs(rep[a.span, b.span])) < 1e-10
 
 
 def test_haar_average_is_scalar_on_each_u_block():
     n, d = 4, 2
     samples = 500
     basis = schur_basis(n, d)
-    slices = basis.slices()
     rng = np.random.default_rng(12)
     x = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
     x = (x + x.conj().T) / 2
@@ -589,10 +576,9 @@ def test_haar_average_is_scalar_on_each_u_block():
     acc /= samples
     rep = basis.matrix.T @ acc @ basis.matrix
     tol = 3.0 / math.sqrt(samples)
-    for lam, sl in slices.items():
-        block = basis.blocks[lam]
+    for lam, block in basis.blocks.items():
         du, dv = block.dim_u, block.dim_v
-        tensor = rep[sl, sl].reshape(du, dv, du, dv)
+        tensor = rep[block.span, block.span].reshape(du, dv, du, dv)
         for v in range(dv):
             sub = tensor[:, v, :, v]
             scalar = np.trace(sub) / du

@@ -10,7 +10,6 @@ from locclab.schur_weyl import schur_basis, weights_by_projector
 from locclab.states import bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
     NothingToTeleportError,
-    build_plan,
     fidelity_lower_bound,
     good_set,
     ideal_fidelity,
@@ -26,7 +25,7 @@ from locclab.teleport import (
 def test_good_set_examples():
     assert [lam.parts for lam in good_set(2, 2)] == [(1, 1)]
     assert [lam.parts for lam in good_set(4, 2)] == [(3, 1), (2, 2)]
-    assert good_set(1, 2) == []  # single copies cannot be transferred
+    assert good_set(1, 2) == ()  # single copies cannot be transferred
 
 
 def test_good_set_is_dim_comparison():
@@ -119,48 +118,55 @@ def test_haar_mean_vanishes():
 
 
 def test_kraus_n2_singlet_structure():
-    plan = build_plan(2, 2)
+    basis = schur_basis(2, 2)
     rng = np.random.default_rng(3)
     phase = sample_haar_unitary(1, rng)
-    op = kraus_operator(plan, {Partition((1, 1)): phase})
+    op = kraus_operator(basis, {Partition((1, 1)): phase})
     assert op.shape == (1, 4)
-    singlet = plan.basis.blocks[Partition((1, 1))].column(0, 0)
+    singlet = basis.blocks[Partition((1, 1))].vectors[:, 0]
     # supported on the singlet line, with unit magnitude there
     overlap = op @ singlet
     assert abs(abs(overlap[0]) - 1.0) < 1e-12
-    sym_block = plan.basis.blocks[Partition((2, 0))].vectors
+    sym_block = basis.blocks[Partition((2, 0))].vectors
     assert np.max(np.abs(op @ sym_block)) < 1e-12
 
 
 def test_kraus_annihilates_bad_blocks():
-    plan = build_plan(4, 2)
+    basis = schur_basis(4, 2)
     rng = np.random.default_rng(4)
-    unitaries = {lam: sample_haar_unitary(dim_v(lam), rng) for lam in plan.good}
-    op = kraus_operator(plan, unitaries)
-    bad_block = plan.basis.blocks[Partition((4, 0))].vectors
+    unitaries = {lam: sample_haar_unitary(dim_v(lam), rng) for lam in good_set(4, 2)}
+    op = kraus_operator(basis, unitaries)
+    bad_block = basis.blocks[Partition((4, 0))].vectors
     assert np.max(np.abs(op @ bad_block)) < 1e-12
 
 
-def test_kraus_missing_block_rejected():
-    plan = build_plan(4, 2)
-    with pytest.raises(ValueError):
-        kraus_operator(plan, {})
+@pytest.mark.parametrize(
+    "unitaries, match",
+    [
+        ({}, "missing unitaries"),
+        ({Partition((3, 1)): np.eye(2), Partition((2, 2)): np.eye(2)}, "must be 3x3"),
+        ({Partition((3, 1)): 2 * np.eye(3), Partition((2, 2)): np.eye(2)}, "not unitary"),
+    ],
+    ids=["missing", "wrong-shape", "not-unitary"],
+)
+def test_kraus_missing_block_rejected(unitaries, match):
+    with pytest.raises(ValueError, match=match):
+        kraus_operator(schur_basis(4, 2), unitaries)
 
 
 def test_povm_completeness_monte_carlo():
-    plan = build_plan(4, 2)
-    basis = plan.basis
-    slices = basis.slices()
+    basis = schur_basis(4, 2)
+    good = good_set(4, 2)
     good_mask = np.zeros(16, dtype=bool)
-    for lam in plan.good:
-        good_mask[slices[lam]] = True
+    for lam in good:
+        good_mask[basis.blocks[lam].span] = True
     projector = basis.matrix[:, good_mask] @ basis.matrix[:, good_mask].T
     rng = np.random.default_rng(0)
     n_samples = 2000
     acc = np.zeros((16, 16), dtype=complex)
     for _ in range(n_samples):
-        unitaries = {lam: sample_haar_unitary(dim_v(lam), rng) for lam in plan.good}
-        op = kraus_operator(plan, unitaries)
+        unitaries = {lam: sample_haar_unitary(dim_v(lam), rng) for lam in good}
+        op = kraus_operator(basis, unitaries)
         acc += op.conj().T @ op
     acc /= n_samples
     assert np.linalg.norm(acc - projector, 2) <= 5 / math.sqrt(n_samples)
@@ -242,17 +248,11 @@ def test_final_state_matches_standard_form_target():
 
     form = standard_form(phi, 4)
     basis = form.basis
-    slices = basis.slices()
     coeff = np.zeros((16, 16), dtype=complex)
     for lam in res.good:
         block = basis.blocks[lam]
-        du, dv = block.dim_u, block.dim_v
-        piece = np.einsum(
-            "ab,vw->avbw",
-            form.phi[lam].amplitudes.reshape(du, du),
-            form.entangled[lam].amplitudes.reshape(dv, dv),
-        ).reshape(du * dv, du * dv)
-        coeff[slices[lam], slices[lam]] = math.sqrt(form.weights[lam]) * piece
+        piece = np.kron(form.phi[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
+        coeff[block.span, block.span] = math.sqrt(form.weights[lam]) * piece
     target = (basis.matrix @ coeff @ basis.matrix.T).reshape(-1)
     target /= np.linalg.norm(target)
     overlap = abs(np.vdot(target, res.final_state.amplitudes)) ** 2
@@ -266,7 +266,6 @@ def test_coherence_between_blocks_preserved():
     from locclab.schur_weyl import schur_basis
 
     basis = schur_basis(4, 2)
-    slices = basis.slices()
     final = res.final_state.amplitudes.reshape(16, 16)
     coeff = basis.matrix.T @ final @ basis.matrix
     from locclab.schur_weyl import standard_form
@@ -275,16 +274,10 @@ def test_coherence_between_blocks_preserved():
     keep = sum(form.weights[lam] for lam in res.good)
     phases = []
     for lam in res.good:
-        sl = slices[lam]
         block = basis.blocks[lam]
-        du, dv = block.dim_u, block.dim_v
-        piece = np.einsum(
-            "ab,vw->avbw",
-            form.phi[lam].amplitudes.reshape(du, du),
-            form.entangled[lam].amplitudes.reshape(dv, dv),
-        ).reshape(du * dv, du * dv)
+        piece = np.kron(form.phi[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
         target_block = math.sqrt(form.weights[lam] / keep) * piece
-        inner = np.vdot(target_block, coeff[sl, sl])
+        inner = np.vdot(target_block, coeff[block.span, block.span])
         assert abs(abs(inner) - np.linalg.norm(target_block) ** 2) < 1e-8
         phases.append(inner / abs(inner))
     # one global phase only: all block phases agree
