@@ -350,12 +350,12 @@ class EstimationReport:
     reference_cr: float  # 1 / (single-copy optimal local information)
     seed: int | None
 
-    def to_csv(self, path) -> None:
+    def to_csv(self) -> str:
+        """One row per trial: its estimate and squared error."""
         lines = ["trial,estimate,squared_error"]
-        for k, est in enumerate(self.estimates):
+        for k, est in enumerate(self.estimates.tolist()):
             lines.append(f"{k},{est!r},{(est - self.theta_true) ** 2!r}")
-        with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
 
 
 def _qfi(model: PureStateModel, theta: float) -> float:
@@ -577,8 +577,7 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     """
     from . import teleport as tp
 
-    if d == 1:
-        raise ValueError("d = 1 has no retired block to hold the unused directions")
+    tp.check_local_dimension(d)
     good = tp.good_set(n, d)
     if not good:
         raise ValueError("no retained blocks at these parameters")

@@ -38,6 +38,13 @@ class NothingToTeleportError(RuntimeError):
         )
 
 
+def check_local_dimension(d: int) -> None:
+    """The protocol needs d >= 2: at d = 1 the one block (n) is retained and
+    no retired block holds the unused directions."""
+    if d < 2:
+        raise ValueError(f"d = {d} has no retired block to hold the unused directions")
+
+
 def retained(lam: Partition) -> bool:
     """Whether the protocol keeps block lam: dim_u <= dim_v."""
     return dim_u(lam) <= dim_v(lam)
@@ -189,6 +196,7 @@ def run_teleport(
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
+    check_local_dimension(d)
     # six d^n x d^n complex arrays at the peak: in standard_form, or at the
     # final state (its block coefficients, the dense basis with its scatter
     # index, and two products, each with a complex copy of the basis)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from locclab import estimation, locc, schur_weyl
+import locclab
+from locclab import estimation, locc, schur_weyl, teleport
 from locclab.cli import main
 from locclab.partitions import enumerate_partitions
 from locclab.teleport import ideal_fidelity
@@ -142,6 +147,22 @@ def test_teleport_product_structured_error(capsys):
     assert payload["fidelity"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--state", "bell", "--d", "1", "--n", "2"], ["--schmidt", "1", "--n", "2"]],
+    ids=["bell-d1", "schmidt-1"],
+)
+def test_teleport_refuses_d1_before_any_basis_is_built(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("standard_form called at d = 1")
+
+    monkeypatch.setattr(teleport, "standard_form", fail)
+    code, out, err = run_cli(capsys, "teleport", *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError" and "d = 1" in error["message"]
+
+
 def test_teleport_bell_n8_is_inside_the_budget(capsys):
     payload = run_json(capsys, "teleport", "--state", "bell", "--n", "8")
     assert abs(payload["fidelity"] - ideal_fidelity((0.5, 0.5), 8)) <= 1e-9
@@ -240,6 +261,16 @@ def test_fisher_command(capsys):
     assert payload["weighted_cr"] == pytest.approx(4.0, abs=1e-6)
 
 
+def test_fisher_model_and_model_json_are_mutually_exclusive(tmp_path, capsys):
+    spec_file = tmp_path / "family.json"
+    spec_file.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main(["fisher", "--model", "qubit-full", "--model-json", str(spec_file),
+              "--theta", "1.0"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_gap_command(capsys):
     payload = run_json(
         capsys,
@@ -294,6 +325,16 @@ def test_two_stage_passes_one_family_without_model_b(capsys, monkeypatch):
     assert shared == [True, False]
 
 
+def test_estimation_failure_keeps_its_label(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise locc.EstimationFailureError("flat likelihood")
+
+    monkeypatch.setattr(locc, "two_stage_estimate", fail)
+    code, out, err = run_cli(capsys, "two-stage", "--n", "100", "--trials", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "estimation-failure", "message": "flat likelihood"}
+
+
 # ---------------------------------------------------------------- reproducibility
 
 
@@ -308,16 +349,71 @@ DOCUMENTED_COMMANDS = [
     ["detect", "--states", "bell", "0.9,0.1"],
     ["additivity", "--rounds", "2", "--seed", "3"],
     ["two-stage", "--n", "100", "--trials", "25", "--seed", "5"],
+    ["two-stage", "--n", "100", "--trials", "5", "--format", "csv"],
 ]
 
 
-@pytest.mark.parametrize("argv", DOCUMENTED_COMMANDS, ids=lambda a: a[0])
-def test_byte_identical_reruns(argv, tmp_path):
+@pytest.mark.parametrize(
+    "argv", DOCUMENTED_COMMANDS, ids=lambda a: a[0] + "-csv" if "csv" in a else a[0]
+)
+def test_byte_identical_reruns(argv, tmp_path, capsys):
     out1 = tmp_path / "first.out"
     out2 = tmp_path / "second.out"
     assert main(argv + ["--output", str(out1)]) == 0
     assert main(argv + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0 and out1.read_bytes() == stdout.encode()
+
+
+def test_two_stage_csv_goes_to_stdout(capsys):
+    code, out, err = run_cli(capsys, "two-stage", "--n", "100", "--trials", "5", "--format", "csv")
+    assert code == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "trial,estimate,squared_error"
+    assert len(lines) == 6
+    assert all(len([float(x) for x in line.split(",")]) == 3 for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["additivity", "--rounds", "17"], "RuntimeError"),
+        (["gap", "--a", "1", "--b", "1", "--betaA", "0.8", "--betaB", "0.2", "--output", None],
+         "IsADirectoryError"),
+    ],
+    ids=["path-limit", "output-is-a-directory"],
+)
+def test_path_limit_and_output_errors_are_structured(capsys, tmp_path, argv, error):
+    argv = [str(tmp_path) if arg is None else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["decompose", "--state", "bell", "--n", "4"], 0),
+        (["gap", "--a", "nan", "--b", "1", "--betaA", "0.8", "--betaB", "0.2"], 1),
+        (["decompose", "--n", "4"], 2),
+    ],
+    ids=["ok", "failure", "usage"],
+)
+def test_module_entry_point_exit_codes(argv, code):
+    src = str(Path(locclab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "locclab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["command"] == "decompose"
+    elif code == 1:
+        assert proc.stdout == "" and json.loads(proc.stderr)["error"] == "ValueError"
+    else:
+        assert proc.stdout == "" and "usage" in proc.stderr
 
 
 def test_output_dir_env(tmp_path, monkeypatch, capsys):

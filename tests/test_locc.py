@@ -741,14 +741,16 @@ def test_two_stage_stage1_copies_do_not_depend_on_trials():
             assert report.stage1_copies == n1
 
 
-def test_two_stage_csv(tmp_path):
+def test_two_stage_csv():
     model = real_amplitude()
     report = two_stage_estimate(model, model, n=100, trials=20, rng=0, theta_true=1.0)
-    out = tmp_path / "report.csv"
-    report.to_csv(out)
-    lines = out.read_text().strip().split("\n")
+    lines = report.to_csv().strip().split("\n")
     assert lines[0] == "trial,estimate,squared_error"
     assert len(lines) == 21
+    for k, line in enumerate(lines[1:]):
+        trial, estimate, squared_error = line.split(",")
+        assert int(trial) == k and float(estimate) == report.estimates[k]
+        assert float(squared_error) == (report.estimates[k] - 1.0) ** 2
 
 
 def test_two_stage_flat_likelihood_fails_structurally():
