@@ -60,10 +60,7 @@ def cmd_decompose(args) -> dict:
         "d": phi.dims[0],
         "schmidt_spectrum": list(spectrum),
         "weights": {str(lam): q for lam, q in weights.items()},
-        # the retained blocks, dim_u <= dim_v (teleport.retained)
-        "good_set": sorted(
-            key for key, dim in dims.items() if dim["dim_u"] <= dim["dim_v"]
-        ),
+        "good_set": sorted(str(lam) for lam in teleport.good_set(args.n, phi.dims[0])),
         "dims": dims,
         "weight_sum": sum(weights.values()),
     }

@@ -30,7 +30,8 @@ from .estimation import fisher_of_distribution
 from .models import PureStateModel, rotation_model
 from .partitions import dim_v
 from .schur_weyl import schur_basis
-from .states import StateVector, check_bytes
+from .states import StateVector, as_generator, check_bytes
+from .teleport import check_local_dimension, good_set, kraus_operator, sample_haar_unitary
 
 _PATH_LIMIT = 100_000
 _GRID_POINTS = 512  # likelihood grid of the two-stage estimate
@@ -135,15 +136,6 @@ class LoccTranscript:
         return json.dumps(payload, sort_keys=True)
 
 
-def _as_generator(rng) -> tuple[np.random.Generator, int | None]:
-    """A generator and the seed to record: an int seeds a fresh generator
-    (None means 0); a given generator is used as is and records no seed."""
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        seed = int(rng) if rng is not None else 0
-        return np.random.default_rng(seed), seed
-    return rng, None
-
-
 def _as_factor(state, dim_a: int, dim_b: int) -> np.ndarray:
     """The input state as a factor V of its density V V^dagger, shaped
     (d_A, d_B, r). A vector is one column; a density matrix is factored
@@ -226,7 +218,7 @@ def run_locc(
     """Sample one execution path; deterministic given the seed. The
     transcript holds a pure final state as its amplitude vector and a mixed
     one as its density matrix."""
-    rng, seed = _as_generator(rng)
+    rng, seed = as_generator(rng)
     factor = _as_factor(input_state, protocol.dim_a, protocol.dim_b)
     history: tuple[str, ...] = ()
     messages: list[Message] = []
@@ -437,7 +429,7 @@ def two_stage_estimate(
         raise ValueError("need n >= 25 so that sqrt(n) first-stage copies >= 5")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    rng, seed = _as_generator(rng)
+    rng, seed = as_generator(rng)
 
     j_ref = _qfi(model_a, theta_true) + _qfi(model_b, theta_true)
     n1 = math.ceil(math.sqrt(n))
@@ -575,10 +567,8 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     freshly prepared maximally entangled multiplicity parts, into a doubled
     register.
     """
-    from . import teleport as tp
-
-    tp.check_local_dimension(d)
-    good = tp.good_set(n, d)
+    check_local_dimension(d)
+    good = good_set(n, d)
     if not good:
         raise ValueError("no retained blocks at these parameters")
     dims_v = [dim_v(lam) for lam in good]
@@ -623,7 +613,7 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
         if not alice_ops:
             alice_ops.append(("fail", [fail]))
             for m, combo in enumerate(combos):
-                a_op = tp.kraus_operator(basis, unitaries_for(combo))
+                a_op = kraus_operator(basis, unitaries_for(combo))
                 alice_ops.append((f"w{m}", [a_op / math.sqrt(n_outcomes)]))
         return alice_ops
 
@@ -687,8 +677,6 @@ def random_adaptive_protocol(rng: np.random.Generator, rounds: int = 2) -> LoccP
     acting party projectively in a basis selected by the history so far."""
     if rounds < 0:
         raise ValueError(f"rounds must be non-negative, got {rounds}")
-
-    from .teleport import sample_haar_unitary
 
     parties = ["A" if k % 2 == 0 else "B" for k in range(rounds)]
     tables = [

@@ -262,17 +262,14 @@ def tabulated_model(thetas: Sequence[float], states: Sequence[Sequence[complex]]
 
 
 def model_from_json(source: str | Path | dict) -> PureStateModel:
-    """Load a tabulated model from a JSON payload.
+    """Load a tabulated model from a JSON file at the path ``source``, or
+    from its already parsed payload.
 
     Expected keys: ``thetas`` (grid) and ``states`` (list of amplitude
-    lists, each amplitude as [re, im]); optional ``name``.
+    lists, each amplitude as [re, im]); optional ``name``. A missing file
+    raises FileNotFoundError.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        payload = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        payload = json.loads(source)
-    else:
-        payload = source
+    payload = source if isinstance(source, dict) else json.loads(Path(source).read_text())
     thetas = payload["thetas"]
     states = [
         [complex(re, im) for re, im in state] for state in payload["states"]

@@ -680,7 +680,7 @@ def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:
             f"n = {n} is above {_MAX_CHARACTER_N}: beyond it the character "
             "sum can round by more than the 1e-9 weight tolerance"
         )
-    rho = phi.reduced_density(0)
+    rho = phi.reduced_density()
     traces, power = [1.0], np.eye(rho.shape[0])
     for _ in range(n):
         power = power @ rho

@@ -18,6 +18,16 @@ def check_bytes(nbytes: int, what: str):
         raise ValueError(f"{what} needs {nbytes} bytes, over the {_MAX_BYTES}-byte budget")
 
 
+def as_generator(rng) -> tuple[np.random.Generator, int | None]:
+    """The one seed normaliser: a generator and the seed to record. An int
+    seeds a fresh generator (None means 0); a given generator is used as is
+    and records no seed."""
+    if isinstance(rng, (int, np.integer)) or rng is None:
+        seed = int(rng) if rng is not None else 0
+        return np.random.default_rng(seed), seed
+    return rng, None
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Amplitudes over the computational basis of a tensor-product space.
@@ -72,12 +82,10 @@ class StateVector:
         svals = np.linalg.svd(self.amplitude_matrix(), compute_uv=False)
         return svals**2
 
-    def reduced_density(self, keep: int = 0) -> np.ndarray:
-        """Partial trace of a bipartite pure state onto one side."""
+    def reduced_density(self) -> np.ndarray:
+        """Partial trace of a bipartite pure state onto the first side."""
         m = self.amplitude_matrix()
-        if keep == 0:
-            return m @ m.conj().T
-        return m.T @ m.conj()
+        return m @ m.conj().T
 
 
 def _preset_matrix(d: int) -> np.ndarray:

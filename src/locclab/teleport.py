@@ -20,10 +20,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .locc import LoccTranscript, Message, _as_generator
 from .partitions import Partition, as_spectrum, dim_u, dim_v, enumerate_partitions
 from .schur_weyl import SchurBasis, standard_form, weights_analytic
-from .states import StateVector, check_bytes
+from .states import StateVector, as_generator, check_bytes
 
 
 class NothingToTeleportError(RuntimeError):
@@ -45,22 +44,18 @@ def check_local_dimension(d: int) -> None:
         raise ValueError(f"d = {d} has no retired block to hold the unused directions")
 
 
-def retained(lam: Partition) -> bool:
-    """Whether the protocol keeps block lam: dim_u <= dim_v."""
-    return dim_u(lam) <= dim_v(lam)
-
-
 @lru_cache(maxsize=32)
 def good_set(n: int, d: int) -> tuple[Partition, ...]:
-    """Blocks kept by the protocol, in enumeration order; memoized per
-    (n, d), like ``schur_basis``."""
-    return tuple(lam for lam in enumerate_partitions(n, d) if retained(lam))
+    """Blocks kept by the protocol, those with dim_u <= dim_v, in
+    enumeration order; memoized per (n, d), like ``schur_basis``."""
+    return tuple(lam for lam in enumerate_partitions(n, d) if dim_u(lam) <= dim_v(lam))
 
 
 def ideal_fidelity(p: Sequence[float], n: int) -> float:
     """Retained weight sum over the good set, from the Schmidt spectrum."""
-    weights = weights_analytic(as_spectrum(p), n)
-    return float(sum(q for lam, q in weights.items() if retained(lam)))
+    spectrum = as_spectrum(p)
+    weights = weights_analytic(spectrum, n)
+    return float(sum(weights[lam] for lam in good_set(n, len(spectrum))))
 
 
 def fidelity_lower_bound(p1: float, n: int, d: int) -> float:
@@ -124,25 +119,45 @@ def kraus_operator(
 
 @dataclass(frozen=True)
 class TeleportResult:
-    """Outcome of one protocol run.
+    """Outcome of one protocol run: what the run computed, and the figures
+    that follow from it.
 
-    ``fidelity`` is the retained-weight fidelity of the post-selected final
-    state (the headline figure); ``unconditional_fidelity`` multiplies it by
-    the success probability of the projection step.
+    ``success_prob`` is the retained weight, the success probability of the
+    projection step; ``final_state`` is None when the good set is empty (the
+    run is vacuous). A sampled transcript of the protocol comes from
+    ``run_locc(teleport_protocol(n, d), ...)``.
     """
 
     n: int
     d: int
     schmidt_spectrum: tuple[float, ...]
-    good: tuple[Partition, ...]
     success_prob: float
-    fidelity: float
-    unconditional_fidelity: float
-    bound: float
     final_state: StateVector | None
-    transcript: LoccTranscript | None
     seed: int | None
-    status: str = "ok"
+
+    @property
+    def good(self) -> tuple[Partition, ...]:
+        return good_set(self.n, self.d)
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.good else "vacuous"
+
+    @property
+    def fidelity(self) -> float:
+        """Fidelity of the post-selected final state with its target, the
+        headline figure: it equals the retained weight."""
+        return self.success_prob
+
+    @property
+    def unconditional_fidelity(self) -> float:
+        """The fidelity times the success probability of the projection."""
+        return self.success_prob * self.fidelity
+
+    @property
+    def bound(self) -> float:
+        """``fidelity_lower_bound`` at the largest Schmidt coefficient."""
+        return fidelity_lower_bound(self.schmidt_spectrum[0], self.n, self.d)
 
     def to_json_dict(self) -> dict:
         """Stable serialization of the run's summary figures."""
@@ -160,25 +175,6 @@ class TeleportResult:
         }
 
 
-def _vacuous_result(
-    n: int, d: int, spectrum: tuple[float, ...], seed: int | None
-) -> TeleportResult:
-    return TeleportResult(
-        n=n,
-        d=d,
-        schmidt_spectrum=spectrum,
-        good=(),
-        success_prob=0.0,
-        fidelity=0.0,
-        unconditional_fidelity=0.0,
-        bound=fidelity_lower_bound(spectrum[0], n, d),
-        final_state=None,
-        transcript=None,
-        seed=seed,
-        status="vacuous",
-    )
-
-
 def run_teleport(
     phi: StateVector,
     n: int,
@@ -192,7 +188,7 @@ def run_teleport(
     state, the one dense array, is checked against the analytic target; the
     reported fidelity equals the retained weight.
     """
-    rng, seed = _as_generator(rng)
+    rng, seed = as_generator(rng)
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
@@ -206,7 +202,7 @@ def run_teleport(
 
     good = good_set(n, d)
     if not good:
-        return _vacuous_result(n, d, spectrum, seed)
+        return TeleportResult(n, d, spectrum, 0.0, None, seed)
 
     # step I: Alice projects onto the retained blocks; the conditioned
     # state's u part on block lam is sqrt(q_lam / success) phi_lam
@@ -252,28 +248,4 @@ def run_teleport(
     bmat = form.basis.matrix
     final_vec = (bmat @ final_coeff @ bmat.T).reshape(-1)
     final_state = StateVector(final_vec, (d,) * (2 * n)).normalized()
-    fidelity = success  # retained weight; equals |<target|phi^n>|^2
-    transcript = LoccTranscript(
-        protocol_id=f"teleport(n={n},d={d})",
-        seed=seed,
-        messages=[
-            Message(0, "A", "project:retained", success),
-            Message(1, "A", "povm:haar-outcome", 1.0),
-            Message(2, "B", "recover+reconstruct", 1.0),
-        ],
-        state=final_state.amplitudes,
-    )
-    return TeleportResult(
-        n=n,
-        d=d,
-        schmidt_spectrum=spectrum,
-        good=good,
-        success_prob=success,
-        fidelity=fidelity,
-        unconditional_fidelity=success * fidelity,
-        bound=fidelity_lower_bound(spectrum[0], n, d),
-        final_state=final_state,
-        transcript=transcript,
-        seed=seed,
-        status="ok",
-    )
+    return TeleportResult(n, d, spectrum, success, final_state, seed)

@@ -432,3 +432,11 @@ def test_fisher_model_json(tmp_path, capsys):
     spec_file.write_text(json.dumps({"thetas": thetas.tolist(), "states": states}))
     payload = run_json(capsys, "fisher", "--model-json", str(spec_file), "--theta", "1.0")
     assert payload["J_S"][0][0] == pytest.approx(1 / 16, rel=1e-3)
+
+
+def test_fisher_missing_model_json_names_the_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, "fisher", "--model-json", str(missing), "--theta", "1.0")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "FileNotFoundError" and str(missing) in error["message"]

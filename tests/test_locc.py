@@ -9,6 +9,7 @@ from locclab import locc
 from locclab.locc import (
     EstimationFailureError,
     LoccProtocol,
+    LoccTranscript,
     Round,
     enumerate_paths,
     fisher_of_distribution,
@@ -50,6 +51,34 @@ def test_zero_round_protocol_returns_input():
     assert np.allclose(transcript.final_state, density)
     # a mixed density is held as is, not re-derived on read
     assert transcript.final_state is transcript.state
+
+
+def _pure_transcript(dim: int):
+    """The zero-round transcript of a random pure dim x dim state."""
+    rng = np.random.default_rng(dim)
+    vec = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    return run_locc(LoccProtocol(dim, dim, ()), vec / np.linalg.norm(vec), 0)
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+def test_transcript_density_read_from_vector(dim):
+    transcript = _pure_transcript(dim)
+    a = transcript.state
+    density = np.outer(a, a.conj())
+    assert np.array_equal(transcript.final_state, density)
+    eager = LoccTranscript("eager", transcript.seed, transcript.messages, density)
+    assert transcript.final_state_hash() == eager.final_state_hash()
+
+
+def test_transcript_hash_never_holds_the_density():
+    transcript = _pure_transcript(64)
+    tracemalloc.start()
+    try:
+        transcript.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the 4096 x 4096 density alone is 256 MB
 
 
 def test_transcript_determinism_and_schema():

@@ -36,7 +36,7 @@ from locclab.states import (
     product_state,
     state_from_schmidt,
 )
-from locclab.teleport import retained, run_teleport, sample_haar_unitary
+from locclab.teleport import good_set, run_teleport, sample_haar_unitary
 from tests_support import dense_basis_matrix
 
 
@@ -507,7 +507,7 @@ def _swapped_basis(n, d, a, b):
 
 def test_standard_form_and_run_teleport_refuse_mixed_blocks(monkeypatch):
     retired, kept = Partition((3, 0)), Partition((2, 1))
-    assert not retained(retired) and retained(kept)
+    assert retired not in good_set(3, 2) and kept in good_set(3, 2)
     blocks = schur_basis(3, 2).blocks
     swapped = _swapped_basis(3, 2, blocks[retired].span.start, blocks[kept].span.start)
     monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from locclab.partitions import Partition, dim_u, dim_v
-from locclab.locc import LoccTranscript
 from locclab.schur_weyl import schur_basis, weights_by_projector
 from locclab.states import bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
@@ -192,35 +192,6 @@ def test_run_teleport_bell_n4():
     assert res.fidelity == pytest.approx(oracle, abs=1e-9)
 
 
-def test_run_teleport_transcript():
-    res = run_teleport(bell_state(2), 4, 0)
-    assert res.transcript is not None
-    assert res.transcript.path_probability == pytest.approx(res.success_prob)
-    parties = [m.party for m in res.transcript.messages]
-    assert parties == ["A", "A", "B"]
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_run_teleport_transcript_density_read_from_vector(n):
-    res = run_teleport(bell_state(2), n, 0)
-    a = res.final_state.amplitudes
-    density = np.outer(a, a.conj())
-    assert np.array_equal(res.transcript.final_state, density)
-    eager = LoccTranscript("eager", res.seed, res.transcript.messages, density)
-    assert res.transcript.final_state_hash() == eager.final_state_hash()
-
-
-def test_run_teleport_transcript_hash_never_holds_the_density():
-    res = run_teleport(bell_state(2), 6, 0)
-    tracemalloc.start()
-    try:
-        res.transcript.to_json()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20  # the 4096 x 4096 density alone is 256 MB
-
-
 def test_run_teleport_product_state_raises():
     with pytest.raises(NothingToTeleportError) as err:
         run_teleport(product_state(2), 3, 0)
@@ -232,6 +203,15 @@ def test_run_teleport_vacuous_n1():
     assert res.status == "vacuous"
     assert res.fidelity == 0.0 and res.success_prob == 0.0
     assert res.final_state is None
+    assert res.good == () and res.unconditional_fidelity == 0.0
+    assert res.bound == pytest.approx(fidelity_lower_bound(0.5, 1, 2), abs=1e-12)
+
+
+def test_teleport_result_stores_only_what_the_run_computed():
+    res = run_teleport(bell_state(2), 4, 0)
+    stored = [field.name for field in dataclasses.fields(res)]
+    assert stored == ["n", "d", "schmidt_spectrum", "success_prob", "final_state", "seed"]
+    assert dataclasses.replace(res, n=1).status == "vacuous"
 
 
 def test_outcome_independence_20_runs():
