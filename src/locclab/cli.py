@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation, locc, models, schur_weyl, teleport
-from .partitions import as_spectrum, dim_u, dim_v
+from .partitions import as_spectrum, block_table
 from .states import StateVector, bell_state, product_state, state_from_schmidt
 
 OUTPUT_DIR_ENV = "LOCCLAB_OUTPUT_DIR"
@@ -53,14 +53,15 @@ def _parse_state(text: str, d: int | None) -> tuple[StateVector, tuple[float, ..
 
 def cmd_decompose(args) -> dict:
     phi, spectrum = _parse_state(args.state or args.schmidt, args.d)
+    d = phi.dims[0]
     weights = schur_weyl.weights_analytic(spectrum, args.n)
-    dims = {str(lam): {"dim_u": dim_u(lam), "dim_v": dim_v(lam)} for lam in weights}
+    dims = {str(lam): {"dim_u": du, "dim_v": dv} for lam, du, dv in block_table(args.n, d)}
     return {
         "n": args.n,
-        "d": phi.dims[0],
+        "d": d,
         "schmidt_spectrum": list(spectrum),
         "weights": {str(lam): q for lam, q in weights.items()},
-        "good_set": sorted(str(lam) for lam in teleport.good_set(args.n, phi.dims[0])),
+        "good_set": sorted(str(lam) for lam in teleport.good_set(args.n, d)),
         "dims": dims,
         "weight_sum": sum(weights.values()),
     }

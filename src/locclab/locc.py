@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimation import fisher_of_distribution
 from .models import PureStateModel, rotation_model
-from .partitions import dim_v
+from .partitions import block_table
 from .schur_weyl import schur_basis
 from .states import StateVector, as_generator, check_bytes
 from .teleport import check_local_dimension, good_set, kraus_operator, sample_haar_unitary
@@ -571,7 +571,7 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     good = good_set(n, d)
     if not good:
         raise ValueError("no retained blocks at these parameters")
-    dims_v = [dim_v(lam) for lam in good]
+    dims_v = [row.dim_v for row in block_table(n, d) if row.lam in good]
     n_outcomes = math.prod(2 * dv**2 for dv in dims_v)
     if n_outcomes > _PATH_LIMIT:
         raise ValueError(

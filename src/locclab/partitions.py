@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,6 +139,23 @@ def dim_v(lam: Partition) -> int:
     return q
 
 
+class BlockDims(NamedTuple):
+    """One block of (C^d)^{(x)n}: its Young index and exact dimensions."""
+
+    lam: Partition
+    dim_u: int
+    dim_v: int
+
+
+@lru_cache(maxsize=32)
+def block_table(n: int, d: int) -> tuple[BlockDims, ...]:
+    """Every block of (C^d)^{(x)n} in ``enumerate_partitions(n, d)`` order,
+    with its exact ``dim_u`` and ``dim_v``; memoized per (n, d), like
+    ``schur_weyl.schur_basis``. The table depends only on (n, d), so every
+    spectrum query and basis of that size reads the same one."""
+    return tuple(BlockDims(lam, dim_u(lam), dim_v(lam)) for lam in enumerate_partitions(n, d))
+
+
 def standard_tableaux(lam: Partition) -> list[tuple[int, ...]]:
     """The dim_v(lam) standard tableaux of shape lam as Yamanouchi words.
 
@@ -251,7 +268,8 @@ def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
     t_j wherever t_j > t_{j+1} (t_{k-1} > a for the last part of mu). For
     p >= 0 every term is a product of non-negative numbers, so nothing
     cancels (Demmel & Koev, Math. Comp. 75 (2006)). The work arrays are flat,
-    sized by the tuples of d - 1 parts, and no call retains them.
+    sized by the tuples of d - 1 parts, and no call retains them. The keys
+    are the partitions of ``block_table(n, d)``, in its order.
     """
     if n < 1 or len(p) < 1:
         raise ValueError("n and d must be positive")
@@ -281,7 +299,7 @@ def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
         if k == len(p):
             # the tuples of size n, reversed, are in enumeration order
             top = values[(start + count - 1)[n - size <= last]][::-1]
-            return dict(zip(enumerate_partitions(n, k), top.tolist()))
+            return dict(zip((row.lam for row in block_table(n, k)), top.tolist()))
         rows = np.repeat(np.arange(len(count)), count)
         a = np.arange(len(rows)) - start[rows]  # the rows (mu, a) of k parts
         pred = [q[rows] for q in pred + [np.where(last > 0, below, -1)]]
@@ -359,11 +377,15 @@ def large_deviation_bound(
     """
     spectrum = as_spectrum(p)
     d = len(spectrum)
-    table = schur_polynomials(spectrum, n)
-    members = [lam for lam in table if region(lam.normalized())]
+    values = schur_polynomials(spectrum, n).values()  # in block_table order
+    members = [
+        (lam, dv * s)
+        for (lam, _, dv), s in zip(block_table(n, d), values)
+        if region(lam.normalized())
+    ]
     if not members:
         return 0.0, 0.0, True
-    lhs = sum(dim_v(lam) * table[lam] for lam in members)
-    min_div = min(relative_entropy(lam.normalized(), spectrum) for lam in members)
+    lhs = sum(q for _, q in members)
+    min_div = min(relative_entropy(lam.normalized(), spectrum) for lam, _ in members)
     rhs = (n + 1) ** (d * (d + 1) / 2) * math.exp(-n * min_div)
     return lhs, rhs, lhs <= rhs

@@ -49,6 +49,7 @@ import numpy as np
 
 from .partitions import (
     Partition,
+    block_table,
     character,
     class_size,
     cycle_type,
@@ -426,16 +427,16 @@ def build_schur_basis(n: int, d: int, seed: int | None = None) -> SchurBasis:
     # set the peak when there are few letters over many
     nbytes = 16 * _same_weight_pairs(n, d) + 2048 * d**n
     check_bytes(nbytes, f"the block basis at n={n}, d={d}")
-    partitions = enumerate_partitions(n, d)
+    table = block_table(n, d)
     strings = _Strings(n, d)
     weights = strings.by_length[n]
     sizes = np.diff(weights.starts)
     amplitudes = np.empty(int(sizes @ sizes))
     squares = _weight_blocks(amplitudes, sizes)
-    kostka = np.zeros((len(partitions), sizes.size), dtype=np.int64)
+    kostka = np.zeros((len(table), sizes.size), dtype=np.int64)
     filled = np.zeros_like(sizes)
     path: list = []
-    for row, lam in enumerate(partitions):
+    for row, (lam, _, _) in enumerate(table):
         ref = _reference_vectors(lam, d, strings, path)
         copies = _young_form(ref, _young_steps(lam), strings, n)
         end = 0
@@ -477,8 +478,7 @@ def _assemble(
     runs = []  # (weight, first matrix column, width), block by block
     blocks = {}
     offset = 0
-    for lam, counts in zip(enumerate_partitions(n, d), kostka.tolist()):
-        du, dv = dim_u(lam), dim_v(lam)
+    for (lam, du, dv), counts in zip(block_table(n, d), kostka.tolist()):
         pieces, u = [], 0
         for w, count in enumerate(counts):
             if count:
@@ -535,7 +535,7 @@ def load_basis(path: str | Path) -> SchurBasis:
         kostka, amplitudes = data["kostka"], data["amplitudes"]
     weights = _torus_weights(n, d)
     sizes = np.diff(weights.starts)
-    if kostka.shape != (len(enumerate_partitions(n, d)), sizes.size) or (
+    if kostka.shape != (len(block_table(n, d)), sizes.size) or (
         amplitudes.shape != (sizes @ sizes,)
     ):
         raise ValueError(f"{path} does not hold the weight blocks of n={n}, d={d}")
@@ -597,7 +597,8 @@ def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
     unless the weights are non-negative and sum to 1, as the matrix routes
     check, and when a dim_v is beyond the float range."""
     try:
-        weights = {lam: dim_v(lam) * s for lam, s in schur_polynomials(p, n).items()}
+        values = schur_polynomials(p, n).values()  # in block_table order
+        weights = {lam: dv * s for (lam, _, dv), s in zip(block_table(n, len(p)), values)}
     except OverflowError as exc:
         raise ValueError(f"a dim_v at n={n} is beyond the float range") from exc
     return _require_distribution(weights, f"{tuple(p)} at n={n}")
@@ -660,9 +661,11 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
         raise BasisAlignmentError(
             f"reassembly residual {math.sqrt(residual_sq):.2e} above 1e-8"
         )
-    total = sum(weights.values())
-    if abs(total - 1.0) > 1e-10:
-        raise BasisAlignmentError(f"weights sum to {total}, not 1")
+    # the blocks hold all of |phi>^(x)n, of squared norm |phi|^(2n): an
+    # admitted norm 1 + 1e-10 puts that 2n * 1e-10 away from 1
+    total, expected = sum(weights.values()), phi.norm() ** (2 * n)
+    if abs(total - expected) > 1e-10:
+        raise BasisAlignmentError(f"weights sum to {total}, not |phi|^(2n) = {expected}")
     return StandardForm(n, d, weights, phis, basis)
 
 
@@ -691,7 +694,7 @@ def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:
         for mu in enumerate_partitions(n, n)
     ]
     weights = {
-        lam: dim_v(lam) * math.fsum(character(lam, mu) * t for mu, t in classes)
-        for lam in enumerate_partitions(n, phi.dims[0])
+        lam: dv * math.fsum(character(lam, mu) * t for mu, t in classes)
+        for lam, _, dv in block_table(n, phi.dims[0])
     }
     return _require_distribution(weights, f"the projector route at n={n}")

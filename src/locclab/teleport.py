@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .partitions import Partition, as_spectrum, dim_u, dim_v, enumerate_partitions
+from .partitions import Partition, as_spectrum, block_table
 from .schur_weyl import SchurBasis, standard_form, weights_analytic
 from .states import StateVector, as_generator, check_bytes
 
@@ -44,11 +43,10 @@ def check_local_dimension(d: int) -> None:
         raise ValueError(f"d = {d} has no retired block to hold the unused directions")
 
 
-@lru_cache(maxsize=32)
 def good_set(n: int, d: int) -> tuple[Partition, ...]:
     """Blocks kept by the protocol, those with dim_u <= dim_v, in
-    enumeration order; memoized per (n, d), like ``schur_basis``."""
-    return tuple(lam for lam in enumerate_partitions(n, d) if dim_u(lam) <= dim_v(lam))
+    enumeration order: a filter of the memoized ``block_table(n, d)``."""
+    return tuple(lam for lam, du, dv in block_table(n, d) if du <= dv)
 
 
 def ideal_fidelity(p: Sequence[float], n: int) -> float:

@@ -1,6 +1,9 @@
+import collections
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import locclab
-from locclab import estimation, locc, schur_weyl, teleport
+from locclab import estimation, locc, partitions, schur_weyl, teleport
 from locclab.cli import main
 from locclab.partitions import enumerate_partitions
 from locclab.teleport import ideal_fidelity
@@ -64,6 +67,31 @@ def test_decompose_skewed_d4_n60(capsys):
     )
     assert abs(payload["weight_sum"] - 1.0) <= 1e-9
     assert min(payload["weights"].values()) >= 0.0
+
+
+def test_a_cold_decompose_computes_each_dimension_once(capsys, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(func):
+        def wrapper(lam):
+            calls[func.__name__, lam] += 1
+            return func(lam)
+
+        return wrapper
+
+    # every module that holds its own name for either function
+    originals = (partitions.dim_u, partitions.dim_v)
+    for info in pkgutil.iter_modules(locclab.__path__):
+        module = importlib.import_module(f"locclab.{info.name}")
+        for func in originals:
+            if getattr(module, func.__name__, None) is func:
+                monkeypatch.setattr(module, func.__name__, counted(func))
+    partitions.block_table.cache_clear()
+    run_json(capsys, "decompose", "--schmidt", "0.4,0.3,0.2,0.1", "--n", "60")
+    blocks = enumerate_partitions(60, 4)
+    assert calls == collections.Counter(
+        {(name, lam): 1 for lam in blocks for name in ("dim_u", "dim_v")}
+    )
 
 
 def test_decompose_non_distribution_is_a_structured_error(capsys, monkeypatch):

@@ -6,8 +6,10 @@ import weakref
 import pytest
 
 from locclab.partitions import (
+    BlockDims,
     Partition,
     as_spectrum,
+    block_table,
     character,
     class_size,
     dim_u,
@@ -272,6 +274,15 @@ def test_schur_polynomials_cover_every_block_in_order():
     assert schur_polynomial(Partition((3, 1)), p) == schur_polynomials(p, 4)[
         Partition((3, 1, 0))
     ]
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (60, 4), (40, 5)])
+def test_block_table_is_the_enumeration_with_exact_dimensions(n, d):
+    table = block_table(n, d)
+    want = [BlockDims(lam, dim_u(lam), dim_v(lam)) for lam in enumerate_partitions(n, d)]
+    assert isinstance(table, tuple) and list(table) == want
+    assert all(type(du) is int and type(dv) is int for _, du, dv in table)
+    assert block_table(n, d) is table  # memoized
 
 
 def test_schur_polynomials_memory_at_admitted_sizes():

@@ -13,6 +13,7 @@ from locclab.partitions import (
     dim_u,
     dim_v,
     enumerate_partitions,
+    schur_polynomials,
     standard_tableaux,
 )
 from locclab.schur_weyl import (
@@ -36,7 +37,7 @@ from locclab.states import (
     product_state,
     state_from_schmidt,
 )
-from locclab.teleport import good_set, run_teleport, sample_haar_unitary
+from locclab.teleport import good_set, ideal_fidelity, run_teleport, sample_haar_unitary
 from tests_support import dense_basis_matrix
 
 
@@ -363,6 +364,19 @@ def test_weights_analytic_against_exact_oracle(d, n):
 
 
 @pytest.mark.parametrize(
+    "p, n",
+    [(SKEWED[4], 60), ((0.4, 0.3, 0.2, 0.1), 60),
+     (SKEWED[5], 40), ((0.3, 0.25, 0.2, 0.15, 0.1), 40)],
+)
+def test_weights_analytic_is_dim_v_times_the_schur_polynomial(p, n):
+    values = schur_polynomials(p, n)
+    got = weights_analytic(p, n)
+    assert list(got) == list(values)
+    for lam, s in values.items():
+        assert got[lam] == dim_v(lam) * s, str(lam)  # bit for bit
+
+
+@pytest.mark.parametrize(
     "d, n",
     [(2, 40), (2, 100), (3, 40), (3, 100), (4, 40), (4, 60), (4, 100),
      (5, 30), (5, 40), (5, 60)],
@@ -529,6 +543,20 @@ def test_standard_form_refuses_a_block_paired_off_the_maximally_entangled_state(
     monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
     with pytest.raises(BasisAlignmentError, match=r"block \(2,1\) does not factor"):
         standard_form(state_from_schmidt((0.7, 0.3)), 3)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_a_norm_admitted_off_one_is_no_alignment_error(n):
+    # norm 1 + 4e-11 passes the 1e-10 input check, and the n-fold weights
+    # then sum to about 1 + 8n * 1e-11
+    spectrum = (1 - 1e-9, 1e-9)
+    phi = state_from_schmidt(spectrum)
+    phi = StateVector(phi.amplitudes * ((1 + 4e-11) / phi.norm()), phi.dims)
+    form = standard_form(phi, n)
+    analytic = weights_analytic(spectrum, n)
+    assert max(abs(form.weights[lam] - q) for lam, q in analytic.items()) <= 1e-9
+    fidelity = run_teleport(phi, n, 0).fidelity
+    assert fidelity == pytest.approx(ideal_fidelity(spectrum, n), rel=1e-6)
 
 
 def test_standard_form_rejects_bad_input():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locclab.partitions import Partition, dim_u, dim_v
+from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions
 from locclab.schur_weyl import schur_basis, weights_by_projector
 from locclab.states import bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
@@ -29,13 +29,10 @@ def test_good_set_examples():
 
 
 def test_good_set_is_dim_comparison():
-    for n in (2, 4, 6, 8):
-        for d in (2, 3):
-            kept = set(good_set(n, d))
-            from locclab.partitions import enumerate_partitions
-
-            for lam in enumerate_partitions(n, d):
-                assert (lam in kept) == (dim_u(lam) <= dim_v(lam))
+    sizes = [(n, d) for n in (2, 4, 6, 8) for d in (2, 3)] + [(60, 4), (40, 5)]
+    for n, d in sizes:
+        want = tuple(lam for lam in enumerate_partitions(n, d) if dim_u(lam) <= dim_v(lam))
+        assert good_set(n, d) == want, (n, d)
 
 
 # ---------------------------------------------------------------- fidelities
