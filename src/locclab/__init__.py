@@ -11,6 +11,7 @@ from .partitions import (
     entropy_bound_check,
     enumerate_partitions,
     large_deviation_bound,
+    schur_ladder,
     schur_polynomial,
 )
 from .states import (
@@ -38,6 +39,7 @@ from .teleport import (
     fidelity_lower_bound,
     good_set,
     ideal_fidelity,
+    ideal_fidelities,
     kraus_operator,
     run_teleport,
     sample_haar_unitary,

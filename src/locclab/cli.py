@@ -74,15 +74,15 @@ def cmd_teleport(args) -> dict:
 
 
 def cmd_bound_sweep(args) -> str:
-    if not 0.0 < args.p1 <= 1.0:
-        raise UsageError("--p1 must be in (0, 1]")
+    # p1 is the larger of the two Schmidt coefficients
+    if not 0.5 <= args.p1 <= 1.0:
+        raise UsageError("--p1 must be in [0.5, 1]")
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
     rows = ["n,fidelity,bound"]
-    spectrum = (args.p1, 1.0 - args.p1)
-    for n in range(1, args.n_max + 1):
-        fid = teleport.ideal_fidelity(spectrum, n)
-        bound = teleport.fidelity_lower_bound(args.p1, n, len(spectrum))
+    fidelities = teleport.ideal_fidelities((args.p1, 1.0 - args.p1), args.n_max)
+    for n, fid in fidelities.items():
+        bound = teleport.fidelity_lower_bound(args.p1, n, 2)
         rows.append(f"{n},{fid!r},{bound!r}")
     return "\n".join(rows) + "\n"
 
@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bound-sweep",
         help="CSV of achieved fidelity vs the closed-form lower bound over n",
     )
-    p.add_argument("--p1", type=float, required=True, help="largest Schmidt coefficient")
+    p.add_argument("--p1", type=float, required=True,
+                   help="largest of the two Schmidt coefficients, in [0.5, 1]")
     p.add_argument("--n-max", type=int, required=True)
     p.set_defaults(func=cmd_bound_sweep)
 

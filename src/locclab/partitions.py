@@ -20,6 +20,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .states import check_bytes
+
 _SPECTRUM_TOL = 1e-12
 
 
@@ -147,13 +149,21 @@ class BlockDims(NamedTuple):
     dim_v: int
 
 
+def block_rows(n: int, d: int) -> tuple[BlockDims, ...]:
+    """Every block of (C^d)^{(x)n} in ``enumerate_partitions(n, d)`` order,
+    with its exact ``dim_u`` and ``dim_v``, built afresh on each call. A
+    caller that reads each (n, d) once, such as a sweep over n, reads this
+    rather than ``block_table``, and so evicts no table that other queries
+    reuse."""
+    return tuple(BlockDims(lam, dim_u(lam), dim_v(lam)) for lam in enumerate_partitions(n, d))
+
+
 @lru_cache(maxsize=32)
 def block_table(n: int, d: int) -> tuple[BlockDims, ...]:
-    """Every block of (C^d)^{(x)n} in ``enumerate_partitions(n, d)`` order,
-    with its exact ``dim_u`` and ``dim_v``; memoized per (n, d), like
+    """``block_rows(n, d)``, memoized per (n, d), like
     ``schur_weyl.schur_basis``. The table depends only on (n, d), so every
     spectrum query and basis of that size reads the same one."""
-    return tuple(BlockDims(lam, dim_u(lam), dim_v(lam)) for lam in enumerate_partitions(n, d))
+    return block_rows(n, d)
 
 
 def standard_tableaux(lam: Partition) -> list[tuple[int, ...]]:
@@ -256,55 +266,120 @@ def character(lam: Partition, mu: Partition) -> int:
     return _mn_character(lam.trimmed(), mu_sorted)
 
 
-def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
-    """Schur polynomials s_lam(p) of every partition lam of n with at most
-    d = len(p) parts, keyed as in ``enumerate_partitions(n, d)``.
+def _schur_values(p: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes and Schur polynomials s_t(p) of every non-increasing
+    d-tuple t with |t| <= n, d = len(p), in increasing lexicographic order.
 
     Branching rule (Macdonald, Symmetric Functions and Hall Polynomials,
     ch. I): s_lam(x_1..x_k) is the sum of s_mu(x_1..x_{k-1}) x_k^{|lam|-|mu|}
-    over the mu interlacing lam. For each last part a of lam, the values of
-    mu times x_k^a are carried to lam one part at a time, last part first:
-    replacing mu_j by lam_j >= mu_j is U[t] += x_k U[t - e_j] in increasing
-    t_j wherever t_j > t_{j+1} (t_{k-1} > a for the last part of mu). For
-    p >= 0 every term is a product of non-negative numbers, so nothing
-    cancels (Demmel & Koev, Math. Comp. 75 (2006)). The work arrays are flat,
-    sized by the tuples of d - 1 parts, and no call retains them. The keys
-    are the partitions of ``block_table(n, d)``, in its order.
+    over the mu interlacing lam. The rows (mu, a) of every k-tuple start at
+    s_mu times x_k^a, and the values are carried to lam one part at a time,
+    last part first: replacing mu_j by lam_j >= mu_j is U[t] += x_k U[t - e_j]
+    in increasing t_j wherever t_j > t_{j+1} (t_{k-1} > a for the last part
+    of mu), one doubling scan over all rows per part. For p >= 0 every term
+    is a product of non-negative numbers, so nothing cancels (Demmel & Koev,
+    Math. Comp. 75 (2006)). A row's value depends only on the rows below it,
+    so it is the same bits whatever n is.
     """
     if n < 1 or len(p) < 1:
         raise ValueError("n and d must be positive")
+    d = len(p)
     # Row r for k - 1 variables is the r-th non-increasing (k-1)-tuple mu
     # with |mu| <= n in increasing lexicographic order: its size, last part
-    # and value, and per part j < k - 1 the row of mu - e_j (-1: none;
-    # lookups through a -1 are masked out). The empty tuple's "last part" n
-    # caps the first part.
+    # and value, and per part of mu but its last the row of mu less one box
+    # in that part (-1: none). The empty tuple's "last part" n caps the
+    # first part.
     size, last, table, pred = np.zeros(1, int), np.full(1, n), np.ones(1), []
     for k, x in enumerate(map(float, p), 1):
         count = np.minimum(n - size, last) + 1  # the last parts a that fit
-        start = np.cumsum(count) - count
-        below = np.arange(len(last)) - 1  # the row of mu - e_{k-1}
-        values = np.zeros(count.sum())  # the k-tuples (mu, a), in order
-        for a in range(count.max()):
-            # (mu, a) exists where a fits, and such rows read only such rows
-            u, fits = table * x**a, count > a
-            for step in reversed(pred + [np.where(last > a, below, -1)]):
-                step, weight = step.copy(), x  # a doubling scan along chains
-                live = np.flatnonzero((step >= 0) & fits)
-                while len(live):
-                    u[live] += weight * u[step[live]]
-                    step[live] = step[step[live]]
-                    live = live[step[live] >= 0]
-                    weight *= weight
-            values[start[fits] + a] = u[fits]
-        if k == len(p):
-            # the tuples of size n, reversed, are in enumeration order
-            top = values[(start + count - 1)[n - size <= last]][::-1]
-            return dict(zip((row.lam for row in block_table(n, k)), top.tolist()))
-        rows = np.repeat(np.arange(len(count)), count)
-        a = np.arange(len(rows)) - start[rows]  # the rows (mu, a) of k parts
-        pred = [q[rows] for q in pred + [np.where(last > 0, below, -1)]]
-        pred = [np.where((q >= 0) & (a < count[q]), start[q] + a, -1) for q in pred]
-        size, last, table = size[rows] + a, a, values
+        # the last level's rows set the peak, at most 8 (d + 5) bytes each
+        check_bytes(8 * (d + 5) * int(count.sum()), f"Schur evaluation at n={n}, d={d}")
+        count = count.astype(np.int32)
+        start = np.cumsum(count, dtype=np.int32) - count
+        rows = np.repeat(np.arange(len(count), dtype=np.int32), count)
+        a = np.arange(len(rows), dtype=np.int32) - start[rows]  # the rows (mu, a)
+        u = table[rows]
+        u *= np.array([x**j for j in range(count.max())])[a]
+        # mu less one box in its last part is the row before mu (the empty
+        # tuple has no part)
+        below = np.where(last > 0, np.arange(len(last), dtype=np.int32) - 1, -1)
+        lifted = []
+        for q in reversed(pred + [below] if k > 1 else []):
+            # the step from (mu, a) to (q[mu], a), where that row exists
+            q = q[rows]
+            step = np.where((q >= 0) & (a < count[q]), start[q] + a, -1)
+            del q  # one step array at a time: the peak is at the last level
+            if k < d:
+                lifted.append(step)
+                step = step.copy()
+            _doubling_scan(u, step, x)
+        size, last, table, pred = size[rows] + a, a, u, lifted[::-1]
+    return size, table
+
+
+def _doubling_scan(u: np.ndarray, step: np.ndarray, x: float) -> None:
+    """u[r] += x u[step[r]] along each chain of ``step`` (-1 ends a chain),
+    in increasing chain order, by pointer doubling; ``step`` is consumed."""
+    weight, live = x, np.flatnonzero(step >= 0).astype(np.int32)
+    prev = step[live]
+    while len(live):
+        term = u[prev]
+        term *= weight
+        term += u[live]
+        u[live] = term
+        prev = step[prev]  # read before any row of step moves on
+        step[live] = prev
+        keep = prev >= 0
+        live, prev = live[keep], prev[keep]
+        weight *= weight
+
+
+def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
+    """Schur polynomials s_lam(p) of every partition lam of n with at most
+    d = len(p) parts, keyed as in ``block_table(n, d)``, in its order: the
+    size-n slice of one evaluation (``_schur_values``)."""
+    size, values = _schur_values(p, n)
+    # the tuples of size n, reversed, are in enumeration order
+    top = values[size == n][::-1]
+    return dict(zip((row.lam for row in block_table(n, len(p))), top.tolist()))
+
+
+def schur_ladder(p: Sequence[float], n: int) -> list[list[float]]:
+    """The Schur polynomials of every size m <= n from one evaluation: entry
+    m lists s_lam(p) over ``block_table(m, d)`` in its order, bit for bit
+    ``schur_polynomials(p, m)``; entry 0 is the empty partition's 1. Reads
+    no block table."""
+    size, values = _schur_values(p, n)
+    size, values = size[::-1], values[::-1]
+    order = np.argsort(size, kind="stable")  # by size, in enumeration order
+    bounds = np.cumsum(np.bincount(size, minlength=n + 1))[:-1]
+    return [part.tolist() for part in np.split(values[order], bounds)]
+
+
+def require_distribution(weights: dict[Partition, float], what: str) -> dict:
+    """The weights, unless one is below -1e-12 or their fsum is more than
+    1e-9 from 1 (or either is NaN): then ValueError."""
+    total, low = math.fsum(weights.values()), min(weights.values())
+    if not (low >= -1e-12 and abs(total - 1.0) <= 1e-9):
+        raise ValueError(
+            f"block weights of {what} are not a distribution: "
+            f"sum {total!r}, min {low!r}"
+        )
+    return weights
+
+
+def block_weights(
+    p: Sequence[float], n: int, table: Sequence[BlockDims], values: Iterable[float]
+) -> dict[Partition, float]:
+    """Block weights q_lam = dim_v(lam) * s_lam(p) at size n, from the rows
+    of ``block_table(n, d)`` and the Schur values in its order. Raises
+    ValueError when a dim_v is beyond the float range, and unless the
+    weights are non-negative and sum to 1 (``require_distribution``)."""
+    try:
+        weights = {lam: dv * s for (lam, _, dv), s in zip(table, values)}
+    except OverflowError as exc:
+        raise ValueError(f"a dim_v at n={n} is beyond the float range") from exc
+    return require_distribution(weights, f"{tuple(p)} at n={n}")
 
 
 def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
@@ -378,11 +453,8 @@ def large_deviation_bound(
     spectrum = as_spectrum(p)
     d = len(spectrum)
     values = schur_polynomials(spectrum, n).values()  # in block_table order
-    members = [
-        (lam, dv * s)
-        for (lam, _, dv), s in zip(block_table(n, d), values)
-        if region(lam.normalized())
-    ]
+    weights = block_weights(spectrum, n, block_table(n, d), values)
+    members = [(lam, q) for lam, q in weights.items() if region(lam.normalized())]
     if not members:
         return 0.0, 0.0, True
     lhs = sum(q for _, q in members)

@@ -50,12 +50,14 @@ import numpy as np
 from .partitions import (
     Partition,
     block_table,
+    block_weights,
     character,
     class_size,
     cycle_type,
     dim_u,
     dim_v,
     enumerate_partitions,
+    require_distribution,
     schur_polynomials,
     standard_tableaux,
 )
@@ -579,29 +581,13 @@ class StandardForm:
     basis: SchurBasis
 
 
-def _require_distribution(weights: dict[Partition, float], what: str) -> dict:
-    """The weights, unless one is below -1e-12 or their fsum is more than
-    1e-9 from 1 (or either is NaN): then ValueError."""
-    total, low = math.fsum(weights.values()), min(weights.values())
-    if not (low >= -1e-12 and abs(total - 1.0) <= 1e-9):
-        raise ValueError(
-            f"block weights of {what} are not a distribution: "
-            f"sum {total!r}, min {low!r}"
-        )
-    return weights
-
-
 def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
     """Block weights q_lambda = dim_v(lam) * s_lam(p) from the Schmidt
     spectrum alone; fast path that needs no matrices. Raises ValueError
     unless the weights are non-negative and sum to 1, as the matrix routes
-    check, and when a dim_v is beyond the float range."""
-    try:
-        values = schur_polynomials(p, n).values()  # in block_table order
-        weights = {lam: dv * s for (lam, _, dv), s in zip(block_table(n, len(p)), values)}
-    except OverflowError as exc:
-        raise ValueError(f"a dim_v at n={n} is beyond the float range") from exc
-    return _require_distribution(weights, f"{tuple(p)} at n={n}")
+    check, and when a dim_v is beyond the float range (``block_weights``)."""
+    values = schur_polynomials(p, n).values()  # in block_table order
+    return block_weights(p, n, block_table(n, len(p)), values)
 
 
 def standard_form(phi: StateVector, n: int) -> StandardForm:
@@ -697,4 +683,4 @@ def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:
         lam: dv * math.fsum(character(lam, mu) * t for mu, t in classes)
         for lam, _, dv in block_table(n, phi.dims[0])
     }
-    return _require_distribution(weights, f"the projector route at n={n}")
+    return require_distribution(weights, f"the projector route at n={n}")

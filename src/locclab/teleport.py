@@ -19,7 +19,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .partitions import Partition, as_spectrum, block_table
+from .partitions import (
+    BlockDims,
+    Partition,
+    as_spectrum,
+    block_rows,
+    block_table,
+    block_weights,
+    schur_ladder,
+)
 from .schur_weyl import SchurBasis, standard_form, weights_analytic
 from .states import StateVector, as_generator, check_bytes
 
@@ -43,17 +51,42 @@ def check_local_dimension(d: int) -> None:
         raise ValueError(f"d = {d} has no retired block to hold the unused directions")
 
 
+def _retained(table: Sequence[BlockDims]) -> tuple[Partition, ...]:
+    """The blocks of ``table`` with dim_u <= dim_v, in its order."""
+    return tuple(lam for lam, du, dv in table if du <= dv)
+
+
 def good_set(n: int, d: int) -> tuple[Partition, ...]:
     """Blocks kept by the protocol, those with dim_u <= dim_v, in
     enumeration order: a filter of the memoized ``block_table(n, d)``."""
-    return tuple(lam for lam, du, dv in block_table(n, d) if du <= dv)
+    return _retained(block_table(n, d))
+
+
+def _retained_weight(table: Sequence[BlockDims], weights: Mapping[Partition, float]) -> float:
+    """The weight on the good set of ``table``, summed in its order."""
+    return float(sum(weights[lam] for lam in _retained(table)))
 
 
 def ideal_fidelity(p: Sequence[float], n: int) -> float:
     """Retained weight sum over the good set, from the Schmidt spectrum."""
     spectrum = as_spectrum(p)
     weights = weights_analytic(spectrum, n)
-    return float(sum(weights[lam] for lam in good_set(n, len(spectrum))))
+    return _retained_weight(block_table(n, len(spectrum)), weights)
+
+
+def ideal_fidelities(p: Sequence[float], n_max: int) -> dict[int, float]:
+    """``ideal_fidelity(p, n)`` for every n from 1 to n_max, bit for bit and
+    with the same checks, from one Schur evaluation (``schur_ladder``). Each
+    size's block table is read once, uncached (``block_rows``), so a sweep
+    evicts no memoized table."""
+    spectrum = as_spectrum(p)
+    d = len(spectrum)
+    ladder = schur_ladder(spectrum, n_max)
+    out = {}
+    for n in range(1, n_max + 1):
+        table = block_rows(n, d)
+        out[n] = _retained_weight(table, block_weights(spectrum, n, table, ladder[n]))
+    return out
 
 
 def fidelity_lower_bound(p1: float, n: int, d: int) -> float:

@@ -272,6 +272,24 @@ def test_bound_sweep_bad_p1(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("p1", ["0.3", "0.4999", "nan"])
+def test_bound_sweep_p1_below_one_half_is_a_usage_error(p1, capsys):
+    # --p1 is the larger of the two Schmidt coefficients
+    with pytest.raises(SystemExit) as exc:
+        main(["bound-sweep", "--p1", p1, "--n-max", "5"])
+    assert exc.value.code == 2
+    assert "--p1 must be in [0.5, 1]" in capsys.readouterr().err
+
+
+def test_bound_sweep_leaves_the_block_table_memo_alone(capsys):
+    run_json(capsys, "decompose", "--schmidt", "0.4,0.3,0.2,0.1", "--n", "20")
+    before = partitions.block_table.cache_info()
+    code, out, _ = run_cli(capsys, "bound-sweep", "--p1", "0.6", "--n-max", "40")
+    assert code == 0 and len(out.splitlines()) == 41
+    after = partitions.block_table.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
 @pytest.mark.parametrize("extra", [["--n-max", "0"], ["--n-max", "-3"], ["--n-max", "5", "--d", "2"]])
 def test_bound_sweep_usage_errors(extra):
     with pytest.raises(SystemExit) as exc:

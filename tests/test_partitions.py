@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from locclab import partitions
 from locclab.partitions import (
     BlockDims,
     Partition,
@@ -18,11 +19,13 @@ from locclab.partitions import (
     enumerate_partitions,
     large_deviation_bound,
     relative_entropy,
+    schur_ladder,
     schur_polynomial,
     schur_polynomials,
     shannon_entropy,
     standard_tableaux,
 )
+from tests_support import schur_polynomials_per_last_part
 
 
 # ---------------------------------------------------------------- oracles
@@ -296,7 +299,49 @@ def test_schur_polynomials_memory_at_admitted_sizes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 2 * 2**20
+
+
+# the spectra benchmark's sizes (perfbench/workloads.py), (d, n)
+SPECTRA_SIZES = [(2, 30), (2, 60), (2, 100), (3, 12), (3, 20), (3, 28),
+                 (4, 20), (4, 40), (4, 60), (5, 20), (5, 30), (5, 40)]
+FLAT = {2: (0.55, 0.45), 3: (0.4, 0.33, 0.27), 4: (0.3, 0.26, 0.23, 0.21),
+        5: (0.24, 0.22, 0.2, 0.18, 0.16)}
+SKEWED = {2: (0.97, 0.03), 3: (0.97, 0.02, 0.01), 4: (0.97, 0.01, 0.01, 0.01),
+          5: (0.97, 0.012, 0.008, 0.006, 0.004)}
+
+
+def _assert_same_bits(p, n):
+    got = schur_polynomials(p, n)
+    assert list(got) == enumerate_partitions(n, len(p))
+    assert list(got.values()) == schur_polynomials_per_last_part(p, n), (p, n)
+
+
+@pytest.mark.parametrize("d, n", SPECTRA_SIZES)
+@pytest.mark.parametrize("spectra", [FLAT, SKEWED], ids=["flat", "skewed"])
+def test_one_pass_evaluator_is_the_per_last_part_one_bit_for_bit(spectra, d, n):
+    _assert_same_bits(spectra[d], n)
+
+
+def test_one_pass_evaluator_is_the_per_last_part_one_at_small_sizes():
+    for d in range(1, 6):
+        for p in (FLAT.get(d, (1.0,)), SKEWED.get(d, (1.0,)), (0.6, 0.4, 0.0, 0.0, 0.0)[:d]):
+            for n in range(1, 13):
+                _assert_same_bits(p, n)
+
+
+@pytest.mark.parametrize("p, n", [(SKEWED[2], 100), (FLAT[3], 28), (FLAT[4], 40), (SKEWED[5], 20)])
+def test_ladder_entry_m_is_schur_polynomials_at_m(p, n):
+    ladder = schur_ladder(p, n)
+    assert len(ladder) == n + 1 and ladder[0] == [1.0]
+    for m in range(1, n + 1):
+        assert ladder[m] == list(schur_polynomials(p, m).values()), m  # bit for bit
+
+
+def test_schur_evaluation_beyond_the_byte_budget_is_refused():
+    # d = 2, n = 10^5 lays out about 2.5e9 rows of two parts
+    with pytest.raises(ValueError, match="Schur evaluation at n=100000, d=2 needs"):
+        schur_ladder((0.6, 0.4), 10**5)
 
 
 def test_weight_normalization():
@@ -366,6 +411,22 @@ def test_large_deviation_skewed_d4_n60():
     lhs, rhs, holds = large_deviation_bound(p, far, 60)
     assert 0.0 <= lhs <= 1.0
     assert holds and lhs <= rhs
+
+
+def test_large_deviation_beyond_float_range_names_n():
+    # dim_v of the middle blocks at n=1100 is above the largest float
+    with pytest.raises(ValueError, match="n=1100 is beyond the float range"):
+        large_deviation_bound((0.6, 0.4), lambda q: True, 1100)
+
+
+@pytest.mark.parametrize("value", [-1e-6, 0.5, math.nan])
+def test_large_deviation_rejects_a_non_distribution(monkeypatch, value):
+    def broken(p, n):
+        return dict.fromkeys(enumerate_partitions(n, len(p)), value)
+
+    monkeypatch.setattr(partitions, "schur_polynomials", broken)
+    with pytest.raises(ValueError, match="not a distribution"):
+        large_deviation_bound((0.8, 0.2), lambda q: q[0] < 0.7, 4)
 
 
 def test_large_deviation_empty_region():

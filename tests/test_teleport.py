@@ -5,13 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions
+from locclab import teleport
+from locclab.partitions import Partition, block_rows, dim_u, dim_v, enumerate_partitions
 from locclab.schur_weyl import schur_basis, weights_by_projector
 from locclab.states import bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
     NothingToTeleportError,
     fidelity_lower_bound,
     good_set,
+    ideal_fidelities,
     ideal_fidelity,
     kraus_operator,
     run_teleport,
@@ -51,6 +53,41 @@ def test_ideal_fidelity_bell_values():
     assert ideal_fidelity((0.5, 0.5), 2) == pytest.approx(0.25, abs=1e-12)
     assert ideal_fidelity((0.5, 0.5), 4) == pytest.approx(0.6875, abs=1e-12)
     assert ideal_fidelity((0.5, 0.5), 6) == pytest.approx(57 / 64, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p", [(0.5, 0.5), (0.6, 0.4), (0.97, 0.03), (1.0, 0.0), (0.5, 0.3, 0.2)]
+)
+def test_ideal_fidelities_is_ideal_fidelity_at_every_size(p):
+    n_max = 80 if len(p) == 2 else 30
+    got = ideal_fidelities(p, n_max)
+    assert list(got) == list(range(1, n_max + 1))
+    for n, fid in got.items():
+        assert fid == ideal_fidelity(p, n), n  # bit for bit
+
+
+def test_ideal_fidelities_keeps_the_checks_of_ideal_fidelity(monkeypatch):
+    with pytest.raises(ValueError, match="not sorted"):
+        ideal_fidelities((0.3, 0.7), 5)
+    with pytest.raises(ValueError, match="n and d must be positive"):
+        ideal_fidelities((0.6, 0.4), 0)
+
+    # a dim_v beyond the float range, first met at n = 3
+    def huge_at_3(n, d):
+        rows = block_rows(n, d)
+        return tuple(row._replace(dim_v=10**400) for row in rows) if n == 3 else rows
+
+    monkeypatch.setattr(teleport, "block_rows", huge_at_3)
+    with pytest.raises(ValueError, match="a dim_v at n=3 is beyond the float range"):
+        ideal_fidelities((0.6, 0.4), 5)
+    monkeypatch.undo()
+
+    def negative(p, n):
+        return [[1.0]] + [[-1.0] * len(enumerate_partitions(m, len(p))) for m in range(1, n + 1)]
+
+    monkeypatch.setattr(teleport, "schur_ladder", negative)
+    with pytest.raises(ValueError, match=r"\(0.6, 0.4\) at n=1 are not a distribution"):
+        ideal_fidelities((0.6, 0.4), 3)
 
 
 def test_fidelity_lower_bound_examples():

@@ -129,3 +129,38 @@ def dense_block_vectors(lam: Partition, d: int) -> np.ndarray:
 def dense_basis_matrix(n: int, d: int) -> np.ndarray:
     """All dense block columns, blocks in ``enumerate_partitions`` order."""
     return np.hstack([dense_block_vectors(lam, d) for lam in enumerate_partitions(n, d)])
+
+
+# ----------------------------------------------------------------------
+# the Schur evaluator that ran one pass per last part a of the partition,
+# as the library had it before it laid every row (mu, a) out at once; kept
+# as the bitwise oracle of the one-pass evaluator.
+
+
+def schur_polynomials_per_last_part(p, n: int) -> list[float]:
+    """s_lam(p) of every partition lam of n with at most len(p) parts, in
+    ``enumerate_partitions`` order."""
+    size, last, table, pred = np.zeros(1, int), np.full(1, n), np.ones(1), []
+    for k, x in enumerate(map(float, p), 1):
+        count = np.minimum(n - size, last) + 1
+        start = np.cumsum(count) - count
+        below = np.arange(len(last)) - 1
+        values = np.zeros(count.sum())
+        for a in range(count.max()):
+            u, fits = table * x**a, count > a
+            for step in reversed(pred + [np.where(last > a, below, -1)]):
+                step, weight = step.copy(), x
+                live = np.flatnonzero((step >= 0) & fits)
+                while len(live):
+                    u[live] += weight * u[step[live]]
+                    step[live] = step[step[live]]
+                    live = live[step[live] >= 0]
+                    weight *= weight
+            values[start[fits] + a] = u[fits]
+        if k == len(p):
+            return values[(start + count - 1)[n - size <= last]][::-1].tolist()
+        rows = np.repeat(np.arange(len(count)), count)
+        a = np.arange(len(rows)) - start[rows]
+        pred = [q[rows] for q in pred + [np.where(last > 0, below, -1)]]
+        pred = [np.where((q >= 0) & (a < count[q]), start[q] + a, -1) for q in pred]
+        size, last, table = size[rows] + a, a, values
