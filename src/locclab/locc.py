@@ -17,7 +17,6 @@ step be expressed directly.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -592,30 +591,21 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     )
     fail = (retired @ retired.T).astype(complex)
 
-    def weyl(dv: int, a: int, b: int, sign: int) -> np.ndarray:
-        clock = np.exp(2j * np.pi * b * np.arange(dv) / dv)
-        return sign * np.roll(np.diag(clock), a, axis=0)
-
-    # one (shift, clock, sign) Weyl choice per retained block
-    choices = [itertools.product(range(dv), range(dv), (1, -1)) for dv in dims_v]
-    combos = list(itertools.product(*choices))
-
-    def unitaries_for(combo) -> dict:
-        return {
-            lam: weyl(basis.blocks[lam].dim_v, *combo[k])
-            for k, lam in enumerate(good)
-        }
-
-    # Alice's outcomes do not depend on the history: built on first use
-    alice_ops: list = []
-
-    def alice_instrument(history):
-        if not alice_ops:
-            alice_ops.append(("fail", [fail]))
-            for m, combo in enumerate(combos):
-                a_op = kraus_operator(basis, unitaries_for(combo))
-                alice_ops.append((f"w{m}", [a_op / math.sqrt(n_outcomes)]))
-        return alice_ops
+    # the signed Weyl operators s X^a Z^b of each retained block, indexed
+    # [a, b, s]; an outcome is one (a, b, s) per block, and w{m} is its flat
+    # C-order index on the grid of those choices
+    weyl = [
+        np.array([[[sign * np.roll(np.diag(np.exp(2j * np.pi * b * np.arange(dv) / dv)), a, 0)
+                    for sign in (1, -1)] for b in range(dv)] for a in range(dv)])
+        for dv in dims_v
+    ]
+    grid = tuple(size for w in weyl for size in w.shape[:3])
+    on_grid = {  # block k's choices on grid axes 3k..3k+2, the rest broadcast
+        lam: w.reshape((1,) * 3 * k + w.shape[:3] + (1,) * (len(grid) - 3 * k - 3) + w.shape[3:])
+        for k, (lam, w) in enumerate(zip(good, weyl))
+    }
+    alice_ops = kraus_operator(basis, on_grid).reshape(n_outcomes, 1, dim) / math.sqrt(n_outcomes)
+    alice = [("fail", [fail])] + [(f"w{m}", [op]) for m, op in enumerate(alice_ops)]
 
     embed = _teleport_embedding(basis, good)
     abort = [("abort", [np.eye(dim, dtype=complex)])]
@@ -628,8 +618,10 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
         # the recovery 1 (x) U^T on each retained block's rows of B^T, so
         # that embed @ rotated takes Bob's computational basis to the
         # doubled register; the retired rows are left as they are
+        choice = np.unravel_index(int(label[1:]), grid)
         rotated = bmat_t.copy()
-        for lam, w in unitaries_for(combos[int(label[1:])]).items():
+        for k, (lam, table) in enumerate(zip(good, weyl)):
+            w = table[choice[3 * k : 3 * k + 3]]
             span = basis.blocks[lam].span
             rows = rotated[span]
             rotated[span] = (w.T @ rows.reshape(-1, w.shape[0], dim)).reshape(-1, dim)
@@ -638,7 +630,7 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     return LoccProtocol(
         dim_a=dim,
         dim_b=dim,
-        rounds=(Round("A", alice_instrument), Round("B", bob_instrument)),
+        rounds=(Round("A", lambda history: alice), Round("B", bob_instrument)),
         protocol_id=f"teleport(n={n},d={d})",
     )
 

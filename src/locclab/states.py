@@ -47,10 +47,6 @@ class StateVector:
                 f"dims {self.dims} incompatible with vector of length {amps.size}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -66,6 +62,9 @@ class StateVector:
         return self
 
     def overlap(self, other: "StateVector") -> complex:
+        """<self|other>; ValueError when the two states' dims differ."""
+        if self.dims != other.dims:
+            raise ValueError(f"cannot compare states with dims {self.dims} and {other.dims}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def fidelity(self, other: "StateVector") -> float:

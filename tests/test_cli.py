@@ -344,6 +344,14 @@ def test_detect_single_state_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_detect_states_of_different_dimensions_is_a_structured_error(capsys):
+    code, out, err = run_cli(capsys, "detect", "--states", "bell", "0.5,0.5,0")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "(2, 2)" in error["message"] and "(3, 3)" in error["message"]
+
+
 def test_additivity_command(capsys):
     payload = run_json(capsys, "additivity", "--rounds", "2", "--seed", "3")
     assert payload["cross"] <= 1e-8

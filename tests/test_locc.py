@@ -23,7 +23,9 @@ from locclab.locc import (
 )
 from locclab.models import PureStateModel, product_model, real_amplitude, rotation_model
 from locclab.states import bell_state, bipartite_tensor_power, state_from_schmidt
-from locclab.teleport import run_teleport, sample_haar_unitary
+from locclab.schur_weyl import schur_basis
+from locclab.teleport import kraus_operator, run_teleport, sample_haar_unitary
+from tests_support import outcome_grid, weyl_tables, weyl_tuple
 
 
 def projective_instrument(basis: np.ndarray):
@@ -459,7 +461,8 @@ def test_enumerate_paths_keeps_no_per_node_operators():
     # Alice outcomes; the walk holds one at a time, not 9 MiB of them
     protocol = teleport_protocol(4, 2)
     joint = bipartite_tensor_power(bell_state(2), 4).reshape(-1)
-    enumerate_paths(protocol, joint)  # Alice's operators are built on first use
+    # Alice's operators are built with the protocol, so neither walk holds them
+    enumerate_paths(protocol, joint)
     tracemalloc.start()
     try:
         enumerate_paths(protocol, joint)
@@ -467,6 +470,36 @@ def test_enumerate_paths_keeps_no_per_node_operators():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n,d,step", [(4, 2, 1), (3, 3, 1), (4, 3, 1), (5, 2, 37)])
+def test_alice_operators_are_the_weyl_grid_in_flat_order(n, d, step):
+    protocol = teleport_protocol(n, d)
+    alice = protocol.rounds[0].instrument(())
+    tables = weyl_tables(n, d)
+    grid = outcome_grid(tables)
+    scale = math.sqrt(math.prod(grid))
+    assert [label for label, _ in alice] == ["fail"] + [f"w{m}" for m in range(len(alice) - 1)]
+    assert len(alice) - 1 == math.prod(grid)
+    basis = schur_basis(n, d)
+    for m in range(0, len(alice) - 1, step):
+        label, [op] = alice[m + 1]
+        want = kraus_operator(basis, weyl_tuple(tables, np.unravel_index(m, grid))) / scale
+        assert np.max(np.abs(op - want)) <= 1e-15, label
+
+
+def test_teleport_protocol_makes_one_kraus_call(monkeypatch):
+    calls = []
+    build = locc.kraus_operator
+
+    def counted(basis, unitaries):
+        calls.append(len(unitaries))
+        return build(basis, unitaries)
+
+    monkeypatch.setattr(locc, "kraus_operator", counted)
+    protocol = teleport_protocol(4, 2)
+    enumerate_paths(protocol, bipartite_tensor_power(bell_state(2), 4).reshape(-1))
+    assert calls == [2]  # one batched call, one stack per retained block
 
 
 def test_teleport_protocol_matches_direct_run():

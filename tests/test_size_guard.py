@@ -27,6 +27,12 @@ from locclab.teleport import run_teleport
 PHI = state_from_schmidt((0.7, 0.3))
 BELL = bell_state(2)
 BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
+SMALL = build_schur_basis(4, 2)
+# 300 x 300 outcomes of 16 amplitudes each (23 MB) from two batches of 300 identities
+BROADCAST = {
+    Partition((3, 1)): np.broadcast_to(np.eye(3), (300, 1, 3, 3)),
+    Partition((2, 2)): np.broadcast_to(np.eye(2), (300, 2, 2)),
+}
 
 
 def traced_peak(fn) -> int:
@@ -64,6 +70,7 @@ GUARDED_CALLS = {
     "standard_form": lambda: standard_form(PHI, 8),
     "run_teleport": lambda: run_teleport(PHI, 8, 0),
     "teleport_protocol": lambda: teleport_protocol(5, 2),
+    "kraus_operator": lambda: teleport.kraus_operator(SMALL, BROADCAST),
     "final_state": lambda: LoccTranscript("t", 0, [], np.ones(512) / np.sqrt(512)).final_state,
 }
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from locclab.models import PureStateModel
-from locclab.partitions import Partition, dim_u, enumerate_partitions, standard_tableaux
+from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions, standard_tableaux
+from locclab.teleport import good_set
 
 
 def random_two_param_model(seed: int) -> PureStateModel:
@@ -129,6 +130,36 @@ def dense_block_vectors(lam: Partition, d: int) -> np.ndarray:
 def dense_basis_matrix(n: int, d: int) -> np.ndarray:
     """All dense block columns, blocks in ``enumerate_partitions`` order."""
     return np.hstack([dense_block_vectors(lam, d) for lam in enumerate_partitions(n, d)])
+
+
+# ----------------------------------------------------------------------
+# the transfer protocol's discrete outcome set
+
+
+def weyl_tables(n: int, d: int) -> dict[Partition, np.ndarray]:
+    """The signed Weyl operators s X^a Z^b of each retained block at (n, d),
+    as a (dim_v, dim_v, 2, dim_v, dim_v) array indexed [a, b, s], s = +1
+    then -1. An outcome of the transfer protocol is one (a, b, s) per block."""
+    out = {}
+    for lam in good_set(n, d):
+        dv = dim_v(lam)
+        out[lam] = np.array([
+            [[sign * np.roll(np.diag(np.exp(2j * np.pi * b * np.arange(dv) / dv)), a, axis=0)
+              for sign in (1, -1)] for b in range(dv)]
+            for a in range(dv)
+        ])
+    return out
+
+
+def outcome_grid(tables: dict[Partition, np.ndarray]) -> tuple[int, ...]:
+    """The (a, b, s) axes of every block, blocks in order."""
+    return tuple(size for table in tables.values() for size in table.shape[:3])
+
+
+def weyl_tuple(tables: dict[Partition, np.ndarray], index) -> dict[Partition, np.ndarray]:
+    """The one-outcome tuple at a grid index: block k reads axes 3k..3k+2."""
+    return {lam: table[tuple(index[3 * k : 3 * k + 3])]
+            for k, (lam, table) in enumerate(tables.items())}
 
 
 # ----------------------------------------------------------------------
