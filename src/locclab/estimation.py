@@ -19,7 +19,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .models import PureStateModel, richardson_derivative
+from .models import PureStateModel, richardson_combine, richardson_stencil
 from .states import StateVector
 
 _SUPPORT_RTOL = 1e-10  # relative cutoff of the metric's support
@@ -132,34 +132,43 @@ def fisher_of_distribution(
     dist_fn: Callable[[np.ndarray], Mapping[Hashable, float]], theta0, param_dim: int
 ) -> np.ndarray:
     """Classical Fisher matrix (standard normalization) of the outcome law
-    ``dist_fn``, keyed by sortable outcomes, over the outcomes it has at
-    theta0, by :func:`models.richardson_derivative`. Outcomes with probability
-    below 1e-12 are excluded, with a warning when their probability varies."""
+    ``dist_fn``, keyed by sortable outcomes: :func:`fisher_of_laws` of its
+    laws at theta0 and on each axis's :func:`models.richardson_stencil`."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    base = dict(dist_fn(theta0))
+    base = dist_fn(theta0)
+    stencils = [richardson_stencil(theta0, i) for i in range(param_dim)]
+    return fisher_of_laws(base, [[dist_fn(point) for point in pts] for pts in stencils])
+
+
+def fisher_of_laws(
+    base: Mapping[Hashable, float], stencil_laws: Sequence[Sequence[Mapping[Hashable, float]]]
+) -> np.ndarray:
+    """Classical Fisher matrix sum_x grad p(x) grad p(x)^T / p(x) over the
+    outcomes of the law ``base`` at theta0, one axis per entry of
+    ``stencil_laws``: the laws at that axis's points of
+    :func:`models.richardson_stencil`, combined by
+    :func:`models.richardson_combine` (an outcome missing from a law has
+    probability 0). Outcomes with probability below 1e-12 are excluded,
+    with a warning when their probability varies."""
     outcomes = sorted(base)
-
-    def prob_vector(at: np.ndarray) -> np.ndarray:
-        dist = dist_fn(at)
-        return np.array([dist.get(x, 0.0) for x in outcomes])
-
+    param_dim = len(stencil_laws)
     grads = np.zeros((len(outcomes), param_dim))
-    for i in range(param_dim):
-        grads[:, i] = richardson_derivative(prob_vector, theta0, i)
+    for i, laws in enumerate(stencil_laws):
+        grads[:, i] = richardson_combine(
+            [np.array([law.get(x, 0.0) for x in outcomes]) for law in laws]
+        )
 
-    fisher = np.zeros((param_dim, param_dim))
-    for row, x in enumerate(outcomes):
-        p = base[x]
-        if p < 1e-12:
-            if np.max(np.abs(grads[row])) > 1e-8:
-                warnings.warn(
-                    f"outcome {x} has vanishing probability but varying "
-                    "derivative; information diverges at the boundary",
-                    stacklevel=2,
-                )
-            continue
-        fisher += np.outer(grads[row], grads[row]) / p
-    return fisher
+    probs = np.array([base[x] for x in outcomes])
+    live = probs >= 1e-12
+    for row in np.flatnonzero(~live):
+        if np.max(np.abs(grads[row])) > 1e-8:
+            warnings.warn(
+                f"outcome {outcomes[row]} has vanishing probability but varying "
+                "derivative; information diverges at the boundary",
+                stacklevel=3,
+            )
+    weighted = grads[live] / np.sqrt(probs[live])[:, None]
+    return weighted.T @ weighted
 
 
 def measurement_fisher(povm: Povm, model: PureStateModel, theta) -> np.ndarray:

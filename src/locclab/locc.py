@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .estimation import fisher_of_distribution
-from .models import PureStateModel, rotation_model
+from .estimation import fisher_of_laws
+from .models import PureStateModel, richardson_stencil, rotation_model
 from .partitions import block_table
 from .schur_weyl import schur_basis
 from .states import StateVector, as_generator, check_bytes
@@ -162,23 +162,37 @@ def _as_factor(state, dim_a: int, dim_b: int) -> np.ndarray:
     return factor.reshape(dim_a, dim_b, -1)
 
 
-def _apply(kraus_list, factor: np.ndarray, party: str) -> tuple[np.ndarray, float]:
-    """Unnormalized factor of the branch state sum_K K rho K^dagger, each K
-    contracted with the party's axis, and its probability ||K V||^2."""
-    dim_a, dim_b, cols = factor.shape
+def _as_factors(states, dim_a: int, dim_b: int) -> np.ndarray:
+    """The input states as one stack of factors, shaped (B, d_A, d_B, r):
+    a narrower factor is padded with zero columns, which leave its density
+    as it is."""
+    factors = [_as_factor(state, dim_a, dim_b) for state in states]
+    out = np.zeros((len(factors), dim_a, dim_b, max(f.shape[2] for f in factors)), dtype=complex)
+    for k, factor in enumerate(factors):
+        out[k, :, :, : factor.shape[2]] = factor
+    return out
+
+
+def _apply(kraus_list, factors: np.ndarray, party: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized factors of the branch states sum_K K rho K^dagger for a
+    stack of factors shaped (B, d_A, d_B, r), each K contracted with the
+    party's axis of every state by one matmul, and the branch probability
+    ||K V||^2 of each state."""
+    batch, dim_a, dim_b, cols = factors.shape
     if party == "A":
-        flat = factor.reshape(dim_a, -1)
-        parts = [(np.asarray(k, dtype=complex) @ flat).reshape(-1, dim_b, cols)
+        flat = factors.reshape(batch, dim_a, -1)
+        parts = [(np.asarray(k, dtype=complex) @ flat).reshape(batch, -1, dim_b, cols)
                  for k in kraus_list]
     else:
-        parts = [np.asarray(k, dtype=complex) @ factor for k in kraus_list]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
-    rows = out.shape[0] * out.shape[1]
-    if out.shape[2] > rows:
+        parts = [np.asarray(k, dtype=complex) @ factors for k in kraus_list]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3)
+    rows = out.shape[1] * out.shape[2]
+    if out.shape[3] > rows:
         # V V^dagger = R^dagger R for the QR factors of V^dagger
-        r_mat = np.linalg.qr(out.reshape(rows, -1).conj().T, mode="r")
-        out = r_mat.conj().T.reshape(out.shape[0], out.shape[1], -1)
-    return out, float(np.vdot(out, out).real)
+        r_mat = np.linalg.qr(out.reshape(batch, rows, -1).conj().swapaxes(1, 2), mode="r")
+        out = r_mat.conj().swapaxes(1, 2).reshape(out.shape[:3] + (-1,))
+    re_im = out.reshape(batch, 1, -1).view(np.float64)  # real and imaginary parts
+    return out, (re_im @ re_im.swapaxes(1, 2)).reshape(batch)
 
 
 def _check_trace_preserving(ops: list[tuple[str, list[np.ndarray]]], dim: int):
@@ -218,58 +232,81 @@ def run_locc(
     transcript holds a pure final state as its amplitude vector and a mixed
     one as its density matrix."""
     rng, seed = as_generator(rng)
-    factor = _as_factor(input_state, protocol.dim_a, protocol.dim_b)
+    factors = _as_factors([input_state], protocol.dim_a, protocol.dim_b)
     history: tuple[str, ...] = ()
     messages: list[Message] = []
     for idx, rnd in enumerate(protocol.rounds):
         ops = rnd.instrument(history)
-        _check_trace_preserving(ops, factor.shape["AB".index(rnd.party)])
-        branches = [(label, *_apply(kraus_list, factor, rnd.party)) for label, kraus_list in ops]
-        probs = np.array([b[2] for b in branches])
+        _check_trace_preserving(ops, factors.shape[1 + "AB".index(rnd.party)])
+        branches = [(label, *_apply(kraus_list, factors, rnd.party)) for label, kraus_list in ops]
+        probs = np.array([b[2][0] for b in branches])
         choice = int(rng.choice(len(branches), p=probs / probs.sum()))
-        label, out, p = branches[choice]
-        factor = out / math.sqrt(p)
+        label, out, _ = branches[choice]
+        p = float(probs[choice])
+        factors = out / math.sqrt(p)
         history += (label,)
         messages.append(Message(idx, rnd.party, label, p))
-    flat = factor.reshape(-1, factor.shape[2])
+    flat = factors.reshape(-1, factors.shape[3])
     final = flat[:, 0] if flat.shape[1] == 1 else flat @ flat.conj().T
     return LoccTranscript(protocol.protocol_id, seed, messages, final)
 
 
-def enumerate_paths(protocol: LoccProtocol, input_state) -> dict[tuple[str, ...], float]:
+def enumerate_paths(
+    protocol: LoccProtocol, states
+) -> dict[tuple[str, ...], float] | list[dict[tuple[str, ...], float]]:
     """Exact probabilities of every outcome sequence (zero-probability
-    branches omitted); probabilities sum to 1."""
-    out: dict[tuple[str, ...], float] = {}
+    branches omitted); probabilities sum to 1.
+
+    ``states`` is one state (a vector, a density matrix or a
+    ``StateVector``), whose law is returned as one dict, or a list or tuple
+    of states, whose laws are returned as a list of dicts from one walk of
+    the outcome tree: each node's instrument is fetched once for the whole
+    stack, and a branch is pruned only for the states whose step
+    probability is at most 1e-15. The path limit counts the leaves of the
+    walk.
+    """
+    single = not isinstance(states, (list, tuple))
+    batch = [states] if single else states
+    laws: list[dict[tuple[str, ...], float]] = [{} for _ in batch]
+    if not batch:
+        return laws
     counter = [0]
     # (id, party dimension) -> an instrument list already checked; holding
     # the list keeps its id from being reused by another list in this walk
     checked: dict[tuple[int, int], list] = {}
 
-    def walk(factor, history, prob, idx):
+    def walk(factors, members, history, probs, idx):
         if idx == len(protocol.rounds):
             counter[0] += 1
             if counter[0] > _PATH_LIMIT:
                 raise RuntimeError(f"path count exceeds {_PATH_LIMIT}")
-            out[history] = prob
+            for k, p in zip(members.tolist(), probs.tolist()):
+                laws[k][history] = p
             return
         rnd = protocol.rounds[idx]
         ops = rnd.instrument(history)
-        key = (id(ops), factor.shape["AB".index(rnd.party)])
+        key = (id(ops), factors.shape[1 + "AB".index(rnd.party)])
         if checked.get(key) is not ops:
             _check_trace_preserving(ops, key[1])
             checked[key] = ops
         for label, kraus_list in ops:
-            new, p = _apply(kraus_list, factor, rnd.party)
-            if p <= 1e-15:
-                continue
-            walk(new / math.sqrt(p), history + (label,), prob * p, idx + 1)
+            new, p = _apply(kraus_list, factors, rnd.party)
+            sub, sub_probs = members, probs
+            if min(p.tolist()) <= 1e-15:
+                kept = p > 1e-15
+                if not kept.any():
+                    continue
+                new, p, sub, sub_probs = new[kept], p[kept], members[kept], probs[kept]
+            walk(new / np.sqrt(p)[:, None, None, None], sub, history + (label,),
+                 sub_probs * p, idx + 1)
         if sys.getrefcount(ops) <= 3:
             # only this frame and the memo hold it: a list built for this
             # node alone, whose operators the memo must not keep alive
             del checked[key]
 
-    walk(_as_factor(input_state, protocol.dim_a, protocol.dim_b), (), 1.0, 0)
-    return out
+    factors = _as_factors(batch, protocol.dim_a, protocol.dim_b)
+    walk(factors, np.arange(len(batch)), (), np.ones(len(batch)), 0)
+    return laws[0] if single else laws
 
 
 def joint_outcome_distribution(
@@ -300,27 +337,29 @@ def verify_fisher_additivity(
 
     The per-party terms freeze the other party's state at theta0, so each is
     the information of a purely local experiment; their sum must reproduce
-    the information of the full interactive protocol at theta0.
+    the information of the full interactive protocol at theta0. The three
+    families' states at theta0 and on every axis's Richardson stencil go
+    through one walk of the outcome tree.
     """
     if model_a.param_dim != model_b.param_dim:
         raise ValueError("product family needs matching parameter dimensions")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    dim = model_a.param_dim
+    stencils = [richardson_stencil(theta0, i) for i in range(model_a.param_dim)]
+    points = [theta0] + [point for pts in stencils for point in pts]
+    at_a = np.array([model_a.state(th) for th in points])
+    at_b = np.array([model_b.state(th) for th in points])
+    # the joint family, then A varied beside B at theta0, then the reverse
+    pairs_a = np.concatenate([at_a, at_a, np.broadcast_to(at_a[0], at_a.shape)])
+    pairs_b = np.concatenate([at_b, np.broadcast_to(at_b[0], at_b.shape), at_b])
+    states = (pairs_a[:, :, None] * pairs_b[:, None, :]).reshape(len(pairs_a), -1)
+    laws = iter(enumerate_paths(protocol, list(states)))
 
-    def dist_total(th):
-        return enumerate_paths(protocol, np.kron(model_a.state(th), model_b.state(th)))
+    def fisher() -> np.ndarray:
+        """The Fisher matrix of the next family's laws, in ``points`` order."""
+        base = next(laws)
+        return fisher_of_laws(base, [[next(laws) for _ in pts] for pts in stencils])
 
-    def dist_a(th):
-        return enumerate_paths(protocol, np.kron(model_a.state(th), model_b.state(theta0)))
-
-    def dist_b(th):
-        return enumerate_paths(protocol, np.kron(model_a.state(theta0), model_b.state(th)))
-
-    return AdditivityResult(
-        fisher_of_distribution(dist_total, theta0, dim),
-        fisher_of_distribution(dist_a, theta0, dim),
-        fisher_of_distribution(dist_b, theta0, dim),
-    )
+    return AdditivityResult(fisher(), fisher(), fisher())
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +467,18 @@ def two_stage_estimate(
         raise ValueError("need n >= 25 so that sqrt(n) first-stage copies >= 5")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    lo, hi = model_a.box()[0]
+    lo2, hi2 = model_b.box()[0]
+    lo, hi = max(lo, lo2), min(hi, hi2)
+    # families with unbounded parameters are searched over one period
+    if math.isinf(lo):
+        lo = -math.pi
+    if math.isinf(hi):
+        hi = math.pi
+    if not lo < theta_true < hi:  # a NaN or infinite theta_true fails too
+        raise ValueError(
+            f"theta_true must lie inside the model domain ({lo}, {hi}), got {theta_true}"
+        )
     rng, seed = as_generator(rng)
 
     j_ref = _qfi(model_a, theta_true) + _qfi(model_b, theta_true)
@@ -438,16 +489,6 @@ def two_stage_estimate(
         )
 
     n2 = n - n1
-    lo, hi = model_a.box()[0]
-    lo2, hi2 = model_b.box()[0]
-    lo, hi = max(lo, lo2), min(hi, hi2)
-    # families with unbounded parameters are searched over one period
-    if math.isinf(lo):
-        lo = -math.pi
-    if math.isinf(hi):
-        hi = math.pi
-    if not (lo < theta_true < hi):
-        raise ValueError("theta_true must lie inside the model domain")
 
     # one entry per distinct family; party B reads the last entry
     parties = (model_a,) if model_b is model_a else (model_a, model_b)
@@ -681,7 +722,7 @@ def random_adaptive_protocol(rng: np.random.Generator, rounds: int = 2) -> LoccP
 
     def make_instrument(idx: int) -> Instrument:
         def instrument(history):
-            key = (sum(int(h) for h in history) + 7 * len(history)) % _BASIS_CHOICES
+            key = (history.count("1") + 7 * len(history)) % _BASIS_CHOICES
             return instruments[idx][key]
 
         return instrument

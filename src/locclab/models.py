@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _FD_STEP = 1e-5
+_FD_STEPS = (_FD_STEP, _FD_STEP / 2)  # the two central-difference steps
 
 
 @dataclass(frozen=True)
@@ -56,21 +57,35 @@ class PureStateModel:
         return richardson_derivative(self.state, theta, i)
 
 
-def richardson_derivative(fn, theta: np.ndarray, i: int) -> np.ndarray:
-    """Partial derivative of the array-valued ``fn`` along ``theta[i]``:
-    central differences at steps h and h/2 (h = ``_FD_STEP``), combined as
-    (4 D(h/2) - D(h)) / 3 to cancel the O(h^2) error term. The output keeps
-    the dtype of ``fn``'s values."""
-
-    def central(step: float) -> np.ndarray:
+def richardson_stencil(theta: np.ndarray, i: int) -> list[np.ndarray]:
+    """The points at which :func:`richardson_combine` reads a function:
+    theta + h, theta - h, theta + h/2, theta - h/2 along ``theta[i]``
+    (h = ``_FD_STEP``)."""
+    points = []
+    for step in _FD_STEPS:
         up, down = theta.copy(), theta.copy()
         up[i] += step
         down[i] -= step
-        return (np.asarray(fn(up)) - np.asarray(fn(down))) / (2 * step)
+        points += [up, down]
+    return points
 
-    d1 = central(_FD_STEP)
-    d2 = central(_FD_STEP / 2)
+
+def richardson_combine(values) -> np.ndarray:
+    """The derivative from an array-valued function's values at the points of
+    :func:`richardson_stencil`: central differences D(h) and D(h/2),
+    combined as (4 D(h/2) - D(h)) / 3 to cancel the O(h^2) error term. The
+    output keeps the dtype of the values."""
+    d1, d2 = (
+        (np.asarray(up) - np.asarray(down)) / (2 * step)
+        for step, up, down in zip(_FD_STEPS, values[0::2], values[1::2])
+    )
     return (4.0 * d2 - d1) / 3.0
+
+
+def richardson_derivative(fn, theta: np.ndarray, i: int) -> np.ndarray:
+    """Partial derivative of the array-valued ``fn`` along ``theta[i]``, by
+    :func:`richardson_combine` of its values on :func:`richardson_stencil`."""
+    return richardson_combine([fn(point) for point in richardson_stencil(theta, i)])
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +172,13 @@ def rotation_model(
     psi = psi / np.linalg.norm(psi)
     evals, evecs = np.linalg.eigh(gen)
     coeffs = evecs.conj().T @ psi
+    largest = float(np.max(np.abs(evals)))
 
     def state(theta):
+        # an infinite phase would reach exp as inf or nan, with numpy warnings;
+        # a nan theta passes on to the norm check of PureStateModel.state
+        if math.isinf(theta[0]) or math.isinf(float(theta[0]) * largest):
+            raise ValueError(f"theta {theta[0]} gives a phase theta * G beyond the float range")
         return evecs @ (np.exp(-1j * evals * theta[0]) * coeffs)
 
     def deriv(theta, i):

@@ -220,15 +220,19 @@ def test_sizes_and_dimensions_outside_the_guards_are_structured_errors(capsys, a
         (["gap", "--a", "nan", "--b", "1", "--betaA", "0.5", "--betaB", "0.5"], "finite"),
         (["gap", "--a", "1", "--b", "inf", "--betaA", "0.5", "--betaB", "0.5"], "finite"),
         (["additivity", "--theta", "nan"], "norm nan"),
+        (["additivity", "--theta", "inf"], "theta inf"),
+        (["additivity", "--theta", "1e308"], "theta 1e+308"),
         (["additivity", "--rounds", "-1"], "rounds"),
         (["two-stage", "--n", "100", "--trials", "-1"], "trials"),
+        (["two-stage", "--theta", "inf"], "theta_true"),
     ],
-    ids=["decompose-nan", "gap-nan", "gap-inf", "additivity-nan", "rounds-negative",
-         "trials-negative"],
+    ids=["decompose-nan", "gap-nan", "gap-inf", "additivity-nan", "additivity-inf",
+         "additivity-1e308", "rounds-negative", "trials-negative", "two-stage-inf"],
 )
 def test_non_finite_input_and_negative_counts_are_structured_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1, err
     error = json.loads(err)
     assert error["error"] == "ValueError" and message in error["message"]
 

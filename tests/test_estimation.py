@@ -10,6 +10,7 @@ from locclab.estimation import (
     detection_condition,
     fisher_data,
     fisher_of_distribution,
+    fisher_of_laws,
     horizontal_lift,
     locc_gap,
     measurement_fisher,
@@ -25,6 +26,8 @@ from locclab.models import (
     qubit_full,
     real_amplitude,
     reparametrized,
+    richardson_stencil,
+    rotation_model,
 )
 from locclab.states import StateVector, bell_state, product_state
 from locclab.teleport import sample_haar_unitary
@@ -416,6 +419,33 @@ def test_nan_states_fail_the_norm_checks():
         StateVector(np.array([np.nan, 0.0]), (2,)).require_normalized()
     with pytest.raises(ValueError, match="norm nan"):
         real_amplitude().state(math.nan)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, 1e308])
+def test_rotation_family_refuses_an_infinite_phase(theta):
+    # 2 * 1e308 overflows: the phase leaves the float range before exp
+    model = rotation_model(np.diag([2.0, -1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="beyond the float range"):
+        model.state([theta])
+    with pytest.raises(ValueError, match="norm nan"):
+        model.state([math.nan])
+    zero = rotation_model(np.zeros((2, 2)), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="beyond the float range"):
+        zero.state([math.inf])
+    assert np.all(np.isfinite(model.state([1e307])))
+
+
+def test_fisher_of_distribution_reads_the_law_at_theta0_and_on_each_stencil():
+    model = random_two_param_model(5)
+    povm = random_povm(np.random.default_rng(6), 2, parts=3)
+
+    def law(at):
+        phi = model.state(at)
+        return {x: float(np.real(np.vdot(phi, e @ phi))) for x, e in enumerate(povm.elements)}
+
+    stencils = [richardson_stencil(THETA.copy(), i) for i in range(2)]
+    want = fisher_of_laws(law(THETA), [[law(p) for p in pts] for pts in stencils])
+    assert np.array_equal(fisher_of_distribution(law, THETA, 2), want)
 
 
 def test_degenerate_model_reported():

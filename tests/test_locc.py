@@ -12,7 +12,6 @@ from locclab.locc import (
     LoccTranscript,
     Round,
     enumerate_paths,
-    fisher_of_distribution,
     joint_outcome_distribution,
     random_adaptive_protocol,
     random_qubit_model,
@@ -21,11 +20,12 @@ from locclab.locc import (
     two_stage_estimate,
     verify_fisher_additivity,
 )
+from locclab.estimation import fisher_of_distribution
 from locclab.models import PureStateModel, product_model, real_amplitude, rotation_model
 from locclab.states import bell_state, bipartite_tensor_power, state_from_schmidt
 from locclab.schur_weyl import schur_basis
 from locclab.teleport import kraus_operator, run_teleport, sample_haar_unitary
-from tests_support import outcome_grid, weyl_tables, weyl_tuple
+from tests_support import outcome_grid, single_state_paths, weyl_tables, weyl_tuple
 
 
 def projective_instrument(basis: np.ndarray):
@@ -367,6 +367,102 @@ def test_engine_rejects_inputs_that_are_not_states(case, engine):
         fn(protocol, state)
 
 
+# ---------------------------------------------------------------- batched walk
+
+
+def assert_same_law(got, want, tol=1e-15):
+    assert list(got) == list(want)
+    for path, p in want.items():
+        assert abs(got[path] - p) <= tol, path
+
+
+def counting_protocol(protocol, calls: list) -> LoccProtocol:
+    """The protocol with each instrument fetch's history appended to calls."""
+    return LoccProtocol(protocol.dim_a, protocol.dim_b, tuple(
+        Round(rnd.party, lambda h, f=rnd.instrument: calls.append(h) or f(h))
+        for rnd in protocol.rounds
+    ))
+
+
+def mixed_stack(rng, dim):
+    """Pure states, as vectors, beside densities of ranks 1, 2 and dim."""
+    return [random_input(rng, dim, rank) for rank in (0, 0, 1, 2, dim)]
+
+
+@pytest.mark.parametrize("rounds", [2, 3, 4, 5, 6])
+def test_batched_walk_matches_per_state_walks(rounds):
+    rng = np.random.default_rng(rounds)
+    protocol = random_adaptive_protocol(rng, rounds=rounds)
+    model = product_model(random_qubit_model(rng), random_qubit_model(rng))
+    states = [model.state([t]) for t in rng.uniform(-1.0, 1.0, size=4)] + mixed_stack(rng, 4)
+    laws = enumerate_paths(protocol, states)
+    assert len(laws) == len(states)
+    for law, state in zip(laws, states):
+        assert_same_law(law, enumerate_paths(protocol, state))
+
+
+def test_batched_walk_matches_per_state_walks_on_the_transfer_protocol():
+    protocol = teleport_protocol(3)
+    states = [
+        bipartite_tensor_power(state_from_schmidt(np.array(p)), 3).reshape(-1)
+        for p in ([0.5, 0.5], [0.7, 0.3], [1.0, 0.0])
+    ]
+    laws = enumerate_paths(protocol, tuple(states))
+    for law, state in zip(laws, states):
+        assert_same_law(law, enumerate_paths(protocol, state))
+    # the product state never passes Alice's projection: only "fail" remains
+    assert list(laws[2]) == [("fail", "abort")]
+
+
+def test_batched_walk_prunes_a_branch_for_one_state_only():
+    # the computational basis on each side: |00> keeps one path, |++> all four
+    basis = np.eye(2, dtype=complex)
+    protocol = LoccProtocol(
+        2, 2,
+        (Round("A", projective_instrument(basis)), Round("B", projective_instrument(basis))),
+        "computational",
+    )
+    zero, plus = np.array([1.0, 0.0]), np.full(2, 1 / math.sqrt(2))
+    states = [np.kron(zero, zero), np.kron(plus, plus), np.kron(plus, zero)]
+    laws = enumerate_paths(protocol, states)
+    assert laws[0] == {("0", "0"): 1.0}
+    assert sorted(laws[1]) == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+    assert sorted(laws[2]) == [("0", "0"), ("1", "0")]
+    for law, state in zip(laws, states):
+        assert_same_law(law, enumerate_paths(protocol, state))
+        assert_same_law(law, single_state_paths(protocol, state))
+
+
+@pytest.mark.parametrize("rounds", [2, 4, 6])
+def test_a_stack_of_one_matches_the_single_state_walk(rounds):
+    rng = np.random.default_rng(10 + rounds)
+    protocol = random_adaptive_protocol(rng, rounds=rounds)
+    for state in mixed_stack(rng, 4):
+        [law] = enumerate_paths(protocol, [state])
+        assert_same_law(law, single_state_paths(protocol, state))
+        assert_same_law(enumerate_paths(protocol, state), law)
+
+
+def test_batched_walk_fetches_each_instrument_once_and_counts_leaves_once(monkeypatch):
+    protocol = random_adaptive_protocol(np.random.default_rng(2), rounds=3)
+    calls = []
+    counted = counting_protocol(protocol, calls)
+    rng = np.random.default_rng(3)
+    states = [random_input(rng, 4, 0) for _ in range(5)]
+    enumerate_paths(counted, states)
+    assert len(calls) == len(set(calls)) == 1 + 2 + 4  # one fetch per node
+    # the eight leaves of the one walk, not eight per state
+    monkeypatch.setattr(locc, "_PATH_LIMIT", 8)
+    assert len(enumerate_paths(protocol, states)) == 5
+    monkeypatch.setattr(locc, "_PATH_LIMIT", 7)
+    with pytest.raises(RuntimeError, match="path count exceeds 7"):
+        enumerate_paths(protocol, states)
+
+
+def test_an_empty_stack_has_no_laws():
+    assert enumerate_paths(random_adaptive_protocol(np.random.default_rng(0)), []) == []
+
+
 # ---------------------------------------------------------------- additivity
 
 
@@ -419,26 +515,57 @@ def test_additivity_anticopy_pair_with_adaptive_rounds():
     assert res.cross <= 1e-8
 
 
-def test_additivity_fuzz_small():
-    worst = 0.0
-    count = 0
-    seed = 0
-    while count < 15:
+def fuzz_small_cases():
+    """15 random adaptive protocols with their models and points."""
+    cases, seed = [], 0
+    while len(cases) < 15:
         seed += 1
         rng = np.random.default_rng(seed)
         protocol = random_adaptive_protocol(rng, rounds=2 + seed % 2)
         model_a = random_qubit_model(np.random.default_rng(1000 + seed))
         model_b = random_qubit_model(np.random.default_rng(2000 + seed))
         theta0 = 0.2 + 0.01 * seed
-        dist = joint_outcome_distribution(
-            protocol, product_model(model_a, model_b), [theta0]
-        )
+        dist = joint_outcome_distribution(protocol, product_model(model_a, model_b), [theta0])
         if min(dist.values()) < 1e-3:
             continue  # ill-conditioned for finite differences; fuzz next seed
-        res = verify_fisher_additivity(protocol, model_a, model_b, [theta0])
-        worst = max(worst, res.cross)
-        count += 1
+        cases.append((protocol, model_a, model_b, [theta0]))
+    return cases
+
+
+def test_additivity_fuzz_small():
+    worst = max(verify_fisher_additivity(*case).cross for case in fuzz_small_cases())
     assert worst <= 1e-8
+
+
+def test_additivity_makes_one_walk(monkeypatch):
+    walks = []
+    walk = locc.enumerate_paths
+    monkeypatch.setattr(locc, "enumerate_paths", lambda *a: walks.append(1) or walk(*a))
+    for protocol, model_a, model_b, theta0 in fuzz_small_cases()[:4]:
+        calls = []
+        counted = counting_protocol(protocol, calls)
+        walks.clear()
+        verify_fisher_additivity(counted, model_a, model_b, theta0)
+        fetched = len(calls)
+        calls.clear()
+        walk(counted, np.kron(model_a.state(theta0), model_b.state(theta0)))
+        assert walks == [1] and fetched == len(calls)
+
+
+def test_additivity_matches_the_per_state_route():
+    for protocol, model_a, model_b, theta0 in fuzz_small_cases():
+        res = verify_fisher_additivity(protocol, model_a, model_b, theta0)
+        a0, b0 = model_a.state(theta0), model_b.state(theta0)
+        routes = (
+            lambda t: np.kron(model_a.state(t), model_b.state(t)),
+            lambda t: np.kron(model_a.state(t), b0),
+            lambda t: np.kron(a0, model_b.state(t)),
+        )
+        for got, family in zip((res.j_total, res.j_a, res.j_b), routes):
+            want = fisher_of_distribution(
+                lambda t, f=family: enumerate_paths(protocol, f(t)), theta0, 1
+            )
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------- teleport scenario

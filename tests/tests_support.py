@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from locclab.locc import _as_factor
 from locclab.models import PureStateModel
 from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions, standard_tableaux
 from locclab.teleport import good_set
@@ -195,3 +196,35 @@ def schur_polynomials_per_last_part(p, n: int) -> list[float]:
         pred = [q[rows] for q in pred + [np.where(last > 0, below, -1)]]
         pred = [np.where((q >= 0) & (a < count[q]), start[q] + a, -1) for q in pred]
         size, last, table = size[rows] + a, a, values
+
+
+# ----------------------------------------------------------------------
+# the LOCC engine's walk of one state, as the library had it before the walk
+# took a stack of states; kept as the oracle of the batched walk. It has no
+# QR compression, which leaves the branch densities as they are.
+
+
+def single_state_paths(protocol, state) -> dict[tuple[str, ...], float]:
+    """The outcome law of one state: its factor contracted with every
+    branch's Kraus operators, branches of probability at most 1e-15 pruned."""
+    out = {}
+
+    def walk(factor, history, prob, idx):
+        if idx == len(protocol.rounds):
+            out[history] = prob
+            return
+        rnd = protocol.rounds[idx]
+        dim_a, dim_b, cols = factor.shape
+        for label, kraus_list in rnd.instrument(history):
+            if rnd.party == "A":
+                parts = [(k @ factor.reshape(dim_a, -1)).reshape(-1, dim_b, cols)
+                         for k in kraus_list]
+            else:
+                parts = [k @ factor for k in kraus_list]
+            new = np.concatenate(parts, axis=2)
+            p = float(np.vdot(new, new).real)
+            if p > 1e-15:
+                walk(new / math.sqrt(p), history + (label,), prob * p, idx + 1)
+
+    walk(_as_factor(state, protocol.dim_a, protocol.dim_b), (), 1.0, 0)
+    return out
