@@ -121,10 +121,10 @@ class Povm:
         object.__setattr__(self, "elements", elements)
         total = sum(elements)
         dim = elements[0].shape[0]
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+        if not np.max(np.abs(total - np.eye(dim))) <= 1e-10:  # a NaN entry fails too
             raise ValueError("POVM elements must sum to the identity")
         for e in elements:
-            if np.min(np.linalg.eigvalsh((e + e.conj().T) / 2)) < -1e-12:
+            if not np.min(np.linalg.eigvalsh((e + e.conj().T) / 2)) >= -1e-12:
                 raise ValueError("POVM element is not positive semidefinite")
 
 
@@ -173,15 +173,18 @@ def fisher_of_laws(
 
 def measurement_fisher(povm: Povm, model: PureStateModel, theta) -> np.ndarray:
     """Fisher matrix of the outcome distribution, in half-derivative units:
-    :func:`fisher_of_distribution` of the outcome law keyed by outcome index,
-    divided by 4. Satisfies J_M <= 4 J_S.
+    the :func:`fisher_of_distribution` of the outcome law keyed by outcome
+    index, divided by 4, with the states at theta and on every stencil from
+    one ``model.states`` call. Satisfies J_M <= 4 J_S.
     """
-
-    def outcome_law(at: np.ndarray) -> dict[int, float]:
-        phi = model.state(at)
-        return {x: float(np.real(np.vdot(phi, e @ phi))) for x, e in enumerate(povm.elements)}
-
-    return fisher_of_distribution(outcome_law, theta, model.param_dim) / 4.0
+    theta0 = np.atleast_1d(np.asarray(theta, dtype=float))
+    stencils = [richardson_stencil(theta0, i) for i in range(model.param_dim)]
+    laws = iter(
+        {x: float(np.real(np.vdot(phi, e @ phi))) for x, e in enumerate(povm.elements)}
+        for phi in model.states([theta0] + [point for pts in stencils for point in pts])
+    )
+    base = next(laws)
+    return fisher_of_laws(base, [[next(laws) for _ in pts] for pts in stencils]) / 4.0
 
 
 def beta_combination(a: float, b: float, beta_a: float, beta_b: float) -> tuple[float, float]:

@@ -219,7 +219,7 @@ def _check_trace_preserving(ops: list[tuple[str, list[np.ndarray]]], dim: int):
                 parts = np.ascontiguousarray(k, dtype=complex).view(np.float64)
                 pairs = (parts.T @ parts).view(complex)
                 total += pairs[0::2] - 1j * pairs[1::2]
-    if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+    if not np.max(np.abs(total - np.eye(dim))) <= 1e-10:  # a NaN entry fails too
         raise ValueError("instrument maps do not sum to a trace-preserving map")
 
 
@@ -346,8 +346,7 @@ def verify_fisher_additivity(
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     stencils = [richardson_stencil(theta0, i) for i in range(model_a.param_dim)]
     points = [theta0] + [point for pts in stencils for point in pts]
-    at_a = np.array([model_a.state(th) for th in points])
-    at_b = np.array([model_b.state(th) for th in points])
+    at_a, at_b = model_a.states(points), model_b.states(points)
     # the joint family, then A varied beside B at theta0, then the reverse
     pairs_a = np.concatenate([at_a, at_a, np.broadcast_to(at_a[0], at_a.shape)])
     pairs_b = np.concatenate([at_b, np.broadcast_to(at_b[0], at_b.shape), at_b])
@@ -495,7 +494,9 @@ def two_stage_estimate(
     fixed = np.array([1.0, 0.0], dtype=complex)  # computational basis, first vector
 
     def states(thetas) -> list[np.ndarray]:
-        return [np.stack([model.state(t) for t in thetas]) for model in parties]
+        """Each family's states at the points, one row per point."""
+        points = np.reshape(thetas, (-1, 1))
+        return [model.states(points) for model in parties]
 
     def stage1_rows(points: int):
         """A grid and the log terms of the fixed outcome on it, per family."""

@@ -18,10 +18,11 @@ _FD_STEPS = (_FD_STEP, _FD_STEP / 2)  # the two central-difference steps
 class PureStateModel:
     """A smooth family theta -> |phi_theta> with derivative access.
 
-    ``state_fn`` maps a parameter vector of length ``param_dim`` to a
-    normalized complex amplitude vector. ``derivative_fn(theta, i)`` returns
-    the analytic partial derivative when available; otherwise derivatives
-    fall back to Richardson-extrapolated central differences.
+    ``state_fn`` maps a ``(k, param_dim)`` array of parameter points to the
+    ``(k, dim)`` array of their normalized complex amplitude vectors, one row
+    per point. ``derivative_fn(theta, i)`` returns the analytic partial
+    derivative at one point when available; otherwise derivatives fall back
+    to Richardson-extrapolated central differences.
     """
 
     param_dim: int
@@ -40,52 +41,73 @@ class PureStateModel:
             lo <= t <= hi for t, (lo, hi) in zip(np.atleast_1d(theta), self.box())
         )
 
+    def states(self, thetas) -> np.ndarray:
+        """The ``(k, dim)`` states at the ``(k, param_dim)`` points, from one
+        ``state_fn`` call; every row's norm must be 1 within 1e-10."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.param_dim:
+            raise ValueError(
+                f"thetas must have shape (k, {self.param_dim}), got {thetas.shape}"
+            )
+        vecs = np.asarray(self.state_fn(thetas), dtype=complex)
+        if vecs.ndim != 2 or len(vecs) != len(thetas):
+            raise ValueError(f"state_fn returned shape {vecs.shape} for {len(thetas)} points")
+        parts = np.ascontiguousarray(vecs).view(np.float64)  # real and imaginary parts
+        norms = np.sqrt(np.add.reduce(parts * parts, axis=1))
+        off = np.abs(norms - 1.0)
+        if not np.maximum.reduce(off, initial=0.0) <= 1e-10:  # a NaN norm fails too
+            k = int(np.argmin(off <= 1e-10))
+            raise ValueError(
+                f"family state at theta {thetas[k].tolist()} has norm {norms[k]}, not 1"
+            )
+        return vecs
+
     def state(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.size != self.param_dim:
-            raise ValueError(f"theta must have {self.param_dim} entries")
-        vec = np.asarray(self.state_fn(theta), dtype=complex).reshape(-1)
-        nrm = math.sqrt(np.vdot(vec, vec).real)
-        if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
-            raise ValueError(f"family state has norm {nrm}, not 1")
-        return vec
+        """The state at one point: row 0 of :meth:`states` on that point."""
+        return self.states(np.asarray(theta, dtype=float).reshape(1, -1))[0]
 
     def derivative(self, theta, i: int) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.derivative_fn is not None:
             return np.asarray(self.derivative_fn(theta, i), dtype=complex).reshape(-1)
-        return richardson_derivative(self.state, theta, i)
+        return richardson_combine(self.states(richardson_stencil(theta, i)))
 
 
 def richardson_stencil(theta: np.ndarray, i: int) -> list[np.ndarray]:
     """The points at which :func:`richardson_combine` reads a function:
     theta + h, theta - h, theta + h/2, theta - h/2 along ``theta[i]``
-    (h = ``_FD_STEP``)."""
+    (h = ``_FD_STEP``). Raises ValueError when theta[i] is so large that a
+    point's offset from it, as stored, differs from its step by more than
+    1e-6 relative: the differences would divide by the wrong step, and read
+    0 once the points round onto theta. A non-finite theta[i] passes on to
+    the family's own checks, which name it."""
     points = []
     for step in _FD_STEPS:
         up, down = theta.copy(), theta.copy()
         up[i] += step
         down[i] -= step
+        if math.isfinite(theta[i]):
+            for offset in (up[i] - theta[i], theta[i] - down[i]):
+                if abs(offset - step) > 1e-6 * step:
+                    raise ValueError(
+                        f"theta {theta[i]} is too large for finite differences with "
+                        f"step {step}: a stencil point lies {offset} from it"
+                    )
         points += [up, down]
     return points
 
 
 def richardson_combine(values) -> np.ndarray:
     """The derivative from an array-valued function's values at the points of
-    :func:`richardson_stencil`: central differences D(h) and D(h/2),
-    combined as (4 D(h/2) - D(h)) / 3 to cancel the O(h^2) error term. The
-    output keeps the dtype of the values."""
+    :func:`richardson_stencil`, in its order (a list, or an array with one
+    row per point): central differences D(h) and D(h/2), combined as
+    (4 D(h/2) - D(h)) / 3 to cancel the O(h^2) error term. The output keeps
+    the dtype of the values."""
     d1, d2 = (
         (np.asarray(up) - np.asarray(down)) / (2 * step)
         for step, up, down in zip(_FD_STEPS, values[0::2], values[1::2])
     )
     return (4.0 * d2 - d1) / 3.0
-
-
-def richardson_derivative(fn, theta: np.ndarray, i: int) -> np.ndarray:
-    """Partial derivative of the array-valued ``fn`` along ``theta[i]``, by
-    :func:`richardson_combine` of its values on :func:`richardson_stencil`."""
-    return richardson_combine([fn(point) for point in richardson_stencil(theta, i)])
 
 
 # ----------------------------------------------------------------------
@@ -95,14 +117,11 @@ def richardson_derivative(fn, theta: np.ndarray, i: int) -> np.ndarray:
 def qubit_full() -> PureStateModel:
     """Two-parameter qubit family covering polar angle and relative phase."""
 
-    def state(theta):
-        a, b = theta
-        return np.array(
-            [
-                np.exp(-0.5j * b) * math.cos(a / 2),
-                np.exp(0.5j * b) * math.sin(a / 2),
-            ]
-        )
+    phases = np.array([-0.5j, 0.5j])  # per unit of the second angle
+
+    def state(thetas):
+        half, b = thetas[:, :1] / 2, thetas[:, 1:]
+        return np.exp(phases * b) * np.concatenate([np.cos(half), np.sin(half)], axis=1)
 
     def deriv(theta, i):
         a, b = theta
@@ -130,8 +149,8 @@ def qubit_conjugate() -> PureStateModel:
     """Entrywise complex conjugate of the full qubit family."""
     base = qubit_full()
 
-    def state(theta):
-        return base.state_fn(theta).conj()
+    def state(thetas):
+        return base.state_fn(thetas).conj()
 
     def deriv(theta, i):
         return base.derivative_fn(theta, i).conj()
@@ -148,9 +167,9 @@ def anticopy_pair() -> tuple[PureStateModel, PureStateModel]:
 def real_amplitude() -> PureStateModel:
     """One-parameter qubit family with real amplitudes (polar angle only)."""
 
-    def state(theta):
-        (a,) = theta
-        return np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex)
+    def state(thetas):
+        half = thetas / 2
+        return np.concatenate([np.cos(half), np.sin(half)], axis=1).astype(complex)
 
     def deriv(theta, i):
         (a,) = theta
@@ -174,12 +193,17 @@ def rotation_model(
     coeffs = evecs.conj().T @ psi
     largest = float(np.max(np.abs(evals)))
 
-    def state(theta):
+    def state(thetas):
         # an infinite phase would reach exp as inf or nan, with numpy warnings;
-        # a nan theta passes on to the norm check of PureStateModel.state
-        if math.isinf(theta[0]) or math.isinf(float(theta[0]) * largest):
-            raise ValueError(f"theta {theta[0]} gives a phase theta * G beyond the float range")
-        return evecs @ (np.exp(-1j * evals * theta[0]) * coeffs)
+        # a nan theta passes on to the norm check of PureStateModel.states
+        t = thetas[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan, not inf
+            infinite = np.isinf(t) | np.isinf(t * largest)
+        if infinite.any():
+            bad = t[np.argmax(infinite)]
+            raise ValueError(f"theta {bad} gives a phase theta * G beyond the float range")
+        # one matrix-vector product per row, as for a single point
+        return (evecs @ (np.exp(-1j * evals * t[:, None]) * coeffs)[:, :, None])[:, :, 0]
 
     def deriv(theta, i):
         return evecs @ (-1j * evals * np.exp(-1j * evals * theta[0]) * coeffs)
@@ -192,8 +216,9 @@ def product_model(model_a: PureStateModel, model_b: PureStateModel) -> PureState
     if model_a.param_dim != model_b.param_dim:
         raise ValueError("factor models must share the parameter dimension")
 
-    def state(theta):
-        return np.kron(model_a.state(theta), model_b.state(theta))
+    def state(thetas):
+        at_a, at_b = model_a.states(thetas), model_b.states(thetas)
+        return (at_a[:, :, None] * at_b[:, None, :]).reshape(len(thetas), -1)
 
     deriv = None
     if model_a.derivative_fn is not None and model_b.derivative_fn is not None:
@@ -227,8 +252,9 @@ def reparametrized(model: PureStateModel, a_matrix: np.ndarray) -> PureStateMode
     if abs(np.linalg.det(a_mat)) < 1e-12:
         raise ValueError("reparametrization must be invertible")
 
-    def state(theta):
-        return model.state(a_mat @ np.atleast_1d(theta))
+    def state(thetas):
+        # one matrix-vector product per row, as for a single point
+        return model.states((a_mat @ thetas[:, :, None])[:, :, 0])
 
     deriv = None
     if model.derivative_fn is not None:
@@ -261,17 +287,20 @@ def tabulated_model(thetas: Sequence[float], states: Sequence[Sequence[complex]]
     table = table / np.linalg.norm(table, axis=1, keepdims=True)
     step = float(np.min(np.diff(grid)))
 
-    def nearest(theta) -> int:
-        k = int(np.argmin(np.abs(grid - theta[0])))
-        if abs(grid[k] - theta[0]) > 0.25 * step:
-            raise ValueError(f"theta {theta[0]} is not a grid point")
+    def nearest(points: np.ndarray) -> np.ndarray:
+        """The grid index nearest to each point (the lower one on a tie)."""
+        upper = np.clip(np.searchsorted(grid, points), 1, grid.size - 1)
+        k = np.where(points - grid[upper - 1] <= grid[upper] - points, upper - 1, upper)
+        off = ~(np.abs(grid[k] - points) <= 0.25 * step)  # a NaN point is off too
+        if off.any():
+            raise ValueError(f"theta {points[np.argmax(off)]} is not a grid point")
         return k
 
-    def state(theta):
-        return table[nearest(theta)]
+    def state(thetas):
+        return table[nearest(thetas[:, 0])]
 
     def deriv(theta, i):
-        k = nearest(theta)
+        k = int(nearest(theta)[0])
         if k == 0 or k == grid.size - 1:
             raise ValueError("derivative undefined at the grid boundary")
         return (table[k + 1] - table[k - 1]) / (grid[k + 1] - grid[k - 1])

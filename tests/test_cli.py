@@ -222,12 +222,14 @@ def test_sizes_and_dimensions_outside_the_guards_are_structured_errors(capsys, a
         (["additivity", "--theta", "nan"], "norm nan"),
         (["additivity", "--theta", "inf"], "theta inf"),
         (["additivity", "--theta", "1e308"], "theta 1e+308"),
+        (["additivity", "--theta", "1e300"], "theta 1e+300"),
         (["additivity", "--rounds", "-1"], "rounds"),
         (["two-stage", "--n", "100", "--trials", "-1"], "trials"),
         (["two-stage", "--theta", "inf"], "theta_true"),
     ],
     ids=["decompose-nan", "gap-nan", "gap-inf", "additivity-nan", "additivity-inf",
-         "additivity-1e308", "rounds-negative", "trials-negative", "two-stage-inf"],
+         "additivity-1e308", "additivity-1e300", "rounds-negative", "trials-negative",
+         "two-stage-inf"],
 )
 def test_non_finite_input_and_negative_counts_are_structured_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

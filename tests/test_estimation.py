@@ -40,7 +40,7 @@ THETA = np.array([1.0, 0.7])
 
 
 def test_lift_constant_family_is_zero():
-    model = PureStateModel(1, lambda t: np.array([1.0, 0.0], dtype=complex))
+    model = PureStateModel(1, lambda t: np.tile(np.array([1.0, 0.0], dtype=complex), (len(t), 1)))
     lift = horizontal_lift(model, [0.3], 0)
     assert np.max(np.abs(lift)) < 1e-9
 
@@ -230,6 +230,11 @@ def test_povm_validation():
         Povm((np.eye(2) * 0.5,))
     with pytest.raises(ValueError):
         Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+
+
+def test_povm_with_a_nan_entry_is_refused():
+    with pytest.raises(ValueError, match="sum to the identity"):
+        Povm((np.array([[np.nan, 0.0], [0.0, 0.0]]), np.diag([0.0, 1.0])))
 
 
 # ---------------------------------------------------------------- product families
@@ -453,8 +458,9 @@ def test_degenerate_model_reported():
     # the Berry form stays inside the metric support, so angles are fine;
     # a zero metric with a forced Berry coupling cannot happen for a true
     # family, so degeneracy reporting is exercised with a synthetic model
-    def state(theta):
-        return np.array([math.cos(theta[0] / 2), math.sin(theta[0] / 2)], dtype=complex)
+    def state(thetas):
+        a = thetas[:, 0]
+        return np.stack([np.cos(a / 2), np.sin(a / 2)], axis=1).astype(complex)
 
     model = PureStateModel(2, state)
     data = fisher_data(model, [1.0, 0.5])

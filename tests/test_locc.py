@@ -122,6 +122,14 @@ def test_instrument_must_preserve_trace():
         run_locc(bad, np.kron([1, 0], [1, 0]).astype(complex), 0)
 
 
+def test_instrument_with_a_nan_entry_fails_the_trace_check():
+    nan = LoccProtocol(
+        2, 2, (Round("A", lambda h: [("0", [np.array([[np.nan, 0.0], [0.0, 0.0]])])]),), "nan"
+    )
+    with pytest.raises(ValueError, match="trace-preserving"):
+        enumerate_paths(nan, np.kron([1, 0], [1, 0]).astype(complex))
+
+
 def test_enumerate_paths_checks_a_list_built_on_a_deep_branch():
     # every call builds a fresh list, so a list freed after its branch could
     # hand its id to the next one; only the deepest "1", "1" list is lossy
@@ -503,7 +511,7 @@ def test_additivity_anticopy_pair_with_adaptive_rounds():
     def slice_model(model):
         return PureStateModel(
             1,
-            lambda t: model.state_fn(np.array([t[0], 0.4])),
+            lambda t: model.state_fn(np.column_stack([t[:, 0], np.full(len(t), 0.4)])),
             (lambda t, i: model.derivative_fn(np.array([t[0], 0.4]), 0)),
             domain=((1e-3, math.pi - 1e-3),),
         )
@@ -830,8 +838,9 @@ def oscillating_model():
     likelihood is flat on the base grid and not on the doubled one."""
     rate = 511 * math.pi
 
-    def state(theta):
-        return np.array([math.cos(rate * theta[0]), math.sin(rate * theta[0])], dtype=complex)
+    def state(thetas):
+        t = thetas[:, 0]
+        return np.stack([np.cos(rate * t), np.sin(rate * t)], axis=1).astype(complex)
 
     def deriv(theta, i):
         return rate * np.array(
@@ -945,7 +954,7 @@ def test_two_stage_csv():
 def test_two_stage_flat_likelihood_fails_structurally():
     constant = PureStateModel(
         1,
-        lambda t: np.array([1.0, 0.0], dtype=complex),
+        lambda t: np.tile(np.array([1.0, 0.0], dtype=complex), (len(t), 1)),
         lambda t, i: np.zeros(2, dtype=complex),
         domain=((0.0, 2.0),),
     )

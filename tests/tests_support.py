@@ -26,8 +26,8 @@ def random_two_param_model(seed: int) -> PureStateModel:
         w, v = np.linalg.eigh(g)
         return v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
 
-    def state(theta):
-        return mat_exp(gens[0], theta[0]) @ mat_exp(gens[1], theta[1]) @ psi0
+    def state(thetas):
+        return np.stack([mat_exp(gens[0], t1) @ mat_exp(gens[1], t2) @ psi0 for t1, t2 in thetas])
 
     def deriv(theta, i):
         u1 = mat_exp(gens[0], theta[0])
