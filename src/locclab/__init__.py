@@ -62,7 +62,7 @@ from .estimation import (
     bures_expansion_check,
     detection_condition,
     fisher_data,
-    horizontal_lift,
+    horizontal_lifts,
     locc_gap,
     measurement_fisher,
     weighted_cr_value,

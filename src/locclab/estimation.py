@@ -19,7 +19,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .models import PureStateModel, richardson_combine, richardson_stencil
+from .models import PureStateModel, richardson_combine, richardson_points
 from .states import StateVector
 
 _SUPPORT_RTOL = 1e-10  # relative cutoff of the metric's support
@@ -29,15 +29,17 @@ class DegenerateModelError(RuntimeError):
     """The Berry form has weight outside the support of the metric."""
 
 
-def horizontal_lift(model: PureStateModel, theta, i: int) -> np.ndarray:
-    """The (unnormalized) lift (d_i phi - <phi|d_i phi> phi)/2, orthogonal
-    to the state."""
+def horizontal_lifts(model: PureStateModel, theta) -> np.ndarray:
+    """The (unnormalized) lifts (d_i phi - <phi|d_i phi> phi)/2, orthogonal
+    to the state, one row per axis i, from one ``state`` and one
+    ``derivatives`` call."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if not model.contains(theta):
         raise ValueError(f"theta {theta} is outside the model domain")
     phi = model.state(theta)
-    dphi = model.derivative(theta, i)
-    return 0.5 * (dphi - np.vdot(phi, dphi) * phi)
+    return np.array([
+        0.5 * (dphi - np.vdot(phi, dphi) * phi) for dphi in model.derivatives(theta[None])[0]
+    ])
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ def fisher_data(model: PureStateModel, theta) -> FisherData:
     (pseudo-inverse on the support when the metric is singular).
     """
     dim = model.param_dim
-    lifts = [horizontal_lift(model, theta, i) for i in range(dim)]
+    lifts = horizontal_lifts(model, theta)
     gram = np.array([[np.vdot(lifts[i], lifts[j]) for j in range(dim)] for i in range(dim)])
     j_s = (gram.real + gram.real.T) / 2
     j_tilde = (gram.imag - gram.imag.T) / 2
@@ -91,8 +93,7 @@ def bures_expansion_check(model: PureStateModel, theta, dtheta) -> tuple[float, 
     """Compare 1 - |<phi_t|phi_{t+dt}>|^2 against 4 dt.J_S.dt."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
-    phi = model.state(theta)
-    phi2 = model.state(theta + dtheta)
+    phi, phi2 = model.states([theta, theta + dtheta])
     lhs = 1.0 - abs(np.vdot(phi, phi2)) ** 2
     j_s = fisher_data(model, theta).j_s
     rhs = float(4.0 * dtheta @ j_s @ dtheta)
@@ -129,36 +130,28 @@ class Povm:
 
 
 def fisher_of_distribution(
-    dist_fn: Callable[[np.ndarray], Mapping[Hashable, float]], theta0, param_dim: int
+    dist_fn: Callable[[np.ndarray], Mapping[Hashable, float]], theta0
 ) -> np.ndarray:
     """Classical Fisher matrix (standard normalization) of the outcome law
     ``dist_fn``, keyed by sortable outcomes: :func:`fisher_of_laws` of its
-    laws at theta0 and on each axis's :func:`models.richardson_stencil`."""
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    base = dist_fn(theta0)
-    stencils = [richardson_stencil(theta0, i) for i in range(param_dim)]
-    return fisher_of_laws(base, [[dist_fn(point) for point in pts] for pts in stencils])
+    laws at the :func:`models.richardson_points` of theta0."""
+    return fisher_of_laws([dist_fn(point) for point in richardson_points(theta0)])
 
 
-def fisher_of_laws(
-    base: Mapping[Hashable, float], stencil_laws: Sequence[Sequence[Mapping[Hashable, float]]]
-) -> np.ndarray:
+def fisher_of_laws(laws: Sequence[Mapping[Hashable, float]]) -> np.ndarray:
     """Classical Fisher matrix sum_x grad p(x) grad p(x)^T / p(x) over the
-    outcomes of the law ``base`` at theta0, one axis per entry of
-    ``stencil_laws``: the laws at that axis's points of
-    :func:`models.richardson_stencil`, combined by
-    :func:`models.richardson_combine` (an outcome missing from a law has
-    probability 0). Outcomes with probability below 1e-12 are excluded,
-    with a warning when their probability varies."""
-    outcomes = sorted(base)
-    param_dim = len(stencil_laws)
-    grads = np.zeros((len(outcomes), param_dim))
-    for i, laws in enumerate(stencil_laws):
-        grads[:, i] = richardson_combine(
-            [np.array([law.get(x, 0.0) for x in outcomes]) for law in laws]
-        )
+    outcomes of the first law, the one at theta0, from the laws at the
+    :func:`models.richardson_points` of theta0, in that order: each axis's
+    four stencil laws are combined by :func:`models.richardson_combine`
+    (an outcome missing from a law has probability 0). Outcomes with
+    probability below 1e-12 are excluded, with a warning when their
+    probability varies."""
+    outcomes = sorted(laws[0])
+    table = np.array([[law.get(x, 0.0) for x in outcomes] for law in laws[1:]])
+    stencils = table.reshape(-1, 4, len(outcomes))  # axis, stencil point, outcome
+    grads = richardson_combine(np.moveaxis(stencils, 1, 0)).T
 
-    probs = np.array([base[x] for x in outcomes])
+    probs = np.array([laws[0][x] for x in outcomes])
     live = probs >= 1e-12
     for row in np.flatnonzero(~live):
         if np.max(np.abs(grads[row])) > 1e-8:
@@ -177,14 +170,11 @@ def measurement_fisher(povm: Povm, model: PureStateModel, theta) -> np.ndarray:
     index, divided by 4, with the states at theta and on every stencil from
     one ``model.states`` call. Satisfies J_M <= 4 J_S.
     """
-    theta0 = np.atleast_1d(np.asarray(theta, dtype=float))
-    stencils = [richardson_stencil(theta0, i) for i in range(model.param_dim)]
-    laws = iter(
+    laws = [
         {x: float(np.real(np.vdot(phi, e @ phi))) for x, e in enumerate(povm.elements)}
-        for phi in model.states([theta0] + [point for pts in stencils for point in pts])
-    )
-    base = next(laws)
-    return fisher_of_laws(base, [[next(laws) for _ in pts] for pts in stencils]) / 4.0
+        for phi in model.states(richardson_points(theta))
+    ]
+    return fisher_of_laws(laws) / 4.0
 
 
 def beta_combination(a: float, b: float, beta_a: float, beta_b: float) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .estimation import fisher_of_laws
-from .models import PureStateModel, richardson_stencil, rotation_model
+from .models import PureStateModel, richardson_points, rotation_model
 from .partitions import block_table
 from .schur_weyl import schur_basis
 from .states import StateVector, as_generator, check_bytes
@@ -343,22 +343,15 @@ def verify_fisher_additivity(
     """
     if model_a.param_dim != model_b.param_dim:
         raise ValueError("product family needs matching parameter dimensions")
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    stencils = [richardson_stencil(theta0, i) for i in range(model_a.param_dim)]
-    points = [theta0] + [point for pts in stencils for point in pts]
+    points = richardson_points(theta0)
     at_a, at_b = model_a.states(points), model_b.states(points)
     # the joint family, then A varied beside B at theta0, then the reverse
     pairs_a = np.concatenate([at_a, at_a, np.broadcast_to(at_a[0], at_a.shape)])
     pairs_b = np.concatenate([at_b, np.broadcast_to(at_b[0], at_b.shape), at_b])
     states = (pairs_a[:, :, None] * pairs_b[:, None, :]).reshape(len(pairs_a), -1)
-    laws = iter(enumerate_paths(protocol, list(states)))
-
-    def fisher() -> np.ndarray:
-        """The Fisher matrix of the next family's laws, in ``points`` order."""
-        base = next(laws)
-        return fisher_of_laws(base, [[next(laws) for _ in pts] for pts in stencils])
-
-    return AdditivityResult(fisher(), fisher(), fisher())
+    laws = enumerate_paths(protocol, list(states))
+    k = len(points)
+    return AdditivityResult(*(fisher_of_laws(laws[j * k : (j + 1) * k]) for j in range(3)))
 
 
 # ----------------------------------------------------------------------
@@ -389,17 +382,15 @@ class EstimationReport:
 
 def _qfi(model: PureStateModel, theta: float) -> float:
     """Standard quantum Fisher information of a 1-parameter pure family."""
-    th = np.array([theta])
-    phi = model.state(th)
-    dphi = model.derivative(th, 0)
+    th = np.array([[theta]])
+    phi, dphi = model.states(th)[0], model.derivatives(th)[0, 0]
     return float(4.0 * (np.vdot(dphi, dphi).real - abs(np.vdot(phi, dphi)) ** 2))
 
 
 def _optimal_basis_vector(model: PureStateModel, theta: float) -> np.ndarray:
     """First vector of the locally optimal projective basis at theta."""
-    th = np.array([theta])
-    phi = model.state(th)
-    dphi = model.derivative(th, 0)
+    th = np.array([[theta]])
+    phi, dphi = model.states(th)[0], model.derivatives(th)[0, 0]
     perp = dphi - np.vdot(phi, dphi) * phi
     nrm = np.linalg.norm(perp)
     if nrm < 1e-12:

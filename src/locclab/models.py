@@ -20,14 +20,15 @@ class PureStateModel:
 
     ``state_fn`` maps a ``(k, param_dim)`` array of parameter points to the
     ``(k, dim)`` array of their normalized complex amplitude vectors, one row
-    per point. ``derivative_fn(theta, i)`` returns the analytic partial
-    derivative at one point when available; otherwise derivatives fall back
-    to Richardson-extrapolated central differences.
+    per point. ``derivative_fn``, when available, maps the same points to the
+    ``(k, param_dim, dim)`` array of every analytic partial derivative;
+    otherwise derivatives fall back to Richardson-extrapolated central
+    differences.
     """
 
     param_dim: int
     state_fn: Callable[[np.ndarray], np.ndarray]
-    derivative_fn: Callable[[np.ndarray, int], np.ndarray] | None = None
+    derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None
     domain: tuple[tuple[float, float], ...] = ()
     name: str = ""
 
@@ -37,18 +38,24 @@ class PureStateModel:
         return ((-math.inf, math.inf),) * self.param_dim
 
     def contains(self, theta: np.ndarray) -> bool:
+        """Whether every coordinate is finite and inside its axis's range."""
         return all(
-            lo <= t <= hi for t, (lo, hi) in zip(np.atleast_1d(theta), self.box())
+            math.isfinite(t) and lo <= t <= hi
+            for t, (lo, hi) in zip(np.atleast_1d(theta), self.box())
         )
 
-    def states(self, thetas) -> np.ndarray:
-        """The ``(k, dim)`` states at the ``(k, param_dim)`` points, from one
-        ``state_fn`` call; every row's norm must be 1 within 1e-10."""
+    def _points(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.param_dim:
             raise ValueError(
                 f"thetas must have shape (k, {self.param_dim}), got {thetas.shape}"
             )
+        return thetas
+
+    def states(self, thetas) -> np.ndarray:
+        """The ``(k, dim)`` states at the ``(k, param_dim)`` points, from one
+        ``state_fn`` call; every row's norm must be 1 within 1e-10."""
+        thetas = self._points(thetas)
         vecs = np.asarray(self.state_fn(thetas), dtype=complex)
         if vecs.ndim != 2 or len(vecs) != len(thetas):
             raise ValueError(f"state_fn returned shape {vecs.shape} for {len(thetas)} points")
@@ -66,11 +73,24 @@ class PureStateModel:
         """The state at one point: row 0 of :meth:`states` on that point."""
         return self.states(np.asarray(theta, dtype=float).reshape(1, -1))[0]
 
-    def derivative(self, theta, i: int) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.derivative_fn is not None:
-            return np.asarray(self.derivative_fn(theta, i), dtype=complex).reshape(-1)
-        return richardson_combine(self.states(richardson_stencil(theta, i)))
+    def derivatives(self, thetas) -> np.ndarray:
+        """The ``(k, param_dim, dim)`` partials at the ``(k, param_dim)``
+        points from one ``derivative_fn`` call; without one, from one
+        :meth:`states` call on each point's :func:`richardson_points` but
+        the first, combined by :func:`richardson_combine`."""
+        thetas = self._points(thetas)
+        k, param_dim = thetas.shape
+        if self.derivative_fn is None:
+            stencils = [richardson_points(theta)[1:] for theta in thetas]
+            values = self.states(np.reshape(stencils, (-1, param_dim)))
+            return richardson_combine(np.moveaxis(values.reshape(k, param_dim, 4, -1), 2, 0))
+        vecs = np.asarray(self.derivative_fn(thetas), dtype=complex)
+        if vecs.ndim != 3 or vecs.shape[:2] != thetas.shape:
+            raise ValueError(
+                f"derivative_fn returned shape {vecs.shape} for {k} points, "
+                f"not (k, {param_dim}, dim)"
+            )
+        return vecs
 
 
 def richardson_stencil(theta: np.ndarray, i: int) -> list[np.ndarray]:
@@ -95,6 +115,16 @@ def richardson_stencil(theta: np.ndarray, i: int) -> list[np.ndarray]:
                     )
         points += [up, down]
     return points
+
+
+def richardson_points(theta) -> np.ndarray:
+    """The ``(1 + 4 param_dim, param_dim)`` points at which a derivative
+    of every axis is read: theta, then each axis's four
+    :func:`richardson_stencil` points in order."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return np.array(
+        [theta] + [point for i in range(theta.size) for point in richardson_stencil(theta, i)]
+    )
 
 
 def richardson_combine(values) -> np.ndarray:
@@ -123,21 +153,11 @@ def qubit_full() -> PureStateModel:
         half, b = thetas[:, :1] / 2, thetas[:, 1:]
         return np.exp(phases * b) * np.concatenate([np.cos(half), np.sin(half)], axis=1)
 
-    def deriv(theta, i):
-        a, b = theta
-        if i == 0:
-            return np.array(
-                [
-                    -0.5 * np.exp(-0.5j * b) * math.sin(a / 2),
-                    0.5 * np.exp(0.5j * b) * math.cos(a / 2),
-                ]
-            )
-        return np.array(
-            [
-                -0.5j * np.exp(-0.5j * b) * math.cos(a / 2),
-                0.5j * np.exp(0.5j * b) * math.sin(a / 2),
-            ]
-        )
+    def deriv(thetas):
+        half, turn = thetas[:, :1] / 2, np.exp(phases * thetas[:, 1:])
+        cos, sin = np.cos(half), np.sin(half)
+        polar = np.array([-0.5, 0.5]) * turn * np.concatenate([sin, cos], axis=1)
+        return np.stack([polar, phases * turn * np.concatenate([cos, sin], axis=1)], axis=1)
 
     return PureStateModel(
         2, state, deriv, domain=((1e-3, math.pi - 1e-3), (-math.inf, math.inf)),
@@ -152,8 +172,8 @@ def qubit_conjugate() -> PureStateModel:
     def state(thetas):
         return base.state_fn(thetas).conj()
 
-    def deriv(theta, i):
-        return base.derivative_fn(theta, i).conj()
+    def deriv(thetas):
+        return base.derivative_fn(thetas).conj()
 
     return PureStateModel(2, state, deriv, domain=base.domain, name="qubit-conjugate")
 
@@ -171,9 +191,9 @@ def real_amplitude() -> PureStateModel:
         half = thetas / 2
         return np.concatenate([np.cos(half), np.sin(half)], axis=1).astype(complex)
 
-    def deriv(theta, i):
-        (a,) = theta
-        return np.array([-0.5 * math.sin(a / 2), 0.5 * math.cos(a / 2)], dtype=complex)
+    def deriv(thetas):
+        half = thetas / 2
+        return np.concatenate([-0.5 * np.sin(half), 0.5 * np.cos(half)], axis=1)[:, None, :]
 
     return PureStateModel(
         1, state, deriv, domain=((1e-3, math.pi - 1e-3),), name="real-amplitude"
@@ -205,8 +225,9 @@ def rotation_model(
         # one matrix-vector product per row, as for a single point
         return (evecs @ (np.exp(-1j * evals * t[:, None]) * coeffs)[:, :, None])[:, :, 0]
 
-    def deriv(theta, i):
-        return evecs @ (-1j * evals * np.exp(-1j * evals * theta[0]) * coeffs)
+    def deriv(thetas):
+        rates = -1j * evals * np.exp(-1j * evals * thetas) * coeffs
+        return (evecs @ rates[:, :, None])[:, None, :, 0]
 
     return PureStateModel(1, state, deriv, name=name)
 
@@ -220,13 +241,13 @@ def product_model(model_a: PureStateModel, model_b: PureStateModel) -> PureState
         at_a, at_b = model_a.states(thetas), model_b.states(thetas)
         return (at_a[:, :, None] * at_b[:, None, :]).reshape(len(thetas), -1)
 
-    deriv = None
-    if model_a.derivative_fn is not None and model_b.derivative_fn is not None:
-
-        def deriv(theta, i):
-            return np.kron(model_a.derivative(theta, i), model_b.state(theta)) + np.kron(
-                model_a.state(theta), model_b.derivative(theta, i)
-            )
+    def deriv(thetas):
+        at_a, at_b = model_a.states(thetas), model_b.states(thetas)
+        d_a, d_b = model_a.derivatives(thetas), model_b.derivatives(thetas)
+        # the Leibniz rule, each term a Kronecker product of one point's vectors
+        both = (d_a[:, :, :, None] * at_b[:, None, None, :]
+                + at_a[:, None, :, None] * d_b[:, :, None, :])
+        return both.reshape(len(thetas), model_a.param_dim, -1)
 
     domain = _intersect_domains(model_a.box(), model_b.box())
     return PureStateModel(
@@ -256,15 +277,10 @@ def reparametrized(model: PureStateModel, a_matrix: np.ndarray) -> PureStateMode
         # one matrix-vector product per row, as for a single point
         return model.states((a_mat @ thetas[:, :, None])[:, :, 0])
 
-    deriv = None
-    if model.derivative_fn is not None:
-
-        def deriv(theta, i):
-            inner = a_mat @ np.atleast_1d(theta)
-            return sum(
-                a_mat[j, i] * model.derivative(inner, j)
-                for j in range(model.param_dim)
-            )
+    def deriv(thetas):
+        # the chain rule: axis i sums A[j, i] times the inner family's axis j
+        inner = model.derivatives((a_mat @ thetas[:, :, None])[:, :, 0])
+        return sum(a_mat[j, :, None] * inner[:, j, None, :] for j in range(model.param_dim))
 
     return PureStateModel(model.param_dim, state, deriv, name=f"{model.name}@reparam")
 
@@ -299,11 +315,11 @@ def tabulated_model(thetas: Sequence[float], states: Sequence[Sequence[complex]]
     def state(thetas):
         return table[nearest(thetas[:, 0])]
 
-    def deriv(theta, i):
-        k = int(nearest(theta)[0])
-        if k == 0 or k == grid.size - 1:
+    def deriv(thetas):
+        k = nearest(thetas[:, 0])
+        if np.any((k == 0) | (k == grid.size - 1)):
             raise ValueError("derivative undefined at the grid boundary")
-        return (table[k + 1] - table[k - 1]) / (grid[k + 1] - grid[k - 1])
+        return ((table[k + 1] - table[k - 1]) / (grid[k + 1] - grid[k - 1])[:, None])[:, None]
 
     return PureStateModel(
         1, state, deriv, domain=((float(grid[0]), float(grid[-1])),), name=name

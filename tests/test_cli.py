@@ -226,10 +226,12 @@ def test_sizes_and_dimensions_outside_the_guards_are_structured_errors(capsys, a
         (["additivity", "--rounds", "-1"], "rounds"),
         (["two-stage", "--n", "100", "--trials", "-1"], "trials"),
         (["two-stage", "--theta", "inf"], "theta_true"),
+        (["fisher", "--model", "qubit-full", "--theta", "1.0,inf"], "outside the model domain"),
+        (["anticopy", "--theta", "1.0,inf"], "outside the model domain"),
     ],
     ids=["decompose-nan", "gap-nan", "gap-inf", "additivity-nan", "additivity-inf",
          "additivity-1e308", "additivity-1e300", "rounds-negative", "trials-negative",
-         "two-stage-inf"],
+         "two-stage-inf", "fisher-inf", "anticopy-inf"],
 )
 def test_non_finite_input_and_negative_counts_are_structured_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -458,8 +460,9 @@ def test_path_limit_and_output_errors_are_structured(capsys, tmp_path, argv, err
         (["decompose", "--state", "bell", "--n", "4"], 0),
         (["gap", "--a", "nan", "--b", "1", "--betaA", "0.8", "--betaB", "0.2"], 1),
         (["decompose", "--n", "4"], 2),
+        (["fisher", "--model", "qubit-full", "--theta", "1.0,inf"], 1),
     ],
-    ids=["ok", "failure", "usage"],
+    ids=["ok", "failure", "usage", "non-finite-theta"],
 )
 def test_module_entry_point_exit_codes(argv, code):
     src = str(Path(locclab.__file__).parents[1])

@@ -11,7 +11,7 @@ from locclab.estimation import (
     fisher_data,
     fisher_of_distribution,
     fisher_of_laws,
-    horizontal_lift,
+    horizontal_lifts,
     locc_gap,
     measurement_fisher,
     weighted_cr_value,
@@ -41,13 +41,13 @@ THETA = np.array([1.0, 0.7])
 
 def test_lift_constant_family_is_zero():
     model = PureStateModel(1, lambda t: np.tile(np.array([1.0, 0.0], dtype=complex), (len(t), 1)))
-    lift = horizontal_lift(model, [0.3], 0)
+    (lift,) = horizontal_lifts(model, [0.3])
     assert np.max(np.abs(lift)) < 1e-9
 
 
 def test_lift_polar_family_norm():
     model = real_amplitude()
-    lift = horizontal_lift(model, [1.0], 0)
+    (lift,) = horizontal_lifts(model, [1.0])
     assert np.vdot(lift, lift).real == pytest.approx(1 / 16, abs=1e-12)
     # orthogonal to the state
     assert abs(np.vdot(model.state([1.0]), lift)) < 1e-8
@@ -56,16 +56,16 @@ def test_lift_polar_family_norm():
 def test_lift_analytic_vs_finite_difference():
     model = qubit_full()
     numeric = PureStateModel(2, model.state_fn, None, domain=model.domain)
-    for i in range(2):
-        exact = horizontal_lift(model, THETA, i)
-        approx = horizontal_lift(numeric, THETA, i)
-        assert np.max(np.abs(exact - approx)) < 1e-6
+    exact = horizontal_lifts(model, THETA)
+    approx = horizontal_lifts(numeric, THETA)
+    assert exact.shape == approx.shape == (2, 2)
+    assert np.max(np.abs(exact - approx)) < 1e-6
 
 
 def test_lift_boundary_rejected():
     model = real_amplitude()
     with pytest.raises(ValueError):
-        horizontal_lift(model, [0.0], 0)
+        horizontal_lifts(model, [0.0])
 
 
 # ---------------------------------------------------------------- Fisher data
@@ -212,7 +212,7 @@ def test_measurement_fisher_is_outcome_law_fisher_over_four():
                     for x, e in enumerate(povm.elements)}
 
         j_m = measurement_fisher(povm, model, theta)
-        assert np.array_equal(j_m, fisher_of_distribution(law, theta, model.param_dim) / 4)
+        assert np.array_equal(j_m, fisher_of_distribution(law, theta) / 4)
 
 
 def test_vanishing_outcome_with_varying_probability_warns():
@@ -221,7 +221,7 @@ def test_vanishing_outcome_with_varying_probability_warns():
         return {"a": p, "b": 1.0 - p}
 
     with pytest.warns(UserWarning, match="vanishing probability"):
-        j = fisher_of_distribution(law, [0.0], 1)
+        j = fisher_of_distribution(law, [0.0])
     assert np.all(np.isfinite(j))
 
 
@@ -268,11 +268,9 @@ def test_product_lift_identity():
     prod = product_model(model_a, model_b)
     phi_a = model_a.state(THETA)
     phi_b = model_b.state(THETA)
-    for i in range(2):
-        lift = horizontal_lift(prod, THETA, i)
-        split = np.kron(horizontal_lift(model_a, THETA, i), phi_b) + np.kron(
-            phi_a, horizontal_lift(model_b, THETA, i)
-        )
+    lifts_a, lifts_b = horizontal_lifts(model_a, THETA), horizontal_lifts(model_b, THETA)
+    for lift, lift_a, lift_b in zip(horizontal_lifts(prod, THETA), lifts_a, lifts_b):
+        split = np.kron(lift_a, phi_b) + np.kron(phi_a, lift_b)
         assert np.max(np.abs(lift - split)) < 1e-8
 
 
@@ -448,9 +446,9 @@ def test_fisher_of_distribution_reads_the_law_at_theta0_and_on_each_stencil():
         phi = model.state(at)
         return {x: float(np.real(np.vdot(phi, e @ phi))) for x, e in enumerate(povm.elements)}
 
-    stencils = [richardson_stencil(THETA.copy(), i) for i in range(2)]
-    want = fisher_of_laws(law(THETA), [[law(p) for p in pts] for pts in stencils])
-    assert np.array_equal(fisher_of_distribution(law, THETA, 2), want)
+    stencils = [point for i in range(2) for point in richardson_stencil(THETA.copy(), i)]
+    want = fisher_of_laws([law(THETA)] + [law(p) for p in stencils])
+    assert np.array_equal(fisher_of_distribution(law, THETA), want)
 
 
 def test_degenerate_model_reported():

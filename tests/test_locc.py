@@ -512,7 +512,7 @@ def test_additivity_anticopy_pair_with_adaptive_rounds():
         return PureStateModel(
             1,
             lambda t: model.state_fn(np.column_stack([t[:, 0], np.full(len(t), 0.4)])),
-            (lambda t, i: model.derivative_fn(np.array([t[0], 0.4]), 0)),
+            lambda t: model.derivative_fn(np.column_stack([t[:, 0], np.full(len(t), 0.4)]))[:, :1],
             domain=((1e-3, math.pi - 1e-3),),
         )
 
@@ -571,7 +571,7 @@ def test_additivity_matches_the_per_state_route():
         )
         for got, family in zip((res.j_total, res.j_a, res.j_b), routes):
             want = fisher_of_distribution(
-                lambda t, f=family: enumerate_paths(protocol, f(t)), theta0, 1
+                lambda t, f=family: enumerate_paths(protocol, f(t)), theta0
             )
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -842,10 +842,9 @@ def oscillating_model():
         t = thetas[:, 0]
         return np.stack([np.cos(rate * t), np.sin(rate * t)], axis=1).astype(complex)
 
-    def deriv(theta, i):
-        return rate * np.array(
-            [-math.sin(rate * theta[0]), math.cos(rate * theta[0])], dtype=complex
-        )
+    def deriv(thetas):
+        t = thetas[:, :1]
+        return rate * np.stack([-np.sin(rate * t), np.cos(rate * t)], axis=2).astype(complex)
 
     return PureStateModel(1, state, deriv, domain=((0.0, 1.0),), name="oscillating")
 
@@ -955,7 +954,7 @@ def test_two_stage_flat_likelihood_fails_structurally():
     constant = PureStateModel(
         1,
         lambda t: np.tile(np.array([1.0, 0.0], dtype=complex), (len(t), 1)),
-        lambda t, i: np.zeros(2, dtype=complex),
+        lambda t: np.zeros((len(t), 1, 2), dtype=complex),
         domain=((0.0, 2.0),),
     )
     with pytest.raises(EstimationFailureError):
@@ -979,7 +978,7 @@ def test_fisher_of_distribution_binomial():
     def dist(theta):
         return joint_outcome_distribution(protocol, model, theta)
 
-    j = fisher_of_distribution(dist, [1.0], 1)
+    j = fisher_of_distribution(dist, [1.0])
     assert j[0, 0] == pytest.approx(2.0, rel=1e-6)  # two independent copies
 
 

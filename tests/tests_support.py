@@ -29,12 +29,12 @@ def random_two_param_model(seed: int) -> PureStateModel:
     def state(thetas):
         return np.stack([mat_exp(gens[0], t1) @ mat_exp(gens[1], t2) @ psi0 for t1, t2 in thetas])
 
-    def deriv(theta, i):
-        u1 = mat_exp(gens[0], theta[0])
-        u2 = mat_exp(gens[1], theta[1])
-        if i == 0:
-            return -1j * gens[0] @ u1 @ u2 @ psi0
-        return u1 @ (-1j * gens[1]) @ u2 @ psi0
+    def deriv(thetas):
+        out = []
+        for t1, t2 in thetas:
+            u1, u2 = mat_exp(gens[0], t1), mat_exp(gens[1], t2)
+            out.append([-1j * gens[0] @ u1 @ u2 @ psi0, u1 @ (-1j * gens[1]) @ u2 @ psi0])
+        return np.array(out)
 
     return PureStateModel(2, state, deriv, name=f"random-{seed}")
 
