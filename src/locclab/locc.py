@@ -11,7 +11,9 @@ distribution for Fisher-information analysis.
 
 Kraus operators may be rectangular (the acting party's local dimension then
 changes), which lets a measure-and-discard or an embed-into-larger-register
-step be expressed directly.
+step be expressed directly. A Kraus entry may also be a product ``(E, R)``
+acting as ``E @ R``: E an isometry shared by many outcomes, checked once per
+walk, and R a per-outcome matrix, checked with the list that holds it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,19 +40,32 @@ _GOLDEN_ITERS = 60  # golden-section steps: the bracket shrinks by 0.618^60
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BASIS_CHOICES = 4  # bases per round of a random adaptive protocol
 _HASH_BLOCK = 2**16  # density entries hashed per block of rows
+# completeness limits; _check_trace_preserving derives why the two below
+# keep every product entry's (ER)^dagger (ER) within _TRACE_TOL
+_TRACE_TOL = 1e-10  # entrywise, on sum_k K^dagger K - 1
+_ISOMETRY_TOL = 1e-11  # Frobenius norm of E^dagger E - 1
+_PRODUCT_TRACE_TOL = 8.9e-11  # entrywise, on a sum that holds a product entry
 
 
 class EstimationFailureError(RuntimeError):
     """Adaptive estimation could not produce a usable auxiliary estimate."""
 
 
-Instrument = Callable[[tuple[str, ...]], list[tuple[str, list[np.ndarray]]]]
+Kraus = np.ndarray | tuple[np.ndarray, np.ndarray]  # K, or (E, R) acting as E @ R
+Instrument = Callable[[tuple[str, ...]], list[tuple[str, list[Kraus]]]]
 
 
 @dataclass(frozen=True)
 class Round:
+    """One party's instrument. ``per_node`` declares that the instrument
+    builds its list afresh at each node: such a list is checked at every
+    node and never memoized. Every other round's lists are memoized by
+    identity for the whole walk, checked and stacked once, and kept alive
+    until the walk ends."""
+
     party: str  # "A" or "B"
     instrument: Instrument
+    per_node: bool = False
 
     def __post_init__(self):
         if self.party not in ("A", "B"):
@@ -173,19 +187,37 @@ def _as_factors(states, dim_a: int, dim_b: int) -> np.ndarray:
     return out
 
 
-def _apply(kraus_list, factors: np.ndarray, party: str) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized factors of the branch states sum_K K rho K^dagger for a
-    stack of factors shaped (B, d_A, d_B, r), each K contracted with the
-    party's axis of every state by one matmul, and the branch probability
-    ||K V||^2 of each state."""
+def _contract(stack: np.ndarray, factors: np.ndarray, party: str) -> np.ndarray:
+    """A stack of L operators, shaped (L, m, d), applied to the party's axis
+    of every factor of the stack (B, d_A, d_B, r) by one matmul: the
+    (L * B, ...) branch factors, operator-major. Each operator and state
+    meet in the same product as in ``_act``."""
     batch, dim_a, dim_b, cols = factors.shape
     if party == "A":
-        flat = factors.reshape(batch, dim_a, -1)
-        parts = [(np.asarray(k, dtype=complex) @ flat).reshape(batch, -1, dim_b, cols)
-                 for k in kraus_list]
-    else:
-        parts = [np.asarray(k, dtype=complex) @ factors for k in kraus_list]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3)
+        out = stack[:, None] @ factors.reshape(batch, dim_a, -1)
+        return out.reshape(-1, out.shape[-2], dim_b, cols)
+    out = stack[:, None, None] @ factors
+    return out.reshape(-1, dim_a, out.shape[-2], cols)
+
+
+def _act(entry, factors: np.ndarray, party: str) -> np.ndarray:
+    """One Kraus entry applied to the party's axis of every factor of the
+    stack (B, d_A, d_B, r) by one matmul; a product (E, R) applies R, then
+    E."""
+    if isinstance(entry, tuple):
+        isometry, matrix = entry
+        return _act(isometry, _act(matrix, factors, party), party)
+    k = np.asarray(entry, dtype=complex)
+    if party == "B":
+        return k @ factors
+    batch, dim_a, dim_b, cols = factors.shape
+    return (k @ factors.reshape(batch, dim_a, -1)).reshape(batch, -1, dim_b, cols)
+
+
+def _compress(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branch factors, with more columns than rows compressed by a QR
+    step, and the branch probability ||K V||^2 of each."""
+    batch = out.shape[0]
     rows = out.shape[1] * out.shape[2]
     if out.shape[3] > rows:
         # V V^dagger = R^dagger R for the QR factors of V^dagger
@@ -195,9 +227,49 @@ def _apply(kraus_list, factors: np.ndarray, party: str) -> tuple[np.ndarray, np.
     return out, (re_im @ re_im.swapaxes(1, 2)).reshape(batch)
 
 
-def _check_trace_preserving(ops: list[tuple[str, list[np.ndarray]]], dim: int):
-    """sum_k K^dagger K = 1 within 1e-10, with no copy of an operator of
-    more than ``dim`` rows.
+def _apply(kraus_list, factors: np.ndarray, party: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized factors of the branch states sum_K K rho K^dagger for a
+    stack of factors shaped (B, d_A, d_B, r), each K contracted with the
+    party's axis of every state by one matmul, and the branch probability
+    of each state."""
+    parts = [_act(entry, factors, party) for entry in kraus_list]
+    return _compress(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3))
+
+
+def _stacks(ops) -> list[tuple[list[int], np.ndarray]]:
+    """The outcomes whose Kraus list is one plain operator, grouped by its
+    shape: each group's positions in ``ops`` and its operators as one
+    (L, m, d) array."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for pos, (_, kraus_list) in enumerate(ops):
+        if len(kraus_list) == 1 and not isinstance(kraus_list[0], tuple):
+            groups.setdefault(np.asarray(kraus_list[0]).shape, []).append(pos)
+    return [
+        (positions, np.concatenate([ops[pos][1][0] for pos in positions], dtype=complex)
+         .reshape((len(positions),) + shape))
+        for shape, positions in groups.items()
+    ]
+
+
+def _branches(ops, stacks, factors: np.ndarray, party: str):
+    """(label, unnormalized branch factors, probabilities) of each outcome,
+    in order. The outcomes of each stack take one contraction; an empty
+    Kraus list is the zero map, which yields nothing."""
+    stacked = {}
+    for positions, stack in stacks:
+        out, probs = _compress(_contract(stack, factors, party))
+        count = len(positions)
+        stacked.update(zip(positions, zip(out.reshape((count, -1) + out.shape[1:]),
+                                          probs.reshape(count, -1))))
+    for pos, (label, kraus_list) in enumerate(ops):
+        if pos in stacked:
+            yield (label, *stacked[pos])
+        elif kraus_list:
+            yield (label, *_apply(kraus_list, factors, party))
+
+
+def _gram(k) -> np.ndarray:
+    """K^dagger K, with no copy of an operator of more rows than columns.
 
     A short K adds K^dagger K through its conjugate, no larger than the sum.
     A tall K is read as the real array R = [Re K_0, Im K_0, Re K_1, ...]
@@ -205,22 +277,89 @@ def _check_trace_preserving(ops: list[tuple[str, list[np.ndarray]]], dim: int):
     P[2i, j] = (Re K_i . K_j) and P[2i + 1, j] = (Im K_i . K_j), so
     K^dagger K = P[0::2] - i P[1::2].
     """
-    total = np.zeros((dim, dim), dtype=complex)
+    k = np.asarray(k, dtype=complex)
+    if k.shape[0] <= k.shape[1]:
+        return k.conj().T @ k
+    parts = np.ascontiguousarray(k).view(np.float64)
+    pairs = (parts.T @ parts).view(complex)
+    return pairs[0::2] - 1j * pairs[1::2]
+
+
+def _check_isometries(ops, checked: dict[int, np.ndarray]):
+    """Every product entry's E satisfies ||E^dagger E - 1||_F <= 1e-11 (a NaN
+    fails). ``checked`` maps the id of each E already checked to E, which
+    it keeps alive, so each shared E is checked once per walk."""
     for _, kraus_list in ops:
-        for k in kraus_list:
-            k = np.asarray(k)
-            if k.shape[1] != dim:
-                raise ValueError(
-                    f"Kraus input dimension {k.shape[1]} != party dimension {dim}"
-                )
+        for entry in kraus_list:
+            if isinstance(entry, tuple) and checked.get(id(entry[0])) is not entry[0]:
+                isometry = np.asarray(entry[0])
+                if isometry.ndim != 2:
+                    raise ValueError(f"a product entry's E has shape {isometry.shape}")
+                defect = np.linalg.norm(_gram(isometry) - np.eye(isometry.shape[1]))
+                if not defect <= _ISOMETRY_TOL:
+                    raise ValueError(f"a product entry's E is not an isometry: "
+                                     f"||E^dagger E - 1||_F = {defect:.3g}")
+                checked[id(entry[0])] = entry[0]
+
+
+def _check_trace_preserving(ops: list[tuple[str, list[Kraus]]], dim: int):
+    """Every label distinct, and sum_k K^dagger K = 1 entrywise within
+    1e-10. The operators of at most ``dim`` rows are joined into one, whose
+    Gram is their sum; a taller complex operator is read through a real
+    view, not copied (``_gram``).
+
+    A product entry (E, R) adds R^dagger R: its E is checked apart, once
+    per walk (``_check_isometries``), to ||Delta||_F <= e = 1e-11, where
+    Delta = E^dagger E - 1. Let T be the sum of the plain K^dagger K and
+    of the R^dagger R, held to ||T - 1||_max <= t. The full sum is
+    T + sum_i R_i^dagger Delta_i R_i, and entry (a, b) of the second term
+    is at most max_i ||Delta_i||_2 sum_i |r_ia| |r_ib| <= e sqrt(T_aa T_bb)
+    <= e (1 + t), with r_ia column a of R_i (Cauchy-Schwarz over i; the
+    plain terms add non-negative diagonal to T, and ||.||_2 <= ||.||_F).
+    So the full sum is within t + (1 + t) e of 1 entrywise; t = 8.9e-11
+    makes that at most 9.9e-11 + 1e-21 < 1e-10. A list with no product
+    entry keeps t = 1e-10.
+    """
+    labels = [label for label, _ in ops]
+    if len(set(labels)) < len(labels):
+        label = next(label for k, label in enumerate(labels) if label in labels[:k])
+        raise ValueError(f"two outcomes share the label {label!r}")
+    short, grams = [], []
+    limit = _TRACE_TOL
+    for _, kraus_list in ops:
+        for entry in kraus_list:
+            product = isinstance(entry, tuple)
+            k = np.asarray(entry[1] if product else entry)
+            if k.ndim != 2 or k.shape[1] != dim:
+                raise ValueError(f"Kraus operator of shape {k.shape} for party dimension {dim}")
+            if product:
+                limit = _PRODUCT_TRACE_TOL
+                if np.shape(entry[0])[-1:] != k.shape[:1]:
+                    raise ValueError(f"a product entry's E of shape {np.shape(entry[0])} "
+                                     f"cannot follow R of shape {k.shape}")
             if k.shape[0] <= dim:
-                total += k.conj().T @ k
+                short.append(k)
             else:
-                parts = np.ascontiguousarray(k, dtype=complex).view(np.float64)
-                pairs = (parts.T @ parts).view(complex)
-                total += pairs[0::2] - 1j * pairs[1::2]
-    if not np.max(np.abs(total - np.eye(dim))) <= 1e-10:  # a NaN entry fails too
+                grams.append(_gram(k))
+    if short:
+        grams.append(_gram(short[0] if len(short) == 1 else np.concatenate(short)))
+    total = grams[0] if grams else np.zeros((dim, dim), dtype=complex)
+    for gram in grams[1:]:
+        total += gram
+    diagonal = total.reshape(-1)[:: dim + 1]  # a view: total is ours
+    diagonal -= 1
+    if not np.abs(total).max() <= limit:  # a NaN entry fails too
         raise ValueError("instrument maps do not sum to a trace-preserving map")
+
+
+def _check_node(ops, dim: int, isometries: dict, idx: int, history: tuple[str, ...]):
+    """The checks both engines run on an instrument list; an error names
+    the round and the outcomes before it."""
+    try:
+        _check_isometries(ops, isometries)
+        _check_trace_preserving(ops, dim)
+    except ValueError as err:
+        raise ValueError(f"round {idx} after outcomes {list(history)}: {err}") from err
 
 
 def run_locc(
@@ -235,10 +374,11 @@ def run_locc(
     factors = _as_factors([input_state], protocol.dim_a, protocol.dim_b)
     history: tuple[str, ...] = ()
     messages: list[Message] = []
+    isometries: dict[int, np.ndarray] = {}
     for idx, rnd in enumerate(protocol.rounds):
         ops = rnd.instrument(history)
-        _check_trace_preserving(ops, factors.shape[1 + "AB".index(rnd.party)])
-        branches = [(label, *_apply(kraus_list, factors, rnd.party)) for label, kraus_list in ops]
+        _check_node(ops, factors.shape[1 + "AB".index(rnd.party)], isometries, idx, history)
+        branches = list(_branches(ops, _stacks(ops), factors, rnd.party))
         probs = np.array([b[2][0] for b in branches])
         choice = int(rng.choice(len(branches), p=probs / probs.sum()))
         label, out, _ = branches[choice]
@@ -270,41 +410,48 @@ def enumerate_paths(
     laws: list[dict[tuple[str, ...], float]] = [{} for _ in batch]
     if not batch:
         return laws
+    factors = _as_factors(batch, protocol.dim_a, protocol.dim_b)
+    if not protocol.rounds:
+        laws = [{(): 1.0} for _ in batch]
+        return laws[0] if single else laws
     counter = [0]
-    # (id, party dimension) -> an instrument list already checked; holding
-    # the list keeps its id from being reused by another list in this walk
-    checked: dict[tuple[int, int], list] = {}
+    last = len(protocol.rounds) - 1
+    # (id, party dimension) -> a shared round's list, checked, with its
+    # stacks; holding the list keeps its id from being reused in this walk
+    memo: dict[tuple[int, int], tuple[list, list]] = {}
+    isometries: dict[int, np.ndarray] = {}
 
     def walk(factors, members, history, probs, idx):
-        if idx == len(protocol.rounds):
-            counter[0] += 1
-            if counter[0] > _PATH_LIMIT:
-                raise RuntimeError(f"path count exceeds {_PATH_LIMIT}")
-            for k, p in zip(members.tolist(), probs.tolist()):
-                laws[k][history] = p
-            return
         rnd = protocol.rounds[idx]
         ops = rnd.instrument(history)
-        key = (id(ops), factors.shape[1 + "AB".index(rnd.party)])
-        if checked.get(key) is not ops:
-            _check_trace_preserving(ops, key[1])
-            checked[key] = ops
-        for label, kraus_list in ops:
-            new, p = _apply(kraus_list, factors, rnd.party)
+        dim = factors.shape[1 + "AB".index(rnd.party)]
+        if rnd.per_node:
+            _check_node(ops, dim, isometries, idx, history)
+            stacks = []
+        else:
+            known = memo.get((id(ops), dim))
+            if known is None or known[0] is not ops:
+                _check_node(ops, dim, isometries, idx, history)
+                known = memo[id(ops), dim] = (ops, _stacks(ops))
+            stacks = known[1]
+        for label, new, p in _branches(ops, stacks, factors, rnd.party):
             sub, sub_probs = members, probs
             if min(p.tolist()) <= 1e-15:
                 kept = p > 1e-15
                 if not kept.any():
                     continue
                 new, p, sub, sub_probs = new[kept], p[kept], members[kept], probs[kept]
-            walk(new / np.sqrt(p)[:, None, None, None], sub, history + (label,),
-                 sub_probs * p, idx + 1)
-        if sys.getrefcount(ops) <= 3:
-            # only this frame and the memo hold it: a list built for this
-            # node alone, whose operators the memo must not keep alive
-            del checked[key]
+            if idx < last:
+                walk(new / np.sqrt(p)[:, None, None, None], sub, history + (label,),
+                     sub_probs * p, idx + 1)
+                continue
+            counter[0] += 1
+            if counter[0] > _PATH_LIMIT:
+                raise RuntimeError(f"path count exceeds {_PATH_LIMIT}")
+            path = history + (label,)
+            for k, value in zip(sub.tolist(), (sub_probs * p).tolist()):
+                laws[k][path] = value
 
-    factors = _as_factors(batch, protocol.dim_a, protocol.dim_b)
     walk(factors, np.arange(len(batch)), (), np.ones(len(batch)), 0)
     return laws[0] if single else laws
 
@@ -603,18 +750,24 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     good = good_set(n, d)
     if not good:
         raise ValueError("no retained blocks at these parameters")
-    dims_v = [row.dim_v for row in block_table(n, d) if row.lam in good]
+    retained = [row for row in block_table(n, d) if row.lam in good]
+    dims_v = [row.dim_v for row in retained]
     n_outcomes = math.prod(2 * dv**2 for dv in dims_v)
     if n_outcomes > _PATH_LIMIT:
         raise ValueError(
             f"Alice's instrument would have {n_outcomes} outcomes, more than {_PATH_LIMIT}"
         )
     dim = d**n
-    # counted for construction and one run: four d^(3n) arrays, three d^n
-    # rows with their headers per Alice outcome, eight d^(2n) arrays; the
-    # run holds two d^(3n) arrays at most (the embedding and one Bob
-    # operator: the trace-preservation check copies no operator)
-    nbytes = 16 * (4 * dim**3 + 3 * n_outcomes * (dim + 16) + 8 * dim**2)
+    # Bob's recovery rows: B^T, then each retained block's dim_u * dim_v
+    # rows under each of its 2 dim_v^2 choices
+    n_rows = dim + sum(2 * row.dim_v**3 * row.dim_u for row in retained)
+    # counted for construction and one run: two d^(3n) arrays (the
+    # embedding and one block's part of it), three d^n rows with their
+    # headers per Alice outcome, the recovery rows, eight d^(2n) arrays,
+    # and one d^n index row per Alice outcome; no d^(3n) Bob operator is
+    # formed, and the checks copy no operator of more than d^n rows
+    nbytes = 16 * (2 * dim**3 + 3 * n_outcomes * (dim + 16) + n_rows * dim + 8 * dim**2)
+    nbytes += 8 * n_outcomes * dim
     check_bytes(nbytes, f"teleport_protocol(n={n}, d={d})")
     basis = schur_basis(n, d)
     bmat = basis.matrix
@@ -640,30 +793,37 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     alice_ops = kraus_operator(basis, on_grid).reshape(n_outcomes, 1, dim) / math.sqrt(n_outcomes)
     alice = [("fail", [fail])] + [(f"w{m}", [op]) for m, op in enumerate(alice_ops)]
 
+    # Bob's recovery for outcome w{m} is B^T (B the block basis) with each
+    # retained block's rows rotated by 1 (x) U^T, U that block's choice; the
+    # embedding then takes it to the doubled register. Every such row is
+    # built here, in one table: B^T, then each retained block's rows under
+    # each of its choices; ``recovery[m]`` indexes outcome m's rows in it
     embed = _teleport_embedding(basis, good)
     abort = [("abort", [np.eye(dim, dtype=complex)])]
     bmat_t = np.ascontiguousarray(bmat.T, dtype=complex)
+    table = [bmat_t]
+    recovery = np.tile(np.arange(dim), (n_outcomes, 1))
+    offset = dim
+    choices = np.unravel_index(np.arange(n_outcomes), [2 * dv**2 for dv in dims_v])
+    for lam, w, choice in zip(good, weyl, choices):
+        span = basis.blocks[lam].span
+        size = span.stop - span.start
+        rows = bmat_t[span].reshape(-1, w.shape[0], dim)
+        table.append((w.reshape((-1, 1) + w.shape[3:]).swapaxes(2, 3) @ rows).reshape(-1, dim))
+        recovery[:, span] = offset + size * choice[:, None] + np.arange(size)
+        offset += len(table[-1])
+    table = np.concatenate(table)
 
     def bob_instrument(history):
         label = history[-1]
         if label == "fail":
             return abort
-        # the recovery 1 (x) U^T on each retained block's rows of B^T, so
-        # that embed @ rotated takes Bob's computational basis to the
-        # doubled register; the retired rows are left as they are
-        choice = np.unravel_index(int(label[1:]), grid)
-        rotated = bmat_t.copy()
-        for k, (lam, table) in enumerate(zip(good, weyl)):
-            w = table[choice[3 * k : 3 * k + 3]]
-            span = basis.blocks[lam].span
-            rows = rotated[span]
-            rotated[span] = (w.T @ rows.reshape(-1, w.shape[0], dim)).reshape(-1, dim)
-        return [("done", [embed @ rotated])]
+        return [("done", [(embed, table[recovery[int(label[1:])]])])]
 
     return LoccProtocol(
         dim_a=dim,
         dim_b=dim,
-        rounds=(Round("A", lambda history: alice), Round("B", bob_instrument)),
+        rounds=(Round("A", lambda history: alice), Round("B", bob_instrument, per_node=True)),
         protocol_id=f"teleport(n={n},d={d})",
     )
 

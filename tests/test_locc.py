@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -25,7 +26,13 @@ from locclab.models import PureStateModel, product_model, real_amplitude, rotati
 from locclab.states import bell_state, bipartite_tensor_power, state_from_schmidt
 from locclab.schur_weyl import schur_basis
 from locclab.teleport import kraus_operator, run_teleport, sample_haar_unitary
-from tests_support import outcome_grid, single_state_paths, weyl_tables, weyl_tuple
+from tests_support import (
+    dense_bob_operator,
+    outcome_grid,
+    single_state_paths,
+    weyl_tables,
+    weyl_tuple,
+)
 
 
 def projective_instrument(basis: np.ndarray):
@@ -227,40 +234,51 @@ def test_adaptive_distribution_factorizes_into_party_chains():
 
 
 def dense_lift(kraus, party, dim_a, dim_b):
+    if isinstance(kraus, tuple):  # a product entry (E, R) acts as E @ R
+        kraus = kraus[0] @ kraus[1]
     if party == "A":
         return np.kron(kraus, np.eye(dim_b))
     return np.kron(np.eye(dim_a), kraus)
 
 
-def dense_branches(rnd, history, rho, dim_a, dim_b):
+def dense_branches(rnd, history, state, dim_a, dim_b):
     """(label, K rho K^dagger summed over the outcome's Kraus operators,
-    probability, new dimensions) for every outcome, on the full density."""
+    probability, new dimensions) for every outcome, on the full density.
+    A pure state given as its vector stays a vector through an outcome of
+    one Kraus operator, K psi, with probability ||K psi||^2."""
     out = []
     for label, kraus_list in rnd.instrument(history):
         lifted = [dense_lift(k, rnd.party, dim_a, dim_b) for k in kraus_list]
-        new = sum(lk @ rho @ lk.conj().T for lk in lifted)
+        if state.ndim == 1 and len(lifted) == 1:
+            new = lifted[0] @ state
+            p = float(np.vdot(new, new).real)
+        else:
+            rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+            new = sum(lk @ rho @ lk.conj().T for lk in lifted)
+            p = float(np.real(np.trace(new)))
         if rnd.party == "A":
             dims = (new.shape[0] // dim_b, dim_b)
         else:
             dims = (dim_a, new.shape[0] // dim_a)
-        out.append((label, new, float(np.real(np.trace(new))), dims))
+        out.append((label, new, p, dims))
     return out
 
 
-def dense_enumerate_paths(protocol, rho):
+def dense_enumerate_paths(protocol, state):
     out = {}
 
-    def walk(rho, history, prob, idx, dims):
+    def walk(state, history, prob, idx, dims):
         if idx == len(protocol.rounds):
             out[history] = prob
             return
         for label, new, p, new_dims in dense_branches(
-            protocol.rounds[idx], history, rho, *dims
+            protocol.rounds[idx], history, state, *dims
         ):
             if p > 1e-15:
-                walk(new / p, history + (label,), prob * p, idx + 1, new_dims)
+                scale = math.sqrt(p) if new.ndim == 1 else p
+                walk(new / scale, history + (label,), prob * p, idx + 1, new_dims)
 
-    walk(rho, (), 1.0, 0, (protocol.dim_a, protocol.dim_b))
+    walk(state, (), 1.0, 0, (protocol.dim_a, protocol.dim_b))
     return out
 
 
@@ -373,6 +391,173 @@ def test_engine_rejects_inputs_that_are_not_states(case, engine):
     fn = run_locc if engine == "run_locc" else enumerate_paths
     with pytest.raises(ValueError, match=message):
         fn(protocol, state)
+
+
+def test_a_per_node_round_is_checked_at_every_node(monkeypatch):
+    shared = random_adaptive_protocol(np.random.default_rng(5), rounds=3)
+    per_node = LoccProtocol(2, 2, tuple(
+        dataclasses.replace(rnd, per_node=True) for rnd in shared.rounds
+    ))
+    checked = []
+    monkeypatch.setattr(locc, "_check_trace_preserving", lambda ops, dim: checked.append(id(ops)))
+    dist = enumerate_paths(per_node, np.kron([1, 0], [1, 0]).astype(complex))
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    # one check per node, 1 + 2 + 4, though the four bases repeat
+    assert len(checked) == 7 > len(set(checked))
+
+
+def test_a_failed_check_names_the_round_and_the_history():
+    def instrument(history):
+        if history == ("1", "0"):
+            return [("0", [np.diag([1.0, 0.0])])]
+        return [(str(k), [np.diag(np.eye(2)[k])]) for k in range(2)]
+
+    protocol = LoccProtocol(
+        2, 2, tuple(Round(party, instrument, per_node=True) for party in "ABA"), "lossy"
+    )
+    plus = np.full(2, 1 / math.sqrt(2))
+    with pytest.raises(ValueError, match=r"round 2 after outcomes \['1', '0'\]: .*trace-preserving"):
+        enumerate_paths(protocol, np.kron(plus, plus).astype(complex))
+    with pytest.raises(ValueError, match=r"round 2 after outcomes \['1', '0'\]: .*trace-preserving"):
+        # seed 0 samples "1" then "0"
+        run_locc(protocol, np.kron(plus, plus).astype(complex), 0)
+
+
+@pytest.mark.parametrize("engine", [run_locc, enumerate_paths])
+def test_duplicate_labels_are_refused(engine):
+    protocol = LoccProtocol(2, 2, (Round("A", lambda h: [
+        ("0", [np.diag([1.0, 0.0])]), ("0", [np.diag([0.0, 1.0])])
+    ]),), "twice")
+    # (0.6, 0.8) (x) |0>: the second outcome's mass 0.36 would be lost
+    with pytest.raises(ValueError, match="two outcomes share the label '0'"):
+        engine(protocol, np.kron([0.6, 0.8], [1.0, 0.0]).astype(complex))
+
+
+def test_an_empty_kraus_list_is_the_zero_map():
+    protocol = LoccProtocol(2, 2, (
+        Round("A", lambda h: [("none", []), ("0", [np.diag([1.0, 0.0])]), ("1", [np.diag([0.0, 1.0])])]),
+        Round("B", lambda h: [("skip", []), ("id", [np.eye(2)])], per_node=True),
+    ), "zero-maps")
+    state = np.kron([0.6, 0.8], [1.0, 0.0]).astype(complex)
+    dist = enumerate_paths(protocol, state)
+    assert list(dist) == [("0", "id"), ("1", "id")]
+    assert dist[("0", "id")] == pytest.approx(0.36, abs=1e-15)
+    assert dist[("1", "id")] == pytest.approx(0.64, abs=1e-15)
+    for seed in range(20):
+        outcomes = [m.outcome for m in run_locc(protocol, state, seed).messages]
+        assert outcomes[0] in ("0", "1") and outcomes[1] == "id"
+
+
+# ---------------------------------------------------------------- product entries
+
+
+def unitary(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+def product_round(isometry, matrix, party="B"):
+    """One per-node round of a single outcome whose entry is (E, R)."""
+    return Round(party, lambda h: [("0", [(isometry, matrix)])], per_node=True)
+
+
+def _bad_products():
+    rng = np.random.default_rng(9)
+    isometry = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))[0]
+    matrix = unitary(rng, 2)
+    nan_isometry, nan_matrix = isometry.copy(), matrix.copy()
+    nan_isometry[3, 1] = np.nan
+    nan_matrix[0, 0] = np.nan
+    return {
+        # E^dagger E = (1 + 1e-11)^2 1: ||E^dagger E - 1||_F = 2.8e-11
+        "non-isometric E": (isometry * (1 + 1e-11), matrix, "not an isometry"),
+        "NaN in E": (nan_isometry, matrix, "not an isometry"),
+        # R^dagger R - 1 = 9.4e-11 1: inside 1e-10, which a plain operator
+        # meets, but not inside 8.9e-11, which leaves room for E's defect
+        "non-unitary R": (isometry, matrix * (1 + 4.7e-11), "trace-preserving"),
+        "NaN in R": (isometry, nan_matrix, "trace-preserving"),
+        "E after R of another size": (isometry[:, :1], matrix, "cannot follow"),
+    }
+
+
+def test_a_plain_operator_keeps_the_wider_limit():
+    matrix = _bad_products()["non-unitary R"][1]
+    plain = LoccProtocol(2, 2, (Round("B", lambda h: [("0", [matrix])]),), "plain")
+    assert enumerate_paths(plain, np.kron([1.0, 0.0], [0.6, 0.8]).astype(complex))
+
+
+@pytest.mark.parametrize("case", sorted(_bad_products()))
+@pytest.mark.parametrize("engine", [run_locc, enumerate_paths])
+def test_a_bad_product_entry_is_refused(case, engine):
+    isometry, matrix, message = _bad_products()[case]
+    protocol = LoccProtocol(2, 2, (product_round(isometry, matrix),), "bad")
+    with pytest.raises(ValueError, match=rf"round 0 after outcomes \[\]: .*{message}"):
+        engine(protocol, np.kron([1.0, 0.0], [0.6, 0.8]).astype(complex))
+
+
+def test_a_shared_isometry_is_checked_once_per_walk(monkeypatch):
+    protocol = teleport_protocol(3, 2)
+    embed = protocol.rounds[1].instrument(("w0",))[0][1][0][0]
+    grams = []
+    gram = locc._gram
+    monkeypatch.setattr(locc, "_gram", lambda k: grams.append(k is embed) or gram(k))
+    joint = bipartite_tensor_power(bell_state(2), 3).reshape(-1)
+    dist = enumerate_paths(protocol, joint)
+    assert len(dist) > 3 and sum(grams) == 1
+    grams.clear()
+    enumerate_paths(protocol, [joint, joint])
+    assert sum(grams) == 1
+
+
+def product_kraus_protocol(seed, dim_a, dim_b, steps):
+    """``random_kraus_protocol`` with every Kraus operator K given as the
+    product entry (U, U^dagger K), U a random unitary shared by the round."""
+    rng = np.random.default_rng(1000 + seed)
+    plain = random_kraus_protocol(seed, dim_a, dim_b, steps)
+    rounds = []
+    for rnd, (_, dim_out) in zip(plain.rounds, steps):
+        u = unitary(rng, dim_out)
+
+        def instrument(history, f=rnd.instrument, u=u):
+            return [(label, [(u, u.conj().T @ k) for k in kraus_list])
+                    for label, kraus_list in f(history)]
+
+        rounds.append(Round(rnd.party, instrument, per_node=True))
+    return LoccProtocol(dim_a, dim_b, tuple(rounds), f"product-kraus-{seed}")
+
+
+@pytest.mark.parametrize("dim_a, dim_b, steps", KRAUS_STEPS)
+def test_product_entries_match_dense_reference(dim_a, dim_b, steps):
+    rng = np.random.default_rng(7 * dim_a + dim_b)
+    for seed in range(2):
+        protocol = product_kraus_protocol(seed, dim_a, dim_b, steps)
+        for rank in (0, 2):
+            state = random_input(rng, dim_a * dim_b, rank)
+            rho = state if state.ndim == 2 else np.outer(state, state.conj())
+            dist = enumerate_paths(protocol, state)
+            reference = dense_enumerate_paths(protocol, rho)
+            assert list(dist) == list(reference)
+            for path, p in reference.items():
+                assert dist[path] == pytest.approx(p, abs=1e-12)
+            for run_seed in range(2):
+                transcript = run_locc(protocol, state, run_seed)
+                history, probs, final = dense_run_locc(protocol, rho, run_seed)
+                assert tuple(m.outcome for m in transcript.messages) == history
+                assert np.max(np.abs(transcript.final_state - final)) <= 1e-12
+
+
+@pytest.mark.parametrize("rounds", [2, 3, 4, 5, 6])
+def test_stacked_lists_match_the_per_node_route_bit_for_bit(rounds):
+    rng = np.random.default_rng(40 + rounds)
+    protocol = random_adaptive_protocol(rng, rounds=rounds)
+    per_node = LoccProtocol(2, 2, tuple(
+        dataclasses.replace(rnd, per_node=True) for rnd in protocol.rounds
+    ))
+    model = product_model(random_qubit_model(rng), random_qubit_model(rng))
+    states = list(model.states(rng.uniform(-1.0, 1.0, size=(15, 1))))
+    stacked, unstacked = enumerate_paths(protocol, states), enumerate_paths(per_node, states)
+    for got, want in zip(stacked, unstacked):
+        assert list(got.items()) == list(want.items())
 
 
 # ---------------------------------------------------------------- batched walk
@@ -621,6 +806,29 @@ def test_alice_operators_are_the_weyl_grid_in_flat_order(n, d, step):
         label, [op] = alice[m + 1]
         want = kraus_operator(basis, weyl_tuple(tables, np.unravel_index(m, grid))) / scale
         assert np.max(np.abs(op - want)) <= 1e-15, label
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (4, 3)])
+def test_bob_product_entry_matches_the_dense_operator(n, d):
+    protocol = teleport_protocol(n, d)
+    bob = protocol.rounds[1]
+    assert bob.per_node
+    for m in range(len(protocol.rounds[0].instrument(())) - 1):
+        [(label, [(embed, recovery)])] = bob.instrument(("w%d" % m,))
+        assert label == "done" and recovery.shape == (d**n, d**n)
+        assert np.max(np.abs(embed @ recovery - dense_bob_operator(n, d, m))) <= 1e-14, m
+    assert bob.instrument(("fail",))[0][0] == "abort"
+
+
+def test_teleport_protocol_n5_matches_dense_reference():
+    protocol = teleport_protocol(5, 2)
+    joint = bipartite_tensor_power(state_from_schmidt(np.array([0.7, 0.3])), 5).reshape(-1)
+    dist = enumerate_paths(protocol, joint)
+    reference = dense_enumerate_paths(protocol, joint)
+    assert list(dist) == list(reference)
+    for path, p in reference.items():
+        assert abs(dist[path] - p) <= 1e-12, path
+    assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_teleport_protocol_makes_one_kraus_call(monkeypatch):

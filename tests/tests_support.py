@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 
-from locclab.locc import _as_factor
+from locclab.locc import _as_factor, _teleport_embedding
 from locclab.models import PureStateModel
 from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions, standard_tableaux
+from locclab.schur_weyl import schur_basis
 from locclab.teleport import good_set
 
 
@@ -228,3 +229,24 @@ def single_state_paths(protocol, state) -> dict[tuple[str, ...], float]:
 
     walk(_as_factor(state, protocol.dim_a, protocol.dim_b), (), 1.0, 0)
     return out
+
+
+# ----------------------------------------------------------------------
+# Bob's Kraus operator of the transfer protocol as one dense product, as the
+# library formed it before it kept the embedding and the per-outcome
+# recovery apart; kept as the oracle of the product entry (E, R).
+
+
+def dense_bob_operator(n: int, d: int, m: int) -> np.ndarray:
+    """Bob's d^(2n) x d^n operator after Alice's outcome w{m}: the embedding
+    times B^T (B the block basis) with each retained block's rows rotated by
+    1 (x) U^T, U that block's Weyl operator at grid index m."""
+    basis = schur_basis(n, d)
+    tables = weyl_tables(n, d)
+    choice = weyl_tuple(tables, np.unravel_index(m, outcome_grid(tables)))
+    rotated = np.ascontiguousarray(basis.matrix.T, dtype=complex)
+    for lam, w in choice.items():
+        span = basis.blocks[lam].span
+        rows = rotated[span]
+        rotated[span] = (w.T @ rows.reshape(-1, w.shape[0], d**n)).reshape(-1, d**n)
+    return _teleport_embedding(basis, list(tables)) @ rotated
