@@ -54,14 +54,21 @@ def _parse_state(text: str, d: int | None) -> tuple[StateVector, tuple[float, ..
 def cmd_decompose(args) -> dict:
     phi, spectrum = _parse_state(args.state or args.schmidt, args.d)
     d = phi.dims[0]
-    weights = schur_weyl.weights_analytic(spectrum, args.n)
-    dims = {str(lam): {"dim_u": du, "dim_v": dv} for lam, du, dv in block_table(args.n, d)}
+    # weights_analytic keys its weights in block_table order
+    values = schur_weyl.weights_analytic(spectrum, args.n).values()
+    weights, dims, good = {}, {}, []
+    for (lam, du, dv), q in zip(block_table(args.n, d), values):
+        label = str(lam)  # once per block
+        weights[label] = q
+        dims[label] = {"dim_u": du, "dim_v": dv}
+        if du <= dv:  # the retained blocks, as teleport.good_set
+            good.append(label)
     return {
         "n": args.n,
         "d": d,
         "schmidt_spectrum": list(spectrum),
-        "weights": {str(lam): q for lam, q in weights.items()},
-        "good_set": sorted(str(lam) for lam in teleport.good_set(args.n, d)),
+        "weights": weights,
+        "good_set": sorted(good),
         "dims": dims,
         "weight_sum": sum(weights.values()),
     }

@@ -36,7 +36,7 @@ from .teleport import check_local_dimension, good_set, kraus_operator, sample_ha
 _PATH_LIMIT = 100_000
 _GRID_POINTS = 512  # likelihood grid of the two-stage estimate
 _TRIAL_CHUNK = 64  # two-stage trials advanced together; bounds the working memory
-_GOLDEN_ITERS = 60  # golden-section steps: the bracket shrinks by 0.618^60
+_GOLDEN_TOL = 1e-9  # golden-section search stops once its bracket is narrower
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BASIS_CHOICES = 4  # bases per round of a random adaptive protocol
 _HASH_BLOCK = 2**16  # density entries hashed per block of rows
@@ -555,15 +555,26 @@ def _log_terms(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(p), np.log1p(-p)
 
 
+def _golden_steps(width: float) -> int:
+    """Golden-section steps that shrink a bracket ``width`` wide below
+    ``_GOLDEN_TOL``: each step keeps 0.618 of it."""
+    steps = 0
+    while width >= _GOLDEN_TOL:
+        width *= _INV_PHI
+        steps += 1
+    return steps
+
+
 def _lockstep_golden_max(
-    fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+    fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, steps: int
 ) -> np.ndarray:
-    """Golden-section maxima over the brackets [a, b], every bracket
-    advanced together: ``fn`` maps one point per bracket to its value."""
+    """Golden-section maxima over the brackets [a, b] after ``steps`` steps,
+    every bracket advanced together: ``fn`` maps one point per bracket to
+    its value."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(_GOLDEN_ITERS):
+    for _ in range(steps):
         left = fc > fd  # the maximum lies in [a, d]: d becomes the upper end
         a, b = np.where(left, a, c), np.where(left, d, b)
         kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
@@ -645,6 +656,9 @@ def two_stage_estimate(
 
     grid, grid_states, rows1 = stage1_rows(_GRID_POINTS)
     span = float(grid[1] - grid[0])
+    # every bracket is at most 2 span wide: stop at the likelihood's resolution,
+    # the same number of steps in every chunk
+    steps = _golden_steps(2 * span)
     true_states = [s[0] for s in states([theta_true])]
     p1_true = [float(abs(np.vdot(fixed, s)) ** 2) for s in true_states]
     totals = (n1, n1, n2, n2)  # copies behind the counts: stage 1 A, B, stage 2 A, B
@@ -722,7 +736,7 @@ def two_stage_estimate(
             return loglik_of(counts, terms1, terms2)
 
         estimates[start : start + len(gens)] = _lockstep_golden_max(
-            loglik_at, np.maximum(lo, peak - span), np.minimum(hi, peak + span)
+            loglik_at, np.maximum(lo, peak - span), np.minimum(hi, peak + span), steps
         )
 
     mse = float(np.mean((estimates - theta_true) ** 2))

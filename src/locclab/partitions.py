@@ -79,27 +79,36 @@ def enumerate_partitions(n: int, d: int) -> list[Partition]:
     """All partitions of n with at most d parts, zero-padded to length d.
 
     Returned in decreasing lexicographic order, e.g. (4,2) ->
-    [(4,0), (3,1), (2,2)].
+    [(4,0), (3,1), (2,2)]. Each is built without re-validation
+    (``_trusted``) and afresh on every call: nothing is cached.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     out: list[Partition] = []
-    _fill(out, [], n, d, n)
+    _fill(out, (), n, d, n)
     return out
 
 
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    """A ``Partition`` of parts known to be valid, without ``__post_init__``:
+    non-increasing Python ints summing to n >= 1, as ``_fill`` builds them."""
+    lam = object.__new__(Partition)
+    object.__setattr__(lam, "parts", parts)
+    return lam
+
+
 def _fill(
-    out: list[Partition], prefix: list[int], remaining: int, slots: int, cap: int
+    out: list[Partition], prefix: tuple[int, ...], remaining: int, slots: int, cap: int
 ):
     # Module level, not a closure: a recursive closure is a reference cycle
     # that would keep ``out`` alive until the cyclic garbage collector runs.
-    if slots == 0:
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+    if slots == 1:
+        # the last part is forced, and the parent's floor keeps it <= cap
+        out.append(_trusted(prefix + (remaining,)))
         return
     lo = -(-remaining // slots)  # ceil: keep parts non-increasing feasible
     for p in range(min(cap, remaining), lo - 1, -1):
-        _fill(out, prefix + [p], remaining - p, slots - 1, p)
+        _fill(out, prefix + (p,), remaining - p, slots - 1, p)
 
 
 def dim_u(lam: Partition) -> int:
@@ -454,10 +463,11 @@ def large_deviation_bound(
     d = len(spectrum)
     values = schur_polynomials(spectrum, n).values()  # in block_table order
     weights = block_weights(spectrum, n, block_table(n, d), values)
-    members = [(lam, q) for lam, q in weights.items() if region(lam.normalized())]
+    points = ((lam.normalized(), q) for lam, q in weights.items())  # one per block
+    members = [(point, q) for point, q in points if region(point)]
     if not members:
         return 0.0, 0.0, True
     lhs = sum(q for _, q in members)
-    min_div = min(relative_entropy(lam.normalized(), spectrum) for lam, _ in members)
+    min_div = min(relative_entropy(point, spectrum) for point, _ in members)
     rhs = (n + 1) ** (d * (d + 1) / 2) * math.exp(-n * min_div)
     return lhs, rhs, lhs <= rhs

@@ -51,24 +51,28 @@ def check_local_dimension(d: int) -> None:
         raise ValueError(f"d = {d} has no retired block to hold the unused directions")
 
 
-def _retained(table: Sequence[BlockDims]) -> tuple[Partition, ...]:
-    """The blocks of ``table`` with dim_u <= dim_v, in its order."""
-    return tuple(lam for lam, du, dv in table if du <= dv)
-
-
 def good_set(n: int, d: int) -> tuple[Partition, ...]:
     """Blocks kept by the protocol, those with dim_u <= dim_v, in
     enumeration order: a filter of the memoized ``block_table(n, d)``."""
-    return _retained(block_table(n, d))
+    return tuple(lam for lam, du, dv in block_table(n, d) if du <= dv)
 
 
 def _retained_weight(table: Sequence[BlockDims], weights: Mapping[Partition, float]) -> float:
-    """The weight on the good set of ``table``, summed in its order."""
-    return float(sum(weights[lam] for lam in _retained(table)))
+    """The share of the weight on the good set of ``table``: R / (R + T),
+    with R and T the ``fsum`` of the retained and the retired weights. For
+    non-negative weights it lies in [0, 1] and equals R within rounding,
+    where a plain sum of the retained weights can pass 1. An empty good set
+    gives exactly 0.0."""
+    retained, retired = [], []
+    for lam, du, dv in table:
+        (retained if du <= dv else retired).append(weights[lam])
+    kept = math.fsum(retained)
+    return kept / (kept + math.fsum(retired))
 
 
 def ideal_fidelity(p: Sequence[float], n: int) -> float:
-    """Retained weight sum over the good set, from the Schmidt spectrum."""
+    """The share of the weight on the good set, from the Schmidt spectrum:
+    in [0, 1], and the retained weight sum within rounding."""
     spectrum = as_spectrum(p)
     weights = weights_analytic(spectrum, n)
     return _retained_weight(block_table(n, len(spectrum)), weights)

@@ -94,6 +94,21 @@ def test_a_cold_decompose_computes_each_dimension_once(capsys, monkeypatch):
     )
 
 
+def test_decompose_formats_each_block_label_once(capsys, monkeypatch):
+    calls = collections.Counter()
+    label = partitions.Partition.__str__
+
+    def counted(lam):
+        calls[lam] += 1
+        return label(lam)
+
+    monkeypatch.setattr(partitions.Partition, "__str__", counted)
+    payload = run_json(capsys, "decompose", "--schmidt", "0.4,0.3,0.2,0.1", "--n", "60")
+    blocks = enumerate_partitions(60, 4)
+    assert calls == collections.Counter(blocks)
+    assert list(payload["weights"]) == sorted(label(lam) for lam in blocks)
+
+
 def test_decompose_non_distribution_is_a_structured_error(capsys, monkeypatch):
     def negative(p, n):
         return dict.fromkeys(enumerate_partitions(n, len(p)), -1.0)

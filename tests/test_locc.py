@@ -1079,6 +1079,19 @@ def test_two_stage_matches_per_trial_reference(case, monkeypatch):
     assert np.max(np.abs(report.estimates - expected)) <= 1e-6
 
 
+def test_two_stage_search_stops_at_the_likelihood_resolution(monkeypatch):
+    span = math.pi / 511  # the default grid's spacing on a domain pi wide
+    assert locc._golden_steps(2 * span) == 34
+    assert 2 * span * locc._INV_PHI**34 < 1e-9 <= 2 * span * locc._INV_PHI**33
+    assert locc._golden_steps(1e-9) == 1 and locc._golden_steps(9e-10) == 0
+    model = real_amplitude()
+    stopped = two_stage_estimate(model, model, 400, 96, rng=6, theta_true=0.8)
+    monkeypatch.setattr(locc, "_golden_steps", lambda width: 60)
+    longer = two_stage_estimate(model, model, 400, 96, rng=6, theta_true=0.8)
+    # the first 34 steps are the same: the estimate lies in a bracket < 1e-9 wide
+    assert np.max(np.abs(stopped.estimates - longer.estimates)) <= 5e-10
+
+
 def test_two_stage_estimates_do_not_depend_on_trial_count():
     model = real_amplitude()
     k = locc._TRIAL_CHUNK - 5  # 2k trials cross a chunk boundary

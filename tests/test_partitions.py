@@ -113,6 +113,16 @@ def test_enumerate_order_and_uniqueness():
                 assert lam.n == n and lam.num_parts == d
 
 
+@pytest.mark.parametrize(
+    "n, d",
+    [(n, d) for n in range(1, 13) for d in range(1, 7)] + [(60, 4), (40, 5), (100, 2), (20, 6)],
+)
+def test_trusted_enumeration_equals_validated_construction(n, d):
+    lams = enumerate_partitions(n, d)
+    assert [Partition(lam.parts) for lam in lams] == lams  # same order too
+    assert all(type(p) is int for lam in lams for p in lam.parts)
+
+
 def test_enumerate_result_freed_without_cycle_collector():
     # every weights call enumerates; a list kept alive by a reference cycle
     # would hold thousands of partitions until the cyclic collector runs
@@ -432,3 +442,20 @@ def test_large_deviation_rejects_a_non_distribution(monkeypatch, value):
 def test_large_deviation_empty_region():
     lhs, rhs, holds = large_deviation_bound((0.5, 0.5), lambda q: False, 6)
     assert lhs == 0.0 and holds
+
+
+def test_large_deviation_reads_each_simplex_point_once(monkeypatch):
+    calls = []
+    normalized = Partition.normalized
+
+    def counted(lam):
+        calls.append(lam)
+        return normalized(lam)
+
+    monkeypatch.setattr(Partition, "normalized", counted)
+    p = (0.4, 0.3, 0.2, 0.1)
+    far = lambda q: abs(q[0] - p[0]) >= 0.1
+    large_deviation_bound(p, far, 60)
+    assert sorted(calls, key=lambda lam: lam.parts) == sorted(
+        enumerate_partitions(60, 4), key=lambda lam: lam.parts
+    )

@@ -91,6 +91,29 @@ def test_ideal_fidelities_keeps_the_checks_of_ideal_fidelity(monkeypatch):
         ideal_fidelities((0.6, 0.4), 3)
 
 
+@pytest.mark.parametrize("p, n_max", [((0.6, 0.4), 1000), ((0.5, 0.3, 0.2), 100)])
+def test_ideal_fidelity_never_exceeds_one(p, n_max, monkeypatch):
+    retained_weight = teleport._retained_weight
+    plain_sums = []
+
+    def with_plain_sum(table, weights):
+        # the retained weights summed as before, beside the reported share
+        plain_sums.append(sum(weights[lam] for lam, du, dv in table if du <= dv))
+        return retained_weight(table, weights)
+
+    monkeypatch.setattr(teleport, "_retained_weight", with_plain_sum)
+    fids = ideal_fidelities(p, n_max)  # bit for bit ideal_fidelity, checked below
+    assert all(0.0 <= fid <= 1.0 for fid in fids.values())
+    assert max(abs(fid - old) for fid, old in zip(fids.values(), plain_sums)) <= 1e-14
+    for n in (1, 2, 78, n_max // 2, n_max):
+        assert ideal_fidelity(p, n) == fids[n], n
+
+
+def test_ideal_fidelity_of_an_empty_good_set_is_zero():
+    assert good_set(1, 2) == ()
+    assert ideal_fidelity((0.6, 0.4), 1) == 0.0
+
+
 def test_fidelity_lower_bound_examples():
     # d = 2 coefficient is 2
     assert fidelity_lower_bound(0.5, 20, 2) == pytest.approx(
