@@ -3,11 +3,13 @@
 Protocols are ordered lists of rounds; each round names the acting party
 and an instrument, a history-dependent list of labeled completely positive
 maps (given by Kraus operators on the acting party's factor) that together
-preserve trace. The engine holds the state as a factor V of its density
-V V^dagger, shaped (d_A, d_B, r), and contracts each Kraus operator with the
-acting party's axis. It samples one execution path with exact branch
-probabilities, and can exhaustively enumerate the joint outcome
-distribution for Fisher-information analysis.
+preserve trace. The engine holds a stack of states as factors V of their
+densities V V^dagger, shaped (B, d_A, d_B, r). Each instrument list takes
+one route: it is checked and copied once into stacks of operators, and each
+stack is contracted with the acting party's axis of every state by one
+matmul. The engine samples one execution path with exact branch
+probabilities, and can enumerate the joint outcome distribution for
+Fisher-information analysis.
 
 Kraus operators may be rectangular (the acting party's local dimension then
 changes), which lets a measure-and-discard or an embed-into-larger-register
@@ -40,8 +42,7 @@ _GOLDEN_TOL = 1e-9  # golden-section search stops once its bracket is narrower
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BASIS_CHOICES = 4  # bases per round of a random adaptive protocol
 _HASH_BLOCK = 2**16  # density entries hashed per block of rows
-# completeness limits; _check_trace_preserving derives why the two below
-# keep every product entry's (ER)^dagger (ER) within _TRACE_TOL
+# completeness limits; _prepare derives the last two from the first
 _TRACE_TOL = 1e-10  # entrywise, on sum_k K^dagger K - 1
 _ISOMETRY_TOL = 1e-11  # Frobenius norm of E^dagger E - 1
 _PRODUCT_TRACE_TOL = 8.9e-11  # entrywise, on a sum that holds a product entry
@@ -58,9 +59,9 @@ Instrument = Callable[[tuple[str, ...]], list[tuple[str, list[Kraus]]]]
 @dataclass(frozen=True)
 class Round:
     """One party's instrument. ``per_node`` declares that the instrument
-    builds its list afresh at each node: such a list is checked at every
-    node and never memoized. Every other round's lists are memoized by
-    identity for the whole walk, checked and stacked once, and kept alive
+    builds its list afresh at each node: such a list is prepared (checked
+    and stacked) at every node and never memoized. Every other round's
+    lists are prepared once per walk, memoized by identity and kept alive
     until the walk ends."""
 
     party: str  # "A" or "B"
@@ -190,8 +191,7 @@ def _as_factors(states, dim_a: int, dim_b: int) -> np.ndarray:
 def _contract(stack: np.ndarray, factors: np.ndarray, party: str) -> np.ndarray:
     """A stack of L operators, shaped (L, m, d), applied to the party's axis
     of every factor of the stack (B, d_A, d_B, r) by one matmul: the
-    (L * B, ...) branch factors, operator-major. Each operator and state
-    meet in the same product as in ``_act``."""
+    (L * B, ...) branch factors, operator-major."""
     batch, dim_a, dim_b, cols = factors.shape
     if party == "A":
         out = stack[:, None] @ factors.reshape(batch, dim_a, -1)
@@ -200,76 +200,20 @@ def _contract(stack: np.ndarray, factors: np.ndarray, party: str) -> np.ndarray:
     return out.reshape(-1, dim_a, out.shape[-2], cols)
 
 
-def _act(entry, factors: np.ndarray, party: str) -> np.ndarray:
-    """One Kraus entry applied to the party's axis of every factor of the
-    stack (B, d_A, d_B, r) by one matmul; a product (E, R) applies R, then
-    E."""
-    if isinstance(entry, tuple):
-        isometry, matrix = entry
-        return _act(isometry, _act(matrix, factors, party), party)
-    k = np.asarray(entry, dtype=complex)
-    if party == "B":
-        return k @ factors
-    batch, dim_a, dim_b, cols = factors.shape
-    return (k @ factors.reshape(batch, dim_a, -1)).reshape(batch, -1, dim_b, cols)
-
-
 def _compress(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The branch factors, with more columns than rows compressed by a QR
     step, and the branch probability ||K V||^2 of each."""
-    batch = out.shape[0]
-    rows = out.shape[1] * out.shape[2]
-    if out.shape[3] > rows:
+    batch, dim_a, dim_b, cols = out.shape
+    if cols > dim_a * dim_b:
         # V V^dagger = R^dagger R for the QR factors of V^dagger
-        r_mat = np.linalg.qr(out.reshape(batch, rows, -1).conj().swapaxes(1, 2), mode="r")
-        out = r_mat.conj().swapaxes(1, 2).reshape(out.shape[:3] + (-1,))
+        r_mat = np.linalg.qr(out.reshape(batch, -1, cols).conj().swapaxes(1, 2), mode="r")
+        out = r_mat.conj().swapaxes(1, 2).reshape(batch, dim_a, dim_b, -1)
     re_im = out.reshape(batch, 1, -1).view(np.float64)  # real and imaginary parts
     return out, (re_im @ re_im.swapaxes(1, 2)).reshape(batch)
 
 
-def _apply(kraus_list, factors: np.ndarray, party: str) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized factors of the branch states sum_K K rho K^dagger for a
-    stack of factors shaped (B, d_A, d_B, r), each K contracted with the
-    party's axis of every state by one matmul, and the branch probability
-    of each state."""
-    parts = [_act(entry, factors, party) for entry in kraus_list]
-    return _compress(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3))
-
-
-def _stacks(ops) -> list[tuple[list[int], np.ndarray]]:
-    """The outcomes whose Kraus list is one plain operator, grouped by its
-    shape: each group's positions in ``ops`` and its operators as one
-    (L, m, d) array."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for pos, (_, kraus_list) in enumerate(ops):
-        if len(kraus_list) == 1 and not isinstance(kraus_list[0], tuple):
-            groups.setdefault(np.asarray(kraus_list[0]).shape, []).append(pos)
-    return [
-        (positions, np.concatenate([ops[pos][1][0] for pos in positions], dtype=complex)
-         .reshape((len(positions),) + shape))
-        for shape, positions in groups.items()
-    ]
-
-
-def _branches(ops, stacks, factors: np.ndarray, party: str):
-    """(label, unnormalized branch factors, probabilities) of each outcome,
-    in order. The outcomes of each stack take one contraction; an empty
-    Kraus list is the zero map, which yields nothing."""
-    stacked = {}
-    for positions, stack in stacks:
-        out, probs = _compress(_contract(stack, factors, party))
-        count = len(positions)
-        stacked.update(zip(positions, zip(out.reshape((count, -1) + out.shape[1:]),
-                                          probs.reshape(count, -1))))
-    for pos, (label, kraus_list) in enumerate(ops):
-        if pos in stacked:
-            yield (label, *stacked[pos])
-        elif kraus_list:
-            yield (label, *_apply(kraus_list, factors, party))
-
-
-def _gram(k) -> np.ndarray:
-    """K^dagger K, with no copy of an operator of more rows than columns.
+def _gram(k: np.ndarray) -> np.ndarray:
+    """K^dagger K of a complex K, with no copy of an operator of more rows than columns.
 
     A short K adds K^dagger K through its conjugate, no larger than the sum.
     A tall K is read as the real array R = [Re K_0, Im K_0, Re K_1, ...]
@@ -277,7 +221,6 @@ def _gram(k) -> np.ndarray:
     P[2i, j] = (Re K_i . K_j) and P[2i + 1, j] = (Im K_i . K_j), so
     K^dagger K = P[0::2] - i P[1::2].
     """
-    k = np.asarray(k, dtype=complex)
     if k.shape[0] <= k.shape[1]:
         return k.conj().T @ k
     parts = np.ascontiguousarray(k).view(np.float64)
@@ -285,81 +228,115 @@ def _gram(k) -> np.ndarray:
     return pairs[0::2] - 1j * pairs[1::2]
 
 
-def _check_isometries(ops, checked: dict[int, np.ndarray]):
-    """Every product entry's E satisfies ||E^dagger E - 1||_F <= 1e-11 (a NaN
-    fails). ``checked`` maps the id of each E already checked to E, which
-    it keeps alive, so each shared E is checked once per walk."""
-    for _, kraus_list in ops:
-        for entry in kraus_list:
-            if isinstance(entry, tuple) and checked.get(id(entry[0])) is not entry[0]:
-                isometry = np.asarray(entry[0])
-                if isometry.ndim != 2:
-                    raise ValueError(f"a product entry's E has shape {isometry.shape}")
-                defect = np.linalg.norm(_gram(isometry) - np.eye(isometry.shape[1]))
-                if not defect <= _ISOMETRY_TOL:
-                    raise ValueError(f"a product entry's E is not an isometry: "
-                                     f"||E^dagger E - 1||_F = {defect:.3g}")
-                checked[id(entry[0])] = entry[0]
+def _prepare(ops: list[tuple[str, list[Kraus]]], dim: int, checked: dict[int, tuple],
+             idx: int, history: tuple[str, ...]) -> list[tuple[list[str], object, np.ndarray]]:
+    """One instrument list on a party of dimension ``dim``, checked and
+    stacked: one (labels, E, stack) per run of consecutive outcomes with
+    one E (None for plain operators), one count j of Kraus entries and one
+    operator shape (m, dim). The run's L j operators (of a product entry,
+    R) are copied once, into its (L j, m, dim) stack, outcome by outcome;
+    E is held as a (1, M, m) view. An empty list, the zero map, is in no
+    run.
 
+    Every label must be distinct, and each outcome's entries all plain or
+    all products of one E, of one shape with ``dim`` columns. Each distinct
+    E is checked once per walk (``checked`` maps its id to E, which it keeps
+    alive, and its view) to ||E^dagger E - 1||_F <= 1e-11, and the list to
+    sum_k K^dagger K = 1 entrywise within 1e-10, by one Gram per run, of
+    its stack read as one operator (a view, ``_gram``). A NaN fails. An
+    error names round ``idx`` and the outcomes ``history`` before it.
 
-def _check_trace_preserving(ops: list[tuple[str, list[Kraus]]], dim: int):
-    """Every label distinct, and sum_k K^dagger K = 1 entrywise within
-    1e-10. The operators of at most ``dim`` rows are joined into one, whose
-    Gram is their sum; a taller complex operator is read through a real
-    view, not copied (``_gram``).
-
-    A product entry (E, R) adds R^dagger R: its E is checked apart, once
-    per walk (``_check_isometries``), to ||Delta||_F <= e = 1e-11, where
-    Delta = E^dagger E - 1. Let T be the sum of the plain K^dagger K and
-    of the R^dagger R, held to ||T - 1||_max <= t. The full sum is
-    T + sum_i R_i^dagger Delta_i R_i, and entry (a, b) of the second term
-    is at most max_i ||Delta_i||_2 sum_i |r_ia| |r_ib| <= e sqrt(T_aa T_bb)
-    <= e (1 + t), with r_ia column a of R_i (Cauchy-Schwarz over i; the
-    plain terms add non-negative diagonal to T, and ||.||_2 <= ||.||_F).
-    So the full sum is within t + (1 + t) e of 1 entrywise; t = 8.9e-11
-    makes that at most 9.9e-11 + 1e-21 < 1e-10. A list with no product
-    entry keeps t = 1e-10.
+    A product entry (E, R) adds R^dagger R: its E is checked apart, to
+    ||Delta||_F <= e = 1e-11, where Delta = E^dagger E - 1. Let T be the
+    sum of the plain K^dagger K and of the R^dagger R, held to
+    ||T - 1||_max <= t. The full sum is T + sum_i R_i^dagger Delta_i R_i,
+    and entry (a, b) of the second term is at most
+    max_i ||Delta_i||_2 sum_i |r_ia| |r_ib| <= e sqrt(T_aa T_bb) <= e (1 + t),
+    with r_ia column a of R_i (Cauchy-Schwarz over i; the plain terms add
+    non-negative diagonal to T, and ||.||_2 <= ||.||_F). So the full sum is
+    within t + (1 + t) e of 1 entrywise; t = 8.9e-11 makes that at most
+    9.9e-11 + 1e-21 < 1e-10. A list with no product entry keeps t = 1e-10.
     """
-    labels = [label for label, _ in ops]
-    if len(set(labels)) < len(labels):
-        label = next(label for k, label in enumerate(labels) if label in labels[:k])
-        raise ValueError(f"two outcomes share the label {label!r}")
-    short, grams = [], []
-    limit = _TRACE_TOL
-    for _, kraus_list in ops:
-        for entry in kraus_list:
-            product = isinstance(entry, tuple)
-            k = np.asarray(entry[1] if product else entry)
-            if k.ndim != 2 or k.shape[1] != dim:
-                raise ValueError(f"Kraus operator of shape {k.shape} for party dimension {dim}")
-            if product:
-                limit = _PRODUCT_TRACE_TOL
-                if np.shape(entry[0])[-1:] != k.shape[:1]:
-                    raise ValueError(f"a product entry's E of shape {np.shape(entry[0])} "
-                                     f"cannot follow R of shape {k.shape}")
-            if k.shape[0] <= dim:
-                short.append(k)
-            else:
-                grams.append(_gram(k))
-    if short:
-        grams.append(_gram(short[0] if len(short) == 1 else np.concatenate(short)))
-    total = grams[0] if grams else np.zeros((dim, dim), dtype=complex)
-    for gram in grams[1:]:
-        total += gram
-    diagonal = total.reshape(-1)[:: dim + 1]  # a view: total is ours
-    diagonal -= 1
-    if not np.abs(total).max() <= limit:  # a NaN entry fails too
-        raise ValueError("instrument maps do not sum to a trace-preserving map")
-
-
-def _check_node(ops, dim: int, isometries: dict, idx: int, history: tuple[str, ...]):
-    """The checks both engines run on an instrument list; an error names
-    the round and the outcomes before it."""
     try:
-        _check_isometries(ops, isometries)
-        _check_trace_preserving(ops, dim)
+        if len(ops) > 1 and len({label for label, _ in ops}) < len(ops):
+            names = [label for label, _ in ops]
+            label = next(label for k, label in enumerate(names) if label in names[:k])
+            raise ValueError(f"two outcomes share the label {label!r}")
+        runs: list[tuple[tuple, list[str], object, list]] = []
+        for label, kraus_list in ops:
+            if not kraus_list:
+                continue
+            isometry = kraus_list[0][0] if isinstance(kraus_list[0], tuple) else None
+            mats = []
+            for entry in kraus_list:
+                if isinstance(entry, tuple) is (isometry is None):
+                    raise ValueError(f"outcome {label!r} mixes plain and product entries")
+                if isometry is not None and entry[0] is not isometry:
+                    raise ValueError(f"outcome {label!r} holds products of two different E's")
+                k = np.asarray(entry if isometry is None else entry[1])
+                if k.ndim != 2 or k.shape[1] != dim:
+                    raise ValueError(f"Kraus operator of shape {k.shape} for party dimension {dim}")
+                if mats and k.shape != mats[0].shape:
+                    raise ValueError(f"outcome {label!r} holds Kraus operators of shapes "
+                                     f"{mats[0].shape} and {k.shape}")
+                mats.append(k)
+            key = (id(isometry), len(mats), k.shape)  # every E is held by ops
+            if runs and runs[-1][0] == key:
+                runs[-1][1].append(label)
+                runs[-1][3].extend(mats)
+            else:
+                runs.append((key, [label], isometry, mats))
+        prepared, grams, limit = [], [], _TRACE_TOL
+        for (_, _, shape), labels, isometry, mats in runs:
+            if isometry is not None:
+                limit = _PRODUCT_TRACE_TOL
+                if checked.get(id(isometry), (None,))[0] is not isometry:
+                    e = np.asarray(isometry, dtype=complex)
+                    if e.ndim != 2:
+                        raise ValueError(f"a product entry's E has shape {e.shape}")
+                    defect = np.linalg.norm(_gram(e) - np.eye(e.shape[1]))
+                    if not defect <= _ISOMETRY_TOL:
+                        raise ValueError(f"a product entry's E is not an isometry: "
+                                         f"||E^dagger E - 1||_F = {defect:.3g}")
+                    checked[id(isometry)] = (isometry, e[None])
+                isometry = checked[id(isometry)][1]
+                if isometry.shape[2] != shape[0]:
+                    raise ValueError(f"a product entry's E of shape {isometry.shape[1:]} "
+                                     f"cannot follow R of shape {shape}")
+            # the run's operators one above another: its stack's only copy
+            flat = (np.concatenate(mats, dtype=complex) if len(mats) > 1
+                    else np.asarray(mats[0], dtype=complex))
+            grams.append(_gram(flat))
+            prepared.append((labels, isometry, flat.reshape((len(mats),) + shape)))
+        total = sum(grams[1:], grams[0]) if grams else np.zeros((dim, dim), dtype=complex)
+        total.reshape(-1)[:: dim + 1] -= 1  # a view: total is ours
+        if not np.abs(total).max() <= limit:  # a NaN entry fails too
+            raise ValueError("instrument maps do not sum to a trace-preserving map")
     except ValueError as err:
         raise ValueError(f"round {idx} after outcomes {list(history)}: {err}") from err
+    return prepared
+
+
+def _branches(prepared, factors: np.ndarray, party: str):
+    """(label, unnormalized branch factors, probabilities) of each outcome
+    of a prepared list, in order: each run takes one contraction by its
+    stack and, for product entries, one by its E; an outcome's j entries
+    become its columns; one batched QR step and norm follow."""
+    batch = factors.shape[0]
+    for labels, isometry, stack in prepared:
+        count, j = len(labels), len(stack) // len(labels)
+        out = _contract(stack, factors, party)
+        if isometry is not None:
+            out = _contract(isometry, out, party)
+        if j > 1:  # entry k of each outcome becomes its columns k r, ..., k r + r - 1
+            out = out.reshape((count, j, batch) + out.shape[1:]).transpose(0, 2, 3, 4, 1, 5)
+            out = out.reshape((count * batch,) + out.shape[2:4] + (-1,))
+        out, probs = _compress(out)
+        if count == 1:
+            yield labels[0], out, probs
+        else:
+            yield from zip(labels, out.reshape((count, batch) + out.shape[1:]),
+                           probs.reshape(count, batch))
 
 
 def run_locc(
@@ -374,11 +351,11 @@ def run_locc(
     factors = _as_factors([input_state], protocol.dim_a, protocol.dim_b)
     history: tuple[str, ...] = ()
     messages: list[Message] = []
-    isometries: dict[int, np.ndarray] = {}
+    checked: dict[int, tuple] = {}
     for idx, rnd in enumerate(protocol.rounds):
         ops = rnd.instrument(history)
-        _check_node(ops, factors.shape[1 + "AB".index(rnd.party)], isometries, idx, history)
-        branches = list(_branches(ops, _stacks(ops), factors, rnd.party))
+        dim = factors.shape[1 + "AB".index(rnd.party)]
+        branches = list(_branches(_prepare(ops, dim, checked, idx, history), factors, rnd.party))
         probs = np.array([b[2][0] for b in branches])
         choice = int(rng.choice(len(branches), p=probs / probs.sum()))
         label, out, _ = branches[choice]
@@ -416,25 +393,23 @@ def enumerate_paths(
         return laws[0] if single else laws
     counter = [0]
     last = len(protocol.rounds) - 1
-    # (id, party dimension) -> a shared round's list, checked, with its
-    # stacks; holding the list keeps its id from being reused in this walk
+    # (id, party dimension) -> a shared round's list and its prepared form;
+    # holding the list keeps its id from being reused in this walk
     memo: dict[tuple[int, int], tuple[list, list]] = {}
-    isometries: dict[int, np.ndarray] = {}
+    checked: dict[int, tuple] = {}
 
     def walk(factors, members, history, probs, idx):
         rnd = protocol.rounds[idx]
         ops = rnd.instrument(history)
         dim = factors.shape[1 + "AB".index(rnd.party)]
         if rnd.per_node:
-            _check_node(ops, dim, isometries, idx, history)
-            stacks = []
+            prepared = _prepare(ops, dim, checked, idx, history)
         else:
             known = memo.get((id(ops), dim))
             if known is None or known[0] is not ops:
-                _check_node(ops, dim, isometries, idx, history)
-                known = memo[id(ops), dim] = (ops, _stacks(ops))
-            stacks = known[1]
-        for label, new, p in _branches(ops, stacks, factors, rnd.party):
+                known = memo[id(ops), dim] = (ops, _prepare(ops, dim, checked, idx, history))
+            prepared = known[1]
+        for label, new, p in _branches(prepared, factors, rnd.party):
             sub, sub_probs = members, probs
             if min(p.tolist()) <= 1e-15:
                 kept = p > 1e-15

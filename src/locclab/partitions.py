@@ -404,7 +404,8 @@ def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
 
 
 def as_spectrum(values: Iterable[float]) -> tuple[float, ...]:
-    """Validate a Schmidt-coefficient spectrum: non-increasing, sums to 1."""
+    """Validate a Schmidt-coefficient spectrum: non-increasing, sums to 1.
+    An entry admitted below 0 (within 1e-12) is returned as 0.0."""
     vec = tuple(float(v) for v in values)
     if not vec:
         raise ValueError("empty spectrum")
@@ -415,7 +416,7 @@ def as_spectrum(values: Iterable[float]) -> tuple[float, ...]:
         raise ValueError(f"spectrum not sorted non-increasing: {vec}")
     if not abs(sum(vec) - 1.0) <= _SPECTRUM_TOL:
         raise ValueError(f"spectrum sums to {sum(vec)}, not 1")
-    return vec
+    return tuple(v if v > 0.0 else 0.0 for v in vec)
 
 
 def shannon_entropy(q: Sequence[float]) -> float:

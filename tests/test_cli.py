@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,16 @@ def test_decompose_beyond_float_range_is_a_structured_error(capsys):
     code, out, err = run_cli(capsys, "decompose", "--schmidt", "0.6,0.4", "--n", "1200")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+def test_decompose_clips_a_tiny_negative_schmidt_entry(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code, out, err = run_cli(capsys, "decompose", "--schmidt", "1,-5e-13", "--n", "2")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["schmidt_spectrum"] == [1.0, 0.0]
+    assert min(payload["weights"].values()) >= 0.0
 
 
 def test_decompose_requires_state(capsys):

@@ -29,6 +29,7 @@ from locclab.teleport import kraus_operator, run_teleport, sample_haar_unitary
 from tests_support import (
     dense_bob_operator,
     outcome_grid,
+    per_entry_paths,
     single_state_paths,
     weyl_tables,
     weyl_tuple,
@@ -156,7 +157,9 @@ def test_enumerate_paths_checks_a_list_built_on_a_deep_branch():
 def test_enumerate_paths_checks_each_shared_list_once(monkeypatch):
     protocol = random_adaptive_protocol(np.random.default_rng(5), rounds=6)
     checked = []
-    monkeypatch.setattr(locc, "_check_trace_preserving", lambda ops, dim: checked.append(id(ops)))
+    prepare = locc._prepare
+    monkeypatch.setattr(locc, "_prepare",
+                        lambda ops, *args: checked.append(id(ops)) or prepare(ops, *args))
     dist = enumerate_paths(protocol, np.kron([1, 0], [1, 0]).astype(complex))
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
     assert len(checked) == len(set(checked)) < len(dist)
@@ -399,7 +402,9 @@ def test_a_per_node_round_is_checked_at_every_node(monkeypatch):
         dataclasses.replace(rnd, per_node=True) for rnd in shared.rounds
     ))
     checked = []
-    monkeypatch.setattr(locc, "_check_trace_preserving", lambda ops, dim: checked.append(id(ops)))
+    prepare = locc._prepare
+    monkeypatch.setattr(locc, "_prepare",
+                        lambda ops, *args: checked.append(id(ops)) or prepare(ops, *args))
     dist = enumerate_paths(per_node, np.kron([1, 0], [1, 0]).astype(complex))
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
     # one check per node, 1 + 2 + 4, though the four bases repeat
@@ -480,6 +485,33 @@ def _bad_products():
     }
 
 
+def _mismatched_outcomes():
+    rng = np.random.default_rng(11)
+    u, v = unitary(rng, 2), unitary(rng, 2)
+    half = np.eye(2) / math.sqrt(2)
+    return {
+        "rows": ([np.eye(2)[:1], np.eye(2)[1:], np.eye(2)],
+                 r"holds Kraus operators of shapes \(1, 2\) and \(2, 2\)"),
+        "plain and product": ([half, (u, u.conj().T @ half)], "mixes plain and product entries"),
+        "product and plain": ([(u, u.conj().T @ half), half], "mixes plain and product entries"),
+        "two E's": ([(u, u.conj().T @ half), (v, v.conj().T @ half)],
+                    "holds products of two different E's"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_mismatched_outcomes()))
+@pytest.mark.parametrize("engine", [run_locc, enumerate_paths])
+def test_an_outcome_of_mismatched_entries_is_refused(case, engine):
+    kraus_list, message = _mismatched_outcomes()[case]
+    protocol = LoccProtocol(2, 2, (
+        Round("A", lambda h: [("id", [np.eye(2)])]),
+        Round("B", lambda h: [("odd", kraus_list)], per_node=True),
+    ), "mismatched")
+    where = r"round 1 after outcomes \['id'\]: outcome 'odd' "
+    with pytest.raises(ValueError, match=where + message):
+        engine(protocol, np.kron([1.0, 0.0], [0.6, 0.8]).astype(complex))
+
+
 def test_a_plain_operator_keeps_the_wider_limit():
     matrix = _bad_products()["non-unitary R"][1]
     plain = LoccProtocol(2, 2, (Round("B", lambda h: [("0", [matrix])]),), "plain")
@@ -548,16 +580,59 @@ def test_product_entries_match_dense_reference(dim_a, dim_b, steps):
 
 @pytest.mark.parametrize("rounds", [2, 3, 4, 5, 6])
 def test_stacked_lists_match_the_per_node_route_bit_for_bit(rounds):
+    # the per-node route is the one contraction per Kraus entry that per-node
+    # rounds took before every list was stacked (``per_entry_paths``)
     rng = np.random.default_rng(40 + rounds)
     protocol = random_adaptive_protocol(rng, rounds=rounds)
-    per_node = LoccProtocol(2, 2, tuple(
-        dataclasses.replace(rnd, per_node=True) for rnd in protocol.rounds
-    ))
     model = product_model(random_qubit_model(rng), random_qubit_model(rng))
     states = list(model.states(rng.uniform(-1.0, 1.0, size=(15, 1))))
-    stacked, unstacked = enumerate_paths(protocol, states), enumerate_paths(per_node, states)
-    for got, want in zip(stacked, unstacked):
+    for got, want in zip(enumerate_paths(protocol, states), per_entry_paths(protocol, states)):
         assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("build", [random_kraus_protocol, product_kraus_protocol])
+@pytest.mark.parametrize("dim_a, dim_b, steps", KRAUS_STEPS)
+def test_kraus_laws_match_the_per_entry_route_bit_for_bit(build, dim_a, dim_b, steps):
+    # outcomes of 2-4 entries, so each run folds j > 1 entries into columns
+    rng = np.random.default_rng(10 * dim_a + dim_b)
+    for seed in range(3):
+        protocol = build(seed, dim_a, dim_b, steps)
+        states = [random_input(rng, dim_a * dim_b, rank) for rank in (0, 2, 6)]
+        for got, want in zip(enumerate_paths(protocol, states), per_entry_paths(protocol, states)):
+            assert list(got.items()) == list(want.items())
+
+
+COPY_PROTOCOLS = {
+    "kraus": lambda: random_kraus_protocol(0, *KRAUS_STEPS[0]),
+    "product-kraus": lambda: product_kraus_protocol(1, *KRAUS_STEPS[1]),
+    "adaptive": lambda: random_adaptive_protocol(np.random.default_rng(5), rounds=4),
+    "teleport": lambda: teleport_protocol(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPY_PROTOCOLS))
+def test_each_list_is_copied_once_and_checked_on_views_of_its_stacks(name, monkeypatch):
+    protocol = COPY_PROTOCOLS[name]()
+    prepare, gram = locc._prepare, locc._gram
+    grams, lists = [], []
+
+    def recorded(ops, *args):
+        grams.clear()
+        prepared = prepare(ops, *args)
+        isometries = [entry[0] for _, kraus_list in ops for entry in kraus_list
+                      if isinstance(entry, tuple)]
+        stacks = [stack for _, _, stack in prepared]
+        for k in grams:  # E's own check aside, every Gram reads a stack
+            assert any(k is e for e in isometries) or any(np.shares_memory(k, s) for s in stacks)
+        lists.append(len(stacks))
+        return prepared
+
+    monkeypatch.setattr(locc, "_prepare", recorded)
+    monkeypatch.setattr(locc, "_gram", lambda k: grams.append(k) or gram(k))
+    state = random_input(np.random.default_rng(3), protocol.dim_a * protocol.dim_b, 0)
+    assert math.fsum(enumerate_paths(protocol, state).values()) == pytest.approx(1.0, abs=1e-12)
+    run_locc(protocol, state, 0)
+    assert lists and min(lists) >= 1
 
 
 # ---------------------------------------------------------------- batched walk

@@ -25,6 +25,7 @@ from locclab.partitions import (
     shannon_entropy,
     standard_tableaux,
 )
+from locclab.teleport import ideal_fidelity
 from tests_support import schur_polynomials_per_last_part
 
 
@@ -85,6 +86,15 @@ def test_spectrum_validation():
 def test_spectrum_validation_rejects_non_finite_entries(values):
     with pytest.raises(ValueError):
         as_spectrum(values)
+
+
+@pytest.mark.parametrize("values, n", [((1.0, -5e-13), 2), ((0.7, 0.3000000000005, -5e-13), 5)])
+def test_a_tiny_negative_entry_is_clipped_to_zero(values, n):
+    # admitted within 1e-12 of 0; passed on unclipped, it gave negative weights
+    spectrum = as_spectrum(values)
+    assert spectrum[-1] == 0.0 and math.copysign(1.0, spectrum[-1]) == 1.0
+    assert spectrum[:-1] == values[:-1]
+    assert ideal_fidelity(values, n) >= 0.0
 
 
 # ---------------------------------------------------------------- enumeration

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from locclab.locc import _as_factor, _teleport_embedding
+from locclab.locc import _as_factor, _as_factors, _compress, _teleport_embedding
 from locclab.models import PureStateModel
 from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions, standard_tableaux
 from locclab.schur_weyl import schur_basis
@@ -229,6 +229,54 @@ def single_state_paths(protocol, state) -> dict[tuple[str, ...], float]:
 
     walk(_as_factor(state, protocol.dim_a, protocol.dim_b), (), 1.0, 0)
     return out
+
+
+# ----------------------------------------------------------------------
+# the LOCC engine's route of one contraction per Kraus entry, as the library
+# had it before each instrument list was stacked; kept as the oracle of the
+# stacked route, whose laws must equal its laws bit for bit.
+
+
+def _act(entry, factors: np.ndarray, party: str) -> np.ndarray:
+    """One Kraus entry applied to the party's axis of every factor of the
+    stack (B, d_A, d_B, r) by one matmul; a product (E, R) applies R, then
+    E."""
+    if isinstance(entry, tuple):
+        isometry, matrix = entry
+        return _act(isometry, _act(matrix, factors, party), party)
+    k = np.asarray(entry, dtype=complex)
+    if party == "B":
+        return k @ factors
+    batch, dim_a, dim_b, cols = factors.shape
+    return (k @ factors.reshape(batch, dim_a, -1)).reshape(batch, -1, dim_b, cols)
+
+
+def per_entry_paths(protocol, states) -> list[dict[tuple[str, ...], float]]:
+    """The laws of a list of states from one walk of the outcome tree, in
+    ``enumerate_paths`` order: each outcome's entries applied one at a time,
+    their columns joined, and a branch pruned for the states whose step
+    probability is at most 1e-15. Nothing is checked."""
+    laws = [{} for _ in states]
+
+    def walk(factors, members, history, probs, idx):
+        if idx == len(protocol.rounds):
+            for k, value in zip(members.tolist(), probs.tolist()):
+                laws[k][history] = value
+            return
+        rnd = protocol.rounds[idx]
+        for label, kraus_list in rnd.instrument(history):
+            if not kraus_list:
+                continue
+            parts = [_act(entry, factors, rnd.party) for entry in kraus_list]
+            new, p = _compress(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=3))
+            kept = p > 1e-15
+            if kept.any():
+                walk(new[kept] / np.sqrt(p[kept])[:, None, None, None], members[kept],
+                     history + (label,), probs[kept] * p[kept], idx + 1)
+
+    walk(_as_factors(states, protocol.dim_a, protocol.dim_b), np.arange(len(states)), (),
+         np.ones(len(states)), 0)
+    return laws
 
 
 # ----------------------------------------------------------------------
