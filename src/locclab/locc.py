@@ -33,7 +33,7 @@ from .models import PureStateModel, richardson_points, rotation_model
 from .partitions import block_table
 from .schur_weyl import schur_basis
 from .states import StateVector, as_generator, check_bytes
-from .teleport import check_local_dimension, good_set, kraus_operator, sample_haar_unitary
+from .teleport import check_local_dimension, good_set, sample_haar_unitary
 
 _PATH_LIMIT = 100_000
 _GRID_POINTS = 512  # likelihood grid of the two-stage estimate
@@ -239,12 +239,13 @@ def _prepare(ops: list[tuple[str, list[Kraus]]], dim: int, checked: dict[int, tu
     run.
 
     Every label must be distinct, and each outcome's entries all plain or
-    all products of one E, of one shape with ``dim`` columns. Each distinct
-    E is checked once per walk (``checked`` maps its id to E, which it keeps
-    alive, and its view) to ||E^dagger E - 1||_F <= 1e-11, and the list to
-    sum_k K^dagger K = 1 entrywise within 1e-10, by one Gram per run, of
-    its stack read as one operator (a view, ``_gram``). A NaN fails. An
-    error names round ``idx`` and the outcomes ``history`` before it.
+    all products of one E, of one shape with ``dim`` columns and at least
+    one row. Each distinct E is checked once per walk (``checked`` maps its
+    id to E, which it keeps alive, and its view) to ||E^dagger E - 1||_F
+    <= 1e-11, and the list to sum_k K^dagger K = 1 entrywise within 1e-10,
+    by one Gram per run, of its stack read as one operator (a view,
+    ``_gram``). A NaN fails. An error names round ``idx`` and the outcomes
+    ``history`` before it.
 
     A product entry (E, R) adds R^dagger R: its E is checked apart, to
     ||Delta||_F <= e = 1e-11, where Delta = E^dagger E - 1. Let T be the
@@ -274,8 +275,9 @@ def _prepare(ops: list[tuple[str, list[Kraus]]], dim: int, checked: dict[int, tu
                 if isometry is not None and entry[0] is not isometry:
                     raise ValueError(f"outcome {label!r} holds products of two different E's")
                 k = np.asarray(entry if isometry is None else entry[1])
-                if k.ndim != 2 or k.shape[1] != dim:
-                    raise ValueError(f"Kraus operator of shape {k.shape} for party dimension {dim}")
+                if k.ndim != 2 or k.shape[1] != dim or not k.shape[0]:
+                    raise ValueError(f"outcome {label!r} holds a Kraus operator of shape "
+                                     f"{k.shape} for party dimension {dim}")
                 if mats and k.shape != mats[0].shape:
                     raise ValueError(f"outcome {label!r} holds Kraus operators of shapes "
                                      f"{mats[0].shape} and {k.shape}")
@@ -517,11 +519,7 @@ def _optimal_basis_vector(model: PureStateModel, theta: float) -> np.ndarray:
     nrm = np.linalg.norm(perp)
     if nrm < 1e-12:
         return np.array([1.0, 0.0], dtype=complex)  # flat direction: keep fixed basis
-    chi = perp / nrm
-    overlap = np.vdot(chi, dphi)
-    if abs(overlap) > 1e-12:
-        chi = chi * (overlap / abs(overlap)).conjugate()
-    return (phi + chi) / math.sqrt(2.0)
+    return (phi + perp / nrm) / math.sqrt(2.0)
 
 
 def _log_terms(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -734,27 +732,31 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
     undoes the announced unitaries and embeds the result, together with
     freshly prepared maximally entangled multiplicity parts, into a doubled
     register.
+
+    An outcome is one signed Weyl operator W = s X^a Z^b per retained
+    block, and its label w{m} is the flat C-order index of the (a, b, s)
+    choices. One loop over the retained blocks builds both parties, each
+    block from its rotation W^T B_lam^T (B the block basis) under every W.
     """
     check_local_dimension(d)
     good = good_set(n, d)
     if not good:
         raise ValueError("no retained blocks at these parameters")
     retained = [row for row in block_table(n, d) if row.lam in good]
-    dims_v = [row.dim_v for row in retained]
-    n_outcomes = math.prod(2 * dv**2 for dv in dims_v)
+    n_choices = [2 * row.dim_v**2 for row in retained]
+    n_outcomes = math.prod(n_choices)
     if n_outcomes > _PATH_LIMIT:
         raise ValueError(
             f"Alice's instrument would have {n_outcomes} outcomes, more than {_PATH_LIMIT}"
         )
     dim = d**n
-    # Bob's recovery rows: B^T, then each retained block's dim_u * dim_v
-    # rows under each of its 2 dim_v^2 choices
-    n_rows = dim + sum(2 * row.dim_v**3 * row.dim_u for row in retained)
-    # counted for construction and one run: two d^(3n) arrays (the
-    # embedding and one block's part of it), three d^n rows with their
-    # headers per Alice outcome, the recovery rows, eight d^(2n) arrays,
-    # and one d^n index row per Alice outcome; no d^(3n) Bob operator is
-    # formed, and the checks copy no operator of more than d^n rows
+    # Bob's table: B^T, then each retained block's rows under each choice
+    n_rows = dim + sum(c * row.dim_u * row.dim_v for c, row in zip(n_choices, retained))
+    # counted for construction and one run: two d^(3n) arrays (the embedding
+    # and einsum's working copy, or one block's part), three d^n rows with
+    # their headers per Alice outcome (her row and its gathered share, or in
+    # a run her row, its stacked copy and its branch), the table, eight
+    # d^(2n) arrays, and one d^n index row per Alice outcome
     nbytes = 16 * (2 * dim**3 + 3 * n_outcomes * (dim + 16) + n_rows * dim + 8 * dim**2)
     nbytes += 8 * n_outcomes * dim
     check_bytes(nbytes, f"teleport_protocol(n={n}, d={d})")
@@ -765,43 +767,36 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
         [bmat[:, block.span] for lam, block in basis.blocks.items() if lam not in good]
     )
     fail = (retired @ retired.T).astype(complex)
-
-    # the signed Weyl operators s X^a Z^b of each retained block, indexed
-    # [a, b, s]; an outcome is one (a, b, s) per block, and w{m} is its flat
-    # C-order index on the grid of those choices
-    weyl = [
-        np.array([[[sign * np.roll(np.diag(np.exp(2j * np.pi * b * np.arange(dv) / dv)), a, 0)
-                    for sign in (1, -1)] for b in range(dv)] for a in range(dv)])
-        for dv in dims_v
-    ]
-    grid = tuple(size for w in weyl for size in w.shape[:3])
-    on_grid = {  # block k's choices on grid axes 3k..3k+2, the rest broadcast
-        lam: w.reshape((1,) * 3 * k + w.shape[:3] + (1,) * (len(grid) - 3 * k - 3) + w.shape[3:])
-        for k, (lam, w) in enumerate(zip(good, weyl))
-    }
-    alice_ops = kraus_operator(basis, on_grid).reshape(n_outcomes, 1, dim) / math.sqrt(n_outcomes)
-    alice = [("fail", [fail])] + [(f"w{m}", [op]) for m, op in enumerate(alice_ops)]
-
-    # Bob's recovery for outcome w{m} is B^T (B the block basis) with each
-    # retained block's rows rotated by 1 (x) U^T, U that block's choice; the
-    # embedding then takes it to the doubled register. Every such row is
-    # built here, in one table: B^T, then each retained block's rows under
-    # each of its choices; ``recovery[m]`` indexes outcome m's rows in it
-    embed = _teleport_embedding(basis, good)
-    abort = [("abort", [np.eye(dim, dtype=complex)])]
-    bmat_t = np.ascontiguousarray(bmat.T, dtype=complex)
-    table = [bmat_t]
-    recovery = np.tile(np.arange(dim), (n_outcomes, 1))
+    # the isometry from Bob's register, in block coordinates, into the
+    # doubled register: every column goes to a retired direction at first
+    embed = np.einsum("xc,y->xyc", bmat.astype(complex), retired[:, 0])
+    table = np.empty((n_rows, dim), dtype=complex)
+    table[:dim] = bmat.T
+    recovery = np.tile(np.arange(dim), (n_outcomes, 1))  # outcome m's rows of the table
+    alice = np.zeros((n_outcomes, dim), dtype=complex)
     offset = dim
-    choices = np.unravel_index(np.arange(n_outcomes), [2 * dv**2 for dv in dims_v])
-    for lam, w, choice in zip(good, weyl, choices):
+    for (lam, du, dv), choice in zip(retained, np.unravel_index(np.arange(n_outcomes), n_choices)):
         span = basis.blocks[lam].span
-        size = span.stop - span.start
-        rows = bmat_t[span].reshape(-1, w.shape[0], dim)
-        table.append((w.reshape((-1, 1) + w.shape[3:]).swapaxes(2, 3) @ rows).reshape(-1, dim))
-        recovery[:, span] = offset + size * choice[:, None] + np.arange(size)
-        offset += len(table[-1])
-    table = np.concatenate(table)
+        weyl = np.array([  # indexed [a, b, s]
+            [[sign * np.roll(np.diag(np.exp(2j * np.pi * b * np.arange(dv) / dv)), a, 0)
+              for sign in (1, -1)] for b in range(dv)] for a in range(dv)
+        ]).reshape(-1, 1, dv, dv)
+        # Bob undoes U by rotating the block's rows by 1 (x) U^T: rot[c, u, v]
+        # is row (u, v) under choice c, and sqrt(dv) times its trace over
+        # (u, v) is the conjugate of the block's share of Alice's row
+        rot = table[offset : offset + len(weyl) * du * dv].reshape(-1, du, dv, dim)
+        np.matmul(weyl.swapaxes(2, 3), table[span].reshape(du, dv, dim), out=rot)
+        recovery[:, span] = offset + du * dv * choice[:, None] + np.arange(du * dv)
+        offset += len(weyl) * du * dv
+        alice += (math.sqrt(dv) * np.trace(rot, axis1=1, axis2=2))[choice]
+        # column u dv + v with v < du holds sum_w |v w> (x) |u w> / sqrt(dv)
+        vecs = bmat[:, span].reshape(dim, du, dv)
+        cols = embed[:, :, span].reshape(dim, dim, du, dv)
+        cols[..., :du] = np.einsum("xvw,yuw->xyuv", vecs, vecs) / math.sqrt(dv)
+    embed = embed.reshape(dim * dim, dim)
+    alice = np.conj(alice, out=alice)[:, None] / math.sqrt(n_outcomes)
+    alice = [("fail", [fail])] + [(f"w{m}", [op]) for m, op in enumerate(alice)]
+    abort = [("abort", [np.eye(dim, dtype=complex)])]
 
     def bob_instrument(history):
         label = history[-1]
@@ -815,27 +810,6 @@ def teleport_protocol(n: int, d: int = 2) -> LoccProtocol:
         rounds=(Round("A", lambda history: alice), Round("B", bob_instrument, per_node=True)),
         protocol_id=f"teleport(n={n},d={d})",
     )
-
-
-def _teleport_embedding(basis, good) -> np.ndarray:
-    """Isometry from Bob's register, in block coordinates, into the doubled
-    register: it moves the received content into the fresh factor and
-    installs the maximally entangled multiplicity parts; unused directions
-    go to a retired block."""
-    real = basis.matrix
-    dim = real.shape[0]
-    junk = next(
-        real[:, block.span.start] for lam, block in basis.blocks.items() if lam not in good
-    )
-    embed = np.einsum("xc,y->xyc", real.astype(complex), junk)  # every column retired at first
-    for lam in good:
-        block = basis.blocks[lam]
-        du, dv = block.dim_u, block.dim_v
-        vecs = real[:, block.span].reshape(dim, du, dv)
-        # column u * dv + v with v < du holds sum_w |v w> (x) |u w> / sqrt(dv)
-        cols = embed[:, :, block.span].reshape(dim, dim, du, dv)
-        cols[..., :du] = np.einsum("xvw,yuw->xyuv", vecs, vecs) / math.sqrt(dv)
-    return embed.reshape(dim * dim, dim)
 
 
 def random_qubit_model(rng: np.random.Generator) -> PureStateModel:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locclab import locc
+from locclab import locc, teleport
 from locclab.locc import (
     EstimationFailureError,
     LoccProtocol,
@@ -31,6 +31,7 @@ from tests_support import (
     outcome_grid,
     per_entry_paths,
     single_state_paths,
+    teleport_embedding,
     weyl_tables,
     weyl_tuple,
 )
@@ -512,6 +513,17 @@ def test_an_outcome_of_mismatched_entries_is_refused(case, engine):
         engine(protocol, np.kron([1.0, 0.0], [0.6, 0.8]).astype(complex))
 
 
+@pytest.mark.parametrize("engine", [run_locc, enumerate_paths])
+def test_a_kraus_operator_with_no_rows_is_refused(engine):
+    protocol = LoccProtocol(2, 2, (
+        Round("A", lambda h: [("id", [np.eye(2)])]),
+        Round("B", lambda h: [("z", [np.zeros((0, 2))]), ("i", [np.eye(2)])]),
+    ), "zero-rows")
+    where = r"round 1 after outcomes \['id'\]: outcome 'z' holds a Kraus operator "
+    with pytest.raises(ValueError, match=where + r"of shape \(0, 2\)"):
+        engine(protocol, np.kron([1.0, 0.0], [1.0, 0.0]).astype(complex))
+
+
 def test_a_plain_operator_keeps_the_wider_limit():
     matrix = _bad_products()["non-unitary R"][1]
     plain = LoccProtocol(2, 2, (Round("B", lambda h: [("0", [matrix])]),), "plain")
@@ -906,18 +918,21 @@ def test_teleport_protocol_n5_matches_dense_reference():
     assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_teleport_protocol_makes_one_kraus_call(monkeypatch):
-    calls = []
-    build = locc.kraus_operator
+def test_teleport_protocol_makes_no_outcome_operator_call(monkeypatch):
+    def refuse(basis, unitaries):
+        raise AssertionError("kraus_operator called")
 
-    def counted(basis, unitaries):
-        calls.append(len(unitaries))
-        return build(basis, unitaries)
-
-    monkeypatch.setattr(locc, "kraus_operator", counted)
+    monkeypatch.setattr(teleport, "kraus_operator", refuse)
     protocol = teleport_protocol(4, 2)
-    enumerate_paths(protocol, bipartite_tensor_power(bell_state(2), 4).reshape(-1))
-    assert calls == [2]  # one batched call, one stack per retained block
+    dist = enumerate_paths(protocol, bipartite_tensor_power(bell_state(2), 4).reshape(-1))
+    assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2)])
+def test_teleport_embedding_matches_the_per_block_oracle(n, d):
+    protocol = teleport_protocol(n, d)
+    [(_, [(embed, _)])] = protocol.rounds[1].instrument(("w0",))
+    assert np.array_equal(embed, teleport_embedding(n, d))
 
 
 def test_teleport_protocol_matches_direct_run():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from locclab.locc import _as_factor, _as_factors, _compress, _teleport_embedding
+from locclab.locc import _as_factor, _as_factors, _compress
 from locclab.models import PureStateModel
 from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions, standard_tableaux
 from locclab.schur_weyl import schur_basis
@@ -282,7 +282,36 @@ def per_entry_paths(protocol, states) -> list[dict[tuple[str, ...], float]]:
 # ----------------------------------------------------------------------
 # Bob's Kraus operator of the transfer protocol as one dense product, as the
 # library formed it before it kept the embedding and the per-outcome
-# recovery apart; kept as the oracle of the product entry (E, R).
+# recovery apart; kept as the oracle of the product entry (E, R). The
+# embedding is built by its own pass over the blocks, as the library built
+# it before one loop made both parties, so the protocol's E is checked
+# against an independent construction.
+
+
+def _teleport_embedding(basis, good) -> np.ndarray:
+    """Isometry from Bob's register, in block coordinates, into the doubled
+    register: it moves the received content into the fresh factor and
+    installs the maximally entangled multiplicity parts; unused directions
+    go to a retired block."""
+    real = basis.matrix
+    dim = real.shape[0]
+    junk = next(
+        real[:, block.span.start] for lam, block in basis.blocks.items() if lam not in good
+    )
+    embed = np.einsum("xc,y->xyc", real.astype(complex), junk)  # every column retired at first
+    for lam in good:
+        block = basis.blocks[lam]
+        du, dv = block.dim_u, block.dim_v
+        vecs = real[:, block.span].reshape(dim, du, dv)
+        # column u * dv + v with v < du holds sum_w |v w> (x) |u w> / sqrt(dv)
+        cols = embed[:, :, block.span].reshape(dim, dim, du, dv)
+        cols[..., :du] = np.einsum("xvw,yuw->xyuv", vecs, vecs) / math.sqrt(dv)
+    return embed.reshape(dim * dim, dim)
+
+
+def teleport_embedding(n: int, d: int) -> np.ndarray:
+    """The transfer protocol's embedding at (n, d), from the oracle."""
+    return _teleport_embedding(schur_basis(n, d), good_set(n, d))
 
 
 def dense_bob_operator(n: int, d: int, m: int) -> np.ndarray:
@@ -297,4 +326,4 @@ def dense_bob_operator(n: int, d: int, m: int) -> np.ndarray:
         span = basis.blocks[lam].span
         rows = rotated[span]
         rotated[span] = (w.T @ rows.reshape(-1, w.shape[0], d**n)).reshape(-1, d**n)
-    return _teleport_embedding(basis, list(tables)) @ rotated
+    return teleport_embedding(n, d) @ rotated
