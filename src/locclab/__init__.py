@@ -12,7 +12,6 @@ from .partitions import (
     enumerate_partitions,
     large_deviation_bound,
     schur_ladder,
-    schur_polynomial,
 )
 from .states import (
     StateVector,
@@ -24,10 +23,8 @@ from .states import (
 from .schur_weyl import (
     SchurBasis,
     build_schur_basis,
-    isotypic_projector,
     load_basis,
     load_or_build_basis,
-    permutation_operator,
     save_basis,
     schur_basis,
     standard_form,
@@ -59,7 +56,6 @@ from .estimation import (
     FisherData,
     Povm,
     beta_combination,
-    bures_expansion_check,
     detection_condition,
     fisher_data,
     horizontal_lifts,
@@ -72,7 +68,6 @@ from .locc import (
     LoccProtocol,
     LoccTranscript,
     Round,
-    joint_outcome_distribution,
     run_locc,
     teleport_protocol,
     two_stage_estimate,

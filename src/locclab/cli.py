@@ -161,6 +161,11 @@ def cmd_detect(args) -> dict:
 
 
 def cmd_additivity(args) -> dict:
+    # every round has two outcomes, so the walk would pass the path limit
+    # (2^rounds > limit, that is rounds >= the limit's bit length): refuse
+    # before anything is built
+    if args.rounds >= locc._PATH_LIMIT.bit_length():
+        raise RuntimeError(f"path count exceeds {locc._PATH_LIMIT}")
     rng = np.random.default_rng(args.seed)
     protocol = locc.random_adaptive_protocol(rng, rounds=args.rounds)
     model_a = locc.random_qubit_model(np.random.default_rng(args.seed + 1))

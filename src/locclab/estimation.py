@@ -89,17 +89,6 @@ def fisher_data(model: PureStateModel, theta) -> FisherData:
     return FisherData(j_s, j_tilde, betas)
 
 
-def bures_expansion_check(model: PureStateModel, theta, dtheta) -> tuple[float, float]:
-    """Compare 1 - |<phi_t|phi_{t+dt}>|^2 against 4 dt.J_S.dt."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
-    phi, phi2 = model.states([theta, theta + dtheta])
-    lhs = 1.0 - abs(np.vdot(phi, phi2)) ** 2
-    j_s = fisher_data(model, theta).j_s
-    rhs = float(4.0 * dtheta @ j_s @ dtheta)
-    return lhs, rhs
-
-
 def weighted_cr_value(betas: Sequence[float]) -> float:
     """The attainable weighted-trace bound sum_j 4/(1 + sqrt(1 - beta_j^2));
     monotone increasing in each angle, 2 per plane at beta=0 and 4 at beta=1."""

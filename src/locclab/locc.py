@@ -20,8 +20,6 @@ walk, and R a per-outcome matrix, checked with the list that holds it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,7 +39,6 @@ _TRIAL_CHUNK = 64  # two-stage trials advanced together; bounds the working memo
 _GOLDEN_TOL = 1e-9  # golden-section search stops once its bracket is narrower
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BASIS_CHOICES = 4  # bases per round of a random adaptive protocol
-_HASH_BLOCK = 2**16  # density entries hashed per block of rows
 # completeness limits; _prepare derives the last two from the first
 _TRACE_TOL = 1e-10  # entrywise, on sum_k K^dagger K - 1
 _ISOMETRY_TOL = 1e-11  # Frobenius norm of E^dagger E - 1
@@ -119,35 +116,6 @@ class LoccTranscript:
         for msg in self.messages:
             out *= msg.prob
         return out
-
-    def final_state_hash(self) -> str:
-        """SHA-256 of the density matrix. A pure state's density is hashed a
-        block of rows at a time, so it is never held whole."""
-        digest = hashlib.sha256()
-        if self.state.ndim == 1:
-            dim = self.state.size
-            digest.update(str((dim, dim)).encode())
-            conj = self.state.conj()
-            rows = max(1, _HASH_BLOCK // dim)
-            for start in range(0, dim, rows):
-                digest.update(np.outer(self.state[start : start + rows], conj).tobytes())
-        else:
-            arr = np.ascontiguousarray(self.state)
-            digest.update(str(arr.shape).encode())
-            digest.update(arr.tobytes())
-        return digest.hexdigest()
-
-    def to_json(self) -> str:
-        payload = {
-            "protocol_id": self.protocol_id,
-            "seed": self.seed,
-            "rounds": [
-                {"party": m.party, "outcome": m.outcome, "prob": m.prob}
-                for m in self.messages
-            ],
-            "final_state_hash": self.final_state_hash(),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _as_factor(state, dim_a: int, dim_b: int) -> np.ndarray:
@@ -431,13 +399,6 @@ def enumerate_paths(
 
     walk(factors, np.arange(len(batch)), (), np.ones(len(batch)), 0)
     return laws[0] if single else laws
-
-
-def joint_outcome_distribution(
-    protocol: LoccProtocol, model: PureStateModel, theta
-) -> dict[tuple[str, ...], float]:
-    """Outcome-sequence distribution of the protocol on the model state."""
-    return enumerate_paths(protocol, model.state(theta))
 
 
 @dataclass(frozen=True)

@@ -202,25 +202,6 @@ def _grow_words(
             filled[row] -= 1
 
 
-def cycle_type(sigma: Sequence[int]) -> Partition:
-    """Cycle type of a permutation in one-line notation, as a partition."""
-    n = len(sigma)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = sigma[k]
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return Partition(tuple(lengths))
-
-
 def class_size(mu: Partition) -> int:
     """Size of the conjugacy class with cycle type mu: n!/z_mu."""
     n = mu.n
@@ -389,18 +370,6 @@ def block_weights(
     except OverflowError as exc:
         raise ValueError(f"a dim_v at n={n} is beyond the float range") from exc
     return require_distribution(weights, f"{tuple(p)} at n={n}")
-
-
-def schur_polynomial(lam: Partition, p: Sequence[float]) -> float:
-    """Evaluate the Schur polynomial s_lam at the point p.
-
-    For probability vectors p this is the per-copy block weight divided by
-    the symmetric-group dimension. A lookup into ``schur_polynomials``.
-    """
-    d = len(p)
-    if len(lam.trimmed()) > d:
-        return 0.0
-    return schur_polynomials(p, lam.n)[lam.padded(d)]
 
 
 def as_spectrum(values: Iterable[float]) -> tuple[float, ...]:

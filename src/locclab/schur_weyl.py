@@ -29,8 +29,7 @@ dense arithmetic.
 
 The character route, kept independent of the basis and of the Schur
 evaluator to cross-check both, takes the weights by the Frobenius formula
-from the power traces tr(rho^k), with no d^n array (``weights_by_projector``);
-``isotypic_projector`` builds one projector as a d^n x d^n matrix.
+from the power traces tr(rho^k), with no d^n array (``weights_by_projector``).
 
 Calls that build arrays growing with d or n first pass the bytes they will
 allocate to ``states.check_bytes``, the one size guard.
@@ -38,7 +37,6 @@ allocate to ``states.check_bytes``, the one size guard.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -53,7 +51,6 @@ from .partitions import (
     block_weights,
     character,
     class_size,
-    cycle_type,
     dim_u,
     dim_v,
     enumerate_partitions,
@@ -71,42 +68,6 @@ _WEIGHT_FLOOR = 1e-14  # blocks at or below this weight are not factored
 
 class BasisAlignmentError(RuntimeError):
     """The multiplicity-index pairing check failed for a block."""
-
-
-def permutation_operator(sigma: Sequence[int], d: int) -> np.ndarray:
-    """Operator on (C^d)^{(x)n} moving the content of factor k to factor
-    sigma(k); exact 0/1 matrix.
-
-    Composition follows operator order: op(sigma o tau) = op(sigma) op(tau).
-    """
-    n = len(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
-    dim = d**n
-    check_bytes(8 * dim * (dim + 3), f"a permutation operator at n={n}, d={d}")
-    # entry j of the index tensor, axes permuted, is the image of state j
-    out = np.arange(dim).reshape((d,) * n).transpose(sigma).ravel()
-    mat = np.zeros((dim, dim))
-    mat[out, np.arange(dim)] = 1.0
-    return mat
-
-
-def isotypic_projector(lam: Partition, d: int) -> np.ndarray:
-    """Orthogonal projector onto the lambda block of (C^d)^{(x)n}, built
-    from symmetric-group characters; hermitian and idempotent. Each
-    permutation is one scatter-add of its character into one array, and
-    allocates one d^n index array, which the byte count includes."""
-    n = lam.n
-    dim = d**n
-    check_bytes(8 * dim * (dim + math.factorial(n)), f"the {lam} projector at d={d}")
-    index, cols = np.arange(dim).reshape((d,) * n), np.arange(dim)
-    proj = np.zeros((dim, dim))
-    for sigma in itertools.permutations(range(n)):
-        chi = character(lam, cycle_type(sigma))
-        if chi != 0:
-            proj[index.transpose(sigma).ravel(), cols] += chi
-    proj *= dim_v(lam) / math.factorial(n)
-    return proj
 
 
 @dataclass(frozen=True)

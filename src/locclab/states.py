@@ -15,7 +15,12 @@ def check_bytes(nbytes: int, what: str):
     """The one size guard: ValueError when ``nbytes``, the bytes a call is
     about to allocate as counted from its array shapes, exceed the budget."""
     if nbytes > _MAX_BYTES:
-        raise ValueError(f"{what} needs {nbytes} bytes, over the {_MAX_BYTES}-byte budget")
+        # a huge count is named by its bit length: its decimal digits may be
+        # past the interpreter's limit for integer-to-string conversion
+        count = nbytes
+        if isinstance(nbytes, int) and nbytes.bit_length() > 64:
+            count = f"at least 2^{nbytes.bit_length() - 1}"
+        raise ValueError(f"{what} needs {count} bytes, over the {_MAX_BYTES}-byte budget")
 
 
 def as_generator(rng) -> tuple[np.random.Generator, int | None]:

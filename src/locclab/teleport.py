@@ -126,36 +126,33 @@ def kraus_operator(
 ) -> np.ndarray:
     """The outcome operator for one sampled tuple of unitaries, one dim_v x
     dim_v unitary per retained block of ``basis``, as a (1, d^n) matrix on
-    Alice's space in the computational basis. A unitary may carry leading
-    axes, which broadcast against the other blocks' leading axes; the result
-    then holds one operator per entry of that batch, shaped (..., 1, d^n).
+    Alice's space in the computational basis.
 
     In block coordinates it reads sqrt(dim_v) U[v, u] at (u, v) of each
     retained block, for u < dim_u, in the block's ``span``. It annihilates
     every block outside the good set, and the average of A^dagger A over
     outcomes is the projector onto the retained subspace. Raises ValueError
     when a retained block has no unitary, or one of the wrong shape or not
-    unitary within 1e-10 anywhere in the batch.
+    unitary within 1e-10.
     """
     good = good_set(basis.n, basis.d)
     missing = [lam for lam in good if lam not in unitaries]
     if missing:
         raise ValueError(f"missing unitaries for blocks {missing}")
-    mats = {lam: np.asarray(unitaries[lam], dtype=complex) for lam in good}
-    batch = np.broadcast_shapes(*(u_mat.shape[:-2] for u_mat in mats.values()))
     dim = basis.d**basis.n
-    check_bytes(16 * math.prod(batch) * dim, f"{math.prod(batch)} outcome operators")
-    out = np.zeros(batch + (dim,), dtype=complex)
-    for lam, u_mat in mats.items():
+    check_bytes(16 * dim, "an outcome operator")
+    out = np.zeros(dim, dtype=complex)
+    for lam in good:
         block = basis.blocks[lam]
         du, dv = block.dim_u, block.dim_v
-        if u_mat.shape[-2:] != (dv, dv):
+        u_mat = np.asarray(unitaries[lam], dtype=complex)
+        if u_mat.shape != (dv, dv):
             raise ValueError(f"unitary for {lam} must be {dv}x{dv}")
-        if not np.all(np.abs(u_mat.conj().swapaxes(-1, -2) @ u_mat - np.eye(dv)) <= 1e-10):
+        if not np.all(np.abs(u_mat.conj().T @ u_mat - np.eye(dv)) <= 1e-10):
             raise ValueError(f"matrix for {lam} is not unitary")
-        coeff = math.sqrt(dv) * u_mat[..., :du].swapaxes(-1, -2)
-        out += coeff.reshape(u_mat.shape[:-2] + (du * dv,)) @ block.vectors.T
-    return np.conj(out, out=out)[..., None, :]
+        coeff = math.sqrt(dv) * u_mat[:, :du].T
+        out += coeff.reshape(du * dv) @ block.vectors.T
+    return np.conj(out, out=out)[None, :]
 
 
 @dataclass(frozen=True)

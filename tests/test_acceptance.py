@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from locclab.cli import main as cli_main
 from locclab.estimation import (
@@ -17,7 +16,7 @@ from locclab.estimation import (
     weighted_cr_value,
 )
 from locclab.locc import (
-    joint_outcome_distribution,
+    enumerate_paths,
     random_adaptive_protocol,
     random_qubit_model,
     two_stage_estimate,
@@ -26,7 +25,6 @@ from locclab.locc import (
 from locclab.models import anticopy_pair, product_model, real_amplitude, reparametrized
 from locclab.partitions import (
     dim_u,
-    dim_v,
     entropy_bound_check,
     enumerate_partitions,
     large_deviation_bound,
@@ -211,7 +209,7 @@ def test_criterion_08_group_averaging_suite():
     blocks = basis.blocks.values()
     rng = np.random.default_rng(5)
     perms = list(itertools.permutations(range(n)))
-    from locclab.schur_weyl import permutation_operator
+    from tests_support import permutation_operator
 
     worst_cross = 0.0
     for _ in range(5):
@@ -292,9 +290,7 @@ def test_criterion_10_additivity_fuzz():
         model_a = random_qubit_model(np.random.default_rng(1000 + seed))
         model_b = random_qubit_model(np.random.default_rng(2000 + seed))
         theta0 = 0.15 + 0.013 * seed
-        dist = joint_outcome_distribution(
-            protocol, product_model(model_a, model_b), [theta0]
-        )
+        dist = enumerate_paths(protocol, product_model(model_a, model_b).state([theta0]))
         if min(dist.values()) < 1e-3:
             continue  # keep finite differences well conditioned
         res = verify_fisher_additivity(protocol, model_a, model_b, [theta0])

@@ -222,6 +222,14 @@ def test_teleport_bell_n8_is_inside_the_budget(capsys):
     assert abs(payload["fidelity"] - ideal_fidelity((0.5, 0.5), 8)) <= 1e-9
 
 
+def test_a_size_past_the_decimal_conversion_limit_names_the_call_and_budget(capsys):
+    code, out, err = run_cli(capsys, "teleport", "--state", "bell", "--n", "100000")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    message = json.loads(err)["message"]
+    assert message.startswith("run_teleport at n=100000, d=2 needs at least 2^")
+    assert "budget" in message
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -467,10 +475,11 @@ def test_two_stage_csv_goes_to_stdout(capsys):
     "argv, error",
     [
         (["additivity", "--rounds", "17"], "RuntimeError"),
+        (["additivity", "--rounds", "40"], "RuntimeError"),
         (["gap", "--a", "1", "--b", "1", "--betaA", "0.8", "--betaB", "0.2", "--output", None],
          "IsADirectoryError"),
     ],
-    ids=["path-limit", "output-is-a-directory"],
+    ids=["path-limit", "path-limit-40-rounds", "output-is-a-directory"],
 )
 def test_path_limit_and_output_errors_are_structured(capsys, tmp_path, argv, error):
     argv = [str(tmp_path) if arg is None else arg for arg in argv]
@@ -478,6 +487,18 @@ def test_path_limit_and_output_errors_are_structured(capsys, tmp_path, argv, err
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("rounds, message", [(16, "built"), (17, "path count exceeds 100000")])
+def test_additivity_refuses_past_the_path_limit_before_building(capsys, monkeypatch, rounds,
+                                                                message):
+    # two outcomes per round: 2^16 leaves fit under the limit, 2^17 do not
+    def build(rng, rounds):
+        raise RuntimeError("built")
+
+    monkeypatch.setattr(locc, "random_adaptive_protocol", build)
+    code, out, err = run_cli(capsys, "additivity", "--rounds", str(rounds))
+    assert code == 1 and out == "" and json.loads(err)["message"] == message
 
 
 @pytest.mark.parametrize(

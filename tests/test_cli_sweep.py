@@ -4,7 +4,8 @@ each run in-process through ``cli.main``, must end in one of four ways.
 - exit 0 with parseable, finite stdout, in which probabilities, fidelities
   and weights lie in [0, 1], weights sum to 1 within 1e-9, and a bound is at
   most its fidelity;
-- exit 1 with empty stdout and one JSON line on stderr;
+- exit 1 with empty stdout and one JSON line on stderr, which is how an
+  ``additivity`` run of 17 rounds or more must end;
 - exit 1 with ``teleport``'s ``nothing-to-teleport`` record;
 - exit 2, a usage error.
 
@@ -123,7 +124,14 @@ def _detect(rng, tmp_path) -> list[str]:
 
 
 def _additivity(rng, tmp_path) -> list[str]:
-    return ["--rounds", str(int(rng.integers(0, 6))), "--theta", _float(rng, -math.pi, math.pi)]
+    # from 17 rounds on the walk would pass the path limit, and is refused
+    rounds = rng.integers(17, 41) if rng.random() < 0.25 else rng.integers(0, 6)
+    return ["--rounds", str(int(rounds)), "--theta", _float(rng, -math.pi, math.pi)]
+
+
+def _past_the_path_limit(argv: list[str]) -> bool:
+    value = argv[argv.index("--rounds") + 1] if "--rounds" in argv else ""
+    return argv[0] == "additivity" and value.isdigit() and int(value) >= 17
 
 
 def _two_stage(rng, tmp_path) -> list[str]:
@@ -156,7 +164,7 @@ def _spoil(rng, argv: list[str]) -> list[str]:
     if kind == 0 and values:
         k = int(rng.choice(values))
         pool = {"--n": HOSTILE_SIZES, "--n-max": HOSTILE_SIZES, "--d": HOSTILE_SIZES,
-                "--seed": HOSTILE_SIZES, "--rounds": HOSTILE_COUNTS,
+                "--seed": HOSTILE_SIZES, "--rounds": HOSTILE_SIZES,
                 "--trials": HOSTILE_COUNTS}.get(argv[k - 1], HOSTILE_FLOATS)
         return argv[:k] + [str(rng.choice(pool))] + argv[k + 1:]
     if kind == 1 and ("--schmidt" in argv or "--state" in argv):
@@ -240,6 +248,8 @@ def test_seeded_argv_end_in_one_of_four_ways(command, tmp_path, monkeypatch):
     for argv in _draw(command, tmp_path):
         code, out, err, caught = _run(argv)
         codes.add(code)
+        if code != 2 and _past_the_path_limit(argv):
+            assert code == 1 and out == "" and "path count exceeds" in err, argv
         if code == 0:
             _check_record(command, out)
         elif code == 1 and out:

@@ -6,7 +6,6 @@ import pytest
 from locclab.estimation import (
     Povm,
     beta_combination,
-    bures_expansion_check,
     detection_condition,
     fisher_data,
     fisher_of_distribution,
@@ -115,6 +114,16 @@ def test_beta_reparametrization_invariance():
 
 
 # ---------------------------------------------------------------- infidelity expansion
+
+
+def bures_expansion_check(model: PureStateModel, theta, dtheta) -> tuple[float, float]:
+    """Compare 1 - |<phi_t|phi_{t+dt}>|^2 against 4 dt.J_S.dt."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
+    phi, phi2 = model.states([theta, theta + dtheta])
+    lhs = 1.0 - abs(np.vdot(phi, phi2)) ** 2
+    rhs = float(4.0 * dtheta @ fisher_data(model, theta).j_s @ dtheta)
+    return lhs, rhs
 
 
 def test_bures_expansion_polar_family():

@@ -20,7 +20,6 @@ from locclab.partitions import (
     large_deviation_bound,
     relative_entropy,
     schur_ladder,
-    schur_polynomial,
     schur_polynomials,
     shannon_entropy,
     standard_tableaux,
@@ -248,19 +247,17 @@ def test_character_mismatched_sizes_rejected():
 
 
 def test_schur_polynomial_examples():
-    assert schur_polynomial(Partition((2, 0)), (0.5, 0.5)) == pytest.approx(0.75, abs=1e-15)
+    assert schur_polynomials((0.5, 0.5), 2)[Partition((2, 0))] == pytest.approx(0.75, abs=1e-15)
     # a pure reduced state occupies only the one-row block
     for n in range(1, 7):
-        for lam in enumerate_partitions(n, 2):
-            val = schur_polynomial(lam, (1.0, 0.0))
+        for lam, val in schur_polynomials((1.0, 0.0), n).items():
             assert val == pytest.approx(1.0 if lam.parts == (n, 0) else 0.0, abs=1e-15)
 
 
 def test_schur_polynomial_maximally_mixed():
     for d in (2, 3):
         for n in range(1, 7):
-            for lam in enumerate_partitions(n, d):
-                val = schur_polynomial(lam, (1.0 / d,) * d)
+            for lam, val in schur_polynomials((1.0 / d,) * d, n).items():
                 assert val == pytest.approx(dim_u(lam) / d**n, rel=1e-12)
 
 
@@ -268,10 +265,8 @@ def test_schur_polynomial_against_power_sum_oracle():
     for p in [(0.5, 0.5), (0.8, 0.2), (0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1)]:
         d = len(p)
         for n in range(1, 7):
-            for lam in enumerate_partitions(n, d):
-                assert schur_polynomial(lam, p) == pytest.approx(
-                    schur_by_power_sums(lam, p), abs=1e-12
-                )
+            for lam, val in schur_polynomials(p, n).items():
+                assert val == pytest.approx(schur_by_power_sums(lam, p), abs=1e-12)
 
 
 def test_schur_polynomial_jacobi_trudi_path_matches():
@@ -279,24 +274,16 @@ def test_schur_polynomial_jacobi_trudi_path_matches():
     # compare with the oracle
     p = (0.4, 0.3, 0.2, 0.1)
     for n in range(1, 6):
-        for lam in enumerate_partitions(n, 4):
-            assert schur_polynomial(lam, p) == pytest.approx(
-                schur_by_power_sums(lam, p), abs=1e-10
-            )
+        for lam, val in schur_polynomials(p, n).items():
+            assert val == pytest.approx(schur_by_power_sums(lam, p), abs=1e-10)
 
 
 def test_schur_polynomials_cover_every_block_in_order():
     p = (0.5, 0.3, 0.2)
     table = schur_polynomials(p, 7)
     assert list(table) == enumerate_partitions(7, 3)
-    for lam, value in table.items():
-        assert value == schur_polynomial(lam, p)
     # fewer variables than rows: the block is absent, its polynomial is 0
-    assert schur_polynomial(Partition((2, 1, 1)), (0.5, 0.5)) == 0.0
-    # shorter partitions are padded to one part per variable
-    assert schur_polynomial(Partition((3, 1)), p) == schur_polynomials(p, 4)[
-        Partition((3, 1, 0))
-    ]
+    assert Partition((2, 1, 1)) not in schur_polynomials((0.5, 0.5), 4)
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (60, 4), (40, 5)])
@@ -368,10 +355,7 @@ def test_weight_normalization():
     for p in [(0.5, 0.5), (0.9, 0.1), (0.5, 0.3, 0.2), (1.0, 0.0)]:
         d = len(p)
         for n in range(1, 13):
-            total = sum(
-                dim_v(lam) * schur_polynomial(lam, p)
-                for lam in enumerate_partitions(n, d)
-            )
+            total = sum(dim_v(lam) * s for lam, s in schur_polynomials(p, n).items())
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -415,9 +399,7 @@ def test_large_deviation_tail_region():
     assert holds
     assert lhs < rhs
     # direct evaluation: only (6,6)/12 lies in the region
-    expected_lhs = dim_v(Partition((6, 6))) * schur_polynomial(
-        Partition((6, 6)), (0.9, 0.1)
-    )
+    expected_lhs = dim_v(Partition((6, 6))) * schur_polynomials((0.9, 0.1), 12)[Partition((6, 6))]
     assert lhs == pytest.approx(expected_lhs, rel=1e-12)
     div = relative_entropy((0.5, 0.5), (0.9, 0.1))
     assert rhs == pytest.approx(13**3 * math.exp(-12 * div), rel=1e-12)

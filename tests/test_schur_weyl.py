@@ -20,10 +20,8 @@ from locclab.schur_weyl import (
     CONSTRUCTION_VERSION,
     BasisAlignmentError,
     build_schur_basis,
-    isotypic_projector,
     load_basis,
     load_or_build_basis,
-    permutation_operator,
     save_basis,
     schur_basis,
     standard_form,
@@ -38,7 +36,7 @@ from locclab.states import (
     state_from_schmidt,
 )
 from locclab.teleport import good_set, ideal_fidelity, run_teleport, sample_haar_unitary
-from tests_support import dense_basis_matrix
+from tests_support import dense_basis_matrix, isotypic_projector, permutation_operator
 
 
 def kron_power(mat: np.ndarray, n: int) -> np.ndarray:

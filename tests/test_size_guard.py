@@ -10,12 +10,7 @@ import pytest
 from locclab import locc, schur_weyl, states, teleport
 from locclab.locc import LoccTranscript, run_locc, teleport_protocol
 from locclab.partitions import Partition
-from locclab.schur_weyl import (
-    build_schur_basis,
-    isotypic_projector,
-    permutation_operator,
-    standard_form,
-)
+from locclab.schur_weyl import build_schur_basis, standard_form
 from locclab.states import (
     bell_state,
     bipartite_tensor_power,
@@ -27,12 +22,8 @@ from locclab.teleport import run_teleport
 PHI = state_from_schmidt((0.7, 0.3))
 BELL = bell_state(2)
 BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
-SMALL = build_schur_basis(4, 2)
-# 300 x 300 outcomes of 16 amplitudes each (23 MB) from two batches of 300 identities
-BROADCAST = {
-    Partition((3, 1)): np.broadcast_to(np.eye(3), (300, 1, 3, 3)),
-    Partition((2, 2)): np.broadcast_to(np.eye(2), (300, 2, 2)),
-}
+# one outcome at n = 10: a dense retained block it reads takes up to 3 MB
+IDENTITIES = {lam: np.eye(BASIS.blocks[lam].dim_v) for lam in teleport.good_set(10, 2)}
 
 
 def traced_peak(fn) -> int:
@@ -62,15 +53,13 @@ GUARDED_CALLS = {
     "bell_state": lambda: bell_state(400),
     "product_state": lambda: product_state(400),
     "state_from_schmidt": lambda: state_from_schmidt(np.full(300, 1 / 300)),
-    "permutation_operator": lambda: permutation_operator(tuple(np.roll(range(10), 1)), 2),
-    "isotypic_projector": lambda: isotypic_projector(Partition((5, 5)), 2),
     "build_schur_basis": lambda: build_schur_basis(10, 2),
     "SchurBlock.vectors": lambda: BASIS.blocks[Partition((6, 4))].vectors,
     "SchurBasis.matrix": lambda: BASIS.matrix,
     "standard_form": lambda: standard_form(PHI, 8),
     "run_teleport": lambda: run_teleport(PHI, 8, 0),
     "teleport_protocol": lambda: teleport_protocol(5, 2),
-    "kraus_operator": lambda: teleport.kraus_operator(SMALL, BROADCAST),
+    "kraus_operator": lambda: teleport.kraus_operator(BASIS, IDENTITIES),
     "final_state": lambda: LoccTranscript("t", 0, [], np.ones(512) / np.sqrt(512)).final_state,
 }
 
@@ -142,6 +131,15 @@ def test_real_budget_refuses_quickly(fn):
     start = time.perf_counter()
     assert refused_peak(fn) < 2**20
     assert time.perf_counter() - start < 5.0
+
+
+def test_a_count_past_the_decimal_conversion_limit_is_refused_by_name():
+    # 10**5000 has more digits than the interpreter converts to a string
+    budget = f"over the {states._MAX_BYTES}-byte budget"
+    with pytest.raises(ValueError, match=rf"^the call needs at least 2\^16609 bytes, {budget}$"):
+        states.check_bytes(10**5000, "the call")
+    with pytest.raises(ValueError, match=rf"^the call needs {2**40} bytes, {budget}$"):
+        states.check_bytes(2**40, "the call")
 
 
 @pytest.mark.parametrize("preset", [bell_state, product_state])

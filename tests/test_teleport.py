@@ -19,7 +19,6 @@ from locclab.teleport import (
     run_teleport,
     sample_haar_unitary,
 )
-from tests_support import outcome_grid, weyl_tables, weyl_tuple
 
 
 # ---------------------------------------------------------------- good set
@@ -210,53 +209,6 @@ def test_kraus_annihilates_bad_blocks():
 def test_kraus_missing_block_rejected(unitaries, match):
     with pytest.raises(ValueError, match=match):
         kraus_operator(schur_basis(4, 2), unitaries)
-
-
-def _on_grid(tables):
-    """Each block's table on its own three grid axes, length 1 elsewhere."""
-    width = 3 * len(tables)
-    return {
-        lam: table.reshape((1,) * 3 * k + table.shape[:3] + (1,) * (width - 3 * k - 3)
-                           + table.shape[3:])
-        for k, (lam, table) in enumerate(tables.items())
-    }
-
-
-def test_batched_kraus_matches_one_outcome_calls_on_the_weyl_grid():
-    basis = schur_basis(4, 2)
-    tables = weyl_tables(4, 2)
-    grid = outcome_grid(tables)
-    batch = kraus_operator(basis, _on_grid(tables))
-    assert math.prod(grid) == 144 and batch.shape == grid + (1, 16)
-    for index in np.ndindex(grid):
-        single = kraus_operator(basis, weyl_tuple(tables, index))
-        assert single.shape == (1, 16)
-        assert np.max(np.abs(batch[index] - single)) <= 1e-15
-
-
-def test_batched_kraus_matches_one_outcome_calls_on_haar_tuples():
-    basis = schur_basis(5, 2)
-    rng = np.random.default_rng(11)
-    good = good_set(5, 2)
-    stacks = {lam: np.array([sample_haar_unitary(dim_v(lam), rng) for _ in range(8)])
-              for lam in good}
-    batch = kraus_operator(basis, stacks)
-    assert batch.shape == (8, 1, 32)
-    for i in range(8):
-        single = kraus_operator(basis, {lam: stack[i] for lam, stack in stacks.items()})
-        assert np.max(np.abs(batch[i] - single)) <= 1e-15
-
-
-def test_batched_kraus_rejects_one_bad_entry():
-    basis = schur_basis(4, 2)
-    tables = weyl_tables(4, 2)
-    lam, table = next(iter(tables.items()))
-    scaled = table.copy()
-    scaled[1, 2, 0] *= 2
-    with pytest.raises(ValueError, match="not unitary"):
-        kraus_operator(basis, _on_grid({**tables, lam: scaled}))
-    with pytest.raises(ValueError, match="must be"):
-        kraus_operator(basis, _on_grid({**tables, lam: table[..., :2]}))
 
 
 def test_povm_completeness_monte_carlo():

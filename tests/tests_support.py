@@ -7,7 +7,14 @@ import numpy as np
 
 from locclab.locc import _as_factor, _as_factors, _compress
 from locclab.models import PureStateModel
-from locclab.partitions import Partition, dim_u, dim_v, enumerate_partitions, standard_tableaux
+from locclab.partitions import (
+    Partition,
+    character,
+    dim_u,
+    dim_v,
+    enumerate_partitions,
+    standard_tableaux,
+)
 from locclab.schur_weyl import schur_basis
 from locclab.teleport import good_set
 
@@ -327,3 +334,49 @@ def dense_bob_operator(n: int, d: int, m: int) -> np.ndarray:
         rows = rotated[span]
         rotated[span] = (w.T @ rows.reshape(-1, w.shape[0], d**n)).reshape(-1, d**n)
     return teleport_embedding(n, d) @ rotated
+
+
+# ----------------------------------------------------------------------
+# dense symmetric-group oracles, independent of the basis: permutation
+# operators and the character projector onto one block, each d^n x d^n
+
+
+def cycle_type(sigma) -> Partition:
+    """Cycle type of a permutation in one-line notation, as a partition."""
+    seen, lengths = [False] * len(sigma), []
+    for start in range(len(sigma)):
+        length, k = 0, start
+        while not seen[k]:
+            seen[k], k, length = True, sigma[k], length + 1
+        if length:
+            lengths.append(length)
+    return Partition(tuple(sorted(lengths, reverse=True)))
+
+
+def permutation_operator(sigma, d: int) -> np.ndarray:
+    """Operator on (C^d)^{(x)n} moving the content of factor k to factor
+    sigma(k); exact 0/1 matrix. Composition follows operator order:
+    op(sigma o tau) = op(sigma) op(tau)."""
+    n = len(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
+    dim = d**n
+    # entry j of the index tensor, axes permuted, is the image of state j
+    out = np.arange(dim).reshape((d,) * n).transpose(sigma).ravel()
+    mat = np.zeros((dim, dim))
+    mat[out, np.arange(dim)] = 1.0
+    return mat
+
+
+def isotypic_projector(lam: Partition, d: int) -> np.ndarray:
+    """Orthogonal projector onto the lambda block of (C^d)^{(x)n}, built
+    from symmetric-group characters: one scatter-add per permutation."""
+    n, dim = lam.n, d**lam.n
+    index, cols = np.arange(dim).reshape((d,) * n), np.arange(dim)
+    proj = np.zeros((dim, dim))
+    for sigma in itertools.permutations(range(n)):
+        chi = character(lam, cycle_type(sigma))
+        if chi != 0:
+            proj[index.transpose(sigma).ravel(), cols] += chi
+    proj *= dim_v(lam) / math.factorial(n)
+    return proj
