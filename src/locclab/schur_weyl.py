@@ -5,8 +5,9 @@ product of a unitary-group factor (dimension dim_u) and a symmetric-group
 factor (dimension dim_v). This module constructs an orthonormal basis
 organized by these blocks, with explicit (u, v) index maps, and extracts the
 standard form of the n-fold power of a bipartite pure state: per-block
-weights q_lambda and the state-dependent parts phi_lambda, after checking
-that every multiplicity part is the same maximally entangled state.
+weights q_lambda and the state-dependent parts phi_lambda, from the
+Schmidt decomposition of the state and each block's irreps of its local
+unitaries, with no d^n x d^n array.
 
 The basis is the Young-Yamanouchi basis, built the same way for every d
 and with no randomness: the u basis of each block comes from the joint
@@ -25,7 +26,8 @@ basis is built, stored, saved and loaded as these m_w x m_w blocks, m_w
 the multinomial count of w (Bacon-Chuang-Harrow, arXiv:quant-ph/0407082);
 the dense block columns (``SchurBlock.vectors``) and the dense d^n x d^n
 matrix (``SchurBasis.matrix``) are built on access, for callers that do
-dense arithmetic.
+dense arithmetic; the v = 0 columns of every block
+(``SchurBasis.references``) on the first access, for the standard form.
 
 The character route, kept independent of the basis and of the Schur
 evaluator to cross-check both, takes the weights by the Frobenius formula
@@ -58,16 +60,16 @@ from .partitions import (
     schur_polynomials,
     standard_tableaux,
 )
-from .states import StateVector, bipartite_tensor_power, check_bytes
+from .states import StateVector, check_bytes
 
 CONSTRUCTION_VERSION = 3
 
 _MAX_CHARACTER_N = 14
-_WEIGHT_FLOOR = 1e-14  # blocks at or below this weight are not factored
+_WEIGHT_FLOOR = 1e-14  # blocks at or below this weight carry no phi entry
 
 
 class BasisAlignmentError(RuntimeError):
-    """The multiplicity-index pairing check failed for a block."""
+    """A check that the block basis pairs the two halves of a state failed."""
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,27 @@ class SchurBasis:
         out = np.zeros(dim * dim)
         out[self._places] = self.amplitudes
         return out.reshape(dim, dim)
+
+    @cached_property
+    def references(self) -> tuple[np.ndarray, np.ndarray]:
+        """The v = 0 column of every u of every block, blocks in order, as
+        a (d^n, K) array, K = sum dim_u, and the letters of a string of each
+        column's torus weight, (K, n). Made on the first access and kept.
+        With b the columns of block lam, b^T X^{(x)n} b is the block's irrep
+        of X, the same for every v."""
+        columns = np.zeros((self.rows.size, int(self.kostka.sum())))
+        at = 0
+        for block in self.blocks.values():
+            dv = block.dim_v
+            for rows, start, amps in block.pieces:
+                columns[rows, at + start // dv : at + (start + amps.shape[1]) // dv] = amps[:, ::dv]
+            at += block.dim_u
+        blocks, weights = self.kostka.shape
+        weight = np.repeat(np.tile(np.arange(weights), blocks), self.kostka.ravel())
+        sizes = np.array([len(square) for square in self.weight_blocks])
+        firsts = self.rows[np.cumsum(sizes) - sizes]  # the first string of each weight
+        letters = np.array(np.unravel_index(firsts, (self.d,) * self.n)).T
+        return columns, letters[weight]
 
     @cached_property
     def _places(self) -> np.ndarray:
@@ -211,6 +234,15 @@ class _Strings:
             last = length - 1
             self._last[length, w] = [self.swap(length, i, last, w) for i in range(last)]
         return self._last[length, w]
+
+
+def _basis_bytes(n: int, d: int) -> int:
+    """The bytes ``build_schur_basis`` counts: the weight blocks and the
+    Young copies of one block, both at most sum_w m_w^2 floats; 2 KiB per
+    string for the reference vectors, the index arrays and the small arrays
+    and records kept per weight, which set the peak when there are few
+    letters over many."""
+    return 16 * _same_weight_pairs(n, d) + 2048 * d**n
 
 
 def _same_weight_pairs(n: int, d: int) -> int:
@@ -384,12 +416,7 @@ def build_schur_basis(n: int, d: int, seed: int | None = None) -> SchurBasis:
     as matrices. ``seed`` is ignored; it is accepted for callers that still
     pass one.
     """
-    # the weight blocks and the Young copies of one block, both at most
-    # sum_w m_w^2 floats; 2 KiB per string for the reference vectors, the
-    # index arrays and the small arrays and records kept per weight, which
-    # set the peak when there are few letters over many
-    nbytes = 16 * _same_weight_pairs(n, d) + 2048 * d**n
-    check_bytes(nbytes, f"the block basis at n={n}, d={d}")
+    check_bytes(_basis_bytes(n, d), f"the block basis at n={n}, d={d}")
     table = block_table(n, d)
     strings = _Strings(n, d)
     weights = strings.by_length[n]
@@ -532,7 +559,8 @@ class StandardForm:
     rows and columns ``basis.blocks[lam].span``) is sqrt(q_lambda) phi[lam]
     (x) 1/sqrt(dim_v): the multiplicity part sum_v |v v> / sqrt(dim_v) does
     not depend on the input state. Blocks of weight at or below 1e-14 carry
-    no phi entry.
+    no phi entry. ``spectrum`` holds the Schmidt coefficients, the squared
+    singular values of the amplitude matrix, non-increasing.
     """
 
     n: int
@@ -540,6 +568,7 @@ class StandardForm:
     weights: dict[Partition, float]
     phi: dict[Partition, np.ndarray]
     basis: SchurBasis
+    spectrum: tuple[float, ...]
 
 
 def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
@@ -551,69 +580,142 @@ def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
     return block_weights(p, n, block_table(n, len(p)), values)
 
 
+def _sum_dim_u(n: int, d: int) -> int:
+    """The sum of dim_u over the blocks of (C^d)^{(x)n}: the coefficient of
+    t^n in (1 - t)^-d (1 - t^2)^-m, m = d(d - 1)/2, by the Littlewood
+    identity for the sum of all Schur polynomials, at x_i = t."""
+    m = d * (d - 1) // 2
+    if m == 0:  # d = 1: the one block (n)
+        return 1
+    return sum(
+        math.comb(n - 2 * k + d - 1, d - 1) * math.comb(k + m - 1, k) for k in range(n // 2 + 1)
+    )
+
+
+@lru_cache(maxsize=64)
+def standard_form_bytes(n: int, d: int) -> int:
+    """The bytes ``standard_form`` counts at (n, d), memoized (the count
+    takes 14-29 us at n <= 6, d <= 4, up to a fifth of a warm call): the
+    larger of the basis build and, with K = sum dim_u, the kept basis, its
+    v = 0 columns with their letters, the Schmidt decomposition with its
+    LAPACK workspace (about 112 d^2 bytes for a complex input), and two
+    complex d^n x K arrays at once (the stacked products of U and V^H with
+    those columns and their reordered copy), which bound every later
+    array. Past d^n = 2^32, where one float a string passes the budget,
+    sum_w m_w^2 and K are bounded by d^2n and d^n, not summed. ValueError
+    unless n and d are positive."""
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
+    size = d**n
+    if size > 2**32:
+        return 88 * size * size + 112 * d * d + 2048 * size
+    width = _sum_dim_u(n, d)
+    held = 8 * _same_weight_pairs(n, d) + 1024 * size + 8 * width * (size + n)
+    return max(_basis_bytes(n, d), held + 112 * d * d + 64 * size * width)
+
+
+def _power_times(mats: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """mat^{(x)n} @ cols for each of a stack of d x d matrices, cols a
+    (d^n, k) array: products with mat^{(x)c} on c letters at a time,
+    d^c <= 16 (the n mod c left over first), each transforming the first
+    letters and moving them last, so that after the last one every letter
+    is transformed once and back in its place. Returns the stack; at most
+    two arrays of its size are held at once."""
+    count, d, k = len(mats), mats.shape[1], cols.shape[1]
+    powers = [mats]  # mat^{(x)(j + 1)} at j
+    while len(powers) < n and d ** (len(powers) + 1) <= 16:
+        product = powers[-1][:, :, None, :, None] * mats[:, None, :, None, :]
+        powers.append(product.reshape(count, d ** (len(powers) + 1), -1))
+    c, out = len(powers), cols
+    for letters in ([n % c] if n % c else []) + [c] * (n // c):
+        m = d**letters
+        step = powers[letters - 1] @ out.reshape(-1, m, len(cols) // m * k)
+        del out
+        out = step.reshape(count, m, -1, k).transpose(0, 2, 1, 3).reshape(count, -1, k)
+        del step
+    return out
+
+
 def standard_form(phi: StateVector, n: int) -> StandardForm:
     """Decompose |phi>^{(x)n} into block weights and paired-block states,
-    the u parts normalized.
+    the u parts normalized, from the Schmidt decomposition of phi.
 
-    The same real basis B is used on both halves, so by Schur-Weyl duality
-    block lam of B^T psi B is its u part x_lam (x) sum_v |v v> / sqrt(dim_v),
-    whose multiplicity factor does not depend on phi (Harrow,
-    arXiv:quant-ph/0512255). This is verified: the amplitude outside the
-    diagonal blocks is at most 1e-10, and each block differs from that
-    product by at most 1e-8 of its norm, x_lam being its partial trace over
-    v divided by sqrt(dim_v). Blocks of weight at most 1e-14 are not
-    factored; their residuals join the cross-block amplitude in a
-    reassembly residual, at most 1e-8.
+    With M = U diag(s) V^H the amplitude matrix, |phi>^{(x)n} has matrix
+    U^{(x)n} diag(s)^{(x)n} (V^H)^{(x)n}, and each factor commutes with
+    permutations. The same real basis B is used on both halves, so by
+    Schur-Weyl duality block lam of B^T psi B is
+    pi_lam(U) Delta_lam pi_lam(V^H) (x) 1_v (Harrow, arXiv:quant-ph/0512255):
+    pi_lam(X) = b^T X^{(x)n} b, b the block's v = 0 columns, is a diagonal
+    block of R(X) = B0^T X^{(x)n} B0, B0 those of every block
+    (``SchurBasis.references``), and Delta_lam is diagonal, s^w at each u
+    of torus weight w, from the block's Kostka row. X^{(x)n} acts on B0 a
+    few tensor factors at a time: no d^n x d^n array is formed, and a real
+    state (a Schmidt-form one) is decomposed and applied in real arithmetic.
+    The Gram matrices and u parts are formed block by block.
+
+    Each failed check is a BasisAlignmentError: U diag(s) V^H is M within
+    1e-12; the part of R(U) and R(V^H) outside the diagonal blocks (the
+    cross-block amplitude) is at most 1e-10; every pi_lam is unitary within
+    1e-10; and the weights sum to |phi|^(2n) within 1e-10. The v >= 1
+    columns are not read, so not checked here: the pairing they carry
+    follows from the construction, and the dense route the tests compare
+    against checks it.
     """
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
-    # six d^n x d^n complex arrays at the peak, the basis build included
-    check_bytes(6 * 16 * d ** (2 * n), f"standard_form at n={n}, d={d}")
-    phi = phi.require_normalized()
+    check_bytes(standard_form_bytes(n, d), f"standard_form at n={n}, d={d}")
+    mat = phi.require_normalized().amplitude_matrix()
+    if not mat.imag.any():  # a real state is decomposed and applied in real arithmetic
+        mat = mat.real
+    left, svals, right = np.linalg.svd(mat)
+    residual = float(np.linalg.norm((left * svals) @ right - mat))
+    if not residual <= 1e-12:
+        raise BasisAlignmentError(f"Schmidt decomposition residual {residual:.2e} above 1e-12")
     basis = schur_basis(n, d)
-
-    bmat = basis.matrix
-    coeff = bmat.T @ bipartite_tensor_power(phi, n) @ bmat
-
-    # inequivalent blocks must not mix: the owner of each row and column
-    widths = [block.dim_u * block.dim_v for block in basis.blocks.values()]
-    owner = np.repeat(np.arange(len(widths)), widths)
-    cross = float(np.linalg.norm(coeff[owner[:, None] != owner]))
-    if cross > 1e-10:
+    cols, letters = basis.references
+    powers = _power_times(np.stack([left, right]), cols, n)
+    if np.iscomplexobj(powers):  # B0^T in real arithmetic: the float view interleaves re, im
+        reps = (cols.T @ powers.view(np.float64)).view(np.complex128)
+    else:
+        reps = cols.T @ powers
+    del powers
+    # every pi_lam(U) and pi_lam(V^H), taken out of R, leaving the cross-block part
+    spans, pis, at = [], [], 0
+    for block in basis.blocks.values():
+        spans.append(slice(at, at + block.dim_u))
+        pis.append(reps[:, spans[-1], spans[-1]].copy())
+        reps[:, spans[-1], spans[-1]] = 0.0
+        at += block.dim_u
+    cross = math.sqrt(np.vdot(reps, reps).real)
+    if not cross <= 1e-10:  # NaN fails too
         raise BasisAlignmentError(f"cross-block amplitude {cross:.2e} above 1e-10")
+    del reps
+    delta = np.prod(svals[letters], axis=1)
 
-    residual_sq = cross**2
     weights: dict[Partition, float] = {}
     phis: dict[Partition, np.ndarray] = {}
-    for lam, block in basis.blocks.items():
-        du, dv = block.dim_u, block.dim_v
-        fb = coeff[block.span, block.span].reshape(du, dv, du, dv)
-        q = float(np.linalg.norm(fb) ** 2)
-        weights[lam] = q
-        u_part = np.einsum("avbv->ab", fb) / math.sqrt(dv)
-        ent = np.eye(dv) / math.sqrt(dv)
-        residual = float(np.linalg.norm(fb - np.einsum("ab,vw->avbw", u_part, ent)))
-        if q <= _WEIGHT_FLOOR:
-            residual_sq += residual**2
-            continue
-        if residual > 1e-8 * math.sqrt(q):
+    for (lam, block), span, pi in zip(basis.blocks.items(), spans, pis):
+        gram = pi.conj().transpose(0, 2, 1) @ pi
+        gram -= np.eye(block.dim_u)
+        err = math.sqrt(np.vdot(gram, gram).real)  # bounds every entry
+        if not err <= 1e-10:
+            which = int(np.vdot(gram[1], gram[1]).real > np.vdot(gram[0], gram[0]).real)
             raise BasisAlignmentError(
-                f"block {lam} does not factor against the maximally entangled "
-                f"multiplicity state: residual {residual / math.sqrt(q):.2e} of its norm"
+                f"pi_{lam}({('U', 'V^H')[which]}) is not unitary: its Gram matrices are "
+                f"{err:.2e} from the identity, above 1e-10"
             )
-        phis[lam] = u_part / np.linalg.norm(u_part)
-
-    if math.sqrt(residual_sq) > 1e-8:
-        raise BasisAlignmentError(
-            f"reassembly residual {math.sqrt(residual_sq):.2e} above 1e-8"
-        )
+        x = (pi[0] * delta[span]) @ pi[1]  # the u part
+        part = np.vdot(x, x).real
+        weights[lam] = block.dim_v * part
+        if weights[lam] > _WEIGHT_FLOOR:
+            phis[lam] = x / math.sqrt(part)
     # the blocks hold all of |phi>^(x)n, of squared norm |phi|^(2n): an
     # admitted norm 1 + 1e-10 puts that 2n * 1e-10 away from 1
-    total, expected = sum(weights.values()), phi.norm() ** (2 * n)
-    if abs(total - expected) > 1e-10:
+    total, expected = math.fsum(weights.values()), float(svals @ svals) ** n
+    if not abs(total - expected) <= 1e-10:
         raise BasisAlignmentError(f"weights sum to {total}, not |phi|^(2n) = {expected}")
-    return StandardForm(n, d, weights, phis, basis)
+    return StandardForm(n, d, weights, phis, basis, tuple((svals**2).tolist()))
 
 
 def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:

@@ -27,10 +27,15 @@ def as_generator(rng) -> tuple[np.random.Generator, int | None]:
     """The one seed normaliser: a generator and the seed to record. An int
     seeds a fresh generator (None means 0); a given generator is used as is
     and records no seed."""
+    seed = seed_of(rng)
+    return (rng if seed is None else np.random.default_rng(seed)), seed
+
+
+def seed_of(rng) -> int | None:
+    """The seed ``as_generator`` records for rng, with no generator made."""
     if isinstance(rng, (int, np.integer)) or rng is None:
-        seed = int(rng) if rng is not None else 0
-        return np.random.default_rng(seed), seed
-    return rng, None
+        return int(rng) if rng is not None else 0
+    return None
 
 
 @dataclass(frozen=True)

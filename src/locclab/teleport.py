@@ -26,10 +26,18 @@ from .partitions import (
     block_rows,
     block_table,
     block_weights,
+    dim_v,
+    enumerate_partitions,
     schur_ladder,
 )
-from .schur_weyl import SchurBasis, standard_form, weights_analytic
-from .states import StateVector, as_generator, check_bytes
+from .schur_weyl import (
+    SchurBasis,
+    schur_basis,
+    standard_form,
+    standard_form_bytes,
+    weights_analytic,
+)
+from .states import StateVector, check_bytes, seed_of
 
 
 class NothingToTeleportError(RuntimeError):
@@ -78,13 +86,41 @@ def ideal_fidelity(p: Sequence[float], n: int) -> float:
     return _retained_weight(block_table(n, len(spectrum)), weights)
 
 
+def _first_float_overflow(n_max: int, d: int) -> int | None:
+    """The least n <= n_max at which a dim_v of (C^d)^{(x)n} is beyond the
+    float range, or None. A block of n + 1 letters has at least the dim_v
+    of each block it branches to, so the largest dim_v grows with n: one
+    exact check at n_max, then a bisection."""
+
+    def overflows(n: int) -> bool:
+        try:
+            for lam in enumerate_partitions(n, d):
+                float(dim_v(lam))
+        except OverflowError:
+            return True
+        return False
+
+    if n_max < 1 or not overflows(n_max):
+        return None
+    fits, over = 0, n_max
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        fits, over = (fits, mid) if overflows(mid) else (mid, over)
+    return over
+
+
 def ideal_fidelities(p: Sequence[float], n_max: int) -> dict[int, float]:
     """``ideal_fidelity(p, n)`` for every n from 1 to n_max, bit for bit and
     with the same checks, from one Schur evaluation (``schur_ladder``). Each
     size's block table is read once, uncached (``block_rows``), so a sweep
-    evicts no memoized table."""
+    evicts no memoized table. A sweep that would reach a dim_v beyond the
+    float range is refused before it starts, with the error
+    ``block_weights`` raises at the first such n."""
     spectrum = as_spectrum(p)
     d = len(spectrum)
+    first = _first_float_overflow(n_max, d)
+    if first is not None:
+        raise ValueError(f"a dim_v at n={first} is beyond the float range")
     ladder = schur_ladder(spectrum, n_max)
     out = {}
     for n in range(1, n_max + 1):
@@ -161,17 +197,45 @@ class TeleportResult:
     that follow from it.
 
     ``success_prob`` is the retained weight, the success probability of the
-    projection step; ``final_state`` is None when the good set is empty (the
-    run is vacuous). A sampled transcript of the protocol comes from
-    ``run_locc(teleport_protocol(n, d), ...)``.
+    projection step. ``final_blocks`` is the post-recovery state in block
+    coordinates, the u part x of each retained block of non-zero weight:
+    block lam of its coefficients in the basis on both halves is x (x) 1_v.
+    It is None when the good set is empty (the run is vacuous). A sampled
+    transcript of the protocol comes from ``run_locc(teleport_protocol(n, d), ...)``.
     """
 
     n: int
     d: int
     schmidt_spectrum: tuple[float, ...]
     success_prob: float
-    final_state: StateVector | None
+    final_blocks: dict[Partition, np.ndarray] | None
     seed: int | None
+
+    @property
+    def final_state(self) -> StateVector | None:
+        """The post-recovery state on the 2n factors, normalized, built from
+        ``final_blocks`` on every access; None for a vacuous run."""
+        if self.final_blocks is None:
+            return None
+        size = self.d**self.n
+        blocks = schur_basis(self.n, self.d).blocks
+        # the state and one block's term; per block its dense columns, their
+        # reordered copy, the product with x and complex copies for products;
+        # 1 KiB per string for the small arrays
+        widest = max(blocks[lam].dim_u * blocks[lam].dim_v for lam in self.final_blocks)
+        nbytes = 32 * size * size + 64 * size * (widest + 16)
+        check_bytes(nbytes, f"the final state at n={self.n}, d={self.d}")
+        # the norm in block coordinates, a short sum: the basis is orthonormal
+        norm = math.sqrt(math.fsum(
+            blocks[lam].dim_v * np.vdot(x, x).real for lam, x in self.final_blocks.items()
+        ))
+        out = np.zeros((size, size), dtype=complex)
+        for lam, x in self.final_blocks.items():
+            du, dv = blocks[lam].dim_u, blocks[lam].dim_v
+            # columns in (v, u) order, so that x acts on the last axis
+            vecs = blocks[lam].vectors.reshape(size, du, dv).transpose(0, 2, 1).reshape(size, -1)
+            out += (vecs.reshape(size, dv, du) @ (x / norm)).reshape(size, -1) @ vecs.T
+        return StateVector(out.reshape(-1), (self.d,) * (2 * self.n))
 
     @property
     def good(self) -> tuple[Partition, ...]:
@@ -220,26 +284,27 @@ def run_teleport(
 ) -> TeleportResult:
     """Simulate one full protocol run on |phi>^{(x)n}.
 
-    Steps I-III act on the u parts of ``standard_form``'s retained blocks:
-    projection (its success probability is the retained weight), one
-    sampled outcome, then recovery and local reconstruction. The final
-    state, the one dense array, is checked against the analytic target; the
-    reported fidelity equals the retained weight.
+    Steps I-III act on the u parts of ``standard_form``'s retained blocks,
+    whose Schmidt decomposition also gives the spectrum: projection (its
+    success probability is the retained weight), Alice's measurement, then
+    recovery and local reconstruction. Recovery undoes every outcome
+    exactly, so the final state does not depend on it and none is drawn;
+    ``rng`` sets only the recorded seed. The final state is kept in block
+    coordinates and checked against the analytic target; the reported
+    fidelity equals the retained weight.
     """
-    rng, seed = as_generator(rng)
+    seed = seed_of(rng)
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
     check_local_dimension(d)
-    # six d^n x d^n complex arrays at the peak: in standard_form, or at the
-    # final state (its block coefficients, the dense basis with its scatter
-    # index, and two products, each with a complex copy of the basis)
-    check_bytes(6 * 16 * d ** (2 * n), f"run_teleport at n={n}, d={d}")
+    # standard_form's: the u parts that outlive it fit in what it counts
+    check_bytes(standard_form_bytes(n, d), f"run_teleport at n={n}, d={d}")
     phi = phi.require_normalized()
-    spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
 
     good = good_set(n, d)
     if not good:
+        spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
         return TeleportResult(n, d, spectrum, 0.0, None, seed)
 
     # step I: Alice projects onto the retained blocks; the conditioned
@@ -247,43 +312,30 @@ def run_teleport(
     form = standard_form(phi, n)
     success = math.fsum(form.weights[lam] for lam in good)
     if success < 1e-12:
-        raise NothingToTeleportError(n, d, spectrum)
-    targets = {
-        lam: math.sqrt(form.weights[lam] / success) * form.phi[lam]
-        for lam in good
-        if lam in form.phi
-    }
+        raise NothingToTeleportError(n, d, form.spectrum)
 
-    # step II: sample one outcome, a tuple of unitaries
+    # step II: Alice measures, an outcome being a unitary U per retained
+    # block; her outcome vector reads sqrt(dim_v) U[v, u] at (u, v),
+    # u < dim_u, so Bob's share of block lam is t^T U_u^dagger, U_u the
+    # first dim_u columns of U. Step III: recovery applies U_u on the
+    # multiplicity index, leaving t (U_u^dagger U_u = 1) for every outcome;
+    # that content is relabeled into a fresh register and the maximally
+    # entangled parts are reattached
     blocks = form.basis.blocks
-    unitaries = {lam: sample_haar_unitary(blocks[lam].dim_v, rng) for lam in good}
-
-    # Alice's outcome vector reads sqrt(dim_v) U[v, u] at (u, v), u < dim_u,
-    # so Bob's share of block lam is t^T U_u^dagger, U_u the first dim_u
-    # columns of U; step III: recovery undoes U on the multiplicity index,
-    # then the retained content is relabeled into a fresh register and the
-    # maximally entangled parts are reattached
-    final_coeff = np.zeros((d**n, d**n), dtype=complex)
-    overlap = 0j  # with the target, in block coordinates
-    for lam, t in targets.items():
-        block = blocks[lam]
-        du, dv = block.dim_u, block.dim_v
-        u_mat = unitaries[lam]
-        c = t.T @ u_mat[:, :du].conj().T @ u_mat  # 1 (x) U^T on the v index
-        if np.linalg.norm(c[:, du:]) > 1e-10:
-            raise AssertionError(f"recovery left weight beyond dim_u in {lam}")
-        x_rec = c[:, :du].T / math.sqrt(dv)
-        fb = np.einsum("ij,vw->ivjw", x_rec, np.eye(dv)).reshape(du * dv, du * dv)
-        final_coeff[block.span, block.span] = fb
-        overlap += math.sqrt(dv) * np.vdot(x_rec, t)
+    final: dict[Partition, np.ndarray] = {}
+    overlap, norm_sq = 0j, 0.0  # with the target, and of the final state
+    for lam in good:
+        if lam not in form.phi:
+            continue
+        dv = blocks[lam].dim_v
+        t = math.sqrt(form.weights[lam] / success) * form.phi[lam]
+        final[lam] = t / math.sqrt(dv)
+        overlap += math.sqrt(dv) * np.vdot(final[lam], t)
+        norm_sq += dv * np.vdot(final[lam], final[lam]).real
 
     # the basis is real and orthonormal, so the fidelity with the target
     # (the conditioned state) is the same in block coordinates
-    check = abs(overlap) ** 2 / np.linalg.norm(final_coeff) ** 2
+    check = abs(overlap) ** 2 / norm_sq
     if check < 1.0 - 1e-8:
         raise AssertionError(f"final state misses the analytic target: {check}")
-
-    bmat = form.basis.matrix
-    final_vec = (bmat @ final_coeff @ bmat.T).reshape(-1)
-    final_state = StateVector(final_vec, (d,) * (2 * n)).normalized()
-    return TeleportResult(n, d, spectrum, success, final_state, seed)
+    return TeleportResult(n, d, form.spectrum, success, final, seed)

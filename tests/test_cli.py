@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -233,13 +234,13 @@ def test_a_size_past_the_decimal_conversion_limit_names_the_call_and_budget(caps
 @pytest.mark.parametrize(
     "argv",
     [
-        ["teleport", "--state", "bell", "--n", "13"],
+        ["teleport", "--state", "bell", "--n", "16"],
         ["decompose", "--state", "bell", "--d", "100000", "--n", "1"],
         ["decompose", "--state", "bell", "--d", "0", "--n", "2"],
         ["detect", "--states", "bell", "product", "--d", "0"],
         ["teleport", "--state", "product", "--d", "0", "--n", "2"],
     ],
-    ids=["teleport-n13", "bell-d100000", "decompose-d0", "detect-d0", "teleport-d0"],
+    ids=["teleport-n16", "bell-d100000", "decompose-d0", "detect-d0", "teleport-d0"],
 )
 def test_sizes_and_dimensions_outside_the_guards_are_structured_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -330,6 +331,17 @@ def test_bound_sweep_leaves_the_block_table_memo_alone(capsys):
     assert code == 0 and len(out.splitlines()) == 41
     after = partitions.block_table.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+def test_bound_sweep_past_the_float_range_is_refused_before_it_starts(capsys):
+    # the sweep to n = 2000 ran 17.5 s before it reached n = 1035
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bound-sweep", "--p1", "0.6", "--n-max", "2000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "a dim_v at n=1035 is beyond the float range"
+    }
 
 
 @pytest.mark.parametrize("extra", [["--n-max", "0"], ["--n-max", "-3"], ["--n-max", "5", "--d", "2"]])

@@ -1,15 +1,17 @@
 import dataclasses
 import itertools
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from locclab import schur_weyl
+from locclab import schur_weyl, states
 from locclab.partitions import (
     Partition,
+    block_table,
     dim_u,
     dim_v,
     enumerate_partitions,
@@ -36,7 +38,16 @@ from locclab.states import (
     state_from_schmidt,
 )
 from locclab.teleport import good_set, ideal_fidelity, run_teleport, sample_haar_unitary
-from tests_support import dense_basis_matrix, isotypic_projector, permutation_operator
+from tests_support import (
+    FORM_ORACLE_SIZES,
+    LARGE_D,
+    SLOW_SIZES,
+    dense_basis_matrix,
+    dense_standard_form,
+    isotypic_projector,
+    oracle_inputs,
+    permutation_operator,
+)
 
 
 def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
@@ -508,39 +519,134 @@ def test_standard_form_accepts_blocks_at_the_weight_floor(spectrum, n):
     assert max(abs(form.weights[lam] - q) for lam, q in analytic.items()) <= 1e-9
 
 
-def _swapped_basis(n, d, a, b):
-    """The basis with matrix columns a and b exchanged."""
+def _swapped_basis(n, d, w, i, j):
+    """The basis with columns i and j of weight block w exchanged, which
+    moves them between the v = 0 columns the standard form reads."""
     basis = build_schur_basis(n, d)
-    columns = basis.columns.copy()
-    at_a, at_b = np.flatnonzero(columns == a)[0], np.flatnonzero(columns == b)[0]
-    columns[[at_a, at_b]] = b, a
-    return dataclasses.replace(basis, columns=columns)
+    amplitudes = basis.amplitudes.copy()
+    sizes = np.array([len(square) for square in basis.weight_blocks])
+    square = schur_weyl._weight_blocks(amplitudes, sizes)[w]
+    square[:, [i, j]] = square[:, [j, i]]
+    return schur_weyl._assemble(n, d, basis.kostka, amplitudes, schur_weyl._torus_weights(n, d))
+
+
+# not in Schmidt form, so U and V are not the identity: a Schmidt-form input
+# has U = V = 1, under which every basis, swapped or not, passes
+TWISTED = StateVector(np.array([0.6, 0.2 + 0.3j, -0.1j, 0.5]) / math.sqrt(0.75), (2, 2))
 
 
 def test_standard_form_and_run_teleport_refuse_mixed_blocks(monkeypatch):
+    # weight (2, 1) at n = 3 holds the u = 1 column of the retired block (3)
+    # and the (u, v) = (0, 0) and (0, 1) columns of the retained block (2,1)
     retired, kept = Partition((3, 0)), Partition((2, 1))
     assert retired not in good_set(3, 2) and kept in good_set(3, 2)
-    blocks = schur_basis(3, 2).blocks
-    swapped = _swapped_basis(3, 2, blocks[retired].span.start, blocks[kept].span.start)
+    swapped = _swapped_basis(3, 2, 1, 0, 1)
     monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
-    # not in Schmidt form, so the u parts, and with them the mixing, are not
-    # confined to one torus weight
-    amps = np.array([0.6, 0.2 + 0.3j, -0.1j, 0.5])
-    phi = StateVector(amps / np.linalg.norm(amps), (2, 2))
     with pytest.raises(BasisAlignmentError, match="cross-block amplitude"):
-        standard_form(phi, 3)
+        standard_form(TWISTED, 3)
     with pytest.raises(BasisAlignmentError, match="cross-block amplitude"):
-        run_teleport(phi, 3, 0)
+        run_teleport(TWISTED, 3, 0)
+    standard_form(state_from_schmidt((0.7, 0.3)), 3)  # U = V = 1 cannot tell
 
 
 def test_standard_form_refuses_a_block_paired_off_the_maximally_entangled_state(monkeypatch):
-    lam = Partition((2, 1))
-    start, dv = schur_basis(3, 2).blocks[lam].span.start, dim_v(lam)
-    # (u=0, v=1) and (u=1, v=0) exchanged: the multiplicity pairing is wrong
-    swapped = _swapped_basis(3, 2, start + 1, start + dv)
+    # (u, v) = (0, 0) and (0, 1) of block (2,1) exchanged: its v = 0 columns
+    # then hold two different multiplicity indices, so pi_(2,1) is not unitary
+    swapped = _swapped_basis(3, 2, 1, 1, 2)
     monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
-    with pytest.raises(BasisAlignmentError, match=r"block \(2,1\) does not factor"):
-        standard_form(state_from_schmidt((0.7, 0.3)), 3)
+    with pytest.raises(BasisAlignmentError, match=r"pi_\(2,1\)\((U|V\^H)\) is not unitary"):
+        standard_form(TWISTED, 3)
+
+
+def test_standard_form_refuses_a_schmidt_decomposition_off_the_state(monkeypatch):
+    svd = np.linalg.svd
+
+    def off(mat):
+        left, svals, right = svd(mat)
+        return left, svals * (1 + 1e-9), right
+
+    monkeypatch.setattr(np.linalg, "svd", off)
+    with pytest.raises(BasisAlignmentError, match="Schmidt decomposition residual"):
+        standard_form(TWISTED, 3)
+
+
+def test_standard_form_refuses_weights_off_the_norm(monkeypatch):
+    # a Kostka row that puts a u index of block (2,1) on the wrong weight
+    basis = build_schur_basis(3, 2)
+    kostka = basis.kostka.copy()
+    row = list(basis.blocks).index(Partition((2, 1)))
+    assert kostka[row].tolist() == [0, 1, 1, 0]
+    kostka[row] = [1, 0, 1, 0]
+    wrong = dataclasses.replace(basis, kostka=kostka)
+    monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: wrong)
+    with pytest.raises(BasisAlignmentError, match="weights sum to"):
+        standard_form(TWISTED, 3)
+
+
+# both inputs at every FORM_ORACLE_SIZES size and at a few larger d for
+# n <= 2, and the complex one at d^n = 2048 and 2187, where the dense oracle
+# takes about 2.5 s
+@pytest.mark.parametrize(
+    "n,d,which",
+    [(n, d, which) for n, d in FORM_ORACLE_SIZES + LARGE_D for which in (0, 1)]
+    + [(11, 2, 0), (7, 3, 0)],
+)
+def test_standard_form_and_success_prob_match_the_dense_oracle(n, d, which):
+    check_against_the_dense_oracle(n, d, which)
+
+
+# every n at d^n = 4096, on both inputs: the dense oracle takes 10-20 s and
+# up to 1.6 GB at each, so they run only when LOCCLAB_SLOW is set
+@pytest.mark.skipif(not os.environ.get("LOCCLAB_SLOW"), reason="set LOCCLAB_SLOW=1 to run")
+@pytest.mark.parametrize(
+    "n,d,which", [(n, d, which) for n, d in SLOW_SIZES for which in (0, 1)]
+)
+def test_standard_form_matches_the_dense_oracle_at_d_n_4096(n, d, which):
+    check_against_the_dense_oracle(n, d, which)
+
+
+def check_against_the_dense_oracle(n, d, which):
+    phi = oracle_inputs(n, d)[which]
+    form = standard_form(phi, n)
+    weights, phis = dense_standard_form(phi, n)
+    assert list(form.weights) == list(weights)
+    assert max(abs(form.weights[lam] - q) for lam, q in weights.items()) <= 1e-14
+    assert form.phi.keys() == phis.keys()
+    for lam, want in phis.items():
+        # phi is the block's u part over its norm, so a block of weight q
+        # scales the rounding of both routes by 1/sqrt(q): (4,3) at n = 7
+        # weighs 1.1e-8 here, and its phi differ by 2.9e-14, its u parts by
+        # 3e-18. The u parts are compared, and phi where q >= 1e-2.
+        got, q = form.phi[lam], weights[lam]
+        part = math.sqrt(form.weights[lam]) * got - math.sqrt(q) * want
+        assert np.max(np.abs(part)) <= 1e-14, str(lam)
+        assert q < 1e-2 or np.max(np.abs(got - want)) <= 1e-14, str(lam)
+    success = math.fsum(weights[lam] for lam in good_set(n, d))
+    if good_set(n, d) and success >= 1e-12:
+        assert abs(run_teleport(phi, n, 0).success_prob - success) <= 1e-14
+    assert np.max(np.abs(np.array(form.spectrum) - phi.schmidt_coefficients())) <= 1e-15
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (3, 3), (5, 3), (4, 4), (3, 6), (2, 32)])
+def test_references_are_the_v0_columns_of_every_block(n, d):
+    basis = build_schur_basis(n, d)
+    assert "references" not in vars(basis)  # not made by the build
+    cols, letters = basis.references
+    blocks = list(basis.blocks.values())
+    want = np.hstack([block.vectors[:, :: block.dim_v] for block in blocks])
+    assert np.array_equal(cols, want)
+    # each column lies on strings of the weight of its letters
+    counts = np.apply_along_axis(np.bincount, 1, letters, minlength=d)
+    strings = np.array(np.unravel_index(np.arange(d**n), (d,) * n)).T
+    string_counts = np.apply_along_axis(np.bincount, 1, strings, minlength=d)
+    for k in range(cols.shape[1]):
+        rows = np.flatnonzero(cols[:, k])
+        assert (string_counts[rows] == counts[k]).all()
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (12, 2), (7, 3), (6, 4), (4, 7), (2, 64), (30, 5)])
+def test_sum_of_dim_u_in_closed_form(n, d):
+    assert schur_weyl._sum_dim_u(n, d) == sum(du for _, du, _ in block_table(n, d))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -557,11 +663,21 @@ def test_a_norm_admitted_off_one_is_no_alignment_error(n):
     assert fidelity == pytest.approx(ideal_fidelity(spectrum, n), rel=1e-6)
 
 
+@pytest.mark.parametrize("n,d", [(2, 64), (2, 81), (3, 18), (1, 4828)])
+def test_standard_form_admits_the_dense_routes_sizes_at_two_and_three_letters(n, d):
+    # the dense route counted 96 d^(2n) bytes, admitting d <= 81 at n = 2 and
+    # d <= 18 at n = 3; at n = 1 the SVD's workspace stops the count at 4828
+    assert schur_weyl.standard_form_bytes(n, d) <= states._MAX_BYTES
+    assert n > 1 or schur_weyl.standard_form_bytes(n, d + 1) > states._MAX_BYTES
+
+
 def test_standard_form_rejects_bad_input():
     with pytest.raises(ValueError):
         standard_form(StateVector(np.ones(6) / math.sqrt(6), (2, 3)), 2)
-    with pytest.raises(ValueError):
-        standard_form(bell_state(2), 13)  # over the size limit
+    with pytest.raises(ValueError, match="budget"):
+        standard_form(bell_state(2), 16)  # over the size limit
+    with pytest.raises(ValueError, match="positive"):
+        standard_form(bell_state(2), 0)
 
 
 # ---------------------------------------------------------------- group-averaging checks

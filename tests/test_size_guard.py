@@ -12,6 +12,7 @@ from locclab.locc import LoccTranscript, run_locc, teleport_protocol
 from locclab.partitions import Partition
 from locclab.schur_weyl import build_schur_basis, standard_form
 from locclab.states import (
+    StateVector,
     bell_state,
     bipartite_tensor_power,
     product_state,
@@ -22,6 +23,7 @@ from locclab.teleport import run_teleport
 PHI = state_from_schmidt((0.7, 0.3))
 BELL = bell_state(2)
 BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
+RESULT = run_teleport(PHI, 9, 0)  # its final state, built on access, takes 4 MiB
 # one outcome at n = 10: a dense retained block it reads takes up to 3 MB
 IDENTITIES = {lam: np.eye(BASIS.blocks[lam].dim_v) for lam in teleport.good_set(10, 2)}
 
@@ -56,8 +58,9 @@ GUARDED_CALLS = {
     "build_schur_basis": lambda: build_schur_basis(10, 2),
     "SchurBlock.vectors": lambda: BASIS.blocks[Partition((6, 4))].vectors,
     "SchurBasis.matrix": lambda: BASIS.matrix,
-    "standard_form": lambda: standard_form(PHI, 8),
-    "run_teleport": lambda: run_teleport(PHI, 8, 0),
+    "standard_form": lambda: standard_form(PHI, 10),
+    "run_teleport": lambda: run_teleport(PHI, 10, 0),
+    "TeleportResult.final_state": lambda: RESULT.final_state,
     "teleport_protocol": lambda: teleport_protocol(5, 2),
     "kraus_operator": lambda: teleport.kraus_operator(BASIS, IDENTITIES),
     "final_state": lambda: LoccTranscript("t", 0, [], np.ones(512) / np.sqrt(512)).final_state,
@@ -98,8 +101,8 @@ def _protocol_run(n):
 # (call at d = 2, its largest n admitted by a 2^24 budget)
 EDGES = {
     "build_schur_basis": (lambda n: lambda: build_schur_basis(n, 2), 11),
-    "standard_form": (lambda n: lambda: standard_form(PHI, n), 8),
-    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 8),
+    "standard_form": (lambda n: lambda: standard_form(PHI, n), 11),
+    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 11),
     "teleport_protocol": (_protocol_run, 5),
 }
 
@@ -120,6 +123,17 @@ def test_basis_build_peak_within_its_count_at_large_d(n, d, declared):
     # few letters over many: the per-weight arrays and records, not the
     # weight blocks, set the peak here
     peak = traced_peak(lambda: build_schur_basis(n, d))
+    assert peak <= declared[0]
+
+
+@pytest.mark.parametrize("n,d", [(1, 250), (2, 20), (3, 8)])
+def test_standard_form_peak_within_its_count_at_large_d(n, d, declared):
+    # a complex input at few letters over many: the stacked products of U
+    # and V^H with the v = 0 columns are d^n x d^n, and set the peak
+    rng = np.random.default_rng(d)
+    amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    phi = StateVector(amps / np.linalg.norm(amps), (d, d))
+    peak = traced_peak(lambda: standard_form(phi, n))
     assert peak <= declared[0]
 
 

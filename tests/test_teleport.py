@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from locclab import teleport
+from locclab import states, teleport
 from locclab.partitions import Partition, block_rows, dim_u, dim_v, enumerate_partitions
 from locclab.schur_weyl import schur_basis, weights_by_projector
 from locclab.states import bell_state, product_state, state_from_schmidt
@@ -19,6 +20,7 @@ from locclab.teleport import (
     run_teleport,
     sample_haar_unitary,
 )
+from tests_support import FORM_ORACLE_SIZES, dense_final_state, oracle_inputs
 
 
 # ---------------------------------------------------------------- good set
@@ -106,6 +108,24 @@ def test_ideal_fidelity_never_exceeds_one(p, n_max, monkeypatch):
     assert max(abs(fid - old) for fid, old in zip(fids.values(), plain_sums)) <= 1e-14
     for n in (1, 2, 78, n_max // 2, n_max):
         assert ideal_fidelity(p, n) == fids[n], n
+
+
+def test_a_sweep_past_the_float_range_is_refused_before_it_starts(monkeypatch):
+    def no_sweep(p, n):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(teleport, "schur_ladder", no_sweep)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^a dim_v at n=1035 is beyond the float range$"):
+        ideal_fidelities((0.6, 0.4), 2000)
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(ValueError, match="n=1035"):
+        ideal_fidelities((0.6, 0.4), 1035)
+    assert teleport._first_float_overflow(1034, 2) is None
+    # the largest dim_v of (C^2)^(x)1035 is the first past the float range
+    assert max(dim_v(lam) for lam in enumerate_partitions(1035, 2)) > 2**1024 > max(
+        dim_v(lam) for lam in enumerate_partitions(1034, 2)
+    )
 
 
 def test_ideal_fidelity_of_an_empty_good_set_is_zero():
@@ -267,7 +287,7 @@ def test_run_teleport_vacuous_n1():
 def test_teleport_result_stores_only_what_the_run_computed():
     res = run_teleport(bell_state(2), 4, 0)
     stored = [field.name for field in dataclasses.fields(res)]
-    assert stored == ["n", "d", "schmidt_spectrum", "success_prob", "final_state", "seed"]
+    assert stored == ["n", "d", "schmidt_spectrum", "success_prob", "final_blocks", "seed"]
     assert dataclasses.replace(res, n=1).status == "vacuous"
 
 
@@ -351,5 +371,28 @@ def test_run_teleport_memory_at_admitted_sizes(p, n):
 
 
 def test_run_teleport_rejects_oversize():
-    with pytest.raises(ValueError):
-        run_teleport(bell_state(2), 13, 0)
+    with pytest.raises(ValueError, match="budget"):
+        run_teleport(bell_state(2), 16, 0)
+
+
+FINAL_ORACLE_SIZES = [(n, d) for n, d in FORM_ORACLE_SIZES if d**n <= 729]
+
+
+@pytest.mark.parametrize("n,d", FINAL_ORACLE_SIZES)
+def test_final_state_matches_the_dense_oracle(n, d):
+    for phi in oracle_inputs(n, d):
+        res = run_teleport(phi, n, 3)
+        if not good_set(n, d):
+            assert res.final_state is None
+            continue
+        final = res.final_state
+        assert final.dims == (d,) * (2 * n)
+        assert np.max(np.abs(final.amplitudes - dense_final_state(phi, n))) <= 1e-14
+
+
+def test_final_state_is_built_on_access_behind_the_guard(monkeypatch):
+    res = run_teleport(state_from_schmidt((0.7, 0.3)), 6, 0)
+    assert all(x.shape == (dim_u(lam), dim_u(lam)) for lam, x in res.final_blocks.items())
+    monkeypatch.setattr(states, "_MAX_BYTES", 2**10)
+    with pytest.raises(ValueError, match="^the final state at n=6, d=2 needs .* budget$"):
+        res.final_state

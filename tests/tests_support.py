@@ -15,7 +15,8 @@ from locclab.partitions import (
     enumerate_partitions,
     standard_tableaux,
 )
-from locclab.schur_weyl import schur_basis
+from locclab.schur_weyl import BasisAlignmentError, schur_basis
+from locclab.states import StateVector, bipartite_tensor_power, state_from_schmidt
 from locclab.teleport import good_set
 
 
@@ -139,6 +140,95 @@ def dense_block_vectors(lam: Partition, d: int) -> np.ndarray:
 def dense_basis_matrix(n: int, d: int) -> np.ndarray:
     """All dense block columns, blocks in ``enumerate_partitions`` order."""
     return np.hstack([dense_block_vectors(lam, d) for lam in enumerate_partitions(n, d)])
+
+
+# ----------------------------------------------------------------------
+# the standard form from the dense coefficient matrix B^T psi B, as the
+# library formed it before it read the Schmidt decomposition; kept as the
+# oracle of the block route, with its own checks
+
+
+def dense_standard_form(phi: StateVector, n: int):
+    """(weights, phi) of |phi>^(x)n from the dense d^n x d^n coefficients:
+    each block's weight its squared norm, its phi the partial trace over v
+    normalized. Checked: the amplitude outside the diagonal blocks is at
+    most 1e-10, each block of weight above 1e-14 differs from its u part
+    times sum_v |v v>/sqrt(dim_v) by at most 1e-8 of its norm, and those
+    residuals with the cross-block amplitude (the reassembly residual) are
+    at most 1e-8."""
+    d = phi.dims[0]
+    basis = schur_basis(n, d)
+    bmat = basis.matrix
+    coeff = bmat.T @ bipartite_tensor_power(phi, n) @ bmat
+    widths = [block.dim_u * block.dim_v for block in basis.blocks.values()]
+    owner = np.repeat(np.arange(len(widths)), widths)
+    cross = float(np.linalg.norm(coeff[owner[:, None] != owner]))
+    if cross > 1e-10:
+        raise BasisAlignmentError(f"cross-block amplitude {cross:.2e} above 1e-10")
+    residual_sq = cross**2
+    weights, phis = {}, {}
+    for lam, block in basis.blocks.items():
+        du, dv = block.dim_u, block.dim_v
+        fb = coeff[block.span, block.span].reshape(du, dv, du, dv)
+        q = math.fsum((np.abs(fb) ** 2).ravel())  # norm() ** 2 rounds by 1e-14 at d^n = 4096
+        weights[lam] = q
+        u_part = np.einsum("avbv->ab", fb) / math.sqrt(dv)
+        ent = np.eye(dv) / math.sqrt(dv)
+        residual = float(np.linalg.norm(fb - np.einsum("ab,vw->avbw", u_part, ent)))
+        if q <= 1e-14:
+            residual_sq += residual**2
+            continue
+        if residual > 1e-8 * math.sqrt(q):
+            raise BasisAlignmentError(f"block {lam} does not factor: {residual:.2e}")
+        phis[lam] = u_part / np.linalg.norm(u_part)
+    if math.sqrt(residual_sq) > 1e-8:
+        raise BasisAlignmentError(f"reassembly residual {math.sqrt(residual_sq):.2e}")
+    return weights, phis
+
+
+# every size up to d^n = 1024 for d <= 10, where the dense oracle takes at
+# most 0.5 s
+FORM_ORACLE_SIZES = [(n, d) for d in range(2, 11) for n in range(1, 11) if d**n <= 1024]
+# larger d at n <= 2, up to d^n = 1024; n = 1 stops below d = 990, where
+# enumerate_partitions recurses past Python's limit
+LARGE_D = [(1, 64), (1, 500), (2, 16), (2, 32)]
+# every n <= 12 with a d^n = 4096 (the comparisons run only on request)
+SLOW_SIZES = [(12, 2), (6, 4), (4, 8), (3, 16), (2, 64)]
+
+
+def oracle_inputs(n: int, d: int) -> list[StateVector]:
+    """A seeded random complex state and a Schmidt-form one of random
+    spectrum, the inputs of the oracle comparisons at (n, d)."""
+    rng = np.random.default_rng(100 * d + n)
+    amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    spectrum = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+    return [StateVector(amps / np.linalg.norm(amps), (d, d)), state_from_schmidt(spectrum)]
+
+
+def dense_final_state(phi: StateVector, n: int) -> np.ndarray:
+    """The transfer protocol's post-recovery state as the library built it
+    before it kept the state in block coordinates: block lam of the dense
+    coefficients is t_lam (x) 1_v / sqrt(dim_v) on the retained blocks, t the
+    conditioned u part, mapped back by the dense basis on both halves, as a
+    d^(2n) amplitude vector. It is normalized by its norm in block
+    coordinates: a BLAS sum over all d^(2n) entries rounds by up to 5e-14
+    at n = 9."""
+    d = phi.dims[0]
+    basis = schur_basis(n, d)
+    weights, phis = dense_standard_form(phi, n)
+    good = good_set(n, d)
+    success = math.fsum(weights[lam] for lam in good)
+    coeff = np.zeros((d**n, d**n), dtype=complex)
+    norm_sq = []
+    for lam in good:
+        if lam in phis:
+            block = basis.blocks[lam]
+            t = math.sqrt(weights[lam] / success) * phis[lam] / math.sqrt(block.dim_v)
+            coeff[block.span, block.span] = np.kron(t, np.eye(block.dim_v))
+            norm_sq.append(block.dim_v * np.vdot(t, t).real)
+    bmat = basis.matrix
+    vec = (bmat @ coeff @ bmat.T).reshape(-1)
+    return vec / math.sqrt(math.fsum(norm_sq))
 
 
 # ----------------------------------------------------------------------
