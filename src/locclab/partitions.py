@@ -80,52 +80,58 @@ def enumerate_partitions(n: int, d: int) -> list[Partition]:
 
     Returned in decreasing lexicographic order, e.g. (4,2) ->
     [(4,0), (3,1), (2,2)]. Each is built without re-validation
-    (``_trusted``) and afresh on every call: nothing is cached.
+    (``_trusted``) and afresh on every call: nothing is cached. The
+    prefixes are walked depth first from an explicit stack, not by
+    recursion, so d is not bounded by the recursion limit.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
+    if d == 1:
+        return [_trusted((n,))]
     out: list[Partition] = []
-    _fill(out, (), n, d, n)
+    # (prefix, boxes left, slots left, cap on the next part), depth first
+    stack = [((), n, d, n)]
+    while stack:
+        prefix, rest, slots, cap = stack.pop()
+        lo = -(-rest // slots)  # ceil: keep parts non-increasing feasible
+        top = min(cap, rest)
+        if slots == 2:  # the last part is forced, and lo keeps it <= p
+            out.extend([_trusted(prefix + (p, rest - p)) for p in range(top, lo - 1, -1)])
+        else:  # pushed smallest first, so the largest part is taken first
+            stack.extend([(prefix + (p,), rest - p, slots - 1, p) for p in range(lo, top + 1)])
     return out
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:
     """A ``Partition`` of parts known to be valid, without ``__post_init__``:
-    non-increasing Python ints summing to n >= 1, as ``_fill`` builds them."""
+    non-increasing Python ints summing to n >= 1, as
+    ``enumerate_partitions`` builds them."""
     lam = object.__new__(Partition)
     object.__setattr__(lam, "parts", parts)
     return lam
 
 
-def _fill(
-    out: list[Partition], prefix: tuple[int, ...], remaining: int, slots: int, cap: int
-):
-    # Module level, not a closure: a recursive closure is a reference cycle
-    # that would keep ``out`` alive until the cyclic garbage collector runs.
-    if slots == 1:
-        # the last part is forced, and the parent's floor keeps it <= cap
-        out.append(_trusted(prefix + (remaining,)))
-        return
-    lo = -(-remaining // slots)  # ceil: keep parts non-increasing feasible
-    for p in range(min(cap, remaining), lo - 1, -1):
-        _fill(out, prefix + (p,), remaining - p, slots - 1, p)
-
-
 def dim_u(lam: Partition) -> int:
     """Dimension of the unitary-group irreducible block for lam.
 
-    Uses the Weyl dimension formula with l_i = lam_i + d - i over the d
-    explicit slots of lam; exact integer arithmetic.
+    The Weyl dimension formula, the product over slot pairs i < j of
+    (lam_i - lam_j + j - i)/(j - i) over the d explicit slots of lam, in
+    exact integers. Pairs of two zero parts give 1, and the pairs of a
+    non-zero part i with the z = d - l zero slots, l the non-zero parts,
+    give C(lam_i + d - 1 - i, z) / C(d - 1 - i, z); so the work is O(l^2),
+    not O(d^2).
     """
-    d = lam.num_parts
-    ls = [lam.parts[i] + d - 1 - i for i in range(d)]
-    num = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= ls[i] - ls[j]
-    den = 1
-    for i in range(1, d):
-        den *= math.factorial(d - i)
+    parts = lam.parts if lam.parts[-1] else lam.trimmed()
+    zeros = lam.num_parts - len(parts)
+    num = den = 1
+    for i, part in enumerate(parts):
+        for j in range(i + 1, len(parts)):
+            num *= part - parts[j] + j - i
+            den *= j - i
+        if zeros:
+            slots = lam.num_parts - 1 - i
+            num *= math.comb(part + slots, zeros)
+            den *= math.comb(slots, zeros)
     q, r = divmod(num, den)
     assert r == 0, f"non-integer dimension for {lam}"
     return q
@@ -133,19 +139,19 @@ def dim_u(lam: Partition) -> int:
 
 def dim_v(lam: Partition) -> int:
     """Dimension of the symmetric-group irreducible block (number of
-    standard tableaux of shape lam); exact integer arithmetic."""
-    d = lam.num_parts
-    n = lam.n
-    ls = [lam.parts[i] + d - 1 - i for i in range(d)]
-    num = math.factorial(n)
-    diffs = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            diffs *= ls[i] - ls[j]
+    standard tableaux of shape lam); exact integer arithmetic over the
+    non-zero parts, since trailing zeros do not change it."""
+    parts = lam.parts if lam.parts[-1] else lam.trimmed()
+    k = len(parts)
+    ls = [parts[i] + k - 1 - i for i in range(k)]
+    num = math.factorial(sum(parts))
+    for i in range(k):
+        for j in range(i + 1, k):
+            num *= ls[i] - ls[j]
     den = 1
     for l in ls:
         den *= math.factorial(l)
-    q, r = divmod(num * diffs, den)
+    q, r = divmod(num, den)
     assert r == 0, f"non-integer dimension for {lam}"
     return q
 
@@ -256,6 +262,96 @@ def character(lam: Partition, mu: Partition) -> int:
     return _mn_character(lam.trimmed(), mu_sorted)
 
 
+class _SchurPlan(NamedTuple):
+    """The index work of ``_schur_values`` at one (n, d) (``_schur_plan``):
+    the rows of every scan's chains and their depths, scan after scan in
+    two flat arrays; per level, its scans in the order they run, each its
+    slice of the two and its doubling rounds; and the bytes one evaluation
+    declares, the plan's own included."""
+
+    order: np.ndarray
+    depth: np.ndarray
+    levels: tuple[tuple[tuple[int, int, int], ...], ...]
+    peak: int
+
+
+@lru_cache(maxsize=32)
+def _schur_plan(n: int, d: int) -> _SchurPlan:
+    """The scans of ``_schur_values`` at (n, d), memoized per (n, d) like
+    ``block_table``: they depend on (n, d) alone, so every spectrum reuses
+    them.
+
+    The scan of part j runs along the chains t, t - e_j, t - 2 e_j, ...; the
+    depth of a row t, its steps to the chain's head, is t_j - t_{j+1}. A row
+    (mu, a) keeps the depth and the head (q, a) it has in the chain of mu at
+    the level before, q mu's head; for the last part of mu its depth is
+    that part less a, and its head is the row (mu', a), mu' mu with that
+    part set to a. So heads and depths carry over from level to level, with
+    no walk along a chain. Parts j >= n are 0 in every row and are not
+    scanned. Each level is declared to the byte budget before it is laid
+    out, with the plan's bytes so far. The rows are kept in the smallest
+    unsigned type that holds them, the depths in the smallest that holds n,
+    each in one array, so that the plan is a few allocations.
+    """
+    what = f"Schur evaluation at n={n}, d={d}"
+    depth_type = np.min_scalar_type(n)
+    size, last = np.zeros(1, np.int32), np.full(1, n, np.int32)
+    chains, levels, held, kept = [], [], 0, 0
+    orders, depths = [np.empty(0, np.uint8)], [np.empty(0, depth_type)]
+    for k in range(1, d + 1):
+        count = np.minimum(n - size, last) + 1
+        # building or evaluating a level holds at most 8 (d + 6) bytes a row
+        # beside the plan so far, and 64 KiB for the headers of its arrays
+        rows_bytes = 8 * (d + 6) * int(count.sum()) + 2**16
+        check_bytes(held + rows_bytes, what)
+        start = np.cumsum(count, dtype=np.int32) - count
+        rows = np.repeat(np.arange(len(count), dtype=np.int32), count)
+        a = np.arange(len(rows), dtype=np.int32) - start[rows]  # the rows (mu, a)
+        chains = [(start[head[rows]] + a, depth[rows]) for head, depth in chains]
+        if 1 < k <= n + 1:  # mu's last part, part k - 2, can be non-zero
+            depth = (last[rows] - a).astype(depth_type)
+            chains.append((start[rows - depth] + a, depth))
+        scans = []
+        for j in reversed(range(len(chains))):
+            # the last level lifts no chains: each part's arrays go once laid out
+            head, depth = chains.pop() if k == d else chains[j]
+            order, deep = _chain_layout(head, depth)
+            scans.append((kept, kept + len(order), int(depth.max()).bit_length()))
+            kept += len(order)
+            orders.append(order)
+            depths.append(deep)
+            # each row's index (at most 4 bytes) and depth, and 512 bytes for
+            # the scan's objects
+            held += len(order) * (4 + deep.itemsize) + 512
+        levels.append(tuple(scans))
+        size, last = size[rows] + a, a
+    order = np.concatenate(orders, dtype=np.min_scalar_type(len(a) - 1))
+    depth = np.concatenate(depths, dtype=depth_type)
+    order.flags.writeable = depth.flags.writeable = False  # shared by every caller
+    return _SchurPlan(order, depth, tuple(levels), held + rows_bytes)
+
+
+def _chain_layout(head: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of every chain of more than one row, chain by chain, head
+    first and depth increasing, in the smallest unsigned type that holds
+    them, and their depths. Each row goes to its chain's start plus its
+    depth."""
+    steps = np.flatnonzero(depth).astype(np.int32)  # the rows that take a step
+    first = head[steps]
+    below = np.bincount(first, minlength=len(head))  # rows under each head
+    heads = np.flatnonzero(below).astype(np.int32)
+    length = below[heads] + 1
+    del below
+    at = np.zeros(len(head), np.int32)
+    at[heads] = np.cumsum(length) - length
+    order = np.empty(int(length.sum()), np.min_scalar_type(len(head) - 1))
+    deep = np.zeros(len(order), depth.dtype)
+    order[at[heads]] = heads
+    place = at[first] + depth[steps]
+    order[place], deep[place] = steps, depth[steps]
+    return order, deep
+
+
 def _schur_values(p: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The sizes and Schur polynomials s_t(p) of every non-increasing
     d-tuple t with |t| <= n, d = len(p), in increasing lexicographic order.
@@ -266,62 +362,43 @@ def _schur_values(p: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
     s_mu times x_k^a, and the values are carried to lam one part at a time,
     last part first: replacing mu_j by lam_j >= mu_j is U[t] += x_k U[t - e_j]
     in increasing t_j wherever t_j > t_{j+1} (t_{k-1} > a for the last part
-    of mu), one doubling scan over all rows per part. For p >= 0 every term
-    is a product of non-negative numbers, so nothing cancels (Demmel & Koev,
-    Math. Comp. 75 (2006)). A row's value depends only on the rows below it,
-    so it is the same bits whatever n is.
+    of mu). For p >= 0 every term is a product of non-negative numbers, so
+    nothing cancels (Demmel & Koev, Math. Comp. 75 (2006)). A row's value
+    depends only on the rows below it, so it is the same bits whatever n is.
+
+    The chains of each part come from the plan (``_schur_plan``); per
+    spectrum only float work remains. The rows of a scan are gathered chain
+    by chain, and each doubling round m = 1, 2, 4, ... adds x^m times the
+    row m places back to every row of depth >= m, all rows at once; a row
+    meets the same products and sums, in the same order, as under a pointer
+    chase down its chain.
     """
     if n < 1 or len(p) < 1:
         raise ValueError("n and d must be positive")
-    d = len(p)
+    plan = _schur_plan(n, len(p))
+    check_bytes(plan.peak, f"Schur evaluation at n={n}, d={len(p)}")
     # Row r for k - 1 variables is the r-th non-increasing (k-1)-tuple mu
     # with |mu| <= n in increasing lexicographic order: its size, last part
-    # and value, and per part of mu but its last the row of mu less one box
-    # in that part (-1: none). The empty tuple's "last part" n caps the
-    # first part.
-    size, last, table, pred = np.zeros(1, int), np.full(1, n), np.ones(1), []
-    for k, x in enumerate(map(float, p), 1):
+    # and value. The empty tuple's "last part" n caps the first part.
+    size, last, table = np.zeros(1, np.int32), np.full(1, n, np.int32), np.ones(1)
+    for x, scans in zip(map(float, p), plan.levels):
         count = np.minimum(n - size, last) + 1  # the last parts a that fit
-        # the last level's rows set the peak, at most 8 (d + 5) bytes each
-        check_bytes(8 * (d + 5) * int(count.sum()), f"Schur evaluation at n={n}, d={d}")
-        count = count.astype(np.int32)
         start = np.cumsum(count, dtype=np.int32) - count
         rows = np.repeat(np.arange(len(count), dtype=np.int32), count)
         a = np.arange(len(rows), dtype=np.int32) - start[rows]  # the rows (mu, a)
         u = table[rows]
         u *= np.array([x**j for j in range(count.max())])[a]
-        # mu less one box in its last part is the row before mu (the empty
-        # tuple has no part)
-        below = np.where(last > 0, np.arange(len(last), dtype=np.int32) - 1, -1)
-        lifted = []
-        for q in reversed(pred + [below] if k > 1 else []):
-            # the step from (mu, a) to (q[mu], a), where that row exists
-            q = q[rows]
-            step = np.where((q >= 0) & (a < count[q]), start[q] + a, -1)
-            del q  # one step array at a time: the peak is at the last level
-            if k < d:
-                lifted.append(step)
-                step = step.copy()
-            _doubling_scan(u, step, x)
-        size, last, table, pred = size[rows] + a, a, u, lifted[::-1]
+        for begin, end, rounds in scans:
+            order, depth = plan.order[begin:end], plan.depth[begin:end]
+            v, weight = u[order], x
+            for m in (1 << i for i in range(rounds)):
+                term = v[:-m] * weight
+                term += v[m:]
+                np.putmask(v[m:], depth[m:] >= m, term)
+                weight *= weight
+            u[order] = v
+        size, last, table = size[rows] + a, a, u
     return size, table
-
-
-def _doubling_scan(u: np.ndarray, step: np.ndarray, x: float) -> None:
-    """u[r] += x u[step[r]] along each chain of ``step`` (-1 ends a chain),
-    in increasing chain order, by pointer doubling; ``step`` is consumed."""
-    weight, live = x, np.flatnonzero(step >= 0).astype(np.int32)
-    prev = step[live]
-    while len(live):
-        term = u[prev]
-        term *= weight
-        term += u[live]
-        u[live] = term
-        prev = step[prev]  # read before any row of step moves on
-        step[live] = prev
-        keep = prev >= 0
-        live, prev = live[keep], prev[keep]
-        weight *= weight
 
 
 def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:

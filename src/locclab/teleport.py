@@ -14,6 +14,7 @@ exponentially fast in n whenever the state is entangled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -38,6 +39,10 @@ from .schur_weyl import (
     weights_analytic,
 )
 from .states import StateVector, check_bytes, seed_of
+
+# a nat below the log of the largest float, so that the rounding of a log
+# cannot hide an overflow
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1.0
 
 
 class NothingToTeleportError(RuntimeError):
@@ -133,7 +138,11 @@ def fidelity_lower_bound(p1: float, n: int, d: int) -> float:
     """Closed-form lower bound on the retained weight.
 
     1 - d(2d-3)!/((d-2)!(d-1)!) (n+1)^{d(d+1)/2} p1^n; may be negative at
-    small n, in which case it is vacuous.
+    small n, in which case it is vacuous. The correction term is sized in
+    logs first: where the product of its first two factors is a float, it
+    is that float expression; past that the term comes from its log, and a
+    term beyond the float range gives -sys.float_info.max, a finite value
+    still below the fidelity.
     """
     if d < 2:
         raise ValueError("bound requires d >= 2")
@@ -142,7 +151,11 @@ def fidelity_lower_bound(p1: float, n: int, d: int) -> float:
     coeff = d * math.factorial(2 * d - 3) // (
         math.factorial(d - 2) * math.factorial(d - 1)
     )
-    return 1.0 - coeff * (n + 1) ** (d * (d + 1) / 2) * p1**n
+    log_head = math.log(coeff) + d * (d + 1) / 2 * math.log(n + 1)
+    if log_head < _LOG_FLOAT_MAX:
+        return 1.0 - coeff * (n + 1) ** (d * (d + 1) / 2) * p1**n
+    log_term = log_head + n * math.log(p1)
+    return 1.0 - math.exp(log_term) if log_term < _LOG_FLOAT_MAX else -sys.float_info.max
 
 
 def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 import locclab
 from locclab import estimation, locc, partitions, schur_weyl, teleport
 from locclab.cli import main
-from locclab.partitions import enumerate_partitions
+from locclab.partitions import Partition, enumerate_partitions
 from locclab.teleport import ideal_fidelity
 
 
@@ -216,6 +216,22 @@ def test_teleport_refuses_d1_before_any_basis_is_built(capsys, monkeypatch, argv
     assert code == 1 and out == ""
     error = json.loads(err)
     assert error["error"] == "ValueError" and "d = 1" in error["message"]
+
+
+@pytest.mark.parametrize("d, n", [(45, 1), (36, 2), (44, 1)])
+def test_teleport_past_the_bound_float_range_reports_a_finite_vacuous_bound(capsys, d, n):
+    payload = run_json(capsys, "teleport", "--state", "bell", "--d", str(d), "--n", str(n))
+    assert payload["status"] == "vacuous"
+    assert math.isfinite(payload["bound"]) and payload["bound"] <= payload["fidelity"]
+
+
+def test_decompose_at_n_1_and_d_1000_is_one_block(capsys):
+    start = time.perf_counter()
+    payload = run_json(capsys, "decompose", "--state", "bell", "--d", "1000", "--n", "1")
+    assert time.perf_counter() - start < 5.0
+    label = str(Partition((1,) + (0,) * 999))
+    assert payload["dims"] == {label: {"dim_u": 1000, "dim_v": 1}}
+    assert abs(payload["weights"][label] - 1.0) <= 1e-12
 
 
 def test_teleport_bell_n8_is_inside_the_budget(capsys):

@@ -25,7 +25,7 @@ from locclab.partitions import (
     standard_tableaux,
 )
 from locclab.teleport import ideal_fidelity
-from tests_support import schur_polynomials_per_last_part
+from tests_support import schur_polynomials_per_last_part, schur_values_by_pointer_chase
 
 
 # ---------------------------------------------------------------- oracles
@@ -132,6 +132,14 @@ def test_trusted_enumeration_equals_validated_construction(n, d):
     assert all(type(p) is int for lam in lams for p in lam.parts)
 
 
+def test_enumeration_at_large_d_runs_no_recursion_d_deep():
+    assert [lam.parts for lam in enumerate_partitions(1, 5000)] == [(1,) + (0,) * 4999]
+    zeros = (0,) * 1997
+    assert [lam.parts for lam in enumerate_partitions(3, 2000)] == [
+        (3, 0, 0) + zeros, (2, 1, 0) + zeros, (1, 1, 1) + zeros,
+    ]
+
+
 def test_enumerate_result_freed_without_cycle_collector():
     # every weights call enumerates; a list kept alive by a reference cycle
     # would hold thousands of partitions until the cyclic collector runs
@@ -159,6 +167,37 @@ def test_dim_v_examples():
     assert dim_v(Partition((6, 0))) == 1
     assert dim_v(Partition((3, 1))) == 3
     assert dim_v(Partition((2, 2))) == 2
+
+
+def weyl_dimension_over_every_slot(lam: Partition) -> int:
+    """dim_u as the product over all slot pairs i < j of
+    (lam_i - lam_j + j - i)/(j - i), zero parts included."""
+    d = lam.num_parts
+    num = den = 1
+    for i in range(d):
+        for j in range(i + 1, d):
+            num *= lam.parts[i] - lam.parts[j] + j - i
+            den *= j - i
+    return num // den
+
+
+def test_dim_u_over_the_non_zero_parts_is_the_weyl_formula_over_every_slot():
+    for n in range(1, 9):
+        for d in range(1, 10):
+            for lam in enumerate_partitions(n, d):
+                assert dim_u(lam) == weyl_dimension_over_every_slot(lam), str(lam)
+    for lam in enumerate_partitions(3, 60) + enumerate_partitions(25, 7):
+        assert dim_u(lam) == weyl_dimension_over_every_slot(lam), str(lam)
+
+
+def test_dims_at_large_d_with_few_boxes():
+    # the symmetric and antisymmetric squares, and the one block at n = 1
+    d = 1000
+    assert dim_u(Partition((2,) + (0,) * (d - 1))) == d * (d + 1) // 2
+    assert dim_u(Partition((1, 1) + (0,) * (d - 2))) == d * (d - 1) // 2
+    assert dim_u(Partition((1,) + (0,) * (d - 1))) == d
+    assert dim_v(Partition((1,) + (0,) * (d - 1))) == 1
+    assert dim_v(Partition((2, 1) + (0,) * (d - 2))) == 2
 
 
 def test_dim_v_matches_hook_lengths():
@@ -296,8 +335,9 @@ def test_block_table_is_the_enumeration_with_exact_dimensions(n, d):
 
 
 def test_schur_polynomials_memory_at_admitted_sizes():
-    # flat arrays for one call, nothing retained: the spectra benchmark's
-    # peak RSS (perfbench/) has little room for a larger table
+    # flat arrays for one call beside the plan the first call kept: the
+    # spectra benchmark's peak RSS (perfbench/) has little room for a larger
+    # table
     p = (0.97, 0.01, 0.01, 0.01)
     schur_polynomials(p, 60)
     tracemalloc.start()
@@ -335,6 +375,55 @@ def test_one_pass_evaluator_is_the_per_last_part_one_at_small_sizes():
         for p in (FLAT.get(d, (1.0,)), SKEWED.get(d, (1.0,)), (0.6, 0.4, 0.0, 0.0, 0.0)[:d]):
             for n in range(1, 13):
                 _assert_same_bits(p, n)
+
+
+# the spectra benchmark's evaluations: its sizes and the bound-sweep ladders
+PLAN_SIZES = SPECTRA_SIZES + [(2, 20), (2, 40)]
+
+
+def _assert_planned_bits(p, n):
+    """The planned evaluation, from a cold plan and then a warm one, is the
+    pointer chase bit for bit."""
+    want_size, want = schur_values_by_pointer_chase(p, n)
+    partitions._schur_plan.cache_clear()
+    for _ in ("cold", "warm"):
+        size, got = partitions._schur_values(p, n)
+        assert size.tolist() == want_size.tolist()
+        assert got.tobytes() == want.tobytes(), (p, n)
+
+
+@pytest.mark.parametrize("d, n", PLAN_SIZES)
+@pytest.mark.parametrize("spectra", [FLAT, SKEWED], ids=["flat", "skewed"])
+def test_planned_evaluation_is_the_pointer_chase_bit_for_bit(spectra, d, n):
+    _assert_planned_bits(spectra[d], n)
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [
+        ((1.0, 0.0, 0.0), 20),  # p1 = 1 with zeros
+        ((1.0, 0.0, 0.0, 0.0, 0.0), 12),
+        ((0.7, 0.3 - 1e-100, 1e-100, 1e-300), 30),  # x^a underflows
+        ((0.6, 1e-300), 60),
+        ((1.0,), 50),  # d = 1
+        ((0.3,), 7),
+        ((0.55, 0.45), 1000),
+        ((0.97, 0.03), 1000),
+        ((0.4, 0.3, 0.2, 0.1), 2),  # fewer boxes than parts: parts j >= n
+        ((0.2,) * 5, 1),
+    ],
+)
+def test_planned_evaluation_is_the_pointer_chase_bit_for_bit_at_the_edges(p, n):
+    _assert_planned_bits(p, n)
+
+
+def test_a_repeat_evaluation_at_the_same_size_reuses_its_plan():
+    partitions._schur_plan.cache_clear()
+    schur_polynomials(FLAT[4], 40)
+    before = partitions._schur_plan.cache_info()
+    schur_ladder(SKEWED[4], 40)
+    after = partitions._schur_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 @pytest.mark.parametrize("p, n", [(SKEWED[2], 100), (FLAT[3], 28), (FLAT[4], 40), (SKEWED[5], 20)])

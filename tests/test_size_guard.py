@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locclab import locc, schur_weyl, states, teleport
+from locclab import locc, partitions, schur_weyl, states, teleport
 from locclab.locc import LoccTranscript, run_locc, teleport_protocol
 from locclab.partitions import Partition
 from locclab.schur_weyl import build_schur_basis, standard_form
@@ -29,8 +29,10 @@ IDENTITIES = {lam: np.eye(BASIS.blocks[lam].dim_v) for lam in teleport.good_set(
 
 
 def traced_peak(fn) -> int:
-    """Traced peak of fn() in bytes, from a cold basis memo."""
+    """Traced peak of fn() in bytes, from a cold basis memo and no Schur
+    evaluation plan."""
     schur_weyl._memo_basis.cache_clear()
+    partitions._schur_plan.cache_clear()
     tracemalloc.start()
     try:
         fn()
@@ -84,7 +86,7 @@ def declared(monkeypatch):
         check(nbytes, what)
 
     monkeypatch.setattr(states, "_MAX_BYTES", 2**24)
-    for module in (states, schur_weyl, teleport, locc):
+    for module in (states, partitions, schur_weyl, teleport, locc):
         monkeypatch.setattr(module, "check_bytes", record)
     return counts
 
@@ -135,6 +137,16 @@ def test_standard_form_peak_within_its_count_at_large_d(n, d, declared):
     phi = StateVector(amps / np.linalg.norm(amps), (d, d))
     peak = traced_peak(lambda: standard_form(phi, n))
     assert peak <= declared[0]
+
+
+@pytest.mark.parametrize(
+    "n,d", [(60, 4), (40, 5), (300, 2), (28, 3), (20, 8), (12, 12), (3, 100), (1, 1000)]
+)
+def test_a_cold_schur_evaluation_peaks_within_its_count(n, d, declared):
+    # the plan is built level by level, each level declared with the plan so
+    # far; the evaluation then declares the whole plan beside its last level
+    peak = traced_peak(lambda: partitions._schur_values(np.full(d, 1.0 / d), n))
+    assert peak <= max(declared)
 
 
 @pytest.mark.parametrize(

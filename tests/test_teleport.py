@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import time
 import tracemalloc
 
@@ -144,6 +145,20 @@ def test_fidelity_lower_bound_examples():
         fidelity_lower_bound(0.5, 4, 1)
     with pytest.raises(ValueError):
         fidelity_lower_bound(1.5, 4, 2)
+
+
+def test_fidelity_lower_bound_past_the_float_range_is_finite_and_vacuous():
+    # the correction term's first two factors overflow a float from d = 36 at
+    # n = 2 and d = 45 at n = 1; at d = 44, n = 1 only their product does
+    for p1, n, d in ((1 / 45, 1, 45), (1 / 36, 2, 36), (1 / 44, 1, 44), (0.001, 1, 1000)):
+        assert fidelity_lower_bound(p1, n, d) == -sys.float_info.max
+    # a term whose first factors overflow but which p1^n brings below 1
+    bound = fidelity_lower_bound(0.5, 10**6, 10)
+    assert 0.0 < bound <= 1.0
+    # just inside the float range the expression is the float one, bit for bit
+    assert fidelity_lower_bound(1 / 30, 1, 30) == 1.0 - 30 * math.factorial(57) // (
+        math.factorial(28) * math.factorial(29)
+    ) * 2 ** (30 * 31 / 2) * (1 / 30)
 
 
 def test_bound_inequality_sweep():

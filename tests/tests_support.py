@@ -189,9 +189,9 @@ def dense_standard_form(phi: StateVector, n: int):
 # every size up to d^n = 1024 for d <= 10, where the dense oracle takes at
 # most 0.5 s
 FORM_ORACLE_SIZES = [(n, d) for d in range(2, 11) for n in range(1, 11) if d**n <= 1024]
-# larger d at n <= 2, up to d^n = 1024; n = 1 stops below d = 990, where
-# enumerate_partitions recurses past Python's limit
-LARGE_D = [(1, 64), (1, 500), (2, 16), (2, 32)]
+# larger d at n <= 2, up to d^n = 1024, and n = 1 at d = 1000, past the d
+# at which a recursive enumeration of the partitions met Python's limit
+LARGE_D = [(1, 64), (1, 500), (1, 1000), (2, 16), (2, 32)]
 # every n <= 12 with a d^n = 4096 (the comparisons run only on request)
 SLOW_SIZES = [(12, 2), (6, 4), (4, 8), (3, 16), (2, 64)]
 
@@ -294,6 +294,55 @@ def schur_polynomials_per_last_part(p, n: int) -> list[float]:
         pred = [q[rows] for q in pred + [np.where(last > 0, below, -1)]]
         pred = [np.where((q >= 0) & (a < count[q]), start[q] + a, -1) for q in pred]
         size, last, table = size[rows] + a, a, values
+
+
+# ----------------------------------------------------------------------
+# the one-pass evaluator as the library had it before it kept the chains of
+# each (n, d) in a memoized plan: it laid out the steps t -> t - e_j and
+# chased them by pointer doubling on every call; kept as the bitwise oracle
+# of the planned evaluator (no size guard).
+
+
+def schur_values_by_pointer_chase(p, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes and Schur polynomials s_t(p) of every non-increasing
+    d-tuple t with |t| <= n, d = len(p), in increasing lexicographic order,
+    as ``partitions._schur_values`` returns them."""
+    size, last, table, pred = np.zeros(1, int), np.full(1, n), np.ones(1), []
+    for k, x in enumerate(map(float, p), 1):
+        count = (np.minimum(n - size, last) + 1).astype(np.int32)
+        start = np.cumsum(count, dtype=np.int32) - count
+        rows = np.repeat(np.arange(len(count), dtype=np.int32), count)
+        a = np.arange(len(rows), dtype=np.int32) - start[rows]
+        u = table[rows]
+        u *= np.array([x**j for j in range(count.max())])[a]
+        below = np.where(last > 0, np.arange(len(last), dtype=np.int32) - 1, -1)
+        lifted = []
+        for q in reversed(pred + [below] if k > 1 else []):
+            q = q[rows]
+            step = np.where((q >= 0) & (a < count[q]), start[q] + a, -1)
+            if k < len(p):
+                lifted.append(step)
+                step = step.copy()
+            doubling_scan(u, step, x)
+        size, last, table, pred = size[rows] + a, a, u, lifted[::-1]
+    return size, table
+
+
+def doubling_scan(u: np.ndarray, step: np.ndarray, x: float) -> None:
+    """u[r] += x u[step[r]] along each chain of ``step`` (-1 ends a chain),
+    in increasing chain order, by pointer doubling; ``step`` is consumed."""
+    weight, live = x, np.flatnonzero(step >= 0).astype(np.int32)
+    prev = step[live]
+    while len(live):
+        term = u[prev]
+        term *= weight
+        term += u[live]
+        u[live] = term
+        prev = step[prev]  # read before any row of step moves on
+        step[live] = prev
+        keep = prev >= 0
+        live, prev = live[keep], prev[keep]
+        weight *= weight
 
 
 # ----------------------------------------------------------------------
