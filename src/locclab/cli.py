@@ -13,15 +13,100 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from . import estimation, locc, models, schur_weyl, teleport
-from .partitions import as_spectrum, block_table
+from . import estimation, locc, models, teleport
+from .partitions import as_spectrum, block_table, spectrum_weights
 from .states import StateVector, bell_state, product_state, state_from_schmidt
 
 OUTPUT_DIR_ENV = "LOCCLAB_OUTPUT_DIR"
+
+_CONTAINERS = (dict, list, tuple)
+# Each C-encoder call costs a few microseconds to set up, about what the
+# pure-Python encoder spends on a handful of items; below this many items,
+# over a record's top level and the containers directly in it, json.dumps's
+# own encoder is the faster writer.
+_FAST_ITEMS = 32
+# json.dumps(indent=2, sort_keys=True, allow_nan=False) builds this encoder on
+# every call; it keeps no state between calls
+_STDLIB = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+
+def _encoder(item_separator: str) -> json.JSONEncoder:
+    """The compact encoder of ``main``'s settings with the given item
+    separator: with no indent, CPython's C encoder runs it."""
+    return json.JSONEncoder(
+        separators=(item_separator, ": "), sort_keys=True, allow_nan=False
+    )
+
+
+def _any_container(kinds: set[type]) -> bool:
+    return any(issubclass(kind, _CONTAINERS) for kind in kinds)
+
+
+def _indented(obj, outer: str) -> str:
+    """The text ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
+    gives the container obj when it starts at indentation outer.
+
+    The indented encoder writes each item on its own line, after ",\n" and
+    the inner indentation. So a container of scalars is one compact C
+    encoding with that item separator, its brackets then opened onto their
+    own lines; and the scalars among containers are one encoding with "\n"
+    between them, split there. An encoded scalar holds no raw newline (JSON
+    escapes every control character), so each split is unambiguous. A dict
+    whose values are all flat dicts is one encoding of the list of them,
+    split at the "},\n<indent>{" that can only join two of them."""
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        values, opener, closer = list(map(obj.__getitem__, keys)), "{", "}"
+    else:
+        keys, values, opener, closer = None, obj, "[", "]"
+    if not values:
+        return opener + closer
+    inner = outer + "  "
+    open_, close = opener + "\n" + inner, "\n" + outer + closer
+    kinds = set(map(type, values))
+    if not _any_container(kinds):
+        return open_ + _encoder(",\n" + inner).encode(obj)[1:-1] + close
+    if (keys is not None and all(issubclass(kind, dict) for kind in kinds)
+            and not _any_container(set(map(type, chain.from_iterable(map(dict.values, values)))))):
+        deeper = inner + "  "
+        bodies = _encoder(",\n" + deeper).encode(values)[2:-2].split("},\n" + deeper + "{")
+        parts = map(("{{\n" + deeper + "{}\n" + inner + "}}").format, bodies)
+        if "" in bodies:  # an empty dict
+            parts = [part if body else "{}" for part, body in zip(parts, bodies)]
+    else:
+        parts = [_indented(value, inner) if isinstance(value, _CONTAINERS) else None for value in values]
+        scalars = [value for value in values if not isinstance(value, _CONTAINERS)]
+        if scalars:
+            encoded = iter(_encoder("\n").encode(scalars)[1:-1].split("\n"))
+            parts = [next(encoded) if part is None else part for part in parts]
+    if keys is not None:
+        parts = map("{}: {}".format, map(encode_basestring_ascii, keys), parts)
+    return open_ + (",\n" + inner).join(parts) + close
+
+
+def dumps(record) -> str:
+    """``json.dumps(record, indent=2, sort_keys=True, allow_nan=False)``,
+    byte for byte, from the C encoder (``_indented``): with an indent,
+    CPython up to 3.13 runs the pure-Python encoder. A bare scalar or a
+    small record (``_FAST_ITEMS``) is written by ``json.dumps``'s own
+    encoder; so is a record the fast route cannot write, one with a NaN or
+    an infinite figure, a key that is not a string or a value JSON has no
+    form for, and that encoder then raises its own error."""
+    if isinstance(record, _CONTAINERS):
+        values = record.values() if isinstance(record, dict) else record
+        items = len(record) + sum(len(v) for v in values if isinstance(v, _CONTAINERS))
+        try:
+            if items >= _FAST_ITEMS:
+                return _indented(record, "")
+        except (TypeError, ValueError):
+            pass
+    return _STDLIB.encode(record)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -54,23 +139,17 @@ def _parse_state(text: str, d: int | None) -> tuple[StateVector, tuple[float, ..
 def cmd_decompose(args) -> dict:
     phi, spectrum = _parse_state(args.state or args.schmidt, args.d)
     d = phi.dims[0]
-    # weights_analytic keys its weights in block_table order
-    values = schur_weyl.weights_analytic(spectrum, args.n).values()
-    weights, dims, good = {}, {}, []
-    for (lam, du, dv), q in zip(block_table(args.n, d), values):
-        label = str(lam)  # once per block
-        weights[label] = q
-        dims[label] = {"dim_u": du, "dim_v": dv}
-        if du <= dv:  # the retained blocks, as teleport.good_set
-            good.append(label)
+    weights = spectrum_weights(spectrum, args.n).tolist()  # in block_table order
+    table = block_table(args.n, d)
+    labels = table.labels.split("\n")
     return {
         "n": args.n,
         "d": d,
         "schmidt_spectrum": list(spectrum),
-        "weights": weights,
-        "good_set": sorted(good),
-        "dims": dims,
-        "weight_sum": sum(weights.values()),
+        "weights": dict(zip(labels, weights)),
+        "good_set": sorted(compress(labels, table.retained)),
+        "dims": {label: {"dim_u": du, "dim_v": dv} for label, (_, du, dv) in zip(labels, table)},
+        "weight_sum": sum(weights),
     }
 
 
@@ -326,7 +405,7 @@ def main(argv=None) -> int:
         if isinstance(result, dict):
             record = {**result, "command": args.command, "seed": args.seed}
             # a NaN or infinite figure raises ValueError rather than print invalid JSON
-            result = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            result = dumps(record) + "\n"
         _write(result, args.output)
         return code
     except UsageError as exc:

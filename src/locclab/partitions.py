@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,16 +143,24 @@ def dim_v(lam: Partition) -> int:
     """Dimension of the symmetric-group irreducible block (number of
     standard tableaux of shape lam); exact integer arithmetic over the
     non-zero parts, since trailing zeros do not change it."""
+    return _dim_v(lam, math.factorial)
+
+
+def _dim_v(lam: Partition, factorial: Callable[[int], int]) -> int:
+    """``dim_v(lam)`` by the hook-length formula in its beta-number form,
+    n! prod_{i<j} (l_i - l_j) / prod_i l_i!, l_i = lam_i + k - 1 - i over
+    the k non-zero parts, with m! read from ``factorial(m)``: a table build
+    passes one table of factorials up to n + k - 1 for all its blocks."""
     parts = lam.parts if lam.parts[-1] else lam.trimmed()
     k = len(parts)
     ls = [parts[i] + k - 1 - i for i in range(k)]
-    num = math.factorial(sum(parts))
+    num = factorial(sum(parts))
     for i in range(k):
         for j in range(i + 1, k):
             num *= ls[i] - ls[j]
     den = 1
     for l in ls:
-        den *= math.factorial(l)
+        den *= factorial(l)
     q, r = divmod(num, den)
     assert r == 0, f"non-integer dimension for {lam}"
     return q
@@ -164,20 +174,57 @@ class BlockDims(NamedTuple):
     dim_v: int
 
 
-def block_rows(n: int, d: int) -> tuple[BlockDims, ...]:
+class BlockTable(tuple):
+    """The blocks of (C^d)^{(x)n} as ``BlockDims`` rows, in enumeration
+    order, with per-block columns that depend on (n, d) alone. Each column
+    is built on its first read and then kept with the table, so the
+    memoized ``block_table`` holds them for every later query of its size.
+    """
+
+    @cached_property
+    def float_dim_v(self) -> np.ndarray:
+        """dim_v as float64; OverflowError when one is beyond the float
+        range (nothing is kept then)."""
+        return np.array([float(dv) for _, _, dv in self])
+
+    @cached_property
+    def retained(self) -> np.ndarray:
+        """The boolean mask of the blocks with dim_u <= dim_v, the ones the
+        transfer protocol keeps."""
+        return np.array([du <= dv for _, du, dv in self], dtype=bool)
+
+    @cached_property
+    def labels(self) -> str:
+        """Each block's label, ``str(lam)`` as the CLI prints it, one line
+        each: a caller splits the one string, which holds them in about a
+        fifth of the bytes of a tuple of strings."""
+        return "\n".join([str(lam) for lam, _, _ in self])
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Each block's point lam/n on the simplex (``Partition.normalized``),
+        one row per block."""
+        return np.array([lam.normalized() for lam, _, _ in self])
+
+
+def block_rows(n: int, d: int) -> BlockTable:
     """Every block of (C^d)^{(x)n} in ``enumerate_partitions(n, d)`` order,
-    with its exact ``dim_u`` and ``dim_v``, built afresh on each call. A
-    caller that reads each (n, d) once, such as a sweep over n, reads this
-    rather than ``block_table``, and so evicts no table that other queries
-    reuse."""
-    return tuple(BlockDims(lam, dim_u(lam), dim_v(lam)) for lam in enumerate_partitions(n, d))
+    with its exact ``dim_u`` and ``dim_v``, built afresh on each call from
+    one table of factorials. A caller that reads each (n, d) once, such as
+    a sweep over n, reads this rather than ``block_table``, and so evicts no
+    table that other queries reuse."""
+    # the largest factorial a block needs is (lam_1 + k - 1)!, k <= min(n, d)
+    factorial = list(accumulate(range(1, n + min(n, d)), mul, initial=1)).__getitem__
+    return BlockTable(
+        BlockDims(lam, dim_u(lam), _dim_v(lam, factorial)) for lam in enumerate_partitions(n, d)
+    )
 
 
 @lru_cache(maxsize=32)
-def block_table(n: int, d: int) -> tuple[BlockDims, ...]:
-    """``block_rows(n, d)``, memoized per (n, d), like
-    ``schur_weyl.schur_basis``. The table depends only on (n, d), so every
-    spectrum query and basis of that size reads the same one."""
+def block_table(n: int, d: int) -> BlockTable:
+    """``block_rows(n, d)``, memoized per (n, d) with the columns it builds,
+    like ``schur_weyl.schur_basis``. The table depends only on (n, d), so
+    every spectrum query and basis of that size reads the same one."""
     return block_rows(n, d)
 
 
@@ -401,14 +448,20 @@ def _schur_values(p: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
     return size, table
 
 
-def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
+def schur_array(p: Sequence[float], n: int) -> np.ndarray:
     """Schur polynomials s_lam(p) of every partition lam of n with at most
-    d = len(p) parts, keyed as in ``block_table(n, d)``, in its order: the
+    d = len(p) parts, as one array in ``block_table(n, d)`` order: the
     size-n slice of one evaluation (``_schur_values``)."""
     size, values = _schur_values(p, n)
     # the tuples of size n, reversed, are in enumeration order
-    top = values[size == n][::-1]
-    return dict(zip((row.lam for row in block_table(n, len(p))), top.tolist()))
+    return values[size == n][::-1]
+
+
+def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
+    """``schur_array(p, n)`` keyed by partition, in ``block_table(n, d)``
+    order."""
+    values = schur_array(p, n).tolist()
+    return dict(zip((lam for lam, _, _ in block_table(n, len(p))), values))
 
 
 def schur_ladder(p: Sequence[float], n: int) -> list[list[float]]:
@@ -423,30 +476,39 @@ def schur_ladder(p: Sequence[float], n: int) -> list[list[float]]:
     return [part.tolist() for part in np.split(values[order], bounds)]
 
 
-def require_distribution(weights: dict[Partition, float], what: str) -> dict:
-    """The weights, unless one is below -1e-12 or their fsum is more than
-    1e-9 from 1 (or either is NaN): then ValueError."""
-    total, low = math.fsum(weights.values()), min(weights.values())
+def require_distribution(weights: Collection[float], what: str) -> None:
+    """Raise ValueError if a weight is below -1e-12 or their fsum is more
+    than 1e-9 from 1 (or either is NaN)."""
+    total, low = math.fsum(weights), min(weights)
     if not (low >= -1e-12 and abs(total - 1.0) <= 1e-9):
         raise ValueError(
             f"block weights of {what} are not a distribution: "
             f"sum {total!r}, min {low!r}"
         )
-    return weights
 
 
 def block_weights(
-    p: Sequence[float], n: int, table: Sequence[BlockDims], values: Iterable[float]
-) -> dict[Partition, float]:
-    """Block weights q_lam = dim_v(lam) * s_lam(p) at size n, from the rows
-    of ``block_table(n, d)`` and the Schur values in its order. Raises
-    ValueError when a dim_v is beyond the float range, and unless the
-    weights are non-negative and sum to 1 (``require_distribution``)."""
+    p: Sequence[float], n: int, table: BlockTable, values: Sequence[float]
+) -> np.ndarray:
+    """Block weights q_lam = dim_v(lam) * s_lam(p) at size n as one array in
+    the order of ``table``, the blocks at (n, d): its ``float_dim_v``
+    column times the Schur values in its order. Raises ValueError when a
+    dim_v is beyond the float range, and unless the weights are
+    non-negative and sum to 1 (``require_distribution``)."""
     try:
-        weights = {lam: dv * s for (lam, _, dv), s in zip(table, values)}
+        dims = table.float_dim_v
     except OverflowError as exc:
         raise ValueError(f"a dim_v at n={n} is beyond the float range") from exc
-    return require_distribution(weights, f"{tuple(p)} at n={n}")
+    weights = dims * values
+    require_distribution(weights.tolist(), f"{tuple(p)} at n={n}")
+    return weights
+
+
+def spectrum_weights(p: Sequence[float], n: int) -> np.ndarray:
+    """``block_weights`` at size n, in ``block_table(n, len(p))`` order, from
+    the memoized table and one Schur evaluation (``schur_array``): the one
+    weights route of every spectrum query."""
+    return block_weights(p, n, block_table(n, len(p)), schur_array(p, n))
 
 
 def as_spectrum(values: Iterable[float]) -> tuple[float, ...]:
@@ -508,10 +570,9 @@ def large_deviation_bound(
     """
     spectrum = as_spectrum(p)
     d = len(spectrum)
-    values = schur_polynomials(spectrum, n).values()  # in block_table order
-    weights = block_weights(spectrum, n, block_table(n, d), values)
-    points = ((lam.normalized(), q) for lam, q in weights.items())  # one per block
-    members = [(point, q) for point, q in points if region(point)]
+    weights = spectrum_weights(spectrum, n).tolist()
+    points = map(tuple, block_table(n, d).points.tolist())  # one per block
+    members = [(point, q) for point, q in zip(points, weights) if region(point)]
     if not members:
         return 0.0, 0.0, True
     lhs = sum(q for _, q in members)

@@ -50,14 +50,13 @@ import numpy as np
 from .partitions import (
     Partition,
     block_table,
-    block_weights,
     character,
     class_size,
     dim_u,
     dim_v,
     enumerate_partitions,
     require_distribution,
-    schur_polynomials,
+    spectrum_weights,
     standard_tableaux,
 )
 from .states import StateVector, check_bytes
@@ -575,9 +574,10 @@ def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
     """Block weights q_lambda = dim_v(lam) * s_lam(p) from the Schmidt
     spectrum alone; fast path that needs no matrices. Raises ValueError
     unless the weights are non-negative and sum to 1, as the matrix routes
-    check, and when a dim_v is beyond the float range (``block_weights``)."""
-    values = schur_polynomials(p, n).values()  # in block_table order
-    return block_weights(p, n, block_table(n, len(p)), values)
+    check, and when a dim_v is beyond the float range: the array of
+    ``spectrum_weights``, keyed in ``block_table`` order."""
+    weights = spectrum_weights(p, n).tolist()
+    return dict(zip((lam for lam, _, _ in block_table(n, len(p))), weights))
 
 
 def _sum_dim_u(n: int, d: int) -> int:
@@ -746,4 +746,5 @@ def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:
         lam: dv * math.fsum(character(lam, mu) * t for mu, t in classes)
         for lam, _, dv in block_table(n, phi.dims[0])
     }
-    return require_distribution(weights, f"the projector route at n={n}")
+    require_distribution(weights.values(), f"the projector route at n={n}")
+    return weights

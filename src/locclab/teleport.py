@@ -16,28 +16,22 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .partitions import (
-    BlockDims,
+    BlockTable,
     Partition,
     as_spectrum,
     block_rows,
     block_table,
     block_weights,
-    dim_v,
-    enumerate_partitions,
     schur_ladder,
+    spectrum_weights,
 )
-from .schur_weyl import (
-    SchurBasis,
-    schur_basis,
-    standard_form,
-    standard_form_bytes,
-    weights_analytic,
-)
+from .schur_weyl import SchurBasis, schur_basis, standard_form, standard_form_bytes
 from .states import StateVector, check_bytes, seed_of
 
 # a nat below the log of the largest float, so that the rounding of a log
@@ -66,28 +60,27 @@ def check_local_dimension(d: int) -> None:
 
 def good_set(n: int, d: int) -> tuple[Partition, ...]:
     """Blocks kept by the protocol, those with dim_u <= dim_v, in
-    enumeration order: a filter of the memoized ``block_table(n, d)``."""
-    return tuple(lam for lam, du, dv in block_table(n, d) if du <= dv)
+    enumeration order: the ``retained`` column of the memoized
+    ``block_table(n, d)``."""
+    table = block_table(n, d)
+    return tuple(compress((lam for lam, _, _ in table), table.retained))
 
 
-def _retained_weight(table: Sequence[BlockDims], weights: Mapping[Partition, float]) -> float:
-    """The share of the weight on the good set of ``table``: R / (R + T),
-    with R and T the ``fsum`` of the retained and the retired weights. For
-    non-negative weights it lies in [0, 1] and equals R within rounding,
+def _retained_weight(table: BlockTable, weights: np.ndarray) -> float:
+    """The share of the weights, in ``table`` order, on its good set: R / (R
+    + T), with R and T the ``fsum`` of the retained and the retired weights.
+    For non-negative weights it lies in [0, 1] and equals R within rounding,
     where a plain sum of the retained weights can pass 1. An empty good set
     gives exactly 0.0."""
-    retained, retired = [], []
-    for lam, du, dv in table:
-        (retained if du <= dv else retired).append(weights[lam])
-    kept = math.fsum(retained)
-    return kept / (kept + math.fsum(retired))
+    kept = math.fsum(weights[table.retained].tolist())
+    return kept / (kept + math.fsum(weights[~table.retained].tolist()))
 
 
 def ideal_fidelity(p: Sequence[float], n: int) -> float:
     """The share of the weight on the good set, from the Schmidt spectrum:
     in [0, 1], and the retained weight sum within rounding."""
     spectrum = as_spectrum(p)
-    weights = weights_analytic(spectrum, n)
+    weights = spectrum_weights(spectrum, n)
     return _retained_weight(block_table(n, len(spectrum)), weights)
 
 
@@ -99,8 +92,7 @@ def _first_float_overflow(n_max: int, d: int) -> int | None:
 
     def overflows(n: int) -> bool:
         try:
-            for lam in enumerate_partitions(n, d):
-                float(dim_v(lam))
+            block_rows(n, d).float_dim_v  # raises past the float range
         except OverflowError:
             return True
         return False

@@ -4,16 +4,18 @@ import json
 import math
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import locclab
-from locclab import estimation, locc, partitions, schur_weyl, teleport
+from locclab import cli, estimation, locc, partitions, teleport
 from locclab.cli import main
 from locclab.partitions import Partition, enumerate_partitions
 from locclab.teleport import ideal_fidelity
@@ -75,14 +77,15 @@ def test_a_cold_decompose_computes_each_dimension_once(capsys, monkeypatch):
     calls = collections.Counter()
 
     def counted(func):
-        def wrapper(lam):
+        def wrapper(lam, *rest):
             calls[func.__name__, lam] += 1
-            return func(lam)
+            return func(lam, *rest)
 
         return wrapper
 
-    # every module that holds its own name for either function
-    originals = (partitions.dim_u, partitions.dim_v)
+    # every module that holds its own name for any of the functions; a table
+    # build reads dim_v's formula (_dim_v) with one factorial table
+    originals = (partitions.dim_u, partitions.dim_v, partitions._dim_v)
     for info in pkgutil.iter_modules(locclab.__path__):
         module = importlib.import_module(f"locclab.{info.name}")
         for func in originals:
@@ -92,7 +95,7 @@ def test_a_cold_decompose_computes_each_dimension_once(capsys, monkeypatch):
     run_json(capsys, "decompose", "--schmidt", "0.4,0.3,0.2,0.1", "--n", "60")
     blocks = enumerate_partitions(60, 4)
     assert calls == collections.Counter(
-        {(name, lam): 1 for lam in blocks for name in ("dim_u", "dim_v")}
+        {(name, lam): 1 for lam in blocks for name in ("dim_u", "_dim_v")}
     )
 
 
@@ -105,17 +108,20 @@ def test_decompose_formats_each_block_label_once(capsys, monkeypatch):
         return label(lam)
 
     monkeypatch.setattr(partitions.Partition, "__str__", counted)
+    partitions.block_table.cache_clear()
     payload = run_json(capsys, "decompose", "--schmidt", "0.4,0.3,0.2,0.1", "--n", "60")
     blocks = enumerate_partitions(60, 4)
-    assert calls == collections.Counter(blocks)
+    assert calls == collections.Counter(blocks)  # once per memo fill
     assert list(payload["weights"]) == sorted(label(lam) for lam in blocks)
+    assert run_json(capsys, "decompose", "--schmidt", "0.4,0.3,0.2,0.1", "--n", "60")
+    assert calls == collections.Counter(blocks)  # and not at all on a warm call
 
 
 def test_decompose_non_distribution_is_a_structured_error(capsys, monkeypatch):
     def negative(p, n):
-        return dict.fromkeys(enumerate_partitions(n, len(p)), -1.0)
+        return np.full(len(enumerate_partitions(n, len(p))), -1.0)
 
-    monkeypatch.setattr(schur_weyl, "schur_polynomials", negative)
+    monkeypatch.setattr(partitions, "schur_array", negative)
     code, out, err = run_cli(capsys, "decompose", "--schmidt", "0.8,0.2", "--n", "4")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ValueError"
@@ -295,11 +301,73 @@ def test_non_finite_input_and_negative_counts_are_structured_errors(capsys, argv
 def test_a_nan_figure_is_never_printed(capsys, monkeypatch):
     nan = estimation.GapResult(math.nan, math.nan, math.nan)
     monkeypatch.setattr(estimation, "locc_gap", lambda *args: nan)
-    code, out, err = run_cli(
-        capsys, "gap", "--a", "1", "--b", "1", "--betaA", "0.5", "--betaB", "0.5"
-    )
+    argv = ["gap", "--a", "1", "--b", "1", "--betaA", "0.5", "--betaB", "0.5"]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ValueError"
+    # the very line the stdlib's indented encoder gives for the same record
+    args = cli.build_parser().parse_args(argv)
+    record = {**args.func(args), "command": "gap", "seed": 0}
+    with pytest.raises(ValueError) as exc:
+        json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    assert err == json.dumps({"error": "ValueError", "message": str(exc.value)}) + "\n"
+
+
+# ---------------------------------------------------------------- the writer
+
+# strings the writer must encode as the stdlib does: quotes, braces, what looks
+# like an item boundary once escaped, control and non-ASCII characters
+AWKWARD_STRINGS = ["", "a", '"', "\\", "{", "}", "},\n  {", '},\\n  {"', "[1,\n 2]", "\x00\x1f\t\r",
+                   "\u00e9\u4e2d\U0001f600", "\ud800", "\u2028", ": ", ",\n"]
+AWKWARD_SCALARS = [None, True, False, 0, -1, 2**70, -(10**30), 0.0, -0.0, 5e-324, 1e308,
+                   -1e308, 0.1, 1 / 3, 2.5e-300]
+
+
+def _random_record(rng, depth: int):
+    """A random value: a scalar, or a dict, list or tuple of random values,
+    empty ones and dicts of flat dicts among them."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        pool = AWKWARD_SCALARS + AWKWARD_STRINGS
+        return pool[rng.randrange(len(pool))]
+    size = rng.choice([0, 1, 2, 3, 6])
+    if roll < 0.55:
+        items = [_random_record(rng, depth - 1) for _ in range(size)]
+        return tuple(items) if rng.random() < 0.3 else items
+    keys = [rng.choice(AWKWARD_STRINGS) + str(i) for i in range(size)] + rng.sample(
+        AWKWARD_STRINGS, rng.choice([0, 2])
+    )
+    if roll < 0.75:  # a dict of flat dicts, some of them empty
+        return {key: {inner: rng.choice(AWKWARD_SCALARS) for inner in
+                      rng.sample(AWKWARD_STRINGS, rng.choice([0, 1, 2]))} for key in keys}
+    return {key: _random_record(rng, depth - 1) for key in keys}
+
+
+def test_the_writer_is_the_stdlib_indented_encoder_byte_for_byte():
+    rng = random.Random(20261020)
+    for i in range(600):
+        record = _random_record(rng, 4)
+        want = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+        assert cli.dumps(record) == want, (i, record)
+        if isinstance(record, (dict, list, tuple)):  # the C route, whatever the size
+            assert cli._indented(record, "") == want, (i, record)
+    # the CLI's own shapes: a decompose record, and keys that are not strings
+    args = cli.build_parser().parse_args(["decompose", "--schmidt", "0.4,0.3,0.2,0.1", "--n", "12"])
+    for record in (cli.cmd_decompose(args), {3: 1.0, 1: [2]}, {2.5: 1, 1.5: {}}):
+        assert cli.dumps(record) == json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [{"a": math.nan}, {"b": {"c": [1.0, -math.inf]}}, {"d": {"e": {"f": math.inf}}},
+     {math.nan: 1}, {"g": object()}, {"h": 1, 2: 3}],
+)
+def test_the_writer_raises_what_the_stdlib_encoder_raises(record):
+    with pytest.raises((TypeError, ValueError)) as want:
+        json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(want.type) as got:
+        cli.dumps(record)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------- bound sweep

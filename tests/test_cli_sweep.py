@@ -223,6 +223,8 @@ def _check_record(command: str, text: str) -> None:
                 assert bound <= fidelity, (bound, fidelity)
         return
     record = json.loads(text, parse_constant=_refuse_non_finite)
+    # byte for byte the stdlib's indented encoding of what it holds
+    assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
     assert record["command"] == command
     if "weights" in record:
         for label, weight in record["weights"].items():

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from locclab import partitions
@@ -24,8 +25,15 @@ from locclab.partitions import (
     shannon_entropy,
     standard_tableaux,
 )
-from locclab.teleport import ideal_fidelity
-from tests_support import schur_polynomials_per_last_part, schur_values_by_pointer_chase
+from locclab.schur_weyl import weights_analytic
+from locclab.teleport import ideal_fidelities, ideal_fidelity
+from tests_support import (
+    ideal_fidelities_by_dict,
+    large_deviation_bound_by_dict,
+    schur_polynomials_per_last_part,
+    schur_values_by_pointer_chase,
+    weights_by_dict,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -513,9 +521,9 @@ def test_large_deviation_beyond_float_range_names_n():
 @pytest.mark.parametrize("value", [-1e-6, 0.5, math.nan])
 def test_large_deviation_rejects_a_non_distribution(monkeypatch, value):
     def broken(p, n):
-        return dict.fromkeys(enumerate_partitions(n, len(p)), value)
+        return np.full(len(enumerate_partitions(n, len(p))), value)
 
-    monkeypatch.setattr(partitions, "schur_polynomials", broken)
+    monkeypatch.setattr(partitions, "schur_array", broken)
     with pytest.raises(ValueError, match="not a distribution"):
         large_deviation_bound((0.8, 0.2), lambda q: q[0] < 0.7, 4)
 
@@ -536,7 +544,32 @@ def test_large_deviation_reads_each_simplex_point_once(monkeypatch):
     monkeypatch.setattr(Partition, "normalized", counted)
     p = (0.4, 0.3, 0.2, 0.1)
     far = lambda q: abs(q[0] - p[0]) >= 0.1
-    large_deviation_bound(p, far, 60)
-    assert sorted(calls, key=lambda lam: lam.parts) == sorted(
-        enumerate_partitions(60, 4), key=lambda lam: lam.parts
-    )
+    block_table.cache_clear()
+    cold = large_deviation_bound(p, far, 60)
+    blocks = sorted(enumerate_partitions(60, 4), key=lambda lam: lam.parts)
+    assert sorted(calls, key=lambda lam: lam.parts) == blocks  # once per memo fill
+    assert large_deviation_bound(p, far, 60) == cold
+    assert len(calls) == len(blocks)  # and not at all on a warm call
+
+
+# d = 2 to 6, with the d >= 4 large-n sizes of the spectra benchmark
+ARRAY_ROUTE = [
+    ((0.55, 0.45), 100), ((0.97, 0.03), 100), ((0.4, 0.33, 0.27), 40),
+    ((0.97, 0.02, 0.01), 40), ((0.4, 0.3, 0.2, 0.1), 60), (SKEWED[4], 60),
+    ((0.3, 0.25, 0.2, 0.15, 0.1), 40), (SKEWED[5], 40),
+    ((0.2, 0.18, 0.17, 0.16, 0.15, 0.14), 20), ((0.95, 0.02, 0.012, 0.008, 0.006, 0.004), 20),
+]
+
+
+@pytest.mark.parametrize("p, n", ARRAY_ROUTE)
+def test_the_array_route_is_the_dict_route_bit_for_bit(p, n):
+    weights = weights_analytic(p, n)
+    want = weights_by_dict(p, n)
+    assert list(weights) == list(want)
+    assert list(weights.values()) == list(want.values())  # ==, not a tolerance
+    fidelities = ideal_fidelities_by_dict(p, n)
+    assert ideal_fidelity(p, n) == fidelities[n]
+    assert ideal_fidelities(p, n) == fidelities
+    for region in (lambda q: max(abs(a - b) for a, b in zip(q, p)) >= 0.1,
+                   lambda q: q[0] <= 0.5, lambda q: True):
+        assert large_deviation_bound(p, region, n) == large_deviation_bound_by_dict(p, region, n)

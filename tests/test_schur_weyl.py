@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from locclab import schur_weyl, states
+from locclab import partitions, schur_weyl, states
 from locclab.partitions import (
     Partition,
     block_table,
@@ -400,9 +400,9 @@ def test_weights_analytic_normalized_at_admitted_sizes(d, n):
 def test_weights_analytic_rejects_a_non_distribution(monkeypatch, value):
     # a negative weight, weights summing to more than 1, or NaN weights
     def broken(p, n):
-        return dict.fromkeys(enumerate_partitions(n, len(p)), value)
+        return np.full(len(enumerate_partitions(n, len(p))), value)
 
-    monkeypatch.setattr(schur_weyl, "schur_polynomials", broken)
+    monkeypatch.setattr(partitions, "schur_array", broken)
     with pytest.raises(ValueError, match="not a distribution"):
         weights_analytic((0.8, 0.2), 4)
 

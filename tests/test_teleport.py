@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from locclab import states, teleport
-from locclab.partitions import Partition, block_rows, dim_u, dim_v, enumerate_partitions
+from locclab.partitions import (
+    BlockTable,
+    Partition,
+    block_rows,
+    dim_u,
+    dim_v,
+    enumerate_partitions,
+)
 from locclab.schur_weyl import schur_basis, weights_by_projector
 from locclab.states import bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
@@ -78,7 +85,7 @@ def test_ideal_fidelities_keeps_the_checks_of_ideal_fidelity(monkeypatch):
     # a dim_v beyond the float range, first met at n = 3
     def huge_at_3(n, d):
         rows = block_rows(n, d)
-        return tuple(row._replace(dim_v=10**400) for row in rows) if n == 3 else rows
+        return BlockTable(row._replace(dim_v=10**400) for row in rows) if n == 3 else rows
 
     monkeypatch.setattr(teleport, "block_rows", huge_at_3)
     with pytest.raises(ValueError, match="a dim_v at n=3 is beyond the float range"):
@@ -100,7 +107,7 @@ def test_ideal_fidelity_never_exceeds_one(p, n_max, monkeypatch):
 
     def with_plain_sum(table, weights):
         # the retained weights summed as before, beside the reported share
-        plain_sums.append(sum(weights[lam] for lam, du, dv in table if du <= dv))
+        plain_sums.append(sum(q for q, kept in zip(weights.tolist(), table.retained) if kept))
         return retained_weight(table, weights)
 
     monkeypatch.setattr(teleport, "_retained_weight", with_plain_sum)

@@ -9,10 +9,13 @@ from locclab.locc import _as_factor, _as_factors, _compress
 from locclab.models import PureStateModel
 from locclab.partitions import (
     Partition,
+    as_spectrum,
     character,
     dim_u,
     dim_v,
     enumerate_partitions,
+    relative_entropy,
+    schur_ladder,
     standard_tableaux,
 )
 from locclab.schur_weyl import BasisAlignmentError, schur_basis
@@ -294,6 +297,58 @@ def schur_polynomials_per_last_part(p, n: int) -> list[float]:
         pred = [q[rows] for q in pred + [np.where(last > 0, below, -1)]]
         pred = [np.where((q >= 0) & (a < count[q]), start[q] + a, -1) for q in pred]
         size, last, table = size[rows] + a, a, values
+
+
+# ----------------------------------------------------------------------
+# the spectrum queries as the library had them before they read one weights
+# array and the columns of the memoized block table: weights in a dict keyed
+# by partition, each dim_v from its own factorials, each retained test and
+# simplex point worked out per call; kept as the bitwise oracle of the array
+# route.
+
+
+def _weights_by_dict(p, n: int, values) -> dict[Partition, float]:
+    weights = {lam: dim_v(lam) * s for lam, s in zip(enumerate_partitions(n, len(p)), values)}
+    total, low = math.fsum(weights.values()), min(weights.values())
+    if not (low >= -1e-12 and abs(total - 1.0) <= 1e-9):
+        raise ValueError(f"block weights of {tuple(p)} at n={n} are not a distribution")
+    return weights
+
+
+def weights_by_dict(p, n: int) -> dict[Partition, float]:
+    """q_lam = dim_v(lam) * s_lam(p) of every block at (n, len(p))."""
+    return _weights_by_dict(p, n, schur_ladder(p, n)[n])
+
+
+def _retained_share(weights: dict[Partition, float]) -> float:
+    retained, retired = [], []
+    for lam, q in weights.items():
+        (retained if dim_u(lam) <= dim_v(lam) else retired).append(q)
+    kept = math.fsum(retained)
+    return kept / (kept + math.fsum(retired))
+
+
+def ideal_fidelities_by_dict(p, n_max: int) -> dict[int, float]:
+    """The retained share R / (R + T) at every n from 1 to n_max."""
+    spectrum = as_spectrum(p)
+    ladder = schur_ladder(spectrum, n_max)
+    return {
+        n: _retained_share(_weights_by_dict(spectrum, n, ladder[n])) for n in range(1, n_max + 1)
+    }
+
+
+def large_deviation_bound_by_dict(p, region, n: int) -> tuple[float, float, bool]:
+    """(lhs, rhs, holds) of ``partitions.large_deviation_bound``."""
+    spectrum = as_spectrum(p)
+    d = len(spectrum)
+    points = ((lam.normalized(), q) for lam, q in weights_by_dict(spectrum, n).items())
+    members = [(point, q) for point, q in points if region(point)]
+    if not members:
+        return 0.0, 0.0, True
+    lhs = sum(q for _, q in members)
+    min_div = min(relative_entropy(point, spectrum) for point, _ in members)
+    rhs = (n + 1) ** (d * (d + 1) / 2) * math.exp(-n * min_div)
+    return lhs, rhs, lhs <= rhs
 
 
 # ----------------------------------------------------------------------
