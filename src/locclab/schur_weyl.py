@@ -9,15 +9,22 @@ weights q_lambda and the state-dependent parts phi_lambda, from the
 Schmidt decomposition of the state and each block's irreps of its local
 unitaries, with no d^n x d^n array.
 
-The basis is the Young-Yamanouchi basis, built the same way for every d
-and with no randomness: the u basis of each block comes from the joint
-eigenspace of the Jucys-Murphy elements on one reference tableau, and
-Young's orthogonal form carries it to the other standard tableaux, which
-label v. Basis vectors are real throughout, since the construction only
-diagonalizes real symmetric compressions of permutations and applies
-real orthogonal combinations. Realness is what makes the same basis
-usable verbatim on both halves of a bipartite state (the pairing of
-multiplicity indices involves an entrywise conjugate).
+The basis is the Young-Yamanouchi basis (Okounkov-Vershik, Selecta Math.
+2 (1996)), built the same way for every d and with no randomness: the u
+basis of each block is built on its row-reading tableau T0, and Young's
+orthogonal form carries it to the other standard tableaux, which label v.
+On T0 the u basis is the image of the Young symmetrizer R C, the column
+antisymmetrizer of T0 followed by its row symmetrizer: s_k fixes the T0
+vectors when letters k and k + 1 share a row, so they lie in
+Sym^{lam_1} (x) Sym^{lam_2} (x) ..., which holds V_lam once (Kostka
+number K_{lam lam} = 1), and that copy is the image of R C. Its weight-w
+part is spanned by the images of the strings of the semistandard tableaux
+of content w (Fulton, Young Tableaux (1997), sections 7-8), orthonormalized
+by Gram-Schmidt in tableau order. Basis vectors are real throughout, since
+the construction only sums permutations of strings with integer signs and
+applies real triangular and orthogonal combinations. Realness is what
+makes the same basis usable verbatim on both halves of a bipartite state
+(the pairing of multiplicity indices involves an entrywise conjugate).
 
 Permutations keep the torus weight of a string (its letter counts), so
 every basis vector lies in the span of the strings of one weight w, and
@@ -39,6 +46,7 @@ allocate to ``states.check_bytes``, the one size guard.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -61,7 +69,7 @@ from .partitions import (
 )
 from .states import StateVector, check_bytes
 
-CONSTRUCTION_VERSION = 3
+CONSTRUCTION_VERSION = 4
 
 _MAX_CHARACTER_N = 14
 _WEIGHT_FLOOR = 1e-14  # blocks at or below this weight carry no phi entry
@@ -193,10 +201,7 @@ class _TorusWeights:
 
 
 def _torus_weights(length: int, d: int) -> _TorusWeights:
-    shape = (d,) * length
-    letters = np.array(np.unravel_index(np.arange(d**length), shape))
-    letters.sort(axis=0)
-    _, label = np.unique(np.ravel_multi_index(tuple(letters), shape), return_inverse=True)
+    _, label = np.unique(_sorted_codes(length, d), return_inverse=True)
     order = np.argsort(label, kind="stable")
     sizes = np.bincount(label)
     starts = np.concatenate(([0], np.cumsum(sizes)))
@@ -206,42 +211,52 @@ def _torus_weights(length: int, d: int) -> _TorusWeights:
 
 
 class _Strings:
-    """The torus weights of the strings of 1..n letters over d
-    (``by_length``), and the permutations that exchange two letters, as
-    maps from each string's place in its weight to the place of its image;
-    made for one build."""
+    """The strings of n letters over d grouped by torus weight (``weights``),
+    and the permutations that exchange two letters, as maps from each
+    string's place in its weight to the place of its image; made for one
+    build."""
 
     def __init__(self, n: int, d: int):
-        self.d = d
-        self.by_length = [None] + [_torus_weights(k, d) for k in range(1, n + 1)]
-        self._swaps: dict[tuple[int, int, int], np.ndarray] = {}
-        self._last: dict[tuple[int, int], list[np.ndarray]] = {}
+        self.n, self.d = n, d
+        self.weights = _torus_weights(n, d)
+        self._swaps: dict[tuple[int, int], np.ndarray] = {}
 
-    def swap(self, length: int, i: int, j: int, w: int) -> np.ndarray:
+    def swap(self, i: int, j: int, w: int) -> np.ndarray:
         """Letters i and j exchanged, on the strings of weight w."""
-        key = (length, i, j)
-        weights = self.by_length[length]
-        if key not in self._swaps:
-            codes = np.arange(self.d**length).reshape((self.d,) * length)
-            self._swaps[key] = weights.rank[codes.swapaxes(i, j).ravel()[weights.order]]
-        return self._swaps[key][weights.starts[w] : weights.starts[w + 1]]
-
-    def swaps_with_last(self, length: int, w: int) -> list[np.ndarray]:
-        """``swap(length, i, length - 1, w)`` for every i < length - 1: the
-        terms of the Jucys-Murphy element of the last letter."""
-        if (length, w) not in self._last:
-            last = length - 1
-            self._last[length, w] = [self.swap(length, i, last, w) for i in range(last)]
-        return self._last[length, w]
+        weights = self.weights
+        if (i, j) not in self._swaps:
+            codes = np.arange(self.d**self.n).reshape((self.d,) * self.n)
+            self._swaps[i, j] = weights.rank[codes.swapaxes(i, j).ravel()[weights.order]]
+        return self._swaps[i, j][weights.starts[w] : weights.starts[w + 1]]
 
 
 def _basis_bytes(n: int, d: int) -> int:
-    """The bytes ``build_schur_basis`` counts: the weight blocks and the
-    Young copies of one block, both at most sum_w m_w^2 floats; 2 KiB per
-    string for the reference vectors, the index arrays and the small arrays
-    and records kept per weight, which set the peak when there are few
-    letters over many."""
-    return 16 * _same_weight_pairs(n, d) + 2048 * d**n
+    """The bytes ``build_schur_basis`` counts.
+
+    - The weight blocks and the Young copies of one block, both at most
+      sum_w m_w^2 floats.
+    - The letters of every string, n x d^n indices, from which the sorted
+      code of each string is read.
+    - The terms of one block: for each of its K = dim_u semistandard
+      tableaux and each of the prod_j mu_j! permutations of its columns
+      (mu_j the column lengths), the code of the permuted string with its
+      row class, place and sign, 64 bytes; and 24 n bytes per permutation
+      for the permutations themselves.
+    - The per-weight stacks of one block, at most 48 bytes per entry of
+      its u basis. They are built while the copies of the block before are
+      held; the copies of all blocks together are sum_w m_w^2 floats, and a
+      block holds at most dim_v d^n entries (a Kostka number is at most
+      dim_v), so the stacks pass the first term by at most
+      max_v (48 - 8 v) v d^n = 72 d^n bytes.
+    - 2 KiB per string for the index arrays and the small arrays and
+      records kept per weight, which set the peak when there are few
+      letters over many.
+    """
+    terms = max(
+        (64 * du + 24 * n) * math.prod(map(math.factorial, _column_lengths(lam)))
+        for lam, du, _ in block_table(n, d)
+    )
+    return 16 * _same_weight_pairs(n, d) + (2048 + 72 + 8 * n) * d**n + terms
 
 
 def _same_weight_pairs(n: int, d: int) -> int:
@@ -265,91 +280,193 @@ def _same_weight_pairs(n: int, d: int) -> int:
     return out[n]
 
 
-def _contents(word: tuple[int, ...]) -> list[int]:
-    """Content (column minus row) of each letter of a Yamanouchi word."""
-    filled = [0] * (max(word) + 1)
-    out = []
-    for row in word:
-        out.append(filled[row] - row)
-        filled[row] += 1
+def _column_lengths(lam: Partition) -> list[int]:
+    """The length of each column of the Young diagram of lam, left to right."""
+    parts = lam.trimmed()
+    return [sum(part > j for part in parts) for j in range(parts[0])]
+
+
+def _semistandard_strings(lam: Partition, d: int) -> np.ndarray:
+    """Every semistandard tableau of shape lam with letters below d, as the
+    string of its entries read row by row (the positions of the row-reading
+    tableau T0), in increasing code order: a (K, n) array, K = dim_u(lam).
+    Built row by row from the non-decreasing rows: box j of row i sits in a
+    column of length mu_j and takes a letter above the box over it and at
+    most d - mu_j + i, so that every partial filling completes."""
+    parts = lam.trimmed()
+    lengths = np.array(_column_lengths(lam))
+    out, above = np.zeros((1, 0), dtype=np.int64), np.full((1, parts[0]), -1)
+    for i, part in enumerate(parts):
+        rows = np.array(list(itertools.combinations_with_replacement(range(d), part)))
+        rows = rows[(rows <= d - lengths[:part] + i).all(axis=1)]
+        old, new = np.nonzero((rows > above[:, None, :part]).all(axis=2))
+        out, above = np.hstack([out[old], rows[new]]), rows[new]
     return out
 
 
-def _reference_vectors(lam: Partition, d: int, strings: _Strings, path: list) -> list:
+def _column_group(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation q of the positions of T0 that keeps each column,
+    as the (|Q|, n) positions a string is read through, with its sign."""
+    parts = lam.trimmed()
+    starts = np.cumsum((0,) + parts)[:-1]
+    tall = [m for m in _column_lengths(lam) if m > 1]  # the first columns, longest first
+    sizes = [math.factorial(m) for m in tall]
+    choices = np.indices(sizes).reshape(len(tall), math.prod(sizes)).T
+    perms = np.tile(np.arange(lam.n), (len(choices), 1))
+    signs = np.ones(len(choices))
+    for m in sorted(set(tall)):
+        cols = [j for j, length in enumerate(tall) if length == m]
+        orders = np.array(list(itertools.permutations(range(m))))
+        above = np.triu(np.ones((m, m), dtype=bool), 1)
+        inversions = ((orders[:, :, None] > orders[:, None, :]) & above).sum(axis=(1, 2))
+        parity = 1 - 2 * (inversions % 2)
+        positions = starts[:m] + np.array(cols)[:, None]  # (columns, m)
+        pick = orders[choices[:, cols]]  # (|Q|, columns, m)
+        perms[:, positions] = positions[np.arange(len(cols))[:, None], pick]
+        signs *= parity[choices[:, cols]].prod(axis=1)
+    return perms, signs
+
+
+def _sorted_codes(length: int, d: int) -> np.ndarray:
+    """The code of each of the d^length strings of ``length`` letters with
+    its letters sorted, the smallest code of its torus weight."""
+    letters = np.indices((d,) * length).reshape(length, -1)
+    letters.sort(axis=0)
+    code = np.zeros(letters.shape[1], dtype=np.int64)
+    for row in letters:
+        code *= d
+        code += row
+    return code
+
+
+def _row_classes(codes: np.ndarray, lam: Partition, d: int, sorted_codes: dict) -> np.ndarray:
+    """The code of each string with the letters within each row of T0
+    sorted, the smallest code of its row class: strings the row group of T0
+    maps to one another share it. ``sorted_codes[l]`` is
+    ``_sorted_codes(l, d)``."""
+    out, end = np.zeros_like(codes), 0
+    for part in lam.trimmed():
+        end += part
+        scale = d ** (lam.n - end)
+        out += sorted_codes[part][codes // scale % d**part] * scale
+    return out
+
+
+def _reference_vectors(lam: Partition, d: int, strings: _Strings, sorted_codes: dict) -> list:
     """The u basis of the lam block, on its row-reading tableau T0, as
     (w, amplitudes on the strings of weight w) per torus weight w, highest
     first.
 
-    Letter by letter, the space W built so far is widened to W (x) C^d,
-    compressed onto X_k = sum_{i<k} (i k), and cut to the eigenvectors of
-    eigenvalue c_k(T0); the eigenvalues are integers, so the cut is exact.
-    Permutations keep the torus weight, so each weight is widened and
-    diagonalized on its own strings. Each column's first non-zero entry is
-    positive.
-
-    The spaces depend only on the word read so far. ``path`` holds (letter,
-    spaces after it) along the word of the block built before and is cut
-    back to the prefix the two words share, then extended along this one;
-    blocks in decreasing lex order have their words in increasing lex
-    order, so the block before shares the longest prefix.
+    It is the image of R C, C = sum_q sgn(q) q over the column group of T0
+    and R = sum_p p over its row group, whose weight-w part is spanned by
+    the images of the strings of the semistandard tableaux of content w
+    (``_semistandard_strings``). An image is constant on row classes
+    (strings equal up to reordering the letters within each row of T0), so
+    the images are formed on classes: class c gets stab(c) sum_q sgn(q)
+    [q s in c], stab(c) = |R| / |c| the permutations of the row group that
+    fix one string of c. Each weight's images are orthonormalized in the
+    metric |c| by Gram-Schmidt in tableau order (a Cholesky factor of the
+    Gram matrix, then forward substitution), the weights with k tableaux
+    as one (classes, k) stack for each k, and expanded to strings by one
+    gather. Each column's first non-zero entry is positive.
     """
-    word = tuple(row for row, part in enumerate(lam.parts) for _ in range(part))
-    contents = _contents(word)
-    shared = 1  # every word starts with letter 0
-    while shared < min(len(path), lam.n) and path[shared][0] == word[shared]:
-        shared += 1
-    del path[shared:]
-    if not path:
-        path.append((0, [(b, np.ones((1, 1))) for b in range(d)]))  # letter b has weight b
-    for k in range(shared, lam.n):
-        short, wide = strings.by_length[k], strings.by_length[k + 1]
-        parts: dict[int, list] = {}
-        for w, vecs in path[-1][1]:
-            codes = short.rows(w) * d
-            for b in range(d):
-                wide_w = int(wide.label[codes[0] + b])
-                parts.setdefault(wide_w, []).append((codes + b, vecs))
-        built, grams = [], []
-        for w, cands in parts.items():
-            part = np.zeros((len(wide.rows(w)), sum(v.shape[1] for _, v in cands)))
-            col = 0
-            for codes, vecs in cands:
-                part[wide.rank[codes], col : col + vecs.shape[1]] = vecs
-                col += vecs.shape[1]
-            x = sum(part[swap] for swap in strings.swaps_with_last(k + 1, w))
-            built.append((w, part))
-            grams.append(part.T @ x)
-        groups = []
-        for (w, part), (evals, evecs) in zip(built, _eigh_all(grams)):
-            keep = np.abs(evals - contents[k]) < 0.5
-            if keep.any():
-                groups.append((w, part @ evecs[:, keep]))
-        want = dim_u(Partition(tuple(word[: k + 1].count(row) for row in range(d))))
-        got = sum(vecs.shape[1] for _, vecs in groups)
-        if got != want:
+    weights = strings.weights
+    n, size, count = lam.n, d**lam.n, np.diff(weights.starts)
+    tableaux = _semistandard_strings(lam, d)
+    want = dim_u(lam)
+    if len(tableaux) != want:
+        raise BasisAlignmentError(
+            f"{lam} has {len(tableaux)} semistandard tableaux on {d} letters, not dim_u = {want}"
+        )
+    powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    tab_w = weights.label[tableaux @ powers]
+    order = np.argsort(tab_w, kind="stable")  # by weight, each in code order
+    tableaux, tab_w = tableaux[order], tab_w[order]
+    n_tabs = np.bincount(tab_w, minlength=count.size)
+    string_w = np.repeat(np.arange(count.size), count)
+    # a class is numbered by the place of its smallest string in
+    # ``weights.order``, its first string there: classes come weight by
+    # weight, as the strings do
+    place = weights.starts[weights.label] + weights.rank
+    key = place[_row_classes(weights.order, lam, d, sorted_codes)]
+    members = np.bincount(key, minlength=size)
+    index = np.cumsum(members > 0) - 1  # the class of each place
+    first = np.flatnonzero(members)
+    members, class_w, cls = members[first], string_w[first], index[key]
+    # the images as one (classes, k) array per tableau count k, each in
+    # class order; slot[c] is the place of class c's row in ``images``
+    class_k = n_tabs[class_w]
+    by_k = np.argsort(class_k, kind="stable")
+    widths = class_k[by_k]
+    slot = np.empty_like(by_k)
+    slot[by_k] = np.cumsum(widths) - widths
+    perms, signs = _column_group(lam)
+    # the code of q s for every tableau s and q: letter k of q s is letter
+    # perms[q, k] of s, so s enters with the powers of d spread by q
+    spread = np.zeros((n, len(perms)), dtype=np.int64)
+    spread[perms, np.arange(len(perms))[:, None]] = powers
+    terms = _row_classes((tableaux @ spread).ravel(), lam, d, sorted_codes)
+    term_cls = index[place[terms]]
+    column = np.arange(len(tableaux)) - (np.cumsum(n_tabs) - n_tabs)[tab_w]
+    images = np.bincount(
+        slot[term_cls] + np.repeat(column, len(perms)),
+        weights=np.tile(signs, len(tableaux)),
+        minlength=int(widths.sum()),
+    )
+    stab = math.prod(map(math.factorial, lam.trimmed())) / members  # |R| / |c|
+    images *= np.repeat(stab[by_k], widths)
+    for k in np.unique(widths[widths > 0]):
+        part = by_k[widths == k]
+        stack = images[slot[part[0]] : slot[part[0]] + part.size * k].reshape(part.size, k)
+        try:
+            _orthonormalize(stack, members[part], class_w[part], first[part])
+        except np.linalg.LinAlgError:
             raise BasisAlignmentError(
-                f"eigenspace of {lam} at letter {k + 1} has dimension {got}, "
-                f"not dim_u = {want}"
-            )
-        path.append((word[k], groups))
-    out = []
-    for w, vecs in sorted(path[-1][1], key=lambda group: group[0]):
-        first = np.argmax(np.abs(vecs) > 1e-10, axis=0)
-        out.append((w, vecs * np.sign(vecs[first, np.arange(vecs.shape[1])])))
-    return out
+                f"the tableau images of {lam} are dependent: their span is not dim_u = {want}"
+            ) from None
+    # one gather: each string of a weight with tableaux takes its class's row
+    width = class_k[cls]
+    ends = np.cumsum(width)
+    flat = images[np.repeat(slot[cls] - ends + width, width) + np.arange(ends[-1])]
+    held = np.flatnonzero(n_tabs)
+    starts = ends[weights.starts[held]] - width[weights.starts[held]]
+    return [
+        (int(w), flat[s : s + count[w] * n_tabs[w]].reshape(count[w], n_tabs[w]))
+        for w, s in zip(held, starts)
+    ]
 
 
-def _eigh_all(grams: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``np.linalg.eigh`` of each matrix, in one call per size."""
-    out: list = [None] * len(grams)
-    by_size: dict[int, list[int]] = {}
-    for at, gram in enumerate(grams):
-        by_size.setdefault(len(gram), []).append(at)
-    for at in by_size.values():
-        evals, evecs = np.linalg.eigh(np.stack([grams[i] for i in at]))
-        for i, pair in zip(at, zip(evals, evecs)):
-            out[i] = pair
-    return out
+def _orthonormalize(
+    stack: np.ndarray, metric: np.ndarray, weight: np.ndarray, first: np.ndarray
+) -> None:
+    """Gram-Schmidt, in place, of the columns of each weight's rows of
+    ``stack``, in the metric diag(``metric``): the rows of one weight are
+    contiguous, ``weight`` holds each row's. A Cholesky factor of each
+    weight's Gram matrix, then forward substitution. Each column's leading
+    entry, the one above 1e-10 of the row with the smallest ``first``, is
+    made positive. LinAlgError when the columns of a weight are dependent:
+    a squared pivot over its Gram entry, the share of a column off the
+    columns before it, is at least 0.18 for the tableau images up to
+    (n, d) = (10, 3) and (6, 6), and only rounding for a dependent column;
+    at or below 1e-8 is refused."""
+    k = stack.shape[1]
+    heads = np.diff(weight, prepend=-1) != 0  # each weight's first row
+    new, owner = np.flatnonzero(heads), np.cumsum(heads) - 1
+    weighted = stack * metric[:, None]
+    gram = np.empty((new.size, k, k))
+    for j in range(k):  # one row of the Gram matrices at a time
+        gram[:, j, : j + 1] = np.add.reduceat(weighted[:, j, None] * stack[:, : j + 1], new)
+        gram[:, : j + 1, j] = gram[:, j, : j + 1]
+    chol = np.linalg.cholesky(gram)
+    pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2 / np.diagonal(gram, axis1=1, axis2=2)
+    if not pivots.min() > 1e-8:  # NaN fails too
+        raise np.linalg.LinAlgError("dependent columns")
+    for j in range(k):
+        stack[:, j] -= (stack[:, :j] * chol[owner, j, :j]).sum(axis=1)
+        stack[:, j] /= chol[owner, j, j]
+    lead = np.where(np.abs(stack) > 1e-10, first[:, None], np.iinfo(first.dtype).max)
+    hit = lead == np.minimum.reduceat(lead, new)[owner]
+    stack *= np.sign(np.add.reduceat(np.where(hit, stack, 0.0), new))[owner]
 
 
 def _young_steps(lam: Partition) -> list[tuple[int, int, int]]:
@@ -375,7 +492,7 @@ def _young_steps(lam: Partition) -> list[tuple[int, int, int]]:
     return steps
 
 
-def _young_form(ref: list, steps: list, strings: _Strings, n: int) -> np.ndarray:
+def _young_form(ref: list, steps: list, strings: _Strings) -> np.ndarray:
     """The block's amplitudes for every tableau, one row per tableau v:
     weight by weight as in ``ref``, the (string, u) entries of that weight,
     row-major. Row 0 is ``ref``; each later row comes from an earlier one
@@ -393,7 +510,7 @@ def _young_form(ref: list, steps: list, strings: _Strings, n: int) -> np.ndarray
             # where s_k v_P reads each entry: the string with letters k and
             # k + 1 exchanged, the same u
             swaps[k] = np.concatenate(
-                [at[strings.swap(n, k, k + 1, w)] for at, (w, _) in zip(places, ref)], axis=None
+                [at[strings.swap(k, k + 1, w)] for at, (w, _) in zip(places, ref)], axis=None
             )
         src = copies[prev]
         copies[v] = (src[swaps[k]] - src / r) / math.sqrt(1 - 1 / r**2)
@@ -407,27 +524,36 @@ def build_schur_basis(n: int, d: int, seed: int | None = None) -> SchurBasis:
     Column (u, v) of block lam is an eigenvector of every Jucys-Murphy
     element X_k = sum_{i<k} (i k) with eigenvalue the content of letter k
     in the v-th standard tableau of ``standard_tableaux(lam)``
-    (Okounkov-Vershik). The u basis is built on the row-reading tableau
-    and carried to the others by Young's orthogonal form (``_young_steps``),
-    so it is the same for every v; s_k commutes with the unitary action, so
-    the u index stays aligned across tableaux. Permutations keep the torus
-    weight and are applied as row permutations within each weight, never
-    as matrices. ``seed`` is ignored; it is accepted for callers that still
-    pass one.
+    (Okounkov-Vershik). The u basis is built on the row-reading tableau T0
+    as the image of the Young symmetrizer R C, with no eigenproblem
+    (``_reference_vectors``): the T0 vectors are invariant under the row
+    group of T0, and V_lam occurs once in its invariants, so they span that
+    image. Within a torus weight the u vectors are the Gram-Schmidt
+    orthonormalization of the images of the semistandard tableaux of that
+    content, in increasing order of their strings' codes. Young's
+    orthogonal form (``_young_steps``) carries the u basis to the other
+    tableaux, so it is the same for every v; s_k commutes with the unitary
+    action, so the u index stays aligned across tableaux. Permutations keep
+    the torus weight and are applied as row permutations within each
+    weight, never as matrices. ``seed`` is ignored; it is accepted for
+    callers that still pass one.
     """
     check_bytes(_basis_bytes(n, d), f"the block basis at n={n}, d={d}")
     table = block_table(n, d)
     strings = _Strings(n, d)
-    weights = strings.by_length[n]
+    weights = strings.weights
+    lengths = {part for lam, _, _ in table for part in lam.trimmed()} - {n}
+    sorted_codes = {length: _sorted_codes(length, d) for length in lengths}
+    # on all n letters, the smallest code of each string's weight
+    sorted_codes[n] = weights.order[weights.starts[weights.label]]
     sizes = np.diff(weights.starts)
     amplitudes = np.empty(int(sizes @ sizes))
     squares = _weight_blocks(amplitudes, sizes)
     kostka = np.zeros((len(table), sizes.size), dtype=np.int64)
     filled = np.zeros_like(sizes)
-    path: list = []
     for row, (lam, _, _) in enumerate(table):
-        ref = _reference_vectors(lam, d, strings, path)
-        copies = _young_form(ref, _young_steps(lam), strings, n)
+        ref = _reference_vectors(lam, d, strings, sorted_codes)
+        copies = _young_form(ref, _young_steps(lam), strings)
         end = 0
         for w, vecs in ref:
             m, c = vecs.shape

@@ -43,6 +43,7 @@ from tests_support import (
     LARGE_D,
     SLOW_SIZES,
     dense_basis_matrix,
+    dense_jm_reference_vectors,
     dense_standard_form,
     isotypic_projector,
     oracle_inputs,
@@ -216,6 +217,23 @@ def test_weight_blocks_match_the_dense_construction(n, d):
     assert np.max(np.abs(basis.matrix - dense)) <= 1e-15
 
 
+@pytest.mark.parametrize("n,d", ORACLE_SIZES)
+def test_weight_spaces_match_the_jucys_murphy_chain(n, d):
+    # the Young symmetrizer and the eigen-chain span the same (lam, w)
+    # spaces; within a weight of several u vectors their bases differ
+    basis = build_schur_basis(n, d)
+    for lam, block in basis.blocks.items():
+        chain = dense_jm_reference_vectors(lam, d)
+        u = 0
+        for rows, _, amps in block.pieces:
+            ours = amps[:, :: block.dim_v]
+            theirs = chain[rows, u : u + ours.shape[1]]
+            err = np.max(np.abs(ours @ ours.T - theirs @ theirs.T))
+            assert err <= 1e-14, (str(lam), u)
+            u += ours.shape[1]
+        assert u == block.dim_u == chain.shape[1]
+
+
 @pytest.mark.parametrize("n,d", [(12, 2), (6, 3), (5, 4), (3, 7)])
 def test_basis_stores_only_the_weight_blocks(n, d):
     basis = build_schur_basis(n, d)
@@ -257,6 +275,25 @@ def test_basis_columns_are_jucys_murphy_eigenvectors(n, d):
                 assert err < 1e-10, (str(lam), v)
 
 
+@pytest.mark.parametrize("n,d", [(13, 2), (7, 3), (5, 4), (4, 5), (3, 12), (2, 45)])
+def test_reference_columns_are_accurate_eigenvectors_past_the_dense_sizes(n, d):
+    # X_k = sum_{i<k} (i k) applied as row permutations of the v = 0 columns,
+    # each column held to the content of letter k in the row-reading tableau
+    basis = build_schur_basis(n, d)
+    cols, _ = basis.references
+    words = [standard_tableaux(lam)[0] for lam in basis.blocks]  # the row-reading tableaux
+    contents = np.repeat(
+        np.array([word_contents(word) for word in words]).T,
+        [block.dim_u for block in basis.blocks.values()],
+        axis=1,
+    )
+    codes = np.arange(d**n).reshape((d,) * n)
+    for k in range(n):
+        x = sum(cols[codes.swapaxes(i, k).ravel()] for i in range(k))
+        assert np.max(np.abs(x - contents[k] * cols)) <= 1e-14, k
+    assert np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1]))) <= 1e-14
+
+
 def test_basis_build_memory_at_d3_n7():
     tracemalloc.start()
     try:
@@ -273,6 +310,19 @@ def test_basis_dimension_mismatch_is_an_alignment_error(monkeypatch):
     monkeypatch.setattr(schur_weyl, "dim_u", lambda lam: 1)
     with pytest.raises(BasisAlignmentError, match="not dim_u"):
         build_schur_basis(3, 2)
+
+
+def test_dependent_tableau_images_are_an_alignment_error(monkeypatch):
+    # as many tableaux of (2) as dim_u, but (0, 1) twice and (1, 1) not at
+    # all: two equal images in one weight span one vector, not two
+    real = schur_weyl._semistandard_strings
+
+    def doubled(lam, d):
+        return real(lam, d)[[0, 1, 1]] if lam.parts == (2, 0) else real(lam, d)
+
+    monkeypatch.setattr(schur_weyl, "_semistandard_strings", doubled)
+    with pytest.raises(BasisAlignmentError, match="not dim_u"):
+        build_schur_basis(2, 2)
 
 
 def test_schur_basis_memoized_per_size():

@@ -120,7 +120,7 @@ def test_declared_bytes_bound_the_peak_at_the_admitted_edge(name, declared):
         call(n + 1)()
 
 
-@pytest.mark.parametrize("n,d", [(2, 16), (2, 32), (3, 12), (3, 16)])
+@pytest.mark.parametrize("n,d", [(2, 16), (2, 32), (3, 12), (3, 16), (4, 8), (1, 1000)])
 def test_basis_build_peak_within_its_count_at_large_d(n, d, declared):
     # few letters over many: the per-weight arrays and records, not the
     # weight blocks, set the peak here

@@ -52,13 +52,14 @@ def random_two_param_model(seed: int) -> PureStateModel:
 
 
 # ----------------------------------------------------------------------
-# the dense block basis: every column on all d^n rows, the construction the
-# library used before it stored the basis by torus weight; kept as the
-# oracle the weight-block build is compared with. Its two matrix products
-# run over the rows of the group's weight, the only non-zero rows of
-# ``part``: over all d^(k+1) rows BLAS sums in another order, and where a
-# weight holds more than one u vector (d >= 3) that rounding rotates the
-# eigenvectors within the degenerate eigenspace.
+# the dense block basis: every column on all d^n rows, kept as the oracle the
+# weight-block build is compared with. Its u basis on the row-reading tableau
+# T0 is the image of the Young symmetrizer R C applied to the strings of the
+# semistandard tableaux, each symmetrizer applied to dense vectors through
+# its transposition factorization; the Jucys-Murphy eigen-chain the library
+# used before is kept beside it (``dense_jm_reference_vectors``), as an
+# independent construction of the same (lam, w) spaces. Up to n = 11 every
+# image entry and Gram entry is an exact integer.
 
 
 def _contents(word: tuple[int, ...]) -> list[int]:
@@ -83,11 +84,74 @@ def _letter_counts(length: int, d: int) -> np.ndarray:
     return (letters[:, :, None] == np.arange(d)).sum(axis=0)
 
 
+def semistandard_words(lam: Partition, d: int) -> list[tuple[int, ...]]:
+    """The semistandard tableaux of shape lam on the letters 0..d-1, each as
+    its entries read row by row, in lexicographic order."""
+    parts = lam.trimmed()
+    boxes = [(i, j) for i, part in enumerate(parts) for j in range(part)]
+    out = []
+
+    def grow(filling):
+        if len(filling) == len(boxes):
+            out.append(tuple(filling[box] for box in boxes))
+            return
+        i, j = boxes[len(filling)]
+        lo = max(filling.get((i, j - 1), 0), filling.get((i - 1, j), -1) + 1)
+        for letter in range(lo, d):
+            grow({**filling, (i, j): letter})
+
+    grow({})
+    return out
+
+
+def _symmetrize(vecs: np.ndarray, n: int, d: int, positions, sign: int) -> np.ndarray:
+    """sum_p sign^p p over the permutations p of ``positions``, applied to
+    each column as prod_j (1 + sign sum_{i<j} (p_i p_j))."""
+    for j in range(1, len(positions)):
+        swaps = [_swap_factors(vecs, n, d, positions[i], positions[j]) for i in range(j)]
+        vecs = vecs + sign * sum(swaps)
+    return vecs
+
+
 def dense_reference_vectors(lam: Partition, d: int) -> np.ndarray:
     """The u basis of the lam block on its row-reading tableau, as d^n x
-    dim_u columns: W (x) C^d compressed onto X_k = sum_{i<k} (i k) per
-    torus weight, cut to the eigenvalue c_k, ordered by weight, highest
+    dim_u columns: R C e_s for the string s of each semistandard tableau,
+    C the column antisymmetrizer and R the row symmetrizer of the tableau,
+    Gram-Schmidt within each torus weight in tableau order (a Cholesky
+    factor of the Gram matrix, then forward substitution), weights highest
     first, each column's first non-zero entry positive."""
+    n = lam.n
+    parts = lam.trimmed()
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    words = semistandard_words(lam, d)
+    assert len(words) == dim_u(lam)
+    images = np.zeros((d**n, len(words)))
+    images[[np.ravel_multi_index(word, (d,) * n) for word in words], np.arange(len(words))] = 1.0
+    for j in range(parts[0]):
+        column = [starts[i] + j for i, part in enumerate(parts) if part > j]
+        images = _symmetrize(images, n, d, column, -1)
+    for start, part in zip(starts, parts):
+        images = _symmetrize(images, n, d, list(range(start, start + part)), 1)
+    counts = [tuple(word.count(b) for b in range(d)) for word in words]
+    out = []
+    for weight in sorted(set(counts), reverse=True):
+        part = images[:, [t for t, c in enumerate(counts) if c == weight]]
+        chol = np.linalg.cholesky(part.T @ part)
+        for j in range(part.shape[1]):
+            part[:, j] -= part[:, :j] @ chol[j, :j]
+            part[:, j] /= chol[j, j]
+        first = np.argmax(np.abs(part) > 1e-10, axis=0)
+        out.append(part * np.sign(part[first, np.arange(part.shape[1])]))
+    return np.hstack(out)
+
+
+def dense_jm_reference_vectors(lam: Partition, d: int) -> np.ndarray:
+    """The lam block's reference vectors as the library built them before
+    the Young symmetrizer: W (x) C^d compressed onto X_k = sum_{i<k} (i k)
+    per torus weight, cut to the eigenvalue c_k, ordered by weight, highest
+    first, each column's first non-zero entry positive. Within a weight
+    holding several u vectors (d >= 3) the columns are whatever ``eigh``
+    returns, so only the span of each weight's columns is comparable."""
     word = tuple(row for row, part in enumerate(lam.parts) for _ in range(part))
     contents = _contents(word)
     units = [tuple(int(a == b) for a in range(d)) for b in range(d)]
