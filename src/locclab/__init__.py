@@ -37,7 +37,6 @@ from .teleport import (
     good_set,
     ideal_fidelity,
     ideal_fidelities,
-    kraus_operator,
     run_teleport,
     sample_haar_unitary,
 )

@@ -206,6 +206,65 @@ class BlockTable(tuple):
         one row per block."""
         return np.array([lam.normalized() for lam, _, _ in self])
 
+    @cached_property
+    def contents(self) -> np.ndarray:
+        """The letter counts of every u index of every block: a (K, d) array,
+        K = sum dim_u, blocks in table order, each block's dim_u rows by
+        torus weight, highest first (decreasing lexicographic order of the
+        counts), in the smallest unsigned type that holds n.
+
+        A u index is a Gelfand-Tsetlin pattern lam = lam^(d), lam^(d-1),
+        ..., lam^(1), each lam^(k - 1) interlacing lam^(k) (Gelfand &
+        Tsetlin, 1950); letter k - 1 occurs |lam^(k)| - |lam^(k-1)| times.
+        The patterns are grown one level at a time, every block at once, no
+        string of n letters being formed. Each level's rows are put in
+        stable order of (block, -|lam^(k-1)|), so that after the last level
+        the rows are in order of block, then of |lam^(1)|, |lam^(2)|, ...
+        decreasing, which is the order of the counts. RuntimeError when a
+        block's pattern count is not its dim_u."""
+        n, d = self[0].lam.n, self[0].lam.num_parts
+        small = np.min_scalar_type(n)
+        width = min(n, d)  # the parts that can be non-zero
+        shape = np.array([lam.parts[:width] for lam, _, _ in self], dtype=np.int64)
+        block = np.arange(len(self))
+        parents, sizes = [], [np.full(len(self), n, dtype=small)]  # level d, d - 1, ..., 1
+        for k in range(d - 1, 0, -1):
+            # lam^(k) interlaces lam^(k + 1): part i in [lam_(i+1), lam_i]
+            # for i < k, parts at or past width being 0
+            m = min(k, width)
+            lo = np.zeros((len(shape), m), dtype=np.int64)
+            lo[:, : min(m, width - 1)] = shape[:, 1 : m + 1]
+            choices = shape[:, :m] - lo + 1
+            count = choices.prod(axis=1)
+            parent = np.repeat(np.arange(len(shape)), count)
+            offset = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
+            child = np.zeros((len(parent), width), dtype=np.int64)
+            for i in range(m):  # a mixed-radix count over the free parts
+                child[:, i] = lo[parent, i] + offset % choices[parent, i]
+                offset //= choices[parent, i]
+            size = child.sum(axis=1)
+            order = np.argsort(block[parent] * (n + 1) + (n - size), kind="stable")
+            parent = parent[order]
+            shape, block = child[order], block[parent]
+            parents.append(parent)
+            sizes.append(size[order].astype(small))
+        # back up each final row's chain: letter k - 1 counts |lam^(k)| - |lam^(k-1)|
+        out = np.empty((len(shape), d), dtype=small)
+        row = np.arange(len(shape))
+        below = out[:, 0] = sizes[-1]
+        for k in range(1, d):
+            row = parents[-k][row]
+            above = sizes[-k - 1][row]
+            out[:, k] = above - below
+            below = above
+        got = np.bincount(block, minlength=len(self)).tolist()
+        for (lam, du, _), count in zip(self, got):
+            if count != du:
+                raise RuntimeError(
+                    f"{lam} has {count} Gelfand-Tsetlin patterns on {d} letters, not dim_u = {du}"
+                )
+        return out
+
 
 def block_rows(n: int, d: int) -> BlockTable:
     """Every block of (C^d)^{(x)n} in ``enumerate_partitions(n, d)`` order,

@@ -5,9 +5,10 @@ product of a unitary-group factor (dimension dim_u) and a symmetric-group
 factor (dimension dim_v). This module constructs an orthonormal basis
 organized by these blocks, with explicit (u, v) index maps, and extracts the
 standard form of the n-fold power of a bipartite pure state: per-block
-weights q_lambda and the state-dependent parts phi_lambda, from the
-Schmidt decomposition of the state and each block's irreps of its local
-unitaries, with no d^n x d^n array.
+weights q_lambda and the state-dependent parts phi_lambda, from the block
+table's letter counts of each u index. A state in Schmidt form needs
+nothing more; any other also needs its Schmidt decomposition and each
+block's irreps of its local unitaries. No d^n x d^n array is formed.
 
 The basis is the Young-Yamanouchi basis (Okounkov-Vershik, Selecta Math.
 2 (1996)), built the same way for every d and with no randomness: the u
@@ -34,7 +35,8 @@ the multinomial count of w (Bacon-Chuang-Harrow, arXiv:quant-ph/0407082);
 the dense block columns (``SchurBlock.vectors``) and the dense d^n x d^n
 matrix (``SchurBasis.matrix``) are built on access, for callers that do
 dense arithmetic; the v = 0 columns of every block
-(``SchurBasis.references``) on the first access, for the standard form.
+(``SchurBasis.references``) on the first access, for the standard form of
+a state not in Schmidt form.
 
 The character route, kept independent of the basis and of the Schur
 evaluator to cross-check both, takes the weights by the Frobenius formula
@@ -146,12 +148,12 @@ class SchurBasis:
         return out.reshape(dim, dim)
 
     @cached_property
-    def references(self) -> tuple[np.ndarray, np.ndarray]:
+    def references(self) -> np.ndarray:
         """The v = 0 column of every u of every block, blocks in order, as
-        a (d^n, K) array, K = sum dim_u, and the letters of a string of each
-        column's torus weight, (K, n). Made on the first access and kept.
-        With b the columns of block lam, b^T X^{(x)n} b is the block's irrep
-        of X, the same for every v."""
+        a (d^n, K) array, K = sum dim_u, made on the first access and kept.
+        Column k has the letter counts of row k of the (n, d) block table's
+        ``contents``. With b the columns of block lam, b^T X^{(x)n} b is the
+        block's irrep of X, the same for every v."""
         columns = np.zeros((self.rows.size, int(self.kostka.sum())))
         at = 0
         for block in self.blocks.values():
@@ -159,12 +161,7 @@ class SchurBasis:
             for rows, start, amps in block.pieces:
                 columns[rows, at + start // dv : at + (start + amps.shape[1]) // dv] = amps[:, ::dv]
             at += block.dim_u
-        blocks, weights = self.kostka.shape
-        weight = np.repeat(np.tile(np.arange(weights), blocks), self.kostka.ravel())
-        sizes = np.array([len(square) for square in self.weight_blocks])
-        firsts = self.rows[np.cumsum(sizes) - sizes]  # the first string of each weight
-        letters = np.array(np.unravel_index(firsts, (self.d,) * self.n)).T
-        return columns, letters[weight]
+        return columns
 
     @cached_property
     def _places(self) -> np.ndarray:
@@ -692,8 +689,14 @@ class StandardForm:
     d: int
     weights: dict[Partition, float]
     phi: dict[Partition, np.ndarray]
-    basis: SchurBasis
     spectrum: tuple[float, ...]
+
+    @property
+    def basis(self) -> SchurBasis:
+        """The block basis of the form, ``schur_basis(n, d)``, looked up (and
+        built on a miss) on every access: a Schmidt-form input's form is
+        made without it."""
+        return schur_basis(self.n, self.d)
 
 
 def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
@@ -720,16 +723,17 @@ def _sum_dim_u(n: int, d: int) -> int:
 
 @lru_cache(maxsize=64)
 def standard_form_bytes(n: int, d: int) -> int:
-    """The bytes ``standard_form`` counts at (n, d), memoized (the count
+    """The bytes ``standard_form`` counts at (n, d) on the basis route, for
+    an amplitude matrix with an entry off its diagonal, memoized (the count
     takes 14-29 us at n <= 6, d <= 4, up to a fifth of a warm call): the
     larger of the basis build and, with K = sum dim_u, the kept basis, its
-    v = 0 columns with their letters, the Schmidt decomposition with its
-    LAPACK workspace (about 112 d^2 bytes for a complex input), and two
-    complex d^n x K arrays at once (the stacked products of U and V^H with
-    those columns and their reordered copy), which bound every later
-    array. Past d^n = 2^32, where one float a string passes the budget,
-    sum_w m_w^2 and K are bounded by d^2n and d^n, not summed. ValueError
-    unless n and d are positive."""
+    v = 0 columns with 8 n bytes a column for the contents column, the
+    Schmidt decomposition with its LAPACK workspace (about 112 d^2 bytes
+    for a complex input), and two complex d^n x K arrays at once (the
+    stacked products of U and V^H with those columns and their reordered
+    copy), which bound every later array. Past d^n = 2^32, where one float
+    a string passes the budget, sum_w m_w^2 and K are bounded by d^2n and
+    d^n, not summed. ValueError unless n and d are positive."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     size = d**n
@@ -738,6 +742,43 @@ def standard_form_bytes(n: int, d: int) -> int:
     width = _sum_dim_u(n, d)
     held = 8 * _same_weight_pairs(n, d) + 1024 * size + 8 * width * (size + n)
     return max(_basis_bytes(n, d), held + 112 * d * d + 64 * size * width)
+
+
+@lru_cache(maxsize=64)
+def frame_bytes(n: int, d: int) -> int:
+    """The bytes ``standard_form`` and ``run_teleport`` count at (n, d) on
+    the frame route, for a diagonal amplitude matrix, memoized. With
+    S = sum dim_u^2 = C(n + d^2 - 1, n), the dimension of the symmetric
+    power Sym^n(End C^d) that the blocks' End(U_lam) make up, and
+    K = sum dim_u:
+
+    - 48 S: the dense complex u parts phi, the final blocks that
+      ``run_teleport`` keeps beside them, and one block's product before it
+      is scaled;
+    - 24 K d: each u index's letter powers, complex, with the contents
+      column itself;
+    - 40 K min(n, d) + 64 K, and 8 (K + 1) d + 8 K for each level's link and
+      size: building the contents column, one Gelfand-Tsetlin level at a
+      time;
+    - 512 K and 64 KiB for the per-block records and small arrays.
+
+    When 48 S alone passes the budget it is returned, K unsummed; when S
+    is past 2^64 by its log, 48 times the power of two below S, with no
+    exact binomial formed (past 2^150 for any n beyond 2^53 at d >= 2,
+    where S >= C(n + 3, 3)). ValueError unless n and d are positive."""
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
+    if d > 1 and n > 2**53:  # past the exact floats lgamma takes
+        return 48 << 150
+    log2_squares = (math.lgamma(n + d * d) - math.lgamma(n + 1) - math.lgamma(d * d)) / math.log(2)
+    if log2_squares > 64:
+        return 48 << int(log2_squares - 1)
+    squares = math.comb(n + d * d - 1, n)
+    if 48 * squares > 2**32:
+        return 48 * squares
+    width = _sum_dim_u(n, d)
+    levels = 8 * (width + 1) * d + 8 * width
+    return 48 * squares + width * (24 * d + 40 * min(n, d) + 576) + levels + 2**16
 
 
 def _power_times(mats: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -762,44 +803,38 @@ def _power_times(mats: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def standard_form(phi: StateVector, n: int) -> StandardForm:
-    """Decompose |phi>^{(x)n} into block weights and paired-block states,
-    the u parts normalized, from the Schmidt decomposition of phi.
+def schmidt_diagonal(mat: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a square amplitude matrix with no non-zero entry off
+    it, real when no entry has an imaginary part; None when an entry off
+    the diagonal is non-zero. Such a matrix is in its own Schmidt frame:
+    every state the command line builds (``bell``, ``product``,
+    ``--schmidt``) is. The entries off the diagonal are read through a
+    view, with no copy: the d - 1 runs of d between diagonal entries."""
+    d = len(mat)
+    if mat.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].any():
+        return None
+    diagonal = np.diagonal(mat)
+    return diagonal if diagonal.imag.any() else diagonal.real
 
-    With M = U diag(s) V^H the amplitude matrix, |phi>^{(x)n} has matrix
-    U^{(x)n} diag(s)^{(x)n} (V^H)^{(x)n}, and each factor commutes with
-    permutations. The same real basis B is used on both halves, so by
-    Schur-Weyl duality block lam of B^T psi B is
-    pi_lam(U) Delta_lam pi_lam(V^H) (x) 1_v (Harrow, arXiv:quant-ph/0512255):
-    pi_lam(X) = b^T X^{(x)n} b, b the block's v = 0 columns, is a diagonal
-    block of R(X) = B0^T X^{(x)n} B0, B0 those of every block
-    (``SchurBasis.references``), and Delta_lam is diagonal, s^w at each u
-    of torus weight w, from the block's Kostka row. X^{(x)n} acts on B0 a
-    few tensor factors at a time: no d^n x d^n array is formed, and a real
-    state (a Schmidt-form one) is decomposed and applied in real arithmetic.
-    The Gram matrices and u parts are formed block by block.
 
-    Each failed check is a BasisAlignmentError: U diag(s) V^H is M within
-    1e-12; the part of R(U) and R(V^H) outside the diagonal blocks (the
-    cross-block amplitude) is at most 1e-10; every pi_lam is unitary within
-    1e-10; and the weights sum to |phi|^(2n) within 1e-10. The v >= 1
-    columns are not read, so not checked here: the pairing they carry
-    follows from the construction, and the dense route the tests compare
-    against checks it.
-    """
-    if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
-        raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
-    d = phi.dims[0]
-    check_bytes(standard_form_bytes(n, d), f"standard_form at n={n}, d={d}")
-    mat = phi.require_normalized().amplitude_matrix()
-    if not mat.imag.any():  # a real state is decomposed and applied in real arithmetic
+def _block_irreps(mat: np.ndarray, n: int, table) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The singular values of mat, non-increasing, and per block of
+    ``table``, pi_lam(U) and pi_lam(V^H) stacked, M = U diag(s) V^H its
+    SVD. Each pi_lam is a diagonal block of R(X) = B0^T X^{(x)n} B0, B0 the
+    v = 0 columns of every block (``SchurBasis.references``), X^{(x)n}
+    applied a few tensor factors at a time; a real matrix is decomposed and
+    applied in real arithmetic. BasisAlignmentError unless U diag(s) V^H is
+    M within 1e-12, the part of R(U) and R(V^H) outside the diagonal blocks
+    (the cross-block amplitude) is at most 1e-10, and every pi_lam is
+    unitary within 1e-10."""
+    d = len(mat)
+    if not mat.imag.any():
         mat = mat.real
     left, svals, right = np.linalg.svd(mat)
     residual = float(np.linalg.norm((left * svals) @ right - mat))
     if not residual <= 1e-12:
         raise BasisAlignmentError(f"Schmidt decomposition residual {residual:.2e} above 1e-12")
-    basis = schur_basis(n, d)
-    cols, letters = basis.references
+    cols = schur_basis(n, d).references
     powers = _power_times(np.stack([left, right]), cols, n)
     if np.iscomplexobj(powers):  # B0^T in real arithmetic: the float view interleaves re, im
         reps = (cols.T @ powers.view(np.float64)).view(np.complex128)
@@ -807,23 +842,19 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
         reps = cols.T @ powers
     del powers
     # every pi_lam(U) and pi_lam(V^H), taken out of R, leaving the cross-block part
-    spans, pis, at = [], [], 0
-    for block in basis.blocks.values():
-        spans.append(slice(at, at + block.dim_u))
-        pis.append(reps[:, spans[-1], spans[-1]].copy())
-        reps[:, spans[-1], spans[-1]] = 0.0
-        at += block.dim_u
+    pis, at = [], 0
+    for _, du, _ in table:
+        span = slice(at, at + du)
+        pis.append(reps[:, span, span].copy())
+        reps[:, span, span] = 0.0
+        at += du
     cross = math.sqrt(np.vdot(reps, reps).real)
     if not cross <= 1e-10:  # NaN fails too
         raise BasisAlignmentError(f"cross-block amplitude {cross:.2e} above 1e-10")
     del reps
-    delta = np.prod(svals[letters], axis=1)
-
-    weights: dict[Partition, float] = {}
-    phis: dict[Partition, np.ndarray] = {}
-    for (lam, block), span, pi in zip(basis.blocks.items(), spans, pis):
+    for (lam, du, _), pi in zip(table, pis):
         gram = pi.conj().transpose(0, 2, 1) @ pi
-        gram -= np.eye(block.dim_u)
+        gram -= np.eye(du)
         err = math.sqrt(np.vdot(gram, gram).real)  # bounds every entry
         if not err <= 1e-10:
             which = int(np.vdot(gram[1], gram[1]).real > np.vdot(gram[0], gram[0]).real)
@@ -831,17 +862,73 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
                 f"pi_{lam}({('U', 'V^H')[which]}) is not unitary: its Gram matrices are "
                 f"{err:.2e} from the identity, above 1e-10"
             )
-        x = (pi[0] * delta[span]) @ pi[1]  # the u part
-        part = np.vdot(x, x).real
-        weights[lam] = block.dim_v * part
+    return svals, pis
+
+
+def standard_form(phi: StateVector, n: int) -> StandardForm:
+    """Decompose |phi>^{(x)n} into block weights and paired-block states,
+    the u parts normalized.
+
+    With M = U diag(s) V^H the amplitude matrix, |phi>^{(x)n} has matrix
+    U^{(x)n} diag(s)^{(x)n} (V^H)^{(x)n}, and each factor commutes with
+    permutations. The same real basis B is used on both halves, so by
+    Schur-Weyl duality block lam of B^T psi B is
+    pi_lam(U) Delta_lam pi_lam(V^H) (x) 1_v (Harrow, arXiv:quant-ph/0512255,
+    section 7). Delta_lam is diagonal in the Gelfand-Tsetlin u basis:
+    prod_i s_i^{c_i} at a u index of letter counts c, read from the block
+    table's ``contents`` column, which depends on (n, d) alone.
+
+    A diagonal M (``schmidt_diagonal``) is its own Schmidt frame: U and V^H
+    are the identity up to a diagonal of phases and an order of the
+    letters, and pi_lam(M) itself is diagonal, prod_i m_ii^{c_i}. So its
+    form takes no SVD and no basis: q_lam = dim_v |Delta_lam|^2 and
+    phi_lam = diag(Delta_lam) / |Delta_lam|, counted by ``frame_bytes``.
+    Any other M takes the basis route (``_block_irreps``), counted by
+    ``standard_form_bytes``, and the u part of block lam is
+    pi_lam(U) Delta_lam pi_lam(V^H), formed block by block.
+
+    Each failed check is a BasisAlignmentError: those of ``_block_irreps``
+    on the basis route, and on both routes the weights sum to |phi|^(2n)
+    within 1e-10. The v >= 1 columns are not read, so not checked here: the
+    pairing they carry follows from the construction, and the dense route
+    the tests compare against checks it.
+    """
+    if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
+        raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
+    d = phi.dims[0]
+    mat = phi.amplitude_matrix()
+    diagonal = schmidt_diagonal(mat)
+    count = standard_form_bytes if diagonal is None else frame_bytes
+    check_bytes(count(n, d), f"standard_form at n={n}, d={d}")
+    phi.require_normalized()
+    table = block_table(n, d)
+    if diagonal is None:
+        svals, pis = _block_irreps(mat, n, table)
+        delta = np.prod(svals ** table.contents, axis=1)
+    else:
+        svals, pis = np.sort(np.abs(diagonal))[::-1], None
+        delta = np.prod(diagonal ** table.contents, axis=1)
+
+    weights: dict[Partition, float] = {}
+    phis: dict[Partition, np.ndarray] = {}
+    at = 0
+    for i, (lam, du, dv) in enumerate(table):
+        part_delta = delta[at : at + du]
+        at += du
+        if pis is None:
+            part = np.vdot(part_delta, part_delta).real
+        else:
+            x = (pis[i][0] * part_delta) @ pis[i][1]  # the u part
+            part = np.vdot(x, x).real
+        weights[lam] = dv * part
         if weights[lam] > _WEIGHT_FLOOR:
-            phis[lam] = x / math.sqrt(part)
+            phis[lam] = np.diag(part_delta / math.sqrt(part)) if pis is None else x / math.sqrt(part)
     # the blocks hold all of |phi>^(x)n, of squared norm |phi|^(2n): an
     # admitted norm 1 + 1e-10 puts that 2n * 1e-10 away from 1
     total, expected = math.fsum(weights.values()), float(svals @ svals) ** n
     if not abs(total - expected) <= 1e-10:
         raise BasisAlignmentError(f"weights sum to {total}, not |phi|^(2n) = {expected}")
-    return StandardForm(n, d, weights, phis, basis, tuple((svals**2).tolist()))
+    return StandardForm(n, d, weights, phis, tuple((svals**2).tolist()))
 
 
 def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,13 @@ from .partitions import (
     schur_ladder,
     spectrum_weights,
 )
-from .schur_weyl import SchurBasis, schur_basis, standard_form, standard_form_bytes
+from .schur_weyl import (
+    frame_bytes,
+    schmidt_diagonal,
+    schur_basis,
+    standard_form,
+    standard_form_bytes,
+)
 from .states import StateVector, check_bytes, seed_of
 
 # a nat below the log of the largest float, so that the rounding of a log
@@ -162,40 +168,6 @@ def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def kraus_operator(
-    basis: SchurBasis, unitaries: Mapping[Partition, np.ndarray]
-) -> np.ndarray:
-    """The outcome operator for one sampled tuple of unitaries, one dim_v x
-    dim_v unitary per retained block of ``basis``, as a (1, d^n) matrix on
-    Alice's space in the computational basis.
-
-    In block coordinates it reads sqrt(dim_v) U[v, u] at (u, v) of each
-    retained block, for u < dim_u, in the block's ``span``. It annihilates
-    every block outside the good set, and the average of A^dagger A over
-    outcomes is the projector onto the retained subspace. Raises ValueError
-    when a retained block has no unitary, or one of the wrong shape or not
-    unitary within 1e-10.
-    """
-    good = good_set(basis.n, basis.d)
-    missing = [lam for lam in good if lam not in unitaries]
-    if missing:
-        raise ValueError(f"missing unitaries for blocks {missing}")
-    dim = basis.d**basis.n
-    check_bytes(16 * dim, "an outcome operator")
-    out = np.zeros(dim, dtype=complex)
-    for lam in good:
-        block = basis.blocks[lam]
-        du, dv = block.dim_u, block.dim_v
-        u_mat = np.asarray(unitaries[lam], dtype=complex)
-        if u_mat.shape != (dv, dv):
-            raise ValueError(f"unitary for {lam} must be {dv}x{dv}")
-        if not np.all(np.abs(u_mat.conj().T @ u_mat - np.eye(dv)) <= 1e-10):
-            raise ValueError(f"matrix for {lam} is not unitary")
-        coeff = math.sqrt(dv) * u_mat[:, :du].T
-        out += coeff.reshape(du * dv) @ block.vectors.T
-    return np.conj(out, out=out)[None, :]
-
-
 @dataclass(frozen=True)
 class TeleportResult:
     """Outcome of one protocol run: what the run computed, and the figures
@@ -296,20 +268,27 @@ def run_teleport(
     exactly, so the final state does not depend on it and none is drawn;
     ``rng`` sets only the recorded seed. The final state is kept in block
     coordinates and checked against the analytic target; the reported
-    fidelity equals the retained weight.
+    fidelity equals the retained weight. A diagonal amplitude matrix is
+    counted and run on the frame route (``frame_bytes``), reading no basis,
+    and a vacuous run reads its spectrum off that diagonal, with no SVD.
     """
     seed = seed_of(rng)
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
     check_local_dimension(d)
+    diagonal = schmidt_diagonal(phi.amplitude_matrix())
     # standard_form's: the u parts that outlive it fit in what it counts
-    check_bytes(standard_form_bytes(n, d), f"run_teleport at n={n}, d={d}")
+    count = standard_form_bytes if diagonal is None else frame_bytes
+    check_bytes(count(n, d), f"run_teleport at n={n}, d={d}")
     phi = phi.require_normalized()
 
     good = good_set(n, d)
     if not good:
-        spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
+        if diagonal is None:
+            spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
+        else:
+            spectrum = tuple((np.sort(np.abs(diagonal))[::-1] ** 2).tolist())
         return TeleportResult(n, d, spectrum, 0.0, None, seed)
 
     # step I: Alice projects onto the retained blocks; the conditioned
@@ -326,13 +305,12 @@ def run_teleport(
     # multiplicity index, leaving t (U_u^dagger U_u = 1) for every outcome;
     # that content is relabeled into a fresh register and the maximally
     # entangled parts are reattached
-    blocks = form.basis.blocks
+    table = block_table(n, d)
     final: dict[Partition, np.ndarray] = {}
     overlap, norm_sq = 0j, 0.0  # with the target, and of the final state
-    for lam in good:
-        if lam not in form.phi:
+    for (lam, _, dv), kept in zip(table, table.retained):
+        if not kept or lam not in form.phi:
             continue
-        dv = blocks[lam].dim_v
         t = math.sqrt(form.weights[lam] / success) * form.phi[lam]
         final[lam] = t / math.sqrt(dv)
         overlap += math.sqrt(dv) * np.vdot(final[lam], t)

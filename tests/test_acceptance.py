@@ -41,7 +41,6 @@ from locclab.teleport import (
     good_set,
     fidelity_lower_bound,
     ideal_fidelity,
-    kraus_operator,
     run_teleport,
     sample_haar_unitary,
 )
@@ -143,6 +142,8 @@ def test_criterion_04_product_state_behavior():
 
 
 def test_criterion_05_povm_completeness():
+    from tests_support import kraus_operator
+
     start = time.time()
     basis = schur_basis(4, 2)
     good = good_set(4, 2)

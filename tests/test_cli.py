@@ -246,23 +246,25 @@ def test_teleport_bell_n8_is_inside_the_budget(capsys):
 
 
 def test_a_size_past_the_decimal_conversion_limit_names_the_call_and_budget(capsys):
-    code, out, err = run_cli(capsys, "teleport", "--state", "bell", "--n", "100000")
+    # the frame route's count at (2000, 1000) has over 6,000 decimal digits
+    code, out, err = run_cli(capsys, "teleport", "--state", "bell", "--d", "1000", "--n", "2000")
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     message = json.loads(err)["message"]
-    assert message.startswith("run_teleport at n=100000, d=2 needs at least 2^")
+    assert message.startswith("run_teleport at n=2000, d=1000 needs at least 2^")
     assert "budget" in message
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["teleport", "--state", "bell", "--n", "16"],
+        ["teleport", "--state", "bell", "--d", "4", "--n", "16"],
         ["decompose", "--state", "bell", "--d", "100000", "--n", "1"],
         ["decompose", "--state", "bell", "--d", "0", "--n", "2"],
         ["detect", "--states", "bell", "product", "--d", "0"],
         ["teleport", "--state", "product", "--d", "0", "--n", "2"],
+        ["teleport", "--state", "bell", "--n", "1" + "0" * 400],
     ],
-    ids=["teleport-n16", "bell-d100000", "decompose-d0", "detect-d0", "teleport-d0"],
+    ids=["teleport-n16", "bell-d100000", "decompose-d0", "detect-d0", "teleport-d0", "teleport-n1e400"],
 )
 def test_sizes_and_dimensions_outside_the_guards_are_structured_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

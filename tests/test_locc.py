@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locclab import locc, teleport
+from locclab import locc
 from locclab.locc import (
     EstimationFailureError,
     LoccProtocol,
@@ -22,9 +22,11 @@ from locclab.estimation import fisher_of_distribution
 from locclab.models import PureStateModel, product_model, real_amplitude, rotation_model
 from locclab.states import bell_state, bipartite_tensor_power, state_from_schmidt
 from locclab.schur_weyl import schur_basis
-from locclab.teleport import kraus_operator, run_teleport, sample_haar_unitary
+from locclab.teleport import run_teleport, sample_haar_unitary
+import tests_support
 from tests_support import (
     dense_bob_operator,
+    kraus_operator,
     outcome_grid,
     per_entry_paths,
     single_state_paths,
@@ -905,7 +907,7 @@ def test_teleport_protocol_makes_no_outcome_operator_call(monkeypatch):
     def refuse(basis, unitaries):
         raise AssertionError("kraus_operator called")
 
-    monkeypatch.setattr(teleport, "kraus_operator", refuse)
+    monkeypatch.setattr(tests_support, "kraus_operator", refuse)
     protocol = teleport_protocol(4, 2)
     dist = enumerate_paths(protocol, bipartite_tensor_power(bell_state(2), 4).reshape(-1))
     assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -10,7 +9,10 @@ import pytest
 
 from locclab import partitions, schur_weyl, states
 from locclab.partitions import (
+    BlockDims,
+    BlockTable,
     Partition,
+    block_rows,
     block_table,
     dim_u,
     dim_v,
@@ -25,6 +27,7 @@ from locclab.schur_weyl import (
     load_basis,
     load_or_build_basis,
     save_basis,
+    schmidt_diagonal,
     schur_basis,
     standard_form,
     weights_analytic,
@@ -37,7 +40,13 @@ from locclab.states import (
     product_state,
     state_from_schmidt,
 )
-from locclab.teleport import good_set, ideal_fidelity, run_teleport, sample_haar_unitary
+from locclab.teleport import (
+    NothingToTeleportError,
+    good_set,
+    ideal_fidelity,
+    run_teleport,
+    sample_haar_unitary,
+)
 from tests_support import (
     FORM_ORACLE_SIZES,
     LARGE_D,
@@ -48,6 +57,7 @@ from tests_support import (
     isotypic_projector,
     oracle_inputs,
     permutation_operator,
+    rotated,
 )
 
 
@@ -280,7 +290,7 @@ def test_reference_columns_are_accurate_eigenvectors_past_the_dense_sizes(n, d):
     # X_k = sum_{i<k} (i k) applied as row permutations of the v = 0 columns,
     # each column held to the content of letter k in the row-reading tableau
     basis = build_schur_basis(n, d)
-    cols, _ = basis.references
+    cols = basis.references
     words = [standard_tableaux(lam)[0] for lam in basis.blocks]  # the row-reading tableaux
     contents = np.repeat(
         np.array([word_contents(word) for word in words]).T,
@@ -620,17 +630,27 @@ def test_standard_form_refuses_a_schmidt_decomposition_off_the_state(monkeypatch
         standard_form(TWISTED, 3)
 
 
+def _misplace_a_u_index(monkeypatch):
+    """A contents row that puts a u index of block (2,1) on the wrong
+    weight: its Kostka row [0, 1, 1, 0] read as [1, 0, 1, 0]."""
+    table = block_table(3, 2)
+    contents = table.contents.copy()
+    first = table[0].dim_u  # block (2,1) follows block (3)
+    assert contents[first : first + 2].tolist() == [[2, 1], [1, 2]]
+    contents[first] = [3, 0]
+    monkeypatch.setitem(vars(table), "contents", contents)
+
+
 def test_standard_form_refuses_weights_off_the_norm(monkeypatch):
-    # a Kostka row that puts a u index of block (2,1) on the wrong weight
-    basis = build_schur_basis(3, 2)
-    kostka = basis.kostka.copy()
-    row = list(basis.blocks).index(Partition((2, 1)))
-    assert kostka[row].tolist() == [0, 1, 1, 0]
-    kostka[row] = [1, 0, 1, 0]
-    wrong = dataclasses.replace(basis, kostka=kostka)
-    monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: wrong)
+    _misplace_a_u_index(monkeypatch)
     with pytest.raises(BasisAlignmentError, match="weights sum to"):
         standard_form(TWISTED, 3)
+
+
+def test_standard_form_refuses_frame_weights_off_the_norm(monkeypatch):
+    _misplace_a_u_index(monkeypatch)
+    with pytest.raises(BasisAlignmentError, match="weights sum to"):
+        standard_form(state_from_schmidt((0.7, 0.3)), 3)
 
 
 # both inputs at every FORM_ORACLE_SIZES size and at a few larger d for
@@ -656,7 +676,11 @@ def test_standard_form_matches_the_dense_oracle_at_d_n_4096(n, d, which):
 
 
 def check_against_the_dense_oracle(n, d, which):
-    phi = oracle_inputs(n, d)[which]
+    check_form_against_the_dense_oracle(oracle_inputs(n, d)[which], n)
+
+
+def check_form_against_the_dense_oracle(phi, n):
+    d = phi.dims[0]
     form = standard_form(phi, n)
     weights, phis = dense_standard_form(phi, n)
     assert list(form.weights) == list(weights)
@@ -677,16 +701,121 @@ def check_against_the_dense_oracle(n, d, which):
     assert np.max(np.abs(np.array(form.spectrum) - phi.schmidt_coefficients())) <= 1e-15
 
 
+# a Schmidt form under seeded real rotations of both halves, at sizes of the
+# dense oracle: U and V^H are not the identity, so the basis route runs
+ROTATED_SIZES = [(1, 2), (4, 2), (7, 2), (9, 2), (2, 3), (5, 3), (3, 4), (2, 6)]
+
+
+@pytest.mark.parametrize("n,d", ROTATED_SIZES)
+def test_a_rotated_schmidt_form_takes_the_basis_route_to_the_frames_weights(n, d):
+    spectrum = oracle_inputs(n, d)[1]
+    phi = rotated(spectrum, n)
+    assert schmidt_diagonal(spectrum.amplitude_matrix()) is not None
+    assert schmidt_diagonal(phi.amplitude_matrix()) is None
+    frame = standard_form(spectrum, n)
+    before = schur_basis.cache_info()
+    form = standard_form(phi, n)
+    after = schur_basis.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert list(form.weights) == list(frame.weights)
+    assert max(abs(form.weights[lam] - q) for lam, q in frame.weights.items()) <= 1e-12
+    assert max(abs(a - b) for a, b in zip(form.spectrum, frame.spectrum)) <= 1e-15
+    check_form_against_the_dense_oracle(phi, n)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [state_from_schmidt((0.7, 0.3)), state_from_schmidt((0.5, 0.3, 0.2)), bell_state(3),
+     product_state(2), StateVector(np.array([0.6, 0, 0, -0.8j]), (2, 2))],
+    ids=["schmidt-2", "schmidt-3", "bell-3", "product", "phases"],
+)
+def test_a_schmidt_form_run_reads_no_basis(phi):
+    before = schur_basis.cache_info()
+    for n in (2, 5, 8):
+        form = standard_form(phi, n)
+        analytic = weights_analytic(form.spectrum, n)
+        assert max(abs(form.weights[lam] - q) for lam, q in analytic.items()) <= 1e-12
+        try:
+            run_teleport(phi, n, 0)
+        except NothingToTeleportError:  # a product state retains no weight
+            assert form.spectrum[0] == 1.0
+    assert schur_basis.cache_info() == before
+
+
+def test_a_diagonal_with_phases_is_its_own_frame():
+    # diag(0.6, -0.8i): pi_lam(M) is diag(0.6^c0 (-0.8i)^c1), the Schmidt
+    # coefficients are 0.64 and 0.36, and the u parts carry the phases
+    phi = StateVector(np.array([0.6, 0, 0, -0.8j]), (2, 2))
+    form = standard_form(phi, 3)
+    assert form.spectrum == pytest.approx((0.64, 0.36), abs=1e-15)
+    analytic = weights_analytic((0.64, 0.36), 3)
+    assert max(abs(form.weights[lam] - q) for lam, q in analytic.items()) <= 1e-15
+    x = np.diag(form.phi[Partition((2, 1))])
+    want = np.array([0.6**2 * -0.8j, 0.6 * (-0.8j) ** 2]) / math.sqrt(0.6**4 * 0.64 + 0.36 * 0.64**2)
+    assert np.max(np.abs(x - want)) <= 1e-15
+    check_form_against_the_dense_oracle(phi, 3)
+
+
+# the sizes of the cold basis builds the benchmark ladder times
+BASIS_LADDER = (
+    [(n, 2) for n in range(6, 13)] + [(n, 3) for n in range(3, 7)]
+    + [(n, 4) for n in range(2, 6)] + [(n, 5) for n in range(2, 5)]
+)
+
+
+@pytest.mark.parametrize("n,d", BASIS_LADDER)
+def test_contents_column_is_the_kostka_table(n, d):
+    # row k holds the letter counts of the k-th v = 0 column: block by block,
+    # kostka[i, w] rows of the counts of weight w, weights in basis order
+    basis = schur_basis(n, d)
+    sizes = np.array([len(square) for square in basis.weight_blocks])
+    firsts = basis.rows[np.cumsum(sizes) - sizes]  # a string of each weight
+    letters = np.array(np.unravel_index(firsts, (d,) * n)).T
+    counts = np.array([np.bincount(word, minlength=d) for word in letters])
+    blocks, weights = basis.kostka.shape
+    want = counts[np.repeat(np.tile(np.arange(weights), blocks), basis.kostka.ravel())]
+    table = block_rows(n, d)  # uncached: the column is built here
+    contents = table.contents
+    assert contents.dtype == np.min_scalar_type(n)
+    assert np.array_equal(contents, want)
+    assert (contents.sum(axis=1) == n).all()
+    ends = np.cumsum([du for _, du, _ in table])
+    assert ends[-1] == len(contents) == basis.references.shape[1]
+    assert basis.kostka.sum(axis=1).tolist() == [du for _, du, _ in table]
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (5, 1), (1, 3), (2, 7), (30, 2), (8, 3), (3, 9)])
+def test_contents_column_counts_dim_u_patterns_per_block(n, d):
+    table = block_rows(n, d)
+    contents = table.contents
+    assert len(contents) == sum(du for _, du, _ in table) == schur_weyl._sum_dim_u(n, d)
+    assert (contents.sum(axis=1) == n).all()
+    at = 0
+    for lam, du, _ in table:
+        block = contents[at : at + du].astype(np.int64)
+        at += du
+        # weights highest first, and the highest is lam itself, once
+        assert block[0].tolist() == list(lam.parts) and (block[1:] != block[0]).any(axis=1).all()
+        assert all(tuple(a) >= tuple(b) for a, b in zip(block, block[1:]))
+
+
+def test_contents_column_refuses_a_pattern_count_off_dim_u():
+    table = block_rows(4, 2)
+    wrong = BlockTable(BlockDims(lam, du + (lam.parts == (3, 1)), dv) for lam, du, dv in table)
+    with pytest.raises(RuntimeError, match=r"\(3,1\) has 3 Gelfand-Tsetlin patterns on 2 letters, not dim_u = 4"):
+        wrong.contents
+
+
 @pytest.mark.parametrize("n,d", [(4, 2), (3, 3), (5, 3), (4, 4), (3, 6), (2, 32)])
 def test_references_are_the_v0_columns_of_every_block(n, d):
     basis = build_schur_basis(n, d)
     assert "references" not in vars(basis)  # not made by the build
-    cols, letters = basis.references
+    cols = basis.references
     blocks = list(basis.blocks.values())
     want = np.hstack([block.vectors[:, :: block.dim_v] for block in blocks])
     assert np.array_equal(cols, want)
-    # each column lies on strings of the weight of its letters
-    counts = np.apply_along_axis(np.bincount, 1, letters, minlength=d)
+    # each column lies on strings of the weight of its row of the contents column
+    counts = block_table(n, d).contents
     strings = np.array(np.unravel_index(np.arange(d**n), (d,) * n)).T
     string_counts = np.apply_along_axis(np.bincount, 1, strings, minlength=d)
     for k in range(cols.shape[1]):
@@ -725,7 +854,7 @@ def test_standard_form_rejects_bad_input():
     with pytest.raises(ValueError):
         standard_form(StateVector(np.ones(6) / math.sqrt(6), (2, 3)), 2)
     with pytest.raises(ValueError, match="budget"):
-        standard_form(bell_state(2), 16)  # over the size limit
+        standard_form(rotated(bell_state(2), 0), 16)  # over the basis route's size limit
     with pytest.raises(ValueError, match="positive"):
         standard_form(bell_state(2), 0)
 

@@ -20,7 +20,12 @@ from locclab.states import (
 )
 from locclab.teleport import run_teleport
 
+import tests_support
+from tests_support import rotated
+
 PHI = state_from_schmidt((0.7, 0.3))
+# PHI under a seeded real rotation of each half: the basis route
+ROTATED = rotated(PHI, 0)
 BELL = bell_state(2)
 BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
 RESULT = run_teleport(PHI, 9, 0)  # its final state, built on access, takes 4 MiB
@@ -60,11 +65,13 @@ GUARDED_CALLS = {
     "build_schur_basis": lambda: build_schur_basis(10, 2),
     "SchurBlock.vectors": lambda: BASIS.blocks[Partition((6, 4))].vectors,
     "SchurBasis.matrix": lambda: BASIS.matrix,
-    "standard_form": lambda: standard_form(PHI, 10),
-    "run_teleport": lambda: run_teleport(PHI, 10, 0),
+    "standard_form": lambda: standard_form(PHI, 118),
+    "standard_form.rotated": lambda: standard_form(ROTATED, 10),
+    "run_teleport": lambda: run_teleport(PHI, 118, 0),
+    "run_teleport.rotated": lambda: run_teleport(ROTATED, 10, 0),
     "TeleportResult.final_state": lambda: RESULT.final_state,
     "teleport_protocol": lambda: teleport_protocol(5, 2),
-    "kraus_operator": lambda: teleport.kraus_operator(BASIS, IDENTITIES),
+    "kraus_operator": lambda: tests_support.kraus_operator(BASIS, IDENTITIES),
     "final_state": lambda: LoccTranscript("t", 0, [], np.ones(512) / np.sqrt(512)).final_state,
 }
 
@@ -100,11 +107,14 @@ def _protocol_run(n):
     return run
 
 
-# (call at d = 2, its largest n admitted by a 2^24 budget)
+# (call at d = 2, its largest n admitted by a 2^24 budget): a diagonal input
+# is counted on the frame route, any other on the basis route
 EDGES = {
     "build_schur_basis": (lambda n: lambda: build_schur_basis(n, 2), 11),
-    "standard_form": (lambda n: lambda: standard_form(PHI, n), 11),
-    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 11),
+    "standard_form": (lambda n: lambda: standard_form(PHI, n), 118),
+    "standard_form.rotated": (lambda n: lambda: standard_form(ROTATED, n), 11),
+    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 118),
+    "run_teleport.rotated": (lambda n: lambda: run_teleport(ROTATED, n, 0), 11),
     "teleport_protocol": (_protocol_run, 5),
 }
 
@@ -135,6 +145,16 @@ def test_standard_form_peak_within_its_count_at_large_d(n, d, declared):
     rng = np.random.default_rng(d)
     amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     phi = StateVector(amps / np.linalg.norm(amps), (d, d))
+    peak = traced_peak(lambda: standard_form(phi, n))
+    assert peak <= declared[0]
+
+
+@pytest.mark.parametrize("n,d", [(1, 250), (2, 20), (3, 8), (9, 3), (6, 4)])
+def test_frame_peak_within_its_count_at_large_d(n, d, declared):
+    # a diagonal of complex phases over a flat spectrum: every block weighs
+    # above the floor, and every u part is complex
+    amps = np.diag(np.exp(1j * np.arange(d)) / np.sqrt(d))
+    phi = StateVector(amps.reshape(-1), (d, d))
     peak = traced_peak(lambda: standard_form(phi, n))
     assert peak <= declared[0]
 

@@ -24,11 +24,16 @@ from locclab.teleport import (
     good_set,
     ideal_fidelities,
     ideal_fidelity,
-    kraus_operator,
     run_teleport,
     sample_haar_unitary,
 )
-from tests_support import FORM_ORACLE_SIZES, dense_final_state, oracle_inputs
+from tests_support import (
+    FORM_ORACLE_SIZES,
+    dense_final_state,
+    kraus_operator,
+    oracle_inputs,
+    rotated,
+)
 
 
 # ---------------------------------------------------------------- good set
@@ -393,8 +398,37 @@ def test_run_teleport_memory_at_admitted_sizes(p, n):
 
 
 def test_run_teleport_rejects_oversize():
-    with pytest.raises(ValueError, match="budget"):
-        run_teleport(bell_state(2), 16, 0)
+    # a diagonal input past the frame route's count, and one off the
+    # diagonal past the basis route's
+    with pytest.raises(ValueError, match="^run_teleport at n=804, d=2 needs .* budget$"):
+        run_teleport(bell_state(2), 804, 0)
+    with pytest.raises(ValueError, match="^run_teleport at n=16, d=2 needs .* budget$"):
+        run_teleport(rotated(bell_state(2), 0), 16, 0)
+
+
+def test_a_diagonal_input_takes_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    vacuous = run_teleport(bell_state(1000), 1, 0)  # no block is retained at n = 1
+    assert vacuous.status == "vacuous"
+    assert vacuous.schmidt_spectrum == pytest.approx((1e-3,) * 1000, abs=1e-18)
+    res = run_teleport(state_from_schmidt((0.5, 0.3, 0.2)), 6, 0)
+    assert res.schmidt_spectrum == pytest.approx((0.5, 0.3, 0.2), abs=1e-15)
+    assert abs(res.success_prob - ideal_fidelity((0.5, 0.3, 0.2), 6)) <= 1e-14
+
+
+def test_bell_state_at_n16_is_admitted_on_the_frame_route():
+    res = run_teleport(bell_state(2), 16, 0)
+    assert res.status == "ok" and res.schmidt_spectrum == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert abs(res.success_prob - ideal_fidelity((0.5, 0.5), 16)) <= 1e-14
+
+
+@pytest.mark.parametrize("p, n", [((0.7, 0.3), 200), ((0.5, 0.3, 0.2), 20), ((0.4, 0.3, 0.2, 0.1), 10)])
+def test_frame_runs_past_the_basis_sizes_meet_the_ideal_fidelity(p, n):
+    res = run_teleport(state_from_schmidt(p), n, 0)
+    assert abs(res.success_prob - ideal_fidelity(p, n)) <= 1e-12
 
 
 FINAL_ORACLE_SIZES = [(n, d) for n, d in FORM_ORACLE_SIZES if d**n <= 729]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from locclab.partitions import (
     schur_ladder,
     standard_tableaux,
 )
-from locclab.schur_weyl import BasisAlignmentError, schur_basis
-from locclab.states import StateVector, bipartite_tensor_power, state_from_schmidt
+from locclab.schur_weyl import BasisAlignmentError, SchurBasis, schur_basis
+from locclab.states import StateVector, bipartite_tensor_power, check_bytes, state_from_schmidt
 from locclab.teleport import good_set
 
 
@@ -49,6 +50,44 @@ def random_two_param_model(seed: int) -> PureStateModel:
         return np.array(out)
 
     return PureStateModel(2, state, deriv, name=f"random-{seed}")
+
+
+# ----------------------------------------------------------------------
+# the outcome operator of one tuple of unitaries, the oracle of Alice's rows
+
+
+def kraus_operator(
+    basis: SchurBasis, unitaries: Mapping[Partition, np.ndarray]
+) -> np.ndarray:
+    """The outcome operator for one sampled tuple of unitaries, one dim_v x
+    dim_v unitary per retained block of ``basis``, as a (1, d^n) matrix on
+    Alice's space in the computational basis.
+
+    In block coordinates it reads sqrt(dim_v) U[v, u] at (u, v) of each
+    retained block, for u < dim_u, in the block's ``span``. It annihilates
+    every block outside the good set, and the average of A^dagger A over
+    outcomes is the projector onto the retained subspace. Raises ValueError
+    when a retained block has no unitary, or one of the wrong shape or not
+    unitary within 1e-10.
+    """
+    good = good_set(basis.n, basis.d)
+    missing = [lam for lam in good if lam not in unitaries]
+    if missing:
+        raise ValueError(f"missing unitaries for blocks {missing}")
+    dim = basis.d**basis.n
+    check_bytes(16 * dim, "an outcome operator")
+    out = np.zeros(dim, dtype=complex)
+    for lam in good:
+        block = basis.blocks[lam]
+        du, dv = block.dim_u, block.dim_v
+        u_mat = np.asarray(unitaries[lam], dtype=complex)
+        if u_mat.shape != (dv, dv):
+            raise ValueError(f"unitary for {lam} must be {dv}x{dv}")
+        if not np.all(np.abs(u_mat.conj().T @ u_mat - np.eye(dv)) <= 1e-10):
+            raise ValueError(f"matrix for {lam} is not unitary")
+        coeff = math.sqrt(dv) * u_mat[:, :du].T
+        out += coeff.reshape(du * dv) @ block.vectors.T
+    return np.conj(out, out=out)[None, :]
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +309,15 @@ def oracle_inputs(n: int, d: int) -> list[StateVector]:
     amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     spectrum = np.sort(rng.dirichlet(np.ones(d)))[::-1]
     return [StateVector(amps / np.linalg.norm(amps), (d, d)), state_from_schmidt(spectrum)]
+
+
+def rotated(phi: StateVector, seed: int) -> StateVector:
+    """phi under a seeded real orthogonal rotation of each half, Q_A (x) Q_B:
+    the same Schmidt spectrum, with an amplitude matrix Q_A M Q_B^T off its
+    diagonal, so that ``standard_form`` takes the basis route on it."""
+    rng = np.random.default_rng(seed)
+    q_a, q_b = (np.linalg.qr(rng.standard_normal((len(phi.amplitude_matrix()),) * 2))[0] for _ in "ab")
+    return StateVector((q_a @ phi.amplitude_matrix() @ q_b.T).reshape(-1), phi.dims)
 
 
 def dense_final_state(phi: StateVector, n: int) -> np.ndarray:
