@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import chain, compress
@@ -149,7 +150,7 @@ def cmd_decompose(args) -> dict:
         "weights": dict(zip(labels, weights)),
         "good_set": sorted(compress(labels, table.retained)),
         "dims": {label: {"dim_u": du, "dim_v": dv} for label, (_, du, dv) in zip(labels, table)},
-        "weight_sum": sum(weights),
+        "weight_sum": math.fsum(weights),
     }
 
 

@@ -194,6 +194,13 @@ class BlockTable(tuple):
         return np.array([du <= dv for _, du, dv in self], dtype=bool)
 
     @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each block's u rows start in ``contents``, and K = sum
+        dim_u after the last: block i holds rows offsets[i] to
+        offsets[i + 1]."""
+        return np.cumsum([0] + [du for _, du, _ in self])
+
+    @cached_property
     def labels(self) -> str:
         """Each block's label, ``str(lam)`` as the CLI prints it, one line
         each: a caller splits the one string, which holds them in about a

@@ -52,12 +52,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .partitions import (
+    BlockTable,
     Partition,
     block_table,
     character,
@@ -74,7 +76,7 @@ from .states import StateVector, check_bytes
 CONSTRUCTION_VERSION = 4
 
 _MAX_CHARACTER_N = 14
-_WEIGHT_FLOOR = 1e-14  # blocks at or below this weight carry no phi entry
+_WEIGHT_FLOOR = 1e-14  # blocks at or below this weight carry no u part
 
 
 class BasisAlignmentError(RuntimeError):
@@ -676,19 +678,23 @@ class StandardForm:
     """Per-block decomposition data of the n-fold power of a bipartite state.
 
     weights[lam] is the squared amplitude q_lambda, the squared norm of the
-    block; phi[lam] the normalized dim_u x dim_u amplitude matrix of the
-    state on the paired unitary-group factors. Block lam of B^T psi B (its
-    rows and columns ``basis.blocks[lam].span``) is sqrt(q_lambda) phi[lam]
-    (x) 1/sqrt(dim_v): the multiplicity part sum_v |v v> / sqrt(dim_v) does
-    not depend on the input state. Blocks of weight at or below 1e-14 carry
-    no phi entry. ``spectrum`` holds the Schmidt coefficients, the squared
-    singular values of the amplitude matrix, non-increasing.
+    block. parts[lam] is the normalized u part of the block, the amplitude
+    matrix of the state on the paired unitary-group factors: on the frame
+    route (a diagonal amplitude matrix) it is diagonal and held as its
+    diagonal, a 1-D array of length dim_u; on the basis route it is a dense
+    dim_u x dim_u array. ``phi`` gives every part as a dense matrix. Block
+    lam of B^T psi B (its rows and columns ``basis.blocks[lam].span``) is
+    sqrt(q_lambda) phi[lam] (x) 1/sqrt(dim_v): the multiplicity part
+    sum_v |v v> / sqrt(dim_v) does not depend on the input state. Blocks of
+    weight at or below 1e-14 carry no part. ``spectrum`` holds the Schmidt
+    coefficients, the squared singular values of the amplitude matrix,
+    non-increasing.
     """
 
     n: int
     d: int
     weights: dict[Partition, float]
-    phi: dict[Partition, np.ndarray]
+    parts: dict[Partition, np.ndarray]
     spectrum: tuple[float, ...]
 
     @property
@@ -697,6 +703,17 @@ class StandardForm:
         built on a miss) on every access: a Schmidt-form input's form is
         made without it."""
         return schur_basis(self.n, self.d)
+
+    @property
+    def phi(self) -> dict[Partition, np.ndarray]:
+        """Every part as a dense dim_u x dim_u array, built on every access:
+        a diagonal part is expanded behind its own byte count (the matrix,
+        and 512 bytes a block and 64 KiB for the records); a dense part is
+        returned as it is."""
+        diagonals = [x for x in self.parts.values() if x.ndim == 1]
+        nbytes = sum(x.itemsize * len(x) ** 2 + 512 for x in diagonals) + 2**16
+        check_bytes(nbytes, f"the dense phi at n={self.n}, d={self.d}")
+        return {lam: np.diag(x) if x.ndim == 1 else x for lam, x in self.parts.items()}
 
 
 def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
@@ -716,6 +733,8 @@ def _sum_dim_u(n: int, d: int) -> int:
     m = d * (d - 1) // 2
     if m == 0:  # d = 1: the one block (n)
         return 1
+    if d == 2:  # the sum of lam_1 - lam_2 + 1 over lam_2 <= n / 2
+        return (n + 2) ** 2 // 4
     return sum(
         math.comb(n - 2 * k + d - 1, d - 1) * math.comb(k + m - 1, k) for k in range(n // 2 + 1)
     )
@@ -748,37 +767,41 @@ def standard_form_bytes(n: int, d: int) -> int:
 def frame_bytes(n: int, d: int) -> int:
     """The bytes ``standard_form`` and ``run_teleport`` count at (n, d) on
     the frame route, for a diagonal amplitude matrix, memoized. With
-    S = sum dim_u^2 = C(n + d^2 - 1, n), the dimension of the symmetric
-    power Sym^n(End C^d) that the blocks' End(U_lam) make up, and
-    K = sum dim_u:
+    K = sum dim_u, the number of u indices:
 
-    - 48 S: the dense complex u parts phi, the final blocks that
-      ``run_teleport`` keeps beside them, and one block's product before it
-      is scaled;
     - 24 K d: each u index's letter powers, complex, with the contents
       column itself;
     - 40 K min(n, d) + 64 K, and 8 (K + 1) d + 8 K for each level's link and
       size: building the contents column, one Gelfand-Tsetlin level at a
       time;
-    - 512 K and 64 KiB for the per-block records and small arrays.
+    - 512 K and 64 KiB for the arrays over the u indices (Delta, its
+      squares, the normalized, conditioned and final u parts and their
+      products, at most 16 bytes an index each), the per-block arrays and
+      small records.
 
-    When 48 S alone passes the budget it is returned, K unsummed; when S
-    is past 2^64 by its log, 48 times the power of two below S, with no
-    exact binomial formed (past 2^150 for any n beyond 2^53 at d >= 2,
-    where S >= C(n + 3, 3)). ValueError unless n and d are positive."""
+    The u parts are kept as their diagonals, so nothing grows with
+    sum dim_u^2. K >= dim_u of the block (n), C(n + d - 1, d - 1): at d >= 3
+    that bound is sized first, by its log, and when its count alone passes
+    the budget that count is returned, K unsummed (past 2^64, for the power
+    of two below the bound, and for n past 2^53, where lgamma is no longer
+    exact, for K >= C(n + 2, 2) > 2^105). At d = 2, K = (n + 2)^2 // 4.
+    ValueError unless n and d are positive."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    if d > 1 and n > 2**53:  # past the exact floats lgamma takes
-        return 48 << 150
-    log2_squares = (math.lgamma(n + d * d) - math.lgamma(n + 1) - math.lgamma(d * d)) / math.log(2)
-    if log2_squares > 64:
-        return 48 << int(log2_squares - 1)
-    squares = math.comb(n + d * d - 1, n)
-    if 48 * squares > 2**32:
-        return 48 * squares
-    width = _sum_dim_u(n, d)
-    levels = 8 * (width + 1) * d + 8 * width
-    return 48 * squares + width * (24 * d + 40 * min(n, d) + 576) + levels + 2**16
+    per_index = 24 * d + 40 * min(n, d) + 576 + 8 * d + 8
+
+    def count(width: int) -> int:
+        return per_index * width + 8 * d + 2**16
+
+    if d > 2:
+        if n > 2**53:
+            return count(1 << 105)
+        log2_top = (math.lgamma(n + d) - math.lgamma(n + 1) - math.lgamma(d)) / math.log(2)
+        if log2_top > 64:
+            return count(1 << int(log2_top - 1))
+        if count(math.comb(n + d - 1, d - 1)) > 2**32:
+            return count(math.comb(n + d - 1, d - 1))
+    return count(_sum_dim_u(n, d))
 
 
 def _power_times(mats: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -808,13 +831,69 @@ def schmidt_diagonal(mat: np.ndarray) -> np.ndarray | None:
     it, real when no entry has an imaginary part; None when an entry off
     the diagonal is non-zero. Such a matrix is in its own Schmidt frame:
     every state the command line builds (``bell``, ``product``,
-    ``--schmidt``) is. The entries off the diagonal are read through a
-    view, with no copy: the d - 1 runs of d between diagonal entries."""
-    d = len(mat)
-    if mat.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].any():
+    ``--schmidt``) is. The matrix holds no entry off the diagonal when it
+    has as many non-zero entries as its diagonal, a view: nothing is
+    copied."""
+    diagonal = mat.diagonal()
+    if np.count_nonzero(mat) != np.count_nonzero(diagonal):
         return None
-    diagonal = np.diagonal(mat)
-    return diagonal if diagonal.imag.any() else diagonal.real
+    return diagonal if np.count_nonzero(diagonal.imag) else diagonal.real
+
+
+def _diagonal_spectrum(diagonal: np.ndarray) -> tuple[float, ...]:
+    """The Schmidt coefficients of a diagonal amplitude matrix, the squared
+    moduli of its diagonal, non-increasing."""
+    return tuple([x * x for x in sorted(map(abs, diagonal.tolist()), reverse=True)])
+
+
+class _Frame(NamedTuple):
+    """The frame route's arrays at (n, d), every block at once in ``table``
+    order: Delta at each of the K = sum dim_u u indices, each block's
+    |Delta_lam|^2 and weight q_lam, the mask of the blocks above the weight
+    floor (the ones that carry a u part) and the spectrum."""
+
+    table: BlockTable
+    delta: np.ndarray
+    squares: np.ndarray
+    weights: np.ndarray
+    carried: np.ndarray
+    spectrum: tuple[float, ...]
+
+    def blocks(self, flat: np.ndarray, mask: np.ndarray) -> dict[Partition, np.ndarray]:
+        """The blocks of mask, each keyed to its slice (a view) of flat, an
+        array over the u indices."""
+        bounds, keep = self.table.offsets.tolist(), mask.tolist()
+        spans = itertools.compress(map(slice, bounds, bounds[1:]), keep)
+        labels = itertools.compress(map(itemgetter(0), self.table), keep)
+        return dict(zip(labels, map(flat.__getitem__, spans)))
+
+
+def _schmidt_frame(diagonal: np.ndarray, n: int) -> _Frame:
+    """The frame route of ``standard_form`` and ``run_teleport``, whole-array:
+    Delta = prod_i m_ii^{c_i} at every u index of ``block_table(n, d)``'s
+    contents column, each block's |Delta_lam|^2 by one reduceat over its
+    offsets column, and q_lam = dim_v |Delta_lam|^2. The caller has counted
+    ``frame_bytes`` and checked the state's norm. ValueError when a dim_v
+    is beyond the float range, found before the contents column is read;
+    BasisAlignmentError unless the weights sum to |phi|^(2n) within 1e-10."""
+    table = block_table(n, len(diagonal))
+    try:
+        dims = table.float_dim_v
+    except OverflowError as exc:
+        raise ValueError(f"a dim_v at n={n} is beyond the float range") from exc
+    delta = np.multiply.reduce(diagonal ** table.contents, axis=1)
+    mass = np.square(delta.real)
+    if delta.dtype.kind == "c":
+        mass += np.square(delta.imag)
+    squares = np.add.reduceat(mass, table.offsets[:-1])
+    weights = dims * squares
+    spectrum = _diagonal_spectrum(diagonal)
+    # as on the basis route, the weights sum to |phi|^(2n), the sum of the
+    # spectrum to the n-th power
+    total, expected = math.fsum(weights.tolist()), math.fsum(spectrum) ** n
+    if not abs(total - expected) <= 1e-10:
+        raise BasisAlignmentError(f"weights sum to {total}, not |phi|^(2n) = {expected}")
+    return _Frame(table, delta, squares, weights, weights > _WEIGHT_FLOOR, spectrum)
 
 
 def _block_irreps(mat: np.ndarray, n: int, table) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -881,15 +960,17 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
     A diagonal M (``schmidt_diagonal``) is its own Schmidt frame: U and V^H
     are the identity up to a diagonal of phases and an order of the
     letters, and pi_lam(M) itself is diagonal, prod_i m_ii^{c_i}. So its
-    form takes no SVD and no basis: q_lam = dim_v |Delta_lam|^2 and
-    phi_lam = diag(Delta_lam) / |Delta_lam|, counted by ``frame_bytes``.
-    Any other M takes the basis route (``_block_irreps``), counted by
-    ``standard_form_bytes``, and the u part of block lam is
+    form takes no SVD and no basis, and is computed over every block at
+    once (``_schmidt_frame``): q_lam = dim_v |Delta_lam|^2, and the part of
+    block lam is Delta_lam / |Delta_lam|, kept as its diagonal, counted by
+    ``frame_bytes``. Any other M takes the basis route (``_block_irreps``),
+    counted by ``standard_form_bytes``, and the u part of block lam is
     pi_lam(U) Delta_lam pi_lam(V^H), formed block by block.
 
     Each failed check is a BasisAlignmentError: those of ``_block_irreps``
     on the basis route, and on both routes the weights sum to |phi|^(2n)
-    within 1e-10. The v >= 1 columns are not read, so not checked here: the
+    within 1e-10. On the frame route a dim_v beyond the float range is a
+    ValueError. The v >= 1 columns are not read, so not checked here: the
     pairing they carry follows from the construction, and the dense route
     the tests compare against checks it.
     """
@@ -901,34 +982,37 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
     count = standard_form_bytes if diagonal is None else frame_bytes
     check_bytes(count(n, d), f"standard_form at n={n}, d={d}")
     phi.require_normalized()
-    table = block_table(n, d)
-    if diagonal is None:
-        svals, pis = _block_irreps(mat, n, table)
-        delta = np.prod(svals ** table.contents, axis=1)
-    else:
-        svals, pis = np.sort(np.abs(diagonal))[::-1], None
-        delta = np.prod(diagonal ** table.contents, axis=1)
+    if diagonal is not None:
+        frame = _schmidt_frame(diagonal, n)
+        table = frame.table
+        # each carried block's Delta over its norm, 0 elsewhere
+        norms = np.sqrt(frame.squares)
+        scale = np.divide(1.0, norms, out=np.zeros(len(table)), where=frame.carried)
+        offsets = table.offsets
+        parts = frame.delta * scale.repeat(offsets[1:] - offsets[:-1])
+        weights = dict(zip(map(itemgetter(0), table), frame.weights.tolist()))
+        return StandardForm(n, d, weights, frame.blocks(parts, frame.carried), frame.spectrum)
 
+    table = block_table(n, d)
+    svals, pis = _block_irreps(mat, n, table)
+    delta = np.prod(svals ** table.contents, axis=1)
     weights: dict[Partition, float] = {}
-    phis: dict[Partition, np.ndarray] = {}
+    parts: dict[Partition, np.ndarray] = {}
     at = 0
     for i, (lam, du, dv) in enumerate(table):
         part_delta = delta[at : at + du]
         at += du
-        if pis is None:
-            part = np.vdot(part_delta, part_delta).real
-        else:
-            x = (pis[i][0] * part_delta) @ pis[i][1]  # the u part
-            part = np.vdot(x, x).real
+        x = (pis[i][0] * part_delta) @ pis[i][1]  # the u part
+        part = np.vdot(x, x).real
         weights[lam] = dv * part
         if weights[lam] > _WEIGHT_FLOOR:
-            phis[lam] = np.diag(part_delta / math.sqrt(part)) if pis is None else x / math.sqrt(part)
+            parts[lam] = x / math.sqrt(part)
     # the blocks hold all of |phi>^(x)n, of squared norm |phi|^(2n): an
     # admitted norm 1 + 1e-10 puts that 2n * 1e-10 away from 1
     total, expected = math.fsum(weights.values()), float(svals @ svals) ** n
     if not abs(total - expected) <= 1e-10:
         raise BasisAlignmentError(f"weights sum to {total}, not |phi|^(2n) = {expected}")
-    return StandardForm(n, d, weights, phis, tuple((svals**2).tolist()))
+    return StandardForm(n, d, weights, parts, tuple((svals**2).tolist()))
 
 
 def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:

@@ -32,6 +32,8 @@ from .partitions import (
     spectrum_weights,
 )
 from .schur_weyl import (
+    _diagonal_spectrum,
+    _schmidt_frame,
     frame_bytes,
     schmidt_diagonal,
     schur_basis,
@@ -174,11 +176,16 @@ class TeleportResult:
     that follow from it.
 
     ``success_prob`` is the retained weight, the success probability of the
-    projection step. ``final_blocks`` is the post-recovery state in block
-    coordinates, the u part x of each retained block of non-zero weight:
-    block lam of its coefficients in the basis on both halves is x (x) 1_v.
-    It is None when the good set is empty (the run is vacuous). A sampled
-    transcript of the protocol comes from ``run_locc(teleport_protocol(n, d), ...)``.
+    projection step, reported as the retained share R / (R + T) of the
+    block weights (``_retained_weight``), so it is at most 1.
+    ``final_blocks`` is the post-recovery state in block coordinates, the u
+    part x of each retained block of weight above 1e-14: block lam of its
+    coefficients in the basis on both halves is x (x) 1_v. On the frame
+    route (a diagonal amplitude matrix) x is diagonal and held as its
+    diagonal, a 1-D array of length dim_u; on the basis route it is a dense
+    dim_u x dim_u array. It is None when the good set is empty (the run is
+    vacuous). A sampled transcript of the protocol comes from
+    ``run_locc(teleport_protocol(n, d), ...)``.
     """
 
     n: int
@@ -209,9 +216,12 @@ class TeleportResult:
         out = np.zeros((size, size), dtype=complex)
         for lam, x in self.final_blocks.items():
             du, dv = blocks[lam].dim_u, blocks[lam].dim_v
-            # columns in (v, u) order, so that x acts on the last axis
+            # columns in (v, u) order, so that x acts on the last axis; a
+            # diagonal x scales each u column
             vecs = blocks[lam].vectors.reshape(size, du, dv).transpose(0, 2, 1).reshape(size, -1)
-            out += (vecs.reshape(size, dv, du) @ (x / norm)).reshape(size, -1) @ vecs.T
+            cols = vecs.reshape(size, dv, du)
+            acted = cols * (x / norm) if x.ndim == 1 else cols @ (x / norm)
+            out += acted.reshape(size, -1) @ vecs.T
         return StateVector(out.reshape(-1), (self.d,) * (2 * self.n))
 
     @property
@@ -261,16 +271,22 @@ def run_teleport(
 ) -> TeleportResult:
     """Simulate one full protocol run on |phi>^{(x)n}.
 
-    Steps I-III act on the u parts of ``standard_form``'s retained blocks,
-    whose Schmidt decomposition also gives the spectrum: projection (its
-    success probability is the retained weight), Alice's measurement, then
-    recovery and local reconstruction. Recovery undoes every outcome
+    Steps I-III act on the u parts of the retained blocks of the standard
+    form, whose Schmidt decomposition also gives the spectrum: projection
+    (its success probability is the retained weight), Alice's measurement,
+    then recovery and local reconstruction. Recovery undoes every outcome
     exactly, so the final state does not depend on it and none is drawn;
     ``rng`` sets only the recorded seed. The final state is kept in block
     coordinates and checked against the analytic target; the reported
-    fidelity equals the retained weight. A diagonal amplitude matrix is
-    counted and run on the frame route (``frame_bytes``), reading no basis,
-    and a vacuous run reads its spectrum off that diagonal, with no SVD.
+    fidelity equals the retained weight, the retained share of the weights.
+
+    The dims, the diagonal, the byte count and the norm are checked once,
+    before the block table is read. A diagonal amplitude matrix is counted
+    and run on the frame route (``frame_bytes``): the arrays of
+    ``_schmidt_frame`` over every block at once, reading no basis, with no
+    loop over the blocks; a vacuous run reads its spectrum off that
+    diagonal, with no SVD. Any other input runs on ``standard_form``'s
+    basis route, block by block.
     """
     seed = seed_of(rng)
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
@@ -283,18 +299,48 @@ def run_teleport(
     check_bytes(count(n, d), f"run_teleport at n={n}, d={d}")
     phi = phi.require_normalized()
 
-    good = good_set(n, d)
-    if not good:
+    table = block_table(n, d)
+    if not np.count_nonzero(table.retained):
         if diagonal is None:
             spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
         else:
-            spectrum = tuple((np.sort(np.abs(diagonal))[::-1] ** 2).tolist())
+            spectrum = _diagonal_spectrum(diagonal)
         return TeleportResult(n, d, spectrum, 0.0, None, seed)
+    if diagonal is None:
+        return _basis_run(phi, n, table, seed)
 
+    # step I: Alice projects onto the retained blocks; the conditioned
+    # state's u part on block lam is t = sqrt(q_lam / success) Delta_lam /
+    # |Delta_lam|, over the blocks that carry a u part
+    frame = _schmidt_frame(diagonal, n)
+    success = _retained_weight(table, frame.weights)
+    if success < 1e-12:
+        raise NothingToTeleportError(n, d, frame.spectrum)
+    kept = table.retained & frame.carried
+    scale = np.divide(frame.weights, success * frame.squares, out=np.zeros(len(table)), where=kept)
+    counts = table.offsets[1:] - table.offsets[:-1]  # the dim_u
+    target = frame.delta * np.sqrt(scale).repeat(counts)
+    # steps II and III as in _basis_run: Bob holds t / sqrt(dim_v) of each
+    # kept block once recovery has undone Alice's outcome
+    root = np.sqrt(table.float_dim_v).repeat(counts)
+    final = target / root
+    spread = final * root  # the final state's blocks, weighted by sqrt(dim_v)
+    check = abs(np.vdot(spread, target)) ** 2 / np.vdot(spread, spread).real
+    if check < 1.0 - 1e-8:
+        raise AssertionError(f"final state misses the analytic target: {check}")
+    return TeleportResult(n, d, frame.spectrum, success, frame.blocks(final, kept), seed)
+
+
+def _basis_run(phi: StateVector, n: int, table: BlockTable, seed: int | None) -> TeleportResult:
+    """``run_teleport`` on an amplitude matrix off the diagonal: steps I-III
+    on the dense u parts of ``standard_form``'s basis route, block by
+    block."""
+    d = phi.dims[0]
     # step I: Alice projects onto the retained blocks; the conditioned
     # state's u part on block lam is sqrt(q_lam / success) phi_lam
     form = standard_form(phi, n)
-    success = math.fsum(form.weights[lam] for lam in good)
+    weights = np.array(list(form.weights.values()))  # in table order
+    success = _retained_weight(table, weights)
     if success < 1e-12:
         raise NothingToTeleportError(n, d, form.spectrum)
 
@@ -305,13 +351,12 @@ def run_teleport(
     # multiplicity index, leaving t (U_u^dagger U_u = 1) for every outcome;
     # that content is relabeled into a fresh register and the maximally
     # entangled parts are reattached
-    table = block_table(n, d)
     final: dict[Partition, np.ndarray] = {}
     overlap, norm_sq = 0j, 0.0  # with the target, and of the final state
-    for (lam, _, dv), kept in zip(table, table.retained):
-        if not kept or lam not in form.phi:
+    for (lam, _, dv), q, kept in zip(table, weights.tolist(), table.retained.tolist()):
+        if not kept or lam not in form.parts:
             continue
-        t = math.sqrt(form.weights[lam] / success) * form.phi[lam]
+        t = math.sqrt(q / success) * form.parts[lam]
         final[lam] = t / math.sqrt(dv)
         overlap += math.sqrt(dv) * np.vdot(final[lam], t)
         norm_sq += dv * np.vdot(final[lam], final[lam]).real

@@ -254,10 +254,17 @@ def test_a_size_past_the_decimal_conversion_limit_names_the_call_and_budget(caps
     assert "budget" in message
 
 
+def test_a_teleport_past_the_float_edge_is_one_json_line(capsys):
+    code, out, err = run_cli(capsys, "teleport", "--schmidt", "0.6,0.4", "--n", "1035")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error == {"error": "ValueError", "message": "a dim_v at n=1035 is beyond the float range"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["teleport", "--state", "bell", "--d", "4", "--n", "16"],
+        ["teleport", "--state", "bell", "--d", "6", "--n", "16"],
         ["decompose", "--state", "bell", "--d", "100000", "--n", "1"],
         ["decompose", "--state", "bell", "--d", "0", "--n", "2"],
         ["detect", "--states", "bell", "product", "--d", "0"],

@@ -24,11 +24,14 @@ import tests_support
 from tests_support import rotated
 
 PHI = state_from_schmidt((0.7, 0.3))
+PHI3 = state_from_schmidt((0.5, 0.3, 0.2))
+PHI4 = state_from_schmidt((0.4, 0.3, 0.2, 0.1))
 # PHI under a seeded real rotation of each half: the basis route
 ROTATED = rotated(PHI, 0)
 BELL = bell_state(2)
 BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
 RESULT = run_teleport(PHI, 9, 0)  # its final state, built on access, takes 4 MiB
+FORM = standard_form(PHI, 200)  # its dense phi, built on access, takes 10 MiB
 # one outcome at n = 10: a dense retained block it reads takes up to 3 MB
 IDENTITIES = {lam: np.eye(BASIS.blocks[lam].dim_v) for lam in teleport.good_set(10, 2)}
 
@@ -65,11 +68,12 @@ GUARDED_CALLS = {
     "build_schur_basis": lambda: build_schur_basis(10, 2),
     "SchurBlock.vectors": lambda: BASIS.blocks[Partition((6, 4))].vectors,
     "SchurBasis.matrix": lambda: BASIS.matrix,
-    "standard_form": lambda: standard_form(PHI, 118),
+    "standard_form": lambda: standard_form(PHI, 301),
     "standard_form.rotated": lambda: standard_form(ROTATED, 10),
-    "run_teleport": lambda: run_teleport(PHI, 118, 0),
+    "run_teleport": lambda: run_teleport(PHI, 301, 0),
     "run_teleport.rotated": lambda: run_teleport(ROTATED, 10, 0),
     "TeleportResult.final_state": lambda: RESULT.final_state,
+    "StandardForm.phi": lambda: FORM.phi,
     "teleport_protocol": lambda: teleport_protocol(5, 2),
     "kraus_operator": lambda: tests_support.kraus_operator(BASIS, IDENTITIES),
     "final_state": lambda: LoccTranscript("t", 0, [], np.ones(512) / np.sqrt(512)).final_state,
@@ -107,15 +111,21 @@ def _protocol_run(n):
     return run
 
 
-# (call at d = 2, its largest n admitted by a 2^24 budget): a diagonal input
-# is counted on the frame route, any other on the basis route
+# (call, its largest n admitted by a 2^24 budget), at d = 2 unless named: a
+# diagonal input is counted on the frame route, whose count grows with
+# sum dim_u, any other on the basis route
 EDGES = {
     "build_schur_basis": (lambda n: lambda: build_schur_basis(n, 2), 11),
-    "standard_form": (lambda n: lambda: standard_form(PHI, n), 118),
+    "standard_form": (lambda n: lambda: standard_form(PHI, n), 301),
     "standard_form.rotated": (lambda n: lambda: standard_form(ROTATED, n), 11),
-    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 118),
+    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 301),
     "run_teleport.rotated": (lambda n: lambda: run_teleport(ROTATED, n, 0), 11),
     "teleport_protocol": (_protocol_run, 5),
+    # the frame route at d = 3 and 4
+    "standard_form.d3": (lambda n: lambda: standard_form(PHI3, n), 24),
+    "run_teleport.d3": (lambda n: lambda: run_teleport(PHI3, n, 0), 24),
+    "standard_form.d4": (lambda n: lambda: standard_form(PHI4, n), 12),
+    "run_teleport.d4": (lambda n: lambda: run_teleport(PHI4, n, 0), 12),
 }
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locclab import states, teleport
+from locclab import schur_weyl, states, teleport
 from locclab.partitions import (
     BlockTable,
     Partition,
@@ -16,10 +16,11 @@ from locclab.partitions import (
     dim_v,
     enumerate_partitions,
 )
-from locclab.schur_weyl import schur_basis, weights_by_projector
+from locclab.schur_weyl import schur_basis, standard_form, weights_by_projector
 from locclab.states import bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
     NothingToTeleportError,
+    _retained_weight,
     fidelity_lower_bound,
     good_set,
     ideal_fidelities,
@@ -398,10 +399,11 @@ def test_run_teleport_memory_at_admitted_sizes(p, n):
 
 
 def test_run_teleport_rejects_oversize():
-    # a diagonal input past the frame route's count, and one off the
-    # diagonal past the basis route's
-    with pytest.raises(ValueError, match="^run_teleport at n=804, d=2 needs .* budget$"):
-        run_teleport(bell_state(2), 804, 0)
+    # a diagonal input past the frame route's count (at d = 2 the float
+    # edge of dim_v comes first), and one off the diagonal past the basis
+    # route's
+    with pytest.raises(ValueError, match="^run_teleport at n=84, d=3 needs .* budget$"):
+        run_teleport(bell_state(3), 84, 0)
     with pytest.raises(ValueError, match="^run_teleport at n=16, d=2 needs .* budget$"):
         run_teleport(rotated(bell_state(2), 0), 16, 0)
 
@@ -441,6 +443,10 @@ def test_final_state_matches_the_dense_oracle(n, d):
         if not good_set(n, d):
             assert res.final_state is None
             continue
+        # the Schmidt-form input runs on the frame route: its final u parts
+        # are held as their diagonals
+        diagonal = schur_weyl.schmidt_diagonal(phi.amplitude_matrix()) is not None
+        assert all((x.ndim == 1) == diagonal for x in res.final_blocks.values())
         final = res.final_state
         assert final.dims == (d,) * (2 * n)
         assert np.max(np.abs(final.amplitudes - dense_final_state(phi, n))) <= 1e-14
@@ -448,7 +454,105 @@ def test_final_state_matches_the_dense_oracle(n, d):
 
 def test_final_state_is_built_on_access_behind_the_guard(monkeypatch):
     res = run_teleport(state_from_schmidt((0.7, 0.3)), 6, 0)
-    assert all(x.shape == (dim_u(lam), dim_u(lam)) for lam, x in res.final_blocks.items())
+    # on the frame route each final u part is held as its diagonal
+    assert all(x.shape == (dim_u(lam),) for lam, x in res.final_blocks.items())
     monkeypatch.setattr(states, "_MAX_BYTES", 2**10)
     with pytest.raises(ValueError, match="^the final state at n=6, d=2 needs .* budget$"):
         res.final_state
+
+
+@pytest.mark.parametrize("p, n", [((0.5, 0.5), 800), ((0.6, 0.4), 1000)])
+def test_large_frame_runs_report_no_figure_above_one(p, n):
+    # the success probability is the retained share R / (R + T) of the
+    # weights, as ideal_fidelity reads it; a plain sum of the retained
+    # weights read 1.0000000000001092 at (0.5, 0.5), n = 800
+    before = schur_basis.cache_info()
+    res = run_teleport(state_from_schmidt(p), n, 0)
+    assert schur_basis.cache_info().misses == before.misses
+    assert abs(res.success_prob - ideal_fidelity(p, n)) <= 1e-12
+    for figure in (res.success_prob, res.fidelity, res.unconditional_fidelity):
+        assert figure <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_the_basis_route_reports_the_retained_share(n):
+    phi = rotated(state_from_schmidt((0.7, 0.3)), n)
+    weights = np.array(list(standard_form(phi, n).weights.values()))
+    assert run_teleport(phi, n, 0).success_prob == _retained_weight(block_rows(n, 2), weights)
+
+
+def test_a_run_past_the_float_edge_of_dim_v_is_a_value_error():
+    # n = 1035 at d = 2 passes the frame count, but a dim_v is past the
+    # largest float; the same message as block_weights
+    message = "^a dim_v at n=1035 is beyond the float range$"
+    with pytest.raises(ValueError, match=message):
+        run_teleport(state_from_schmidt((0.6, 0.4)), 1035, 0)
+    with pytest.raises(ValueError, match=message):
+        standard_form(state_from_schmidt((0.6, 0.4)), 1035)
+    res = run_teleport(state_from_schmidt((0.6, 0.4)), 1034, 0)
+    assert res.status == "ok" and res.success_prob <= 1.0
+
+
+def test_a_vacuous_run_is_admitted_up_to_about_the_presets_edge(monkeypatch):
+    # the frame count grows with sum dim_u = d at n = 1, so a vacuous run at
+    # large d is admitted nearly as far as the preset state itself: under a
+    # 2^20 budget the preset admits d <= 256 (16 d^2 bytes) and the run
+    # d <= 165, where a count with the dense u parts (48 d^2 bytes for them
+    # at n = 1) stopped it at d = 106
+    monkeypatch.setattr(states, "_MAX_BYTES", 2**20)
+    edge = max(d for d in range(2, 257) if schur_weyl.frame_bytes(1, d) <= 2**20)
+    assert edge == 165 and 48 * edge**2 > 2**20
+    res = run_teleport(bell_state(edge), 1, 0)
+    assert res.status == "vacuous" and len(res.schmidt_spectrum) == edge
+    with pytest.raises(ValueError, match="budget$"):
+        run_teleport(bell_state(edge + 1), 1, 0)
+
+
+def test_the_count_refuses_a_huge_n_before_any_block_table_is_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block table was read before the count")
+
+    for module in (teleport, schur_weyl):
+        monkeypatch.setattr(module, "block_table", refuse)
+    monkeypatch.setattr(teleport, "good_set", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^run_teleport at n=1000000, d=2 needs .* budget$"):
+        run_teleport(bell_state(2), 10**6, 0)
+    with pytest.raises(ValueError, match="^standard_form at n=1000000, d=3 needs .* budget$"):
+        standard_form(bell_state(3), 10**6)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n, p", [(30, (0.5, 0.3, 0.2)), (14, (0.4, 0.3, 0.2, 0.1))])
+def test_the_frame_route_forms_no_dim_u_square(n, p):
+    # every u part is kept as its diagonal: the traced peak of a warm call
+    # stays under a tenth of one real dim_u x dim_u array of the widest block
+    # (at d >= 3 the widest dim_u^2 outgrows sum dim_u)
+    phi = state_from_schmidt(p)
+    widest = max(du for _, du, _ in block_rows(n, len(p)))
+    calls = [
+        (lambda: standard_form(phi, n), lambda form: form.parts),
+        (lambda: run_teleport(phi, n, 0), lambda res: res.final_blocks),
+    ]
+    for call, parts in calls:
+        # the block table and its columns are memoized here
+        assert all(x.ndim == 1 for x in parts(call()).values())
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * widest**2 / 10
+
+
+def test_the_dense_phi_is_built_on_access_behind_its_count(monkeypatch):
+    form = standard_form(state_from_schmidt((0.7, 0.3)), 30)
+    lam = Partition((20, 10))
+    assert form.parts[lam].shape == (11,)
+    dense = form.phi[lam]
+    assert dense.shape == (11, 11) and np.array_equal(np.diag(form.parts[lam]), dense)
+    monkeypatch.setattr(states, "_MAX_BYTES", 2**10)
+    with pytest.raises(ValueError, match="^the dense phi at n=30, d=2 needs .* budget$"):
+        form.phi
+    assert form.parts[lam].shape == (11,)  # the diagonals are still there
