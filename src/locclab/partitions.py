@@ -183,9 +183,12 @@ class BlockTable(tuple):
 
     @cached_property
     def float_dim_v(self) -> np.ndarray:
-        """dim_v as float64; OverflowError when one is beyond the float
-        range (nothing is kept then)."""
-        return np.array([float(dv) for _, _, dv in self])
+        """dim_v as float64; ValueError when one is beyond the float range
+        (nothing is kept then)."""
+        try:
+            return np.array([float(dv) for _, _, dv in self])
+        except OverflowError as exc:
+            raise ValueError(f"a dim_v at n={self[0].lam.n} is beyond the float range") from exc
 
     @cached_property
     def retained(self) -> np.ndarray:
@@ -561,11 +564,7 @@ def block_weights(
     column times the Schur values in its order. Raises ValueError when a
     dim_v is beyond the float range, and unless the weights are
     non-negative and sum to 1 (``require_distribution``)."""
-    try:
-        dims = table.float_dim_v
-    except OverflowError as exc:
-        raise ValueError(f"a dim_v at n={n} is beyond the float range") from exc
-    weights = dims * values
+    weights = table.float_dim_v * values
     require_distribution(weights.tolist(), f"{tuple(p)} at n={n}")
     return weights
 

@@ -6,9 +6,10 @@ factor (dimension dim_v). This module constructs an orthonormal basis
 organized by these blocks, with explicit (u, v) index maps, and extracts the
 standard form of the n-fold power of a bipartite pure state: per-block
 weights q_lambda and the state-dependent parts phi_lambda, from the block
-table's letter counts of each u index. A state in Schmidt form needs
-nothing more; any other also needs its Schmidt decomposition and each
-block's irreps of its local unitaries. No d^n x d^n array is formed.
+table's letter counts of each u index, every block at once. These arrays
+serve every input: a state in Schmidt form needs nothing more, and any
+other adds its Schmidt decomposition, each block's irreps of its local
+unitaries and a turn of each part it returns. No d^n x d^n array is formed.
 
 The basis is the Young-Yamanouchi basis (Okounkov-Vershik, Selecta Math.
 2 (1996)), built the same way for every d and with no randomness: the u
@@ -35,8 +36,8 @@ the multinomial count of w (Bacon-Chuang-Harrow, arXiv:quant-ph/0407082);
 the dense block columns (``SchurBlock.vectors``) and the dense d^n x d^n
 matrix (``SchurBasis.matrix``) are built on access, for callers that do
 dense arithmetic; the v = 0 columns of every block
-(``SchurBasis.references``) on the first access, for the standard form of
-a state not in Schmidt form.
+(``SchurBasis.references``) on the first access, for the irreps of a state
+not in Schmidt form.
 
 The character route, kept independent of the basis and of the Schur
 evaluator to cross-check both, takes the weights by the Frobenius formula
@@ -679,10 +680,11 @@ class StandardForm:
 
     weights[lam] is the squared amplitude q_lambda, the squared norm of the
     block. parts[lam] is the normalized u part of the block, the amplitude
-    matrix of the state on the paired unitary-group factors: on the frame
-    route (a diagonal amplitude matrix) it is diagonal and held as its
-    diagonal, a 1-D array of length dim_u; on the basis route it is a dense
-    dim_u x dim_u array. ``phi`` gives every part as a dense matrix. Block
+    matrix of the state on the paired unitary-group factors: for a diagonal
+    amplitude matrix it is diagonal and held as its diagonal, a 1-D array of
+    length dim_u; for any other it is that diagonal turned by the block's
+    irreps of the local unitaries, a dense dim_u x dim_u array. ``phi``
+    gives every part as a dense matrix. Block
     lam of B^T psi B (its rows and columns ``basis.blocks[lam].span``) is
     sqrt(q_lambda) phi[lam] (x) 1/sqrt(dim_v): the multiplicity part
     sum_v |v v> / sqrt(dim_v) does not depend on the input state. Blocks of
@@ -742,7 +744,7 @@ def _sum_dim_u(n: int, d: int) -> int:
 
 @lru_cache(maxsize=64)
 def standard_form_bytes(n: int, d: int) -> int:
-    """The bytes ``standard_form`` counts at (n, d) on the basis route, for
+    """The bytes ``standard_form`` and ``run_teleport`` count at (n, d) for
     an amplitude matrix with an entry off its diagonal, memoized (the count
     takes 14-29 us at n <= 6, d <= 4, up to a fifth of a warm call): the
     larger of the basis build and, with K = sum dim_u, the kept basis, its
@@ -765,8 +767,8 @@ def standard_form_bytes(n: int, d: int) -> int:
 
 @lru_cache(maxsize=64)
 def frame_bytes(n: int, d: int) -> int:
-    """The bytes ``standard_form`` and ``run_teleport`` count at (n, d) on
-    the frame route, for a diagonal amplitude matrix, memoized. With
+    """The bytes ``standard_form`` and ``run_teleport`` count at (n, d) for
+    a diagonal amplitude matrix, memoized. With
     K = sum dim_u, the number of u indices:
 
     - 24 K d: each u index's letter powers, complex, with the contents
@@ -847,10 +849,12 @@ def _diagonal_spectrum(diagonal: np.ndarray) -> tuple[float, ...]:
 
 
 class _Frame(NamedTuple):
-    """The frame route's arrays at (n, d), every block at once in ``table``
-    order: Delta at each of the K = sum dim_u u indices, each block's
-    |Delta_lam|^2 and weight q_lam, the mask of the blocks above the weight
-    floor (the ones that carry a u part) and the spectrum."""
+    """The frame arrays at (n, d), every block at once in ``table`` order:
+    Delta at each of the K = sum dim_u u indices, each block's |Delta_lam|^2
+    and weight q_lam, the mask of the blocks above the weight floor (the
+    ones that carry a u part), the spectrum, and each block's pi_lam(U) and
+    pi_lam(V^H) stacked for an amplitude matrix off its diagonal (None for
+    a diagonal one, whose frame is its own)."""
 
     table: BlockTable
     delta: np.ndarray
@@ -858,29 +862,40 @@ class _Frame(NamedTuple):
     weights: np.ndarray
     carried: np.ndarray
     spectrum: tuple[float, ...]
+    irreps: list[np.ndarray] | None
 
     def blocks(self, flat: np.ndarray, mask: np.ndarray) -> dict[Partition, np.ndarray]:
-        """The blocks of mask, each keyed to its slice (a view) of flat, an
-        array over the u indices."""
+        """The blocks of mask, each keyed to its slice x (a view) of flat,
+        an array over the u indices; with irreps, to
+        pi_lam(U) diag(x) pi_lam(V^H), a dense dim_u x dim_u array."""
         bounds, keep = self.table.offsets.tolist(), mask.tolist()
         spans = itertools.compress(map(slice, bounds, bounds[1:]), keep)
         labels = itertools.compress(map(itemgetter(0), self.table), keep)
-        return dict(zip(labels, map(flat.__getitem__, spans)))
+        parts = map(flat.__getitem__, spans)
+        if self.irreps is not None:
+            turns = itertools.compress(self.irreps, keep)
+            parts = ((pi[0] * x) @ pi[1] for pi, x in zip(turns, parts))
+        return dict(zip(labels, parts))
 
 
-def _schmidt_frame(diagonal: np.ndarray, n: int) -> _Frame:
-    """The frame route of ``standard_form`` and ``run_teleport``, whole-array:
-    Delta = prod_i m_ii^{c_i} at every u index of ``block_table(n, d)``'s
+def _schmidt_frame(mat: np.ndarray, diagonal: np.ndarray | None, n: int) -> _Frame:
+    """The frame arrays of ``standard_form`` and ``run_teleport``,
+    whole-array: with s the diagonal of a diagonal amplitude matrix, or else
+    its singular values (``_block_irreps``, which also gives the irreps),
+    Delta = prod_i s_i^{c_i} at every u index of ``block_table(n, d)``'s
     contents column, each block's |Delta_lam|^2 by one reduceat over its
-    offsets column, and q_lam = dim_v |Delta_lam|^2. The caller has counted
-    ``frame_bytes`` and checked the state's norm. ValueError when a dim_v
-    is beyond the float range, found before the contents column is read;
-    BasisAlignmentError unless the weights sum to |phi|^(2n) within 1e-10."""
-    table = block_table(n, len(diagonal))
-    try:
-        dims = table.float_dim_v
-    except OverflowError as exc:
-        raise ValueError(f"a dim_v at n={n} is beyond the float range") from exc
+    offsets column, and q_lam = dim_v |Delta_lam|^2: pi_lam(U) and
+    pi_lam(V^H) are unitary, so the weights need Delta alone. The caller
+    has checked the input (``_checked_matrix``). ValueError when a dim_v is
+    beyond the float range, found before the contents column is read or
+    the basis looked up; BasisAlignmentError on a failed check of
+    ``_block_irreps`` and unless the weights sum to |phi|^(2n) within
+    1e-10."""
+    table = block_table(n, len(mat))
+    dims = table.float_dim_v
+    irreps = None
+    if diagonal is None:
+        diagonal, irreps = _block_irreps(mat, n, table)
     delta = np.multiply.reduce(diagonal ** table.contents, axis=1)
     mass = np.square(delta.real)
     if delta.dtype.kind == "c":
@@ -888,12 +903,13 @@ def _schmidt_frame(diagonal: np.ndarray, n: int) -> _Frame:
     squares = np.add.reduceat(mass, table.offsets[:-1])
     weights = dims * squares
     spectrum = _diagonal_spectrum(diagonal)
-    # as on the basis route, the weights sum to |phi|^(2n), the sum of the
-    # spectrum to the n-th power
+    # the blocks hold all of |phi>^(x)n, of squared norm |phi|^(2n), the
+    # n-th power of the spectrum's sum: an admitted norm 1 + 1e-10 puts
+    # that 2n * 1e-10 away from 1
     total, expected = math.fsum(weights.tolist()), math.fsum(spectrum) ** n
     if not abs(total - expected) <= 1e-10:
         raise BasisAlignmentError(f"weights sum to {total}, not |phi|^(2n) = {expected}")
-    return _Frame(table, delta, squares, weights, weights > _WEIGHT_FLOOR, spectrum)
+    return _Frame(table, delta, squares, weights, weights > _WEIGHT_FLOOR, spectrum, irreps)
 
 
 def _block_irreps(mat: np.ndarray, n: int, table) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -944,6 +960,24 @@ def _block_irreps(mat: np.ndarray, n: int, table) -> tuple[np.ndarray, list[np.n
     return svals, pis
 
 
+def _checked_matrix(phi: StateVector, n: int, what: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The amplitude matrix of a d x d bipartite state and its diagonal
+    (``schmidt_diagonal``, None when an entry off it is non-zero), once the
+    dims, the bytes of ``what`` at (n, d) and the norm are checked: the one
+    input check of ``standard_form`` and ``run_teleport``. A diagonal
+    matrix counts ``frame_bytes``, any other ``standard_form_bytes``, the
+    larger count of its basis and irreps."""
+    if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
+        raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
+    d = phi.dims[0]
+    mat = phi.amplitude_matrix()
+    diagonal = schmidt_diagonal(mat)
+    count = standard_form_bytes if diagonal is None else frame_bytes
+    check_bytes(count(n, d), f"{what} at n={n}, d={d}")
+    phi.require_normalized()
+    return mat, diagonal
+
+
 def standard_form(phi: StateVector, n: int) -> StandardForm:
     """Decompose |phi>^{(x)n} into block weights and paired-block states,
     the u parts normalized.
@@ -957,62 +991,32 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
     prod_i s_i^{c_i} at a u index of letter counts c, read from the block
     table's ``contents`` column, which depends on (n, d) alone.
 
-    A diagonal M (``schmidt_diagonal``) is its own Schmidt frame: U and V^H
-    are the identity up to a diagonal of phases and an order of the
-    letters, and pi_lam(M) itself is diagonal, prod_i m_ii^{c_i}. So its
-    form takes no SVD and no basis, and is computed over every block at
-    once (``_schmidt_frame``): q_lam = dim_v |Delta_lam|^2, and the part of
-    block lam is Delta_lam / |Delta_lam|, kept as its diagonal, counted by
-    ``frame_bytes``. Any other M takes the basis route (``_block_irreps``),
-    counted by ``standard_form_bytes``, and the u part of block lam is
-    pi_lam(U) Delta_lam pi_lam(V^H), formed block by block.
+    The weights, the spectrum and the norms come from Delta alone, over
+    every block at once (``_schmidt_frame``): q_lam = dim_v |Delta_lam|^2,
+    and the part of block lam is Delta_lam / |Delta_lam| turned by
+    pi_lam(U) and pi_lam(V^H). A diagonal M (``schmidt_diagonal``) is its
+    own Schmidt frame: U and V^H are the identity up to a diagonal of
+    phases and an order of the letters, and pi_lam(M) itself is diagonal,
+    prod_i m_ii^{c_i}, so its form takes no SVD and no basis, and each part
+    is kept as its diagonal. Any other M adds its SVD, the irreps
+    (``_block_irreps``) and the turn of each carried block.
 
-    Each failed check is a BasisAlignmentError: those of ``_block_irreps``
-    on the basis route, and on both routes the weights sum to |phi|^(2n)
-    within 1e-10. On the frame route a dim_v beyond the float range is a
-    ValueError. The v >= 1 columns are not read, so not checked here: the
-    pairing they carry follows from the construction, and the dense route
-    the tests compare against checks it.
+    Each failed check is a BasisAlignmentError: those of ``_block_irreps``,
+    and the weights sum to |phi|^(2n) within 1e-10. A dim_v beyond the
+    float range is a ValueError. The v >= 1 columns are not read, so not
+    checked here: the pairing they carry follows from the construction,
+    and the dense route the tests compare against checks it.
     """
-    if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
-        raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
-    d = phi.dims[0]
-    mat = phi.amplitude_matrix()
-    diagonal = schmidt_diagonal(mat)
-    count = standard_form_bytes if diagonal is None else frame_bytes
-    check_bytes(count(n, d), f"standard_form at n={n}, d={d}")
-    phi.require_normalized()
-    if diagonal is not None:
-        frame = _schmidt_frame(diagonal, n)
-        table = frame.table
-        # each carried block's Delta over its norm, 0 elsewhere
-        norms = np.sqrt(frame.squares)
-        scale = np.divide(1.0, norms, out=np.zeros(len(table)), where=frame.carried)
-        offsets = table.offsets
-        parts = frame.delta * scale.repeat(offsets[1:] - offsets[:-1])
-        weights = dict(zip(map(itemgetter(0), table), frame.weights.tolist()))
-        return StandardForm(n, d, weights, frame.blocks(parts, frame.carried), frame.spectrum)
-
-    table = block_table(n, d)
-    svals, pis = _block_irreps(mat, n, table)
-    delta = np.prod(svals ** table.contents, axis=1)
-    weights: dict[Partition, float] = {}
-    parts: dict[Partition, np.ndarray] = {}
-    at = 0
-    for i, (lam, du, dv) in enumerate(table):
-        part_delta = delta[at : at + du]
-        at += du
-        x = (pis[i][0] * part_delta) @ pis[i][1]  # the u part
-        part = np.vdot(x, x).real
-        weights[lam] = dv * part
-        if weights[lam] > _WEIGHT_FLOOR:
-            parts[lam] = x / math.sqrt(part)
-    # the blocks hold all of |phi>^(x)n, of squared norm |phi|^(2n): an
-    # admitted norm 1 + 1e-10 puts that 2n * 1e-10 away from 1
-    total, expected = math.fsum(weights.values()), float(svals @ svals) ** n
-    if not abs(total - expected) <= 1e-10:
-        raise BasisAlignmentError(f"weights sum to {total}, not |phi|^(2n) = {expected}")
-    return StandardForm(n, d, weights, parts, tuple((svals**2).tolist()))
+    mat, diagonal = _checked_matrix(phi, n, "standard_form")
+    frame = _schmidt_frame(mat, diagonal, n)
+    table = frame.table
+    # each carried block's Delta over its norm, 0 elsewhere
+    norms = np.sqrt(frame.squares)
+    scale = np.divide(1.0, norms, out=np.zeros(len(table)), where=frame.carried)
+    offsets = table.offsets
+    parts = frame.delta * scale.repeat(offsets[1:] - offsets[:-1])
+    weights = dict(zip(map(itemgetter(0), table), frame.weights.tolist()))
+    return StandardForm(n, len(mat), weights, frame.blocks(parts, frame.carried), frame.spectrum)
 
 
 def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:

@@ -31,15 +31,7 @@ from .partitions import (
     schur_ladder,
     spectrum_weights,
 )
-from .schur_weyl import (
-    _diagonal_spectrum,
-    _schmidt_frame,
-    frame_bytes,
-    schmidt_diagonal,
-    schur_basis,
-    standard_form,
-    standard_form_bytes,
-)
+from .schur_weyl import _checked_matrix, _diagonal_spectrum, _schmidt_frame, schur_basis
 from .states import StateVector, check_bytes, seed_of
 
 # a nat below the log of the largest float, so that the rounding of a log
@@ -101,7 +93,7 @@ def _first_float_overflow(n_max: int, d: int) -> int | None:
     def overflows(n: int) -> bool:
         try:
             block_rows(n, d).float_dim_v  # raises past the float range
-        except OverflowError:
+        except ValueError:
             return True
         return False
 
@@ -180,10 +172,11 @@ class TeleportResult:
     block weights (``_retained_weight``), so it is at most 1.
     ``final_blocks`` is the post-recovery state in block coordinates, the u
     part x of each retained block of weight above 1e-14: block lam of its
-    coefficients in the basis on both halves is x (x) 1_v. On the frame
-    route (a diagonal amplitude matrix) x is diagonal and held as its
-    diagonal, a 1-D array of length dim_u; on the basis route it is a dense
-    dim_u x dim_u array. It is None when the good set is empty (the run is
+    coefficients in the basis on both halves is x (x) 1_v. For a diagonal
+    amplitude matrix x is diagonal and held as its diagonal, a 1-D array of
+    length dim_u; for any other it is that diagonal turned by the block's
+    irreps of the local unitaries, a dense dim_u x dim_u array, as in
+    ``StandardForm.parts``. It is None when the good set is empty (the run is
     vacuous). A sampled transcript of the protocol comes from
     ``run_locc(teleport_protocol(n, d), ...)``.
     """
@@ -280,39 +273,29 @@ def run_teleport(
     coordinates and checked against the analytic target; the reported
     fidelity equals the retained weight, the retained share of the weights.
 
-    The dims, the diagonal, the byte count and the norm are checked once,
-    before the block table is read. A diagonal amplitude matrix is counted
-    and run on the frame route (``frame_bytes``): the arrays of
-    ``_schmidt_frame`` over every block at once, reading no basis, with no
-    loop over the blocks; a vacuous run reads its spectrum off that
-    diagonal, with no SVD. Any other input runs on ``standard_form``'s
-    basis route, block by block.
+    The input is checked once, as ``standard_form`` checks it
+    (``_checked_matrix``), and d >= 2 before the block table is read; a
+    vacuous run reads its spectrum off the diagonal, or the singular
+    values of a matrix off it. Steps I-III run once, on the frame arrays of
+    ``_schmidt_frame`` over every block at once, with no loop over the
+    blocks: for a diagonal amplitude matrix they read no basis, and any
+    other adds its SVD, the irreps and a turn of each kept block's final u
+    part.
     """
     seed = seed_of(rng)
-    if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
-        raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
-    d = phi.dims[0]
+    mat, diagonal = _checked_matrix(phi, n, "run_teleport")
+    d = len(mat)
     check_local_dimension(d)
-    diagonal = schmidt_diagonal(phi.amplitude_matrix())
-    # standard_form's: the u parts that outlive it fit in what it counts
-    count = standard_form_bytes if diagonal is None else frame_bytes
-    check_bytes(count(n, d), f"run_teleport at n={n}, d={d}")
-    phi = phi.require_normalized()
 
     table = block_table(n, d)
     if not np.count_nonzero(table.retained):
-        if diagonal is None:
-            spectrum = tuple(float(x) for x in phi.schmidt_coefficients())
-        else:
-            spectrum = _diagonal_spectrum(diagonal)
-        return TeleportResult(n, d, spectrum, 0.0, None, seed)
-    if diagonal is None:
-        return _basis_run(phi, n, table, seed)
+        svals = np.linalg.svd(mat, compute_uv=False) if diagonal is None else diagonal
+        return TeleportResult(n, d, _diagonal_spectrum(svals), 0.0, None, seed)
 
     # step I: Alice projects onto the retained blocks; the conditioned
     # state's u part on block lam is t = sqrt(q_lam / success) Delta_lam /
     # |Delta_lam|, over the blocks that carry a u part
-    frame = _schmidt_frame(diagonal, n)
+    frame = _schmidt_frame(mat, diagonal, n)
     success = _retained_weight(table, frame.weights)
     if success < 1e-12:
         raise NothingToTeleportError(n, d, frame.spectrum)
@@ -320,50 +303,21 @@ def run_teleport(
     scale = np.divide(frame.weights, success * frame.squares, out=np.zeros(len(table)), where=kept)
     counts = table.offsets[1:] - table.offsets[:-1]  # the dim_u
     target = frame.delta * np.sqrt(scale).repeat(counts)
-    # steps II and III as in _basis_run: Bob holds t / sqrt(dim_v) of each
-    # kept block once recovery has undone Alice's outcome
-    root = np.sqrt(table.float_dim_v).repeat(counts)
-    final = target / root
-    spread = final * root  # the final state's blocks, weighted by sqrt(dim_v)
-    check = abs(np.vdot(spread, target)) ** 2 / np.vdot(spread, spread).real
-    if check < 1.0 - 1e-8:
-        raise AssertionError(f"final state misses the analytic target: {check}")
-    return TeleportResult(n, d, frame.spectrum, success, frame.blocks(final, kept), seed)
-
-
-def _basis_run(phi: StateVector, n: int, table: BlockTable, seed: int | None) -> TeleportResult:
-    """``run_teleport`` on an amplitude matrix off the diagonal: steps I-III
-    on the dense u parts of ``standard_form``'s basis route, block by
-    block."""
-    d = phi.dims[0]
-    # step I: Alice projects onto the retained blocks; the conditioned
-    # state's u part on block lam is sqrt(q_lam / success) phi_lam
-    form = standard_form(phi, n)
-    weights = np.array(list(form.weights.values()))  # in table order
-    success = _retained_weight(table, weights)
-    if success < 1e-12:
-        raise NothingToTeleportError(n, d, form.spectrum)
-
     # step II: Alice measures, an outcome being a unitary U per retained
     # block; her outcome vector reads sqrt(dim_v) U[v, u] at (u, v),
     # u < dim_u, so Bob's share of block lam is t^T U_u^dagger, U_u the
     # first dim_u columns of U. Step III: recovery applies U_u on the
     # multiplicity index, leaving t (U_u^dagger U_u = 1) for every outcome;
     # that content is relabeled into a fresh register and the maximally
-    # entangled parts are reattached
-    final: dict[Partition, np.ndarray] = {}
-    overlap, norm_sq = 0j, 0.0  # with the target, and of the final state
-    for (lam, _, dv), q, kept in zip(table, weights.tolist(), table.retained.tolist()):
-        if not kept or lam not in form.parts:
-            continue
-        t = math.sqrt(q / success) * form.parts[lam]
-        final[lam] = t / math.sqrt(dv)
-        overlap += math.sqrt(dv) * np.vdot(final[lam], t)
-        norm_sq += dv * np.vdot(final[lam], final[lam]).real
-
-    # the basis is real and orthonormal, so the fidelity with the target
-    # (the conditioned state) is the same in block coordinates
-    check = abs(overlap) ** 2 / norm_sq
+    # entangled parts are reattached, so Bob holds t / sqrt(dim_v) of each
+    # kept block
+    root = np.sqrt(table.float_dim_v).repeat(counts)
+    final = target / root
+    # the basis is real and orthonormal and the turns unitary, so the
+    # fidelity with the target (the conditioned state) is the same on the
+    # diagonals
+    spread = final * root  # the final state's blocks, weighted by sqrt(dim_v)
+    check = abs(np.vdot(spread, target)) ** 2 / np.vdot(spread, spread).real
     if check < 1.0 - 1e-8:
         raise AssertionError(f"final state misses the analytic target: {check}")
-    return TeleportResult(n, d, form.spectrum, success, final, seed)
+    return TeleportResult(n, d, frame.spectrum, success, frame.blocks(final, kept), seed)

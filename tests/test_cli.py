@@ -215,9 +215,9 @@ def test_teleport_product_structured_error(capsys):
 )
 def test_teleport_refuses_d1_before_any_basis_is_built(capsys, monkeypatch, argv):
     def fail(*args, **kwargs):
-        raise AssertionError("standard_form called at d = 1")
+        raise AssertionError("the frame arrays built at d = 1")
 
-    monkeypatch.setattr(teleport, "standard_form", fail)
+    monkeypatch.setattr(teleport, "_schmidt_frame", fail)
     code, out, err = run_cli(capsys, "teleport", *argv)
     assert code == 1 and out == ""
     error = json.loads(err)
@@ -246,7 +246,7 @@ def test_teleport_bell_n8_is_inside_the_budget(capsys):
 
 
 def test_a_size_past_the_decimal_conversion_limit_names_the_call_and_budget(capsys):
-    # the frame route's count at (2000, 1000) has over 6,000 decimal digits
+    # frame_bytes at (2000, 1000) has over 6,000 decimal digits
     code, out, err = run_cli(capsys, "teleport", "--state", "bell", "--d", "1000", "--n", "2000")
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     message = json.loads(err)["message"]

@@ -702,17 +702,27 @@ def check_form_against_the_dense_oracle(phi, n):
 
 
 # a Schmidt form under seeded real rotations of both halves, at sizes of the
-# dense oracle: U and V^H are not the identity, so the basis route runs
+# dense oracle: U and V^H are not the identity, so the SVD and the block
+# basis's irreps run
 ROTATED_SIZES = [(1, 2), (4, 2), (7, 2), (9, 2), (2, 3), (5, 3), (3, 4), (2, 6)]
 
 
 @pytest.mark.parametrize("n,d", ROTATED_SIZES)
-def test_a_rotated_schmidt_form_takes_the_basis_route_to_the_frames_weights(n, d):
+def test_a_rotated_schmidt_form_takes_the_basis_route_to_the_frames_weights(n, d, monkeypatch):
     spectrum = oracle_inputs(n, d)[1]
     phi = rotated(spectrum, n)
     assert schmidt_diagonal(spectrum.amplitude_matrix()) is not None
     assert schmidt_diagonal(phi.amplitude_matrix()) is None
+    irreps, calls = schur_weyl._block_irreps, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return irreps(*args)
+
+    monkeypatch.setattr(schur_weyl, "_block_irreps", counted)
     frame = standard_form(spectrum, n)
+    twin = run_teleport(spectrum, n, 0)
+    assert calls == []  # the Schmidt twin reads no irreps
     before = schur_basis.cache_info()
     form = standard_form(phi, n)
     after = schur_basis.cache_info()
@@ -720,6 +730,23 @@ def test_a_rotated_schmidt_form_takes_the_basis_route_to_the_frames_weights(n, d
     assert list(form.weights) == list(frame.weights)
     assert max(abs(form.weights[lam] - q) for lam, q in frame.weights.items()) <= 1e-12
     assert max(abs(a - b) for a, b in zip(form.spectrum, frame.spectrum)) <= 1e-15
+
+    # the run turns the final u part of each kept block, the retained blocks
+    # that carry a part: sqrt(q / (success dim_v)) times the form's part. A
+    # vacuous run reads the singular values alone
+    calls.clear()
+    result = run_teleport(phi, n, 0)
+    good = good_set(n, d)
+    assert calls == ([n] if good else [])
+    assert abs(result.success_prob - twin.success_prob) <= 1e-14
+    if not good:
+        assert result.final_blocks is None is twin.final_blocks
+    else:
+        assert list(result.final_blocks) == [lam for lam in good if lam in form.parts]
+        for lam, x in result.final_blocks.items():
+            scale = form.weights[lam] / (result.success_prob * dim_v(lam))
+            want = math.sqrt(scale) * form.parts[lam]
+            assert x.shape == want.shape and np.max(np.abs(x - want)) <= 1e-14, str(lam)
     check_form_against_the_dense_oracle(phi, n)
 
 
@@ -854,7 +881,7 @@ def test_standard_form_rejects_bad_input():
     with pytest.raises(ValueError):
         standard_form(StateVector(np.ones(6) / math.sqrt(6), (2, 3)), 2)
     with pytest.raises(ValueError, match="budget"):
-        standard_form(rotated(bell_state(2), 0), 16)  # over the basis route's size limit
+        standard_form(rotated(bell_state(2), 0), 16)  # over standard_form_bytes's size limit
     with pytest.raises(ValueError, match="positive"):
         standard_form(bell_state(2), 0)
 

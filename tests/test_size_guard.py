@@ -26,7 +26,7 @@ from tests_support import rotated
 PHI = state_from_schmidt((0.7, 0.3))
 PHI3 = state_from_schmidt((0.5, 0.3, 0.2))
 PHI4 = state_from_schmidt((0.4, 0.3, 0.2, 0.1))
-# PHI under a seeded real rotation of each half: the basis route
+# PHI under a seeded real rotation of each half: off its diagonal
 ROTATED = rotated(PHI, 0)
 BELL = bell_state(2)
 BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
@@ -112,8 +112,8 @@ def _protocol_run(n):
 
 
 # (call, its largest n admitted by a 2^24 budget), at d = 2 unless named: a
-# diagonal input is counted on the frame route, whose count grows with
-# sum dim_u, any other on the basis route
+# diagonal input is counted by frame_bytes, whose count grows with
+# sum dim_u, any other by standard_form_bytes
 EDGES = {
     "build_schur_basis": (lambda n: lambda: build_schur_basis(n, 2), 11),
     "standard_form": (lambda n: lambda: standard_form(PHI, n), 301),
@@ -121,7 +121,7 @@ EDGES = {
     "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 301),
     "run_teleport.rotated": (lambda n: lambda: run_teleport(ROTATED, n, 0), 11),
     "teleport_protocol": (_protocol_run, 5),
-    # the frame route at d = 3 and 4
+    # frame_bytes at d = 3 and 4
     "standard_form.d3": (lambda n: lambda: standard_form(PHI3, n), 24),
     "run_teleport.d3": (lambda n: lambda: run_teleport(PHI3, n, 0), 24),
     "standard_form.d4": (lambda n: lambda: standard_form(PHI4, n), 12),

@@ -399,9 +399,8 @@ def test_run_teleport_memory_at_admitted_sizes(p, n):
 
 
 def test_run_teleport_rejects_oversize():
-    # a diagonal input past the frame route's count (at d = 2 the float
-    # edge of dim_v comes first), and one off the diagonal past the basis
-    # route's
+    # a diagonal input past frame_bytes (at d = 2 the float edge of dim_v
+    # comes first), and one off the diagonal past standard_form_bytes
     with pytest.raises(ValueError, match="^run_teleport at n=84, d=3 needs .* budget$"):
         run_teleport(bell_state(3), 84, 0)
     with pytest.raises(ValueError, match="^run_teleport at n=16, d=2 needs .* budget$"):
@@ -443,8 +442,8 @@ def test_final_state_matches_the_dense_oracle(n, d):
         if not good_set(n, d):
             assert res.final_state is None
             continue
-        # the Schmidt-form input runs on the frame route: its final u parts
-        # are held as their diagonals
+        # the Schmidt-form input's final u parts are held as their
+        # diagonals
         diagonal = schur_weyl.schmidt_diagonal(phi.amplitude_matrix()) is not None
         assert all((x.ndim == 1) == diagonal for x in res.final_blocks.values())
         final = res.final_state
@@ -454,7 +453,7 @@ def test_final_state_matches_the_dense_oracle(n, d):
 
 def test_final_state_is_built_on_access_behind_the_guard(monkeypatch):
     res = run_teleport(state_from_schmidt((0.7, 0.3)), 6, 0)
-    # on the frame route each final u part is held as its diagonal
+    # a diagonal input's final u parts are held as their diagonals
     assert all(x.shape == (dim_u(lam),) for lam, x in res.final_blocks.items())
     monkeypatch.setattr(states, "_MAX_BYTES", 2**10)
     with pytest.raises(ValueError, match="^the final state at n=6, d=2 needs .* budget$"):

@@ -314,7 +314,7 @@ def oracle_inputs(n: int, d: int) -> list[StateVector]:
 def rotated(phi: StateVector, seed: int) -> StateVector:
     """phi under a seeded real orthogonal rotation of each half, Q_A (x) Q_B:
     the same Schmidt spectrum, with an amplitude matrix Q_A M Q_B^T off its
-    diagonal, so that ``standard_form`` takes the basis route on it."""
+    diagonal, so that ``standard_form`` adds its SVD and irreps."""
     rng = np.random.default_rng(seed)
     q_a, q_b = (np.linalg.qr(rng.standard_normal((len(phi.amplitude_matrix()),) * 2))[0] for _ in "ab")
     return StateVector((q_a @ phi.amplitude_matrix() @ q_b.T).reshape(-1), phi.dims)
