@@ -8,7 +8,6 @@ from .partitions import (
     character,
     dim_u,
     dim_v,
-    entropy_bound_check,
     enumerate_partitions,
     large_deviation_bound,
     schur_ladder,
@@ -49,7 +48,6 @@ from .models import (
     qubit_conjugate,
     qubit_full,
     real_amplitude,
-    reparametrized,
 )
 from .estimation import (
     FisherData,

@@ -265,26 +265,6 @@ def _intersect_domains(a, b):
     )
 
 
-def reparametrized(model: PureStateModel, a_matrix: np.ndarray) -> PureStateModel:
-    """The family theta -> phi_{A theta} for an invertible linear map A."""
-    a_mat = np.asarray(a_matrix, dtype=float)
-    if a_mat.shape != (model.param_dim, model.param_dim):
-        raise ValueError("reparametrization matrix has the wrong shape")
-    if abs(np.linalg.det(a_mat)) < 1e-12:
-        raise ValueError("reparametrization must be invertible")
-
-    def state(thetas):
-        # one matrix-vector product per row, as for a single point
-        return model.states((a_mat @ thetas[:, :, None])[:, :, 0])
-
-    def deriv(thetas):
-        # the chain rule: axis i sums A[j, i] times the inner family's axis j
-        inner = model.derivatives((a_mat @ thetas[:, :, None])[:, :, 0])
-        return sum(a_mat[j, :, None] * inner[:, j, None, :] for j in range(model.param_dim))
-
-    return PureStateModel(model.param_dim, state, deriv, name=f"{model.name}@reparam")
-
-
 def tabulated_model(thetas: Sequence[float], states: Sequence[Sequence[complex]],
                     name: str = "tabulated") -> PureStateModel:
     """One-parameter family given on a grid; derivatives use grid neighbors.

@@ -526,17 +526,10 @@ def schur_array(p: Sequence[float], n: int) -> np.ndarray:
     return values[size == n][::-1]
 
 
-def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
-    """``schur_array(p, n)`` keyed by partition, in ``block_table(n, d)``
-    order."""
-    values = schur_array(p, n).tolist()
-    return dict(zip((lam for lam, _, _ in block_table(n, len(p))), values))
-
-
 def schur_ladder(p: Sequence[float], n: int) -> list[list[float]]:
     """The Schur polynomials of every size m <= n from one evaluation: entry
     m lists s_lam(p) over ``block_table(m, d)`` in its order, bit for bit
-    ``schur_polynomials(p, m)``; entry 0 is the empty partition's 1. Reads
+    ``schur_array(p, m)``; entry 0 is the empty partition's 1. Reads
     no block table."""
     size, values = _schur_values(p, n)
     size, values = size[::-1], values[::-1]
@@ -592,11 +585,6 @@ def as_spectrum(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(v if v > 0.0 else 0.0 for v in vec)
 
 
-def shannon_entropy(q: Sequence[float]) -> float:
-    """Shannon entropy in nats, with 0 log 0 = 0."""
-    return -sum(x * math.log(x) for x in q if x > 0.0)
-
-
 def relative_entropy(q: Sequence[float], p: Sequence[float]) -> float:
     """KL divergence D(q||p) in nats; +inf when q charges a null atom of p."""
     total = 0.0
@@ -607,18 +595,6 @@ def relative_entropy(q: Sequence[float], p: Sequence[float]) -> float:
             return math.inf
         total += qi * math.log(qi / pi)
     return total
-
-
-def entropy_bound_check(lam: Partition) -> tuple[float, float, bool]:
-    """Check |log(dim_v)/n - H(lam/n)| <= (d^2+2d)/(2n) * log(n+d).
-
-    Returns (lhs, rhs, holds).
-    """
-    n = lam.n
-    d = lam.num_parts
-    lhs = abs(math.log(dim_v(lam)) / n - shannon_entropy(lam.normalized()))
-    rhs = (d * d + 2 * d) / (2 * n) * math.log(n + d)
-    return lhs, rhs, lhs <= rhs
 
 
 def large_deviation_bound(

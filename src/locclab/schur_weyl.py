@@ -8,8 +8,8 @@ standard form of the n-fold power of a bipartite pure state: per-block
 weights q_lambda and the state-dependent parts phi_lambda, from the block
 table's letter counts of each u index, every block at once. These arrays
 serve every input: a state in Schmidt form needs nothing more, and any
-other adds its Schmidt decomposition, each block's irreps of its local
-unitaries and a turn of each part it returns. No d^n x d^n array is formed.
+other adds its Schmidt decomposition, whose factors the form carries and
+turns its parts by on access. No d^n x d^n array is formed.
 
 The basis is the Young-Yamanouchi basis (Okounkov-Vershik, Selecta Math.
 2 (1996)), built the same way for every d and with no randomness: the u
@@ -36,8 +36,8 @@ the multinomial count of w (Bacon-Chuang-Harrow, arXiv:quant-ph/0407082);
 the dense block columns (``SchurBlock.vectors``) and the dense d^n x d^n
 matrix (``SchurBasis.matrix``) are built on access, for callers that do
 dense arithmetic; the v = 0 columns of every block
-(``SchurBasis.references``) on the first access, for the irreps of a state
-not in Schmidt form.
+(``SchurBasis.references``) on the first access, for the irreps of the
+Schmidt factors of a state not in Schmidt form.
 
 The character route, kept independent of the basis and of the Schur
 evaluator to cross-check both, takes the weights by the Frobenius formula
@@ -679,13 +679,12 @@ class StandardForm:
     """Per-block decomposition data of the n-fold power of a bipartite state.
 
     weights[lam] is the squared amplitude q_lambda, the squared norm of the
-    block. parts[lam] is the normalized u part of the block, the amplitude
-    matrix of the state on the paired unitary-group factors: for a diagonal
-    amplitude matrix it is diagonal and held as its diagonal, a 1-D array of
-    length dim_u; for any other it is that diagonal turned by the block's
-    irreps of the local unitaries, a dense dim_u x dim_u array. ``phi``
-    gives every part as a dense matrix. Block
-    lam of B^T psi B (its rows and columns ``basis.blocks[lam].span``) is
+    block. parts[lam] is the normalized u part of the block in the Schmidt
+    frame, held as its diagonal, a 1-D array of length dim_u; ``factors``
+    holds the Schmidt factors (U, V^H) of an amplitude matrix off its
+    diagonal (None for a diagonal one, its own frame). ``phi`` gives every
+    part as a dense matrix turned by them: block lam of B^T psi B (its rows
+    and columns ``schur_basis(n, d).blocks[lam].span``) is
     sqrt(q_lambda) phi[lam] (x) 1/sqrt(dim_v): the multiplicity part
     sum_v |v v> / sqrt(dim_v) does not depend on the input state. Blocks of
     weight at or below 1e-14 carry no part. ``spectrum`` holds the Schmidt
@@ -698,24 +697,14 @@ class StandardForm:
     weights: dict[Partition, float]
     parts: dict[Partition, np.ndarray]
     spectrum: tuple[float, ...]
-
-    @property
-    def basis(self) -> SchurBasis:
-        """The block basis of the form, ``schur_basis(n, d)``, looked up (and
-        built on a miss) on every access: a Schmidt-form input's form is
-        made without it."""
-        return schur_basis(self.n, self.d)
+    factors: tuple[np.ndarray, np.ndarray] | None
 
     @property
     def phi(self) -> dict[Partition, np.ndarray]:
-        """Every part as a dense dim_u x dim_u array, built on every access:
-        a diagonal part is expanded behind its own byte count (the matrix,
-        and 512 bytes a block and 64 KiB for the records); a dense part is
-        returned as it is."""
-        diagonals = [x for x in self.parts.values() if x.ndim == 1]
-        nbytes = sum(x.itemsize * len(x) ** 2 + 512 for x in diagonals) + 2**16
-        check_bytes(nbytes, f"the dense phi at n={self.n}, d={self.d}")
-        return {lam: np.diag(x) if x.ndim == 1 else x for lam, x in self.parts.items()}
+        """Every part as a dense dim_u x dim_u array, built on every access
+        behind its count (``_turned``): the only read of the block basis
+        for a form off its diagonal."""
+        return _turned(self.parts, self.factors, self.n, self.d, "the dense phi")
 
 
 def weights_analytic(p: Sequence[float], n: int) -> dict[Partition, float]:
@@ -744,13 +733,12 @@ def _sum_dim_u(n: int, d: int) -> int:
 
 @lru_cache(maxsize=64)
 def standard_form_bytes(n: int, d: int) -> int:
-    """The bytes ``standard_form`` and ``run_teleport`` count at (n, d) for
-    an amplitude matrix with an entry off its diagonal, memoized (the count
-    takes 14-29 us at n <= 6, d <= 4, up to a fifth of a warm call): the
-    larger of the basis build and, with K = sum dim_u, the kept basis, its
-    v = 0 columns with 8 n bytes a column for the contents column, the
-    Schmidt decomposition with its LAPACK workspace (about 112 d^2 bytes
-    for a complex input), and two complex d^n x K arrays at once (the
+    """The bytes ``StandardForm.phi`` and ``TeleportResult.final_state``
+    count at (n, d) to turn the parts of an amplitude matrix off its
+    diagonal, memoized: the larger of the basis build and, with
+    K = sum dim_u, the kept basis, its v = 0 columns with 8 n bytes a
+    column for the contents column, the SVD's 112 d^2 bytes (its factors
+    are held), and two complex d^n x K arrays at once (the
     stacked products of U and V^H with those columns and their reordered
     copy), which bound every later array. Past d^n = 2^32, where one float
     a string passes the budget, sum_w m_w^2 and K are bounded by d^2n and
@@ -767,19 +755,27 @@ def standard_form_bytes(n: int, d: int) -> int:
 
 @lru_cache(maxsize=64)
 def frame_bytes(n: int, d: int) -> int:
-    """The bytes ``standard_form`` and ``run_teleport`` count at (n, d) for
-    a diagonal amplitude matrix, memoized. With
-    K = sum dim_u, the number of u indices:
+    """The bytes ``standard_form`` and ``run_teleport`` count at (n, d),
+    memoized; a matrix off its diagonal adds its SVD (``_checked_matrix``).
+    With K = sum dim_u, the number of u indices, and w = min(n, d), the
+    parts of a Young index that can be non-zero, per u index:
 
-    - 24 K d: each u index's letter powers, complex, with the contents
-      column itself;
-    - 40 K min(n, d) + 64 K, and 8 (K + 1) d + 8 K for each level's link and
-      size: building the contents column, one Gelfand-Tsetlin level at a
-      time;
-    - 512 K and 64 KiB for the arrays over the u indices (Delta, its
-      squares, the normalized, conditioned and final u parts and their
-      products, at most 16 bytes an index each), the per-block arrays and
-      small records.
+    - 2 d: its letter counts, the contents column, kept with the block
+      table (two bytes each at most under the budget);
+    - the larger of the two phases that hold the most:
+      - 24 w + 8 d + 56: building the contents column one Gelfand-Tsetlin
+        level at a time, its last level's parts (int64) beside their
+        reordered copy and the level before's, seven index arrays, and
+        the links of each earlier level, at most K rows each;
+      - 16 d + 24: each u index's letter powers (complex), then Delta and
+        its squares.
+
+    The arrays over the u indices that outlive these (Delta, the normalized,
+    conditioned, final and weighted u parts, and the per-block scales
+    repeated, 80 bytes an index in ``run_teleport``) fit under the first
+    phase. 2^18 more for numpy's cast buffers while the powers are taken
+    (8192 complex entries for each of two operands), and 64 KiB for the
+    per-block arrays and small records.
 
     The u parts are kept as their diagonals, so nothing grows with
     sum dim_u^2. K >= dim_u of the block (n), C(n + d - 1, d - 1): at d >= 3
@@ -790,10 +786,10 @@ def frame_bytes(n: int, d: int) -> int:
     ValueError unless n and d are positive."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    per_index = 24 * d + 40 * min(n, d) + 576 + 8 * d + 8
+    per_index = 2 * d + max(24 * min(n, d) + 8 * d + 56, 16 * d + 24)
 
     def count(width: int) -> int:
-        return per_index * width + 8 * d + 2**16
+        return per_index * width + 2**18 + 2**16
 
     if d > 2:
         if n > 2**53:
@@ -852,9 +848,9 @@ class _Frame(NamedTuple):
     """The frame arrays at (n, d), every block at once in ``table`` order:
     Delta at each of the K = sum dim_u u indices, each block's |Delta_lam|^2
     and weight q_lam, the mask of the blocks above the weight floor (the
-    ones that carry a u part), the spectrum, and each block's pi_lam(U) and
-    pi_lam(V^H) stacked for an amplitude matrix off its diagonal (None for
-    a diagonal one, whose frame is its own)."""
+    ones that carry a u part), the spectrum, and the Schmidt factors
+    (U, V^H) of an amplitude matrix off its diagonal (None for a diagonal
+    one, whose frame is its own)."""
 
     table: BlockTable
     delta: np.ndarray
@@ -862,40 +858,34 @@ class _Frame(NamedTuple):
     weights: np.ndarray
     carried: np.ndarray
     spectrum: tuple[float, ...]
-    irreps: list[np.ndarray] | None
+    factors: tuple[np.ndarray, np.ndarray] | None
 
     def blocks(self, flat: np.ndarray, mask: np.ndarray) -> dict[Partition, np.ndarray]:
-        """The blocks of mask, each keyed to its slice x (a view) of flat,
-        an array over the u indices; with irreps, to
-        pi_lam(U) diag(x) pi_lam(V^H), a dense dim_u x dim_u array."""
+        """The blocks of mask, each keyed to its slice (a view) of flat, an
+        array over the u indices."""
         bounds, keep = self.table.offsets.tolist(), mask.tolist()
         spans = itertools.compress(map(slice, bounds, bounds[1:]), keep)
         labels = itertools.compress(map(itemgetter(0), self.table), keep)
-        parts = map(flat.__getitem__, spans)
-        if self.irreps is not None:
-            turns = itertools.compress(self.irreps, keep)
-            parts = ((pi[0] * x) @ pi[1] for pi, x in zip(turns, parts))
-        return dict(zip(labels, parts))
+        return dict(zip(labels, map(flat.__getitem__, spans)))
 
 
 def _schmidt_frame(mat: np.ndarray, diagonal: np.ndarray | None, n: int) -> _Frame:
     """The frame arrays of ``standard_form`` and ``run_teleport``,
     whole-array: with s the diagonal of a diagonal amplitude matrix, or else
-    its singular values (``_block_irreps``, which also gives the irreps),
-    Delta = prod_i s_i^{c_i} at every u index of ``block_table(n, d)``'s
-    contents column, each block's |Delta_lam|^2 by one reduceat over its
-    offsets column, and q_lam = dim_v |Delta_lam|^2: pi_lam(U) and
-    pi_lam(V^H) are unitary, so the weights need Delta alone. The caller
-    has checked the input (``_checked_matrix``). ValueError when a dim_v is
-    beyond the float range, found before the contents column is read or
-    the basis looked up; BasisAlignmentError on a failed check of
-    ``_block_irreps`` and unless the weights sum to |phi|^(2n) within
-    1e-10."""
+    its singular values (``_schmidt_factors``, which also gives the
+    factors), Delta = prod_i s_i^{c_i} at every u index of
+    ``block_table(n, d)``'s contents column, each block's |Delta_lam|^2 by
+    one reduceat over its offsets column, and q_lam = dim_v |Delta_lam|^2:
+    pi_lam(U) and pi_lam(V^H) are unitary, so the weights need Delta alone.
+    The caller has checked the input (``_checked_matrix``). ValueError when
+    a dim_v is beyond the float range, found before the contents column is
+    read; BasisAlignmentError on a failed check of ``_schmidt_factors`` and
+    unless the weights sum to |phi|^(2n) within 1e-10."""
     table = block_table(n, len(mat))
     dims = table.float_dim_v
-    irreps = None
+    factors = None
     if diagonal is None:
-        diagonal, irreps = _block_irreps(mat, n, table)
+        diagonal, factors = _schmidt_factors(mat)
     delta = np.multiply.reduce(diagonal ** table.contents, axis=1)
     mass = np.square(delta.real)
     if delta.dtype.kind == "c":
@@ -909,47 +899,52 @@ def _schmidt_frame(mat: np.ndarray, diagonal: np.ndarray | None, n: int) -> _Fra
     total, expected = math.fsum(weights.tolist()), math.fsum(spectrum) ** n
     if not abs(total - expected) <= 1e-10:
         raise BasisAlignmentError(f"weights sum to {total}, not |phi|^(2n) = {expected}")
-    return _Frame(table, delta, squares, weights, weights > _WEIGHT_FLOOR, spectrum, irreps)
+    return _Frame(table, delta, squares, weights, weights > _WEIGHT_FLOOR, spectrum, factors)
 
 
-def _block_irreps(mat: np.ndarray, n: int, table) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The singular values of mat, non-increasing, and per block of
-    ``table``, pi_lam(U) and pi_lam(V^H) stacked, M = U diag(s) V^H its
-    SVD. Each pi_lam is a diagonal block of R(X) = B0^T X^{(x)n} B0, B0 the
-    v = 0 columns of every block (``SchurBasis.references``), X^{(x)n}
-    applied a few tensor factors at a time; a real matrix is decomposed and
-    applied in real arithmetic. BasisAlignmentError unless U diag(s) V^H is
-    M within 1e-12, the part of R(U) and R(V^H) outside the diagonal blocks
-    (the cross-block amplitude) is at most 1e-10, and every pi_lam is
-    unitary within 1e-10."""
-    d = len(mat)
+def _schmidt_factors(mat: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The singular values s of mat, non-increasing, and its factors
+    (U, V^H), in real arithmetic for a real mat. BasisAlignmentError unless
+    U diag(s) V^H is mat within 1e-12."""
     if not mat.imag.any():
         mat = mat.real
     left, svals, right = np.linalg.svd(mat)
     residual = float(np.linalg.norm((left * svals) @ right - mat))
     if not residual <= 1e-12:
         raise BasisAlignmentError(f"Schmidt decomposition residual {residual:.2e} above 1e-12")
-    cols = schur_basis(n, d).references
-    powers = _power_times(np.stack([left, right]), cols, n)
+    return svals, (left, right)
+
+
+def _block_irreps(factors: tuple[np.ndarray, np.ndarray], n: int, table) -> dict:
+    """pi_lam(U) and pi_lam(V^H) stacked, keyed by each block lam of
+    ``table``, (U, V^H) the Schmidt factors. Each pi_lam is a diagonal block
+    of R(X) = B0^T X^{(x)n} B0, B0 the v = 0 columns of every block
+    (``SchurBasis.references``), X^{(x)n} applied a few tensor factors at a
+    time; real factors are applied in real arithmetic. BasisAlignmentError
+    unless the part of R(U) and R(V^H) outside the diagonal blocks (the
+    cross-block amplitude) is at most 1e-10 and every pi_lam is unitary
+    within 1e-10."""
+    cols = schur_basis(n, len(factors[0])).references
+    powers = _power_times(np.stack(factors), cols, n)
     if np.iscomplexobj(powers):  # B0^T in real arithmetic: the float view interleaves re, im
         reps = (cols.T @ powers.view(np.float64)).view(np.complex128)
     else:
         reps = cols.T @ powers
     del powers
     # every pi_lam(U) and pi_lam(V^H), taken out of R, leaving the cross-block part
-    pis, at = [], 0
-    for _, du, _ in table:
+    pis, at = {}, 0
+    for lam, du, _ in table:
         span = slice(at, at + du)
-        pis.append(reps[:, span, span].copy())
+        pis[lam] = reps[:, span, span].copy()
         reps[:, span, span] = 0.0
         at += du
     cross = math.sqrt(np.vdot(reps, reps).real)
     if not cross <= 1e-10:  # NaN fails too
         raise BasisAlignmentError(f"cross-block amplitude {cross:.2e} above 1e-10")
     del reps
-    for (lam, du, _), pi in zip(table, pis):
+    for lam, pi in pis.items():
         gram = pi.conj().transpose(0, 2, 1) @ pi
-        gram -= np.eye(du)
+        gram -= np.eye(len(gram[0]))
         err = math.sqrt(np.vdot(gram, gram).real)  # bounds every entry
         if not err <= 1e-10:
             which = int(np.vdot(gram[1], gram[1]).real > np.vdot(gram[0], gram[0]).real)
@@ -957,23 +952,36 @@ def _block_irreps(mat: np.ndarray, n: int, table) -> tuple[np.ndarray, list[np.n
                 f"pi_{lam}({('U', 'V^H')[which]}) is not unitary: its Gram matrices are "
                 f"{err:.2e} from the identity, above 1e-10"
             )
-    return svals, pis
+    return pis
+
+
+def _turned(parts: dict, factors: tuple | None, n: int, d: int, what: str) -> dict:
+    """Each part, a diagonal x per block, as a dense dim_u x dim_u array
+    behind a count of ``what`` at (n, d): diag(x) (the matrix, 512 bytes a
+    block, 64 KiB for the records), or pi_lam(U) diag(x) pi_lam(V^H) for
+    factors (U, V^H) (``_block_irreps``), behind ``standard_form_bytes``."""
+    nbytes = sum(x.itemsize * len(x) ** 2 + 512 for x in parts.values()) + 2**16
+    check_bytes(nbytes if factors is None else standard_form_bytes(n, d), f"{what} at n={n}, d={d}")
+    if factors is None:
+        return {lam: np.diag(x) for lam, x in parts.items()}
+    pis = _block_irreps(factors, n, block_table(n, d))
+    return {lam: (pis[lam][0] * x) @ pis[lam][1] for lam, x in parts.items()}
 
 
 def _checked_matrix(phi: StateVector, n: int, what: str) -> tuple[np.ndarray, np.ndarray | None]:
     """The amplitude matrix of a d x d bipartite state and its diagonal
     (``schmidt_diagonal``, None when an entry off it is non-zero), once the
     dims, the bytes of ``what`` at (n, d) and the norm are checked: the one
-    input check of ``standard_form`` and ``run_teleport``. A diagonal
-    matrix counts ``frame_bytes``, any other ``standard_form_bytes``, the
-    larger count of its basis and irreps."""
+    input check of ``standard_form`` and ``run_teleport``. Every input
+    counts ``frame_bytes``; a matrix off its diagonal adds its SVD, with its
+    LAPACK workspace and factors (about 106 d^2 bytes measured, complex)."""
     if len(phi.dims) != 2 or phi.dims[0] != phi.dims[1]:
         raise ValueError(f"need a d x d bipartite state, got dims {phi.dims}")
     d = phi.dims[0]
     mat = phi.amplitude_matrix()
     diagonal = schmidt_diagonal(mat)
-    count = standard_form_bytes if diagonal is None else frame_bytes
-    check_bytes(count(n, d), f"{what} at n={n}, d={d}")
+    svd = 112 * d * d if diagonal is None else 0
+    check_bytes(frame_bytes(n, d) + svd, f"{what} at n={n}, d={d}")
     phi.require_normalized()
     return mat, diagonal
 
@@ -993,19 +1001,19 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
 
     The weights, the spectrum and the norms come from Delta alone, over
     every block at once (``_schmidt_frame``): q_lam = dim_v |Delta_lam|^2,
-    and the part of block lam is Delta_lam / |Delta_lam| turned by
-    pi_lam(U) and pi_lam(V^H). A diagonal M (``schmidt_diagonal``) is its
-    own Schmidt frame: U and V^H are the identity up to a diagonal of
-    phases and an order of the letters, and pi_lam(M) itself is diagonal,
-    prod_i m_ii^{c_i}, so its form takes no SVD and no basis, and each part
-    is kept as its diagonal. Any other M adds its SVD, the irreps
-    (``_block_irreps``) and the turn of each carried block.
+    and the part of block lam is Delta_lam / |Delta_lam|, kept as its
+    diagonal. pi_lam(U) and pi_lam(V^H) are unitary, so the form carries U
+    and V^H (``factors``) and ``phi`` applies them on access. A diagonal M
+    (``schmidt_diagonal``) is its own Schmidt frame: U and V^H are the
+    identity up to a diagonal of phases and an order of the letters, and
+    pi_lam(M) itself is diagonal, prod_i m_ii^{c_i}, so its form takes no
+    SVD. Any other M adds its SVD alone. No input reads the basis.
 
-    Each failed check is a BasisAlignmentError: those of ``_block_irreps``,
-    and the weights sum to |phi|^(2n) within 1e-10. A dim_v beyond the
-    float range is a ValueError. The v >= 1 columns are not read, so not
-    checked here: the pairing they carry follows from the construction,
-    and the dense route the tests compare against checks it.
+    Each failed check is a BasisAlignmentError: those of
+    ``_schmidt_factors``, and the weights sum to |phi|^(2n) within 1e-10.
+    A dim_v beyond the float range is a ValueError. The v >= 1 columns are
+    not read, so not checked here: the pairing they carry follows from the
+    construction, and the dense route the tests compare against checks it.
     """
     mat, diagonal = _checked_matrix(phi, n, "standard_form")
     frame = _schmidt_frame(mat, diagonal, n)
@@ -1014,9 +1022,9 @@ def standard_form(phi: StateVector, n: int) -> StandardForm:
     norms = np.sqrt(frame.squares)
     scale = np.divide(1.0, norms, out=np.zeros(len(table)), where=frame.carried)
     offsets = table.offsets
-    parts = frame.delta * scale.repeat(offsets[1:] - offsets[:-1])
+    parts = frame.blocks(frame.delta * scale.repeat(offsets[1:] - offsets[:-1]), frame.carried)
     weights = dict(zip(map(itemgetter(0), table), frame.weights.tolist()))
-    return StandardForm(n, len(mat), weights, frame.blocks(parts, frame.carried), frame.spectrum)
+    return StandardForm(n, len(mat), weights, parts, frame.spectrum, frame.factors)
 
 
 def weights_by_projector(phi: StateVector, n: int) -> dict[Partition, float]:

@@ -28,10 +28,11 @@ from .partitions import (
     block_rows,
     block_table,
     block_weights,
+    dim_v,
     schur_ladder,
     spectrum_weights,
 )
-from .schur_weyl import _checked_matrix, _diagonal_spectrum, _schmidt_frame, schur_basis
+from .schur_weyl import _checked_matrix, _diagonal_spectrum, _schmidt_frame, _turned, schur_basis
 from .states import StateVector, check_bytes, seed_of
 
 # a nat below the log of the largest float, so that the rounding of a log
@@ -170,13 +171,14 @@ class TeleportResult:
     ``success_prob`` is the retained weight, the success probability of the
     projection step, reported as the retained share R / (R + T) of the
     block weights (``_retained_weight``), so it is at most 1.
-    ``final_blocks`` is the post-recovery state in block coordinates, the u
-    part x of each retained block of weight above 1e-14: block lam of its
-    coefficients in the basis on both halves is x (x) 1_v. For a diagonal
-    amplitude matrix x is diagonal and held as its diagonal, a 1-D array of
-    length dim_u; for any other it is that diagonal turned by the block's
-    irreps of the local unitaries, a dense dim_u x dim_u array, as in
-    ``StandardForm.parts``. It is None when the good set is empty (the run is
+    ``final_blocks`` is the post-recovery state in block coordinates, in
+    the Schmidt frame: the u part x of each retained block of weight above
+    1e-14, held as its diagonal, a 1-D array of length dim_u, as in
+    ``StandardForm.parts``. ``factors`` holds the Schmidt factors (U, V^H)
+    of an amplitude matrix off its diagonal (None for a diagonal one and
+    for a vacuous run): block lam of the state's coefficients in the basis
+    on both halves is pi_lam(U) diag(x) pi_lam(V^H) (x) 1_v.
+    ``final_blocks`` is None when the good set is empty (the run is
     vacuous). A sampled transcript of the protocol comes from
     ``run_locc(teleport_protocol(n, d), ...)``.
     """
@@ -186,34 +188,34 @@ class TeleportResult:
     schmidt_spectrum: tuple[float, ...]
     success_prob: float
     final_blocks: dict[Partition, np.ndarray] | None
+    factors: tuple[np.ndarray, np.ndarray] | None
     seed: int | None
 
     @property
     def final_state(self) -> StateVector | None:
         """The post-recovery state on the 2n factors, normalized, built from
-        ``final_blocks`` on every access; None for a vacuous run."""
+        ``final_blocks`` and ``factors`` on every access; None if vacuous."""
         if self.final_blocks is None:
             return None
         size = self.d**self.n
-        blocks = schur_basis(self.n, self.d).blocks
         # the state and one block's term; per block its dense columns, their
         # reordered copy, the product with x and complex copies for products;
         # 1 KiB per string for the small arrays
-        widest = max(blocks[lam].dim_u * blocks[lam].dim_v for lam in self.final_blocks)
+        widest = max(len(x) * dim_v(lam) for lam, x in self.final_blocks.items())
         nbytes = 32 * size * size + 64 * size * (widest + 16)
         check_bytes(nbytes, f"the final state at n={self.n}, d={self.d}")
-        # the norm in block coordinates, a short sum: the basis is orthonormal
+        blocks = schur_basis(self.n, self.d).blocks
+        # the norm in block coordinates: the basis is orthonormal, the turns unitary
         norm = math.sqrt(math.fsum(
             blocks[lam].dim_v * np.vdot(x, x).real for lam, x in self.final_blocks.items()
         ))
+        parts = _turned(self.final_blocks, self.factors, self.n, self.d, "the final state")
         out = np.zeros((size, size), dtype=complex)
-        for lam, x in self.final_blocks.items():
+        for lam, x in parts.items():
             du, dv = blocks[lam].dim_u, blocks[lam].dim_v
-            # columns in (v, u) order, so that x acts on the last axis; a
-            # diagonal x scales each u column
+            # columns in (v, u) order, so that x acts on the last axis
             vecs = blocks[lam].vectors.reshape(size, du, dv).transpose(0, 2, 1).reshape(size, -1)
-            cols = vecs.reshape(size, dv, du)
-            acted = cols * (x / norm) if x.ndim == 1 else cols @ (x / norm)
+            acted = vecs.reshape(size, dv, du) @ (x / norm)
             out += acted.reshape(size, -1) @ vecs.T
         return StateVector(out.reshape(-1), (self.d,) * (2 * self.n))
 
@@ -278,9 +280,9 @@ def run_teleport(
     vacuous run reads its spectrum off the diagonal, or the singular
     values of a matrix off it. Steps I-III run once, on the frame arrays of
     ``_schmidt_frame`` over every block at once, with no loop over the
-    blocks: for a diagonal amplitude matrix they read no basis, and any
-    other adds its SVD, the irreps and a turn of each kept block's final u
-    part.
+    blocks, and read no basis: a matrix off its diagonal adds its SVD
+    alone, and the result carries its factors, which only ``final_state``
+    applies.
     """
     seed = seed_of(rng)
     mat, diagonal = _checked_matrix(phi, n, "run_teleport")
@@ -290,7 +292,7 @@ def run_teleport(
     table = block_table(n, d)
     if not np.count_nonzero(table.retained):
         svals = np.linalg.svd(mat, compute_uv=False) if diagonal is None else diagonal
-        return TeleportResult(n, d, _diagonal_spectrum(svals), 0.0, None, seed)
+        return TeleportResult(n, d, _diagonal_spectrum(svals), 0.0, None, None, seed)
 
     # step I: Alice projects onto the retained blocks; the conditioned
     # state's u part on block lam is t = sqrt(q_lam / success) Delta_lam /
@@ -320,4 +322,5 @@ def run_teleport(
     check = abs(np.vdot(spread, target)) ** 2 / np.vdot(spread, spread).real
     if check < 1.0 - 1e-8:
         raise AssertionError(f"final state misses the analytic target: {check}")
-    return TeleportResult(n, d, frame.spectrum, success, frame.blocks(final, kept), seed)
+    blocks = frame.blocks(final, kept)
+    return TeleportResult(n, d, frame.spectrum, success, blocks, frame.factors, seed)

@@ -22,10 +22,9 @@ from locclab.locc import (
     two_stage_estimate,
     verify_fisher_additivity,
 )
-from locclab.models import anticopy_pair, product_model, real_amplitude, reparametrized
+from locclab.models import anticopy_pair, product_model, real_amplitude
 from locclab.partitions import (
     dim_u,
-    entropy_bound_check,
     enumerate_partitions,
     large_deviation_bound,
 )
@@ -44,6 +43,7 @@ from locclab.teleport import (
     run_teleport,
     sample_haar_unitary,
 )
+from tests_support import entropy_bound_check, reparametrized
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -90,11 +90,11 @@ def test_criterion_02_bell_teleport_fidelities():
     # the run itself verifies the final state against the analytic target at
     # 1e-8; re-check the achieved overlap explicitly
     form = standard_form(bell_state(2), 4)
-    basis = form.basis
+    basis, phi = schur_basis(4, 2), form.phi
     coeff = np.zeros((16, 16), dtype=complex)
     for lam in res.good:
         block = basis.blocks[lam]
-        piece = np.kron(form.phi[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
+        piece = np.kron(phi[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
         coeff[block.span, block.span] = math.sqrt(form.weights[lam]) * piece
     target_vec = (basis.matrix @ coeff @ basis.matrix.T).reshape(-1)
     target_vec /= np.linalg.norm(target_vec)

@@ -24,13 +24,12 @@ from locclab.models import (
     qubit_conjugate,
     qubit_full,
     real_amplitude,
-    reparametrized,
     richardson_stencil,
     rotation_model,
 )
 from locclab.states import StateVector, bell_state, product_state
 from locclab.teleport import sample_haar_unitary
-from tests_support import random_two_param_model
+from tests_support import random_two_param_model, reparametrized
 
 THETA = np.array([1.0, 0.7])
 

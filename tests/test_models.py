@@ -23,12 +23,12 @@ from locclab.models import (
     qubit_conjugate,
     qubit_full,
     real_amplitude,
-    reparametrized,
     richardson_points,
     richardson_stencil,
     rotation_model,
     tabulated_model,
 )
+from tests_support import reparametrized
 
 GRID = np.linspace(0.2, 2.2, 41)
 

@@ -16,22 +16,22 @@ from locclab.partitions import (
     class_size,
     dim_u,
     dim_v,
-    entropy_bound_check,
     enumerate_partitions,
     large_deviation_bound,
     relative_entropy,
     schur_ladder,
-    schur_polynomials,
-    shannon_entropy,
     standard_tableaux,
 )
 from locclab.schur_weyl import weights_analytic
 from locclab.teleport import ideal_fidelities, ideal_fidelity
 from tests_support import (
+    entropy_bound_check,
     ideal_fidelities_by_dict,
     large_deviation_bound_by_dict,
+    schur_polynomials,
     schur_polynomials_per_last_part,
     schur_values_by_pointer_chase,
+    shannon_entropy,
     weights_by_dict,
 )
 

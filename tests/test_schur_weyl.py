@@ -17,7 +17,6 @@ from locclab.partitions import (
     dim_u,
     dim_v,
     enumerate_partitions,
-    schur_polynomials,
     standard_tableaux,
 )
 from locclab.schur_weyl import (
@@ -58,6 +57,7 @@ from tests_support import (
     oracle_inputs,
     permutation_operator,
     rotated,
+    schur_polynomials,
 )
 
 
@@ -546,15 +546,15 @@ def test_standard_form_reassembly(phi):
     # the same flat multiplicity part 1/sqrt(dim_v) for every input state
     n = 4
     form = standard_form(phi, n)
-    basis = form.basis
+    basis, parts = schur_basis(n, 2), form.phi
     coeff = np.zeros((2**n, 2**n), dtype=complex)
     for lam, q in form.weights.items():
-        if lam not in form.phi:
+        if lam not in parts:
             continue
         block = basis.blocks[lam]
         du, dv = block.dim_u, block.dim_v
-        assert form.phi[lam].shape == (du, du)
-        piece = np.kron(form.phi[lam], np.eye(dv) / math.sqrt(dv))
+        assert parts[lam].shape == (du, du)
+        piece = np.kron(parts[lam], np.eye(dv) / math.sqrt(dv))
         coeff[block.span, block.span] = math.sqrt(q) * piece
     rebuilt = (basis.matrix @ coeff @ basis.matrix.T).reshape(-1)
     direct = bipartite_tensor_power(phi, n).reshape(-1)
@@ -602,11 +602,12 @@ def test_standard_form_and_run_teleport_refuse_mixed_blocks(monkeypatch):
     assert retired not in good_set(3, 2) and kept in good_set(3, 2)
     swapped = _swapped_basis(3, 2, 1, 0, 1)
     monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
+    # the irreps are read only when a form's parts are turned
     with pytest.raises(BasisAlignmentError, match="cross-block amplitude"):
-        standard_form(TWISTED, 3)
+        standard_form(TWISTED, 3).phi
     with pytest.raises(BasisAlignmentError, match="cross-block amplitude"):
-        run_teleport(TWISTED, 3, 0)
-    standard_form(state_from_schmidt((0.7, 0.3)), 3)  # U = V = 1 cannot tell
+        run_teleport(TWISTED, 3, 0).final_state
+    standard_form(state_from_schmidt((0.7, 0.3)), 3).phi  # U = V = 1 cannot tell
 
 
 def test_standard_form_refuses_a_block_paired_off_the_maximally_entangled_state(monkeypatch):
@@ -615,7 +616,9 @@ def test_standard_form_refuses_a_block_paired_off_the_maximally_entangled_state(
     swapped = _swapped_basis(3, 2, 1, 1, 2)
     monkeypatch.setattr(schur_weyl, "_memo_basis", lambda n, d: swapped)
     with pytest.raises(BasisAlignmentError, match=r"pi_\(2,1\)\((U|V\^H)\) is not unitary"):
-        standard_form(TWISTED, 3)
+        standard_form(TWISTED, 3).phi
+    with pytest.raises(BasisAlignmentError, match=r"pi_\(2,1\)\((U|V\^H)\) is not unitary"):
+        run_teleport(TWISTED, 3, 0).final_state
 
 
 def test_standard_form_refuses_a_schmidt_decomposition_off_the_state(monkeypatch):
@@ -685,13 +688,14 @@ def check_form_against_the_dense_oracle(phi, n):
     weights, phis = dense_standard_form(phi, n)
     assert list(form.weights) == list(weights)
     assert max(abs(form.weights[lam] - q) for lam, q in weights.items()) <= 1e-14
-    assert form.phi.keys() == phis.keys()
+    dense = form.phi  # built on every access
+    assert dense.keys() == phis.keys()
     for lam, want in phis.items():
         # phi is the block's u part over its norm, so a block of weight q
         # scales the rounding of both routes by 1/sqrt(q): (4,3) at n = 7
         # weighs 1.1e-8 here, and its phi differ by 2.9e-14, its u parts by
         # 3e-18. The u parts are compared, and phi where q >= 1e-2.
-        got, q = form.phi[lam], weights[lam]
+        got, q = dense[lam], weights[lam]
         part = math.sqrt(form.weights[lam]) * got - math.sqrt(q) * want
         assert np.max(np.abs(part)) <= 1e-14, str(lam)
         assert q < 1e-2 or np.max(np.abs(got - want)) <= 1e-14, str(lam)
@@ -702,8 +706,8 @@ def check_form_against_the_dense_oracle(phi, n):
 
 
 # a Schmidt form under seeded real rotations of both halves, at sizes of the
-# dense oracle: U and V^H are not the identity, so the SVD and the block
-# basis's irreps run
+# dense oracle: U and V^H are not the identity, so the SVD runs, and the
+# block basis's irreps turn the parts when they are read
 ROTATED_SIZES = [(1, 2), (4, 2), (7, 2), (9, 2), (2, 3), (5, 3), (3, 4), (2, 6)]
 
 
@@ -713,35 +717,48 @@ def test_a_rotated_schmidt_form_takes_the_basis_route_to_the_frames_weights(n, d
     phi = rotated(spectrum, n)
     assert schmidt_diagonal(spectrum.amplitude_matrix()) is not None
     assert schmidt_diagonal(phi.amplitude_matrix()) is None
-    irreps, calls = schur_weyl._block_irreps, []
+    irreps, build, calls, builds = schur_weyl._block_irreps, schur_weyl.build_schur_basis, [], []
 
     def counted(*args):
         calls.append(args[1])
         return irreps(*args)
 
+    def built(*args):
+        builds.append(args)
+        return build(*args)
+
     monkeypatch.setattr(schur_weyl, "_block_irreps", counted)
+    monkeypatch.setattr(schur_weyl, "build_schur_basis", built)
     frame = standard_form(spectrum, n)
     twin = run_teleport(spectrum, n, 0)
-    assert calls == []  # the Schmidt twin reads no irreps
+    assert frame.factors is None is twin.factors
+    # neither entry point reads the basis, its irreps or its memo
     before = schur_basis.cache_info()
     form = standard_form(phi, n)
-    after = schur_basis.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses + 1
+    result = run_teleport(phi, n, 0)
+    assert schur_basis.cache_info() == before and calls == [] == builds
     assert list(form.weights) == list(frame.weights)
     assert max(abs(form.weights[lam] - q) for lam, q in frame.weights.items()) <= 1e-12
     assert max(abs(a - b) for a, b in zip(form.spectrum, frame.spectrum)) <= 1e-15
+    assert all(x.shape == (dim_u(lam),) for lam, x in form.parts.items())
 
-    # the run turns the final u part of each kept block, the retained blocks
+    # phi turns each part by the irreps of the factors
+    pis = irreps(form.factors, n, block_table(n, d))
+    dense = form.phi
+    assert calls == [n]
+    assert dense.keys() == form.parts.keys()
+    for lam, x in form.parts.items():
+        assert np.array_equal(dense[lam], (pis[lam][0] * x) @ pis[lam][1]), str(lam)
+
+    # the run keeps the final u part of each kept block, the retained blocks
     # that carry a part: sqrt(q / (success dim_v)) times the form's part. A
     # vacuous run reads the singular values alone
-    calls.clear()
-    result = run_teleport(phi, n, 0)
     good = good_set(n, d)
-    assert calls == ([n] if good else [])
     assert abs(result.success_prob - twin.success_prob) <= 1e-14
     if not good:
         assert result.final_blocks is None is twin.final_blocks
     else:
+        assert all(np.array_equal(a, b) for a, b in zip(result.factors, form.factors))
         assert list(result.final_blocks) == [lam for lam in good if lam in form.parts]
         for lam, x in result.final_blocks.items():
             scale = form.weights[lam] / (result.success_prob * dim_v(lam))
@@ -881,7 +898,10 @@ def test_standard_form_rejects_bad_input():
     with pytest.raises(ValueError):
         standard_form(StateVector(np.ones(6) / math.sqrt(6), (2, 3)), 2)
     with pytest.raises(ValueError, match="budget"):
-        standard_form(rotated(bell_state(2), 0), 16)  # over standard_form_bytes's size limit
+        standard_form(rotated(bell_state(3), 0), 117)  # over frame_bytes's size limit
+    # the dense parts of a form off its diagonal, over standard_form_bytes's
+    with pytest.raises(ValueError, match="^the dense phi at n=16, d=2 needs .* budget$"):
+        standard_form(rotated(bell_state(2), 0), 16).phi
     with pytest.raises(ValueError, match="positive"):
         standard_form(bell_state(2), 0)
 

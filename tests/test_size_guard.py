@@ -32,6 +32,10 @@ BELL = bell_state(2)
 BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
 RESULT = run_teleport(PHI, 9, 0)  # its final state, built on access, takes 4 MiB
 FORM = standard_form(PHI, 200)  # its dense phi, built on access, takes 10 MiB
+# the same off the diagonal: their dense parts are turned by the irreps of a
+# cold basis at n = 9 and 10
+ROTATED_RESULT = run_teleport(ROTATED, 9, 0)
+ROTATED_FORM = standard_form(ROTATED, 10)
 # one outcome at n = 10: a dense retained block it reads takes up to 3 MB
 IDENTITIES = {lam: np.eye(BASIS.blocks[lam].dim_v) for lam in teleport.good_set(10, 2)}
 
@@ -69,11 +73,13 @@ GUARDED_CALLS = {
     "SchurBlock.vectors": lambda: BASIS.blocks[Partition((6, 4))].vectors,
     "SchurBasis.matrix": lambda: BASIS.matrix,
     "standard_form": lambda: standard_form(PHI, 301),
-    "standard_form.rotated": lambda: standard_form(ROTATED, 10),
+    "standard_form.rotated": lambda: standard_form(ROTATED, 301),
     "run_teleport": lambda: run_teleport(PHI, 301, 0),
-    "run_teleport.rotated": lambda: run_teleport(ROTATED, 10, 0),
+    "run_teleport.rotated": lambda: run_teleport(ROTATED, 301, 0),
     "TeleportResult.final_state": lambda: RESULT.final_state,
+    "TeleportResult.final_state.rotated": lambda: ROTATED_RESULT.final_state,
     "StandardForm.phi": lambda: FORM.phi,
+    "StandardForm.phi.rotated": lambda: ROTATED_FORM.phi,
     "teleport_protocol": lambda: teleport_protocol(5, 2),
     "kraus_operator": lambda: tests_support.kraus_operator(BASIS, IDENTITIES),
     "final_state": lambda: LoccTranscript("t", 0, [], np.ones(512) / np.sqrt(512)).final_state,
@@ -111,21 +117,36 @@ def _protocol_run(n):
     return run
 
 
-# (call, its largest n admitted by a 2^24 budget), at d = 2 unless named: a
-# diagonal input is counted by frame_bytes, whose count grows with
-# sum dim_u, any other by standard_form_bytes
+def _access(make, name):
+    """The read of ``name`` on ``make(n)``, made before the peak is traced."""
+
+    def call(n):
+        made = make(n)
+        return lambda: getattr(made, name)
+
+    return call
+
+
+# (call, its largest n admitted by a 2^24 budget), at d = 2 unless named:
+# every input is counted by frame_bytes, whose count grows with sum dim_u,
+# one off its diagonal with its SVD too; the dense parts of one off its
+# diagonal by standard_form_bytes
 EDGES = {
     "build_schur_basis": (lambda n: lambda: build_schur_basis(n, 2), 11),
-    "standard_form": (lambda n: lambda: standard_form(PHI, n), 301),
-    "standard_form.rotated": (lambda n: lambda: standard_form(ROTATED, n), 11),
-    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 301),
-    "run_teleport.rotated": (lambda n: lambda: run_teleport(ROTATED, n, 0), 11),
+    "standard_form": (lambda n: lambda: standard_form(PHI, n), 726),
+    "standard_form.rotated": (lambda n: lambda: standard_form(ROTATED, n), 726),
+    "run_teleport": (lambda n: lambda: run_teleport(PHI, n, 0), 726),
+    "run_teleport.rotated": (lambda n: lambda: run_teleport(ROTATED, n, 0), 726),
+    "StandardForm.phi.rotated": (_access(lambda n: standard_form(ROTATED, n), "phi"), 11),
+    "TeleportResult.final_state.rotated": (
+        _access(lambda n: run_teleport(ROTATED, n, 0), "final_state"), 9
+    ),
     "teleport_protocol": (_protocol_run, 5),
     # frame_bytes at d = 3 and 4
-    "standard_form.d3": (lambda n: lambda: standard_form(PHI3, n), 24),
-    "run_teleport.d3": (lambda n: lambda: run_teleport(PHI3, n, 0), 24),
-    "standard_form.d4": (lambda n: lambda: standard_form(PHI4, n), 12),
-    "run_teleport.d4": (lambda n: lambda: run_teleport(PHI4, n, 0), 12),
+    "standard_form.d3": (lambda n: lambda: standard_form(PHI3, n), 35),
+    "run_teleport.d3": (lambda n: lambda: run_teleport(PHI3, n, 0), 35),
+    "standard_form.d4": (lambda n: lambda: standard_form(PHI4, n), 15),
+    "run_teleport.d4": (lambda n: lambda: run_teleport(PHI4, n, 0), 15),
 }
 
 
@@ -148,14 +169,28 @@ def test_basis_build_peak_within_its_count_at_large_d(n, d, declared):
     assert peak <= declared[0]
 
 
-@pytest.mark.parametrize("n,d", [(1, 250), (2, 20), (3, 8)])
-def test_standard_form_peak_within_its_count_at_large_d(n, d, declared):
-    # a complex input at few letters over many: the stacked products of U
-    # and V^H with the v = 0 columns are d^n x d^n, and set the peak
+def _complex_state(d):
     rng = np.random.default_rng(d)
     amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-    phi = StateVector(amps / np.linalg.norm(amps), (d, d))
+    return StateVector(amps / np.linalg.norm(amps), (d, d))
+
+
+@pytest.mark.parametrize("n,d", [(1, 250), (2, 20), (3, 8)])
+def test_standard_form_peak_within_its_count_at_large_d(n, d, declared):
+    # a complex input at few letters over many: its SVD and its letter
+    # powers, a K x d array, set the peak
+    phi = _complex_state(d)
     peak = traced_peak(lambda: standard_form(phi, n))
+    assert peak <= declared[0]
+
+
+@pytest.mark.parametrize("n,d", [(1, 250), (2, 20), (3, 8)])
+def test_dense_parts_peak_within_their_count_at_large_d(n, d, declared):
+    # the same form's dense parts: the stacked products of U and V^H with
+    # the v = 0 columns are d^n x d^n, and set the peak
+    form = standard_form(_complex_state(d), n)
+    declared.clear()
+    peak = traced_peak(lambda: form.phi)
     assert peak <= declared[0]
 
 

@@ -315,7 +315,9 @@ def test_run_teleport_vacuous_n1():
 def test_teleport_result_stores_only_what_the_run_computed():
     res = run_teleport(bell_state(2), 4, 0)
     stored = [field.name for field in dataclasses.fields(res)]
-    assert stored == ["n", "d", "schmidt_spectrum", "success_prob", "final_blocks", "seed"]
+    assert stored == [
+        "n", "d", "schmidt_spectrum", "success_prob", "final_blocks", "factors", "seed"
+    ]
     assert dataclasses.replace(res, n=1).status == "vacuous"
 
 
@@ -332,11 +334,11 @@ def test_final_state_matches_standard_form_target():
     from locclab.schur_weyl import standard_form
 
     form = standard_form(phi, 4)
-    basis = form.basis
+    basis, parts = schur_basis(4, 2), form.phi
     coeff = np.zeros((16, 16), dtype=complex)
     for lam in res.good:
         block = basis.blocks[lam]
-        piece = np.kron(form.phi[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
+        piece = np.kron(parts[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
         coeff[block.span, block.span] = math.sqrt(form.weights[lam]) * piece
     target = (basis.matrix @ coeff @ basis.matrix.T).reshape(-1)
     target /= np.linalg.norm(target)
@@ -357,10 +359,10 @@ def test_coherence_between_blocks_preserved():
 
     form = standard_form(phi, 4)
     keep = sum(form.weights[lam] for lam in res.good)
-    phases = []
+    phases, parts = [], form.phi
     for lam in res.good:
         block = basis.blocks[lam]
-        piece = np.kron(form.phi[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
+        piece = np.kron(parts[lam], np.eye(block.dim_v) / math.sqrt(block.dim_v))
         target_block = math.sqrt(form.weights[lam] / keep) * piece
         inner = np.vdot(target_block, coeff[block.span, block.span])
         assert abs(abs(inner) - np.linalg.norm(target_block) ** 2) < 1e-8
@@ -399,12 +401,12 @@ def test_run_teleport_memory_at_admitted_sizes(p, n):
 
 
 def test_run_teleport_rejects_oversize():
-    # a diagonal input past frame_bytes (at d = 2 the float edge of dim_v
-    # comes first), and one off the diagonal past standard_form_bytes
-    with pytest.raises(ValueError, match="^run_teleport at n=84, d=3 needs .* budget$"):
-        run_teleport(bell_state(3), 84, 0)
-    with pytest.raises(ValueError, match="^run_teleport at n=16, d=2 needs .* budget$"):
-        run_teleport(rotated(bell_state(2), 0), 16, 0)
+    # every input past frame_bytes (at d = 2 the float edge of dim_v comes
+    # first): a diagonal one and one off the diagonal
+    with pytest.raises(ValueError, match="^run_teleport at n=117, d=3 needs .* budget$"):
+        run_teleport(bell_state(3), 117, 0)
+    with pytest.raises(ValueError, match="^run_teleport at n=117, d=3 needs .* budget$"):
+        run_teleport(rotated(bell_state(3), 0), 117, 0)
 
 
 def test_a_diagonal_input_takes_no_svd(monkeypatch):
@@ -432,6 +434,15 @@ def test_frame_runs_past_the_basis_sizes_meet_the_ideal_fidelity(p, n):
     assert abs(res.success_prob - ideal_fidelity(p, n)) <= 1e-12
 
 
+@pytest.mark.parametrize("p, n", [((0.7, 0.3), 200), ((0.5, 0.3, 0.2), 20), ((0.4, 0.3, 0.2, 0.1), 12)])
+def test_rotated_runs_past_the_basis_sizes_meet_the_ideal_fidelity(p, n):
+    # off its diagonal, the same route: the SVD alone, no basis
+    before = schur_basis.cache_info()
+    res = run_teleport(rotated(state_from_schmidt(p), n), n, 0)
+    assert schur_basis.cache_info() == before
+    assert abs(res.success_prob - ideal_fidelity(p, n)) <= 1e-12
+
+
 FINAL_ORACLE_SIZES = [(n, d) for n, d in FORM_ORACLE_SIZES if d**n <= 729]
 
 
@@ -442,10 +453,8 @@ def test_final_state_matches_the_dense_oracle(n, d):
         if not good_set(n, d):
             assert res.final_state is None
             continue
-        # the Schmidt-form input's final u parts are held as their
-        # diagonals
-        diagonal = schur_weyl.schmidt_diagonal(phi.amplitude_matrix()) is not None
-        assert all((x.ndim == 1) == diagonal for x in res.final_blocks.values())
+        # every input's final u parts are held as their diagonals
+        assert all(x.ndim == 1 for x in res.final_blocks.values())
         final = res.final_state
         assert final.dims == (d,) * (2 * n)
         assert np.max(np.abs(final.amplitudes - dense_final_state(phi, n))) <= 1e-14
@@ -496,11 +505,11 @@ def test_a_vacuous_run_is_admitted_up_to_about_the_presets_edge(monkeypatch):
     # the frame count grows with sum dim_u = d at n = 1, so a vacuous run at
     # large d is admitted nearly as far as the preset state itself: under a
     # 2^20 budget the preset admits d <= 256 (16 d^2 bytes) and the run
-    # d <= 165, where a count with the dense u parts (48 d^2 bytes for them
+    # d <= 199, where a count with the dense u parts (48 d^2 bytes for them
     # at n = 1) stopped it at d = 106
     monkeypatch.setattr(states, "_MAX_BYTES", 2**20)
     edge = max(d for d in range(2, 257) if schur_weyl.frame_bytes(1, d) <= 2**20)
-    assert edge == 165 and 48 * edge**2 > 2**20
+    assert edge == 199 and 48 * edge**2 > 2**20
     res = run_teleport(bell_state(edge), 1, 0)
     assert res.status == "vacuous" and len(res.schmidt_spectrum) == edge
     with pytest.raises(ValueError, match="budget$"):

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -11,11 +11,13 @@ from locclab.models import PureStateModel
 from locclab.partitions import (
     Partition,
     as_spectrum,
+    block_table,
     character,
     dim_u,
     dim_v,
     enumerate_partitions,
     relative_entropy,
+    schur_array,
     schur_ladder,
     standard_tableaux,
 )
@@ -686,3 +688,52 @@ def isotypic_projector(lam: Partition, d: int) -> np.ndarray:
             proj[index.transpose(sigma).ravel(), cols] += chi
     proj *= dim_v(lam) / math.factorial(n)
     return proj
+
+
+# ----------------------------------------------------------------------
+# helpers the library had and no command reads, kept as the tests' oracles
+# and fixtures
+
+
+def schur_polynomials(p: Sequence[float], n: int) -> dict[Partition, float]:
+    """``schur_array(p, n)`` keyed by partition, in ``block_table(n, d)``
+    order."""
+    values = schur_array(p, n).tolist()
+    return dict(zip((lam for lam, _, _ in block_table(n, len(p))), values))
+
+
+def shannon_entropy(q: Sequence[float]) -> float:
+    """Shannon entropy in nats, with 0 log 0 = 0."""
+    return -sum(x * math.log(x) for x in q if x > 0.0)
+
+
+def entropy_bound_check(lam: Partition) -> tuple[float, float, bool]:
+    """Check |log(dim_v)/n - H(lam/n)| <= (d^2+2d)/(2n) * log(n+d).
+
+    Returns (lhs, rhs, holds).
+    """
+    n = lam.n
+    d = lam.num_parts
+    lhs = abs(math.log(dim_v(lam)) / n - shannon_entropy(lam.normalized()))
+    rhs = (d * d + 2 * d) / (2 * n) * math.log(n + d)
+    return lhs, rhs, lhs <= rhs
+
+
+def reparametrized(model: PureStateModel, a_matrix: np.ndarray) -> PureStateModel:
+    """The family theta -> phi_{A theta} for an invertible linear map A."""
+    a_mat = np.asarray(a_matrix, dtype=float)
+    if a_mat.shape != (model.param_dim, model.param_dim):
+        raise ValueError("reparametrization matrix has the wrong shape")
+    if abs(np.linalg.det(a_mat)) < 1e-12:
+        raise ValueError("reparametrization must be invertible")
+
+    def state(thetas):
+        # one matrix-vector product per row, as for a single point
+        return model.states((a_mat @ thetas[:, :, None])[:, :, 0])
+
+    def deriv(thetas):
+        # the chain rule: axis i sums A[j, i] times the inner family's axis j
+        inner = model.derivatives((a_mat @ thetas[:, :, None])[:, :, 0])
+        return sum(a_mat[j, :, None] * inner[:, j, None, :] for j in range(model.param_dim))
+
+    return PureStateModel(model.param_dim, state, deriv, name=f"{model.name}@reparam")
