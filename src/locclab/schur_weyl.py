@@ -34,10 +34,10 @@ with rows and columns grouped by weight the basis is block-diagonal. The
 basis is built, stored, saved and loaded as these m_w x m_w blocks, m_w
 the multinomial count of w (Bacon-Chuang-Harrow, arXiv:quant-ph/0407082);
 the dense block columns (``SchurBlock.vectors``) and the dense d^n x d^n
-matrix (``SchurBasis.matrix``) are built on access, for callers that do
-dense arithmetic; the v = 0 columns of every block
-(``SchurBasis.references``) on the first access, for the irreps of the
-Schmidt factors of a state not in Schmidt form.
+matrix (``SchurBasis.matrix``) are built on every access, for callers
+that do dense arithmetic, and so are the v = 0 columns of every block
+(``SchurBasis.references``), for the irreps of the Schmidt factors of a
+state not in Schmidt form; all three by one scatter of the weight blocks.
 
 The character route, kept independent of the basis and of the Schur
 evaluator to cross-check both, takes the weights by the Frobenius formula
@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -109,11 +109,17 @@ class SchurBlock:
         """The block's columns as a dense (d^n, dim_u * dim_v) array, built
         on every access."""
         width = self.dim_u * self.dim_v
-        check_bytes(8 * self.size * width, f"the dense {self.lam} block")
+        check_bytes(8 * self.size * width + 2**16, f"the dense {self.lam} block")
         out = np.zeros((self.size, width))
-        for rows, start, amps in self.pieces:
-            out[rows, start : start + amps.shape[1]] = amps
+        self._scatter(out, 0, 1)
         return out
+
+    def _scatter(self, out: np.ndarray, at: int, step: int) -> None:
+        """Write every ``step``-th column of the block into ``out``, a
+        (d^n, k) array, from its column ``at`` on: the one dense read of the
+        stored amplitudes."""
+        for rows, start, amps in self.pieces:
+            out[rows, at + start // step : at + (start + amps.shape[1]) // step] = amps[:, ::step]
 
 
 @dataclass(frozen=True)
@@ -125,10 +131,9 @@ class SchurBasis:
     basis is block-diagonal. ``weight_blocks`` holds the m_w x m_w blocks,
     weights highest first, m_w the multinomial count of w, as views of the
     flat ``amplitudes``; a block's columns are in increasing matrix-column
-    order. ``rows`` and ``columns`` give the matrix row and column of each
-    weight-block row and column, weight blocks in order. ``kostka[i, w]``
-    is the number of u indices of weight w in the i-th block of
-    ``enumerate_partitions(n, d)``.
+    order. ``kostka[i, w]`` is the number of u indices of weight w in the
+    i-th block of ``enumerate_partitions(n, d)``. The dense reads are built
+    on every access and nothing derived from them is kept.
     """
 
     n: int
@@ -137,45 +142,32 @@ class SchurBasis:
     kostka: np.ndarray
     amplitudes: np.ndarray
     weight_blocks: tuple[np.ndarray, ...]
-    rows: np.ndarray
-    columns: np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
         """All basis vectors as dense columns, blocks in decreasing-lex
-        order, built on every access by one scatter of ``amplitudes``."""
-        dim = self.rows.size
-        check_bytes(2 * 8 * dim * dim, f"the dense basis at n={self.n}, d={self.d}")
-        out = np.zeros(dim * dim)
-        out[self._places] = self.amplitudes
-        return out.reshape(dim, dim)
+        order, each block at its ``span``."""
+        dim = self.d**self.n
+        check_bytes(8 * dim * dim + 2**16, f"the dense basis at n={self.n}, d={self.d}")
+        out = np.zeros((dim, dim))
+        for block in self.blocks.values():
+            block._scatter(out, block.span.start, 1)
+        return out
 
-    @cached_property
+    @property
     def references(self) -> np.ndarray:
         """The v = 0 column of every u of every block, blocks in order, as
-        a (d^n, K) array, K = sum dim_u, made on the first access and kept.
+        a (d^n, K) array, K = sum dim_u, built on every access.
         Column k has the letter counts of row k of the (n, d) block table's
         ``contents``. With b the columns of block lam, b^T X^{(x)n} b is the
         block's irrep of X, the same for every v."""
-        columns = np.zeros((self.rows.size, int(self.kostka.sum())))
-        at = 0
+        dim, width = self.d**self.n, int(self.kostka.sum())
+        check_bytes(8 * dim * width + 2**16, f"the v = 0 columns at n={self.n}, d={self.d}")
+        out, at = np.zeros((dim, width)), 0
         for block in self.blocks.values():
-            dv = block.dim_v
-            for rows, start, amps in block.pieces:
-                columns[rows, at + start // dv : at + (start + amps.shape[1]) // dv] = amps[:, ::dv]
+            block._scatter(out, at, block.dim_v)
             at += block.dim_u
-        return columns
-
-    @cached_property
-    def _places(self) -> np.ndarray:
-        """Place of each entry of ``amplitudes`` in the flattened matrix,
-        made on the first ``matrix`` access and kept."""
-        dim, at, out = self.rows.size, 0, []
-        for square in self.weight_blocks:
-            span = slice(at, at + len(square))
-            out.append((self.rows[span, None] * dim + self.columns[span]).ravel())
-            at += len(square)
-        return np.concatenate(out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -584,13 +576,10 @@ def _assemble(
     n: int, d: int, kostka: np.ndarray, amplitudes: np.ndarray, weights: _TorusWeights
 ) -> SchurBasis:
     """The basis with weight blocks ``amplitudes`` and u counts ``kostka``:
-    each block's pieces, and the matrix row and column of each weight-block
-    row and column."""
+    each block's pieces."""
     sizes = np.diff(weights.starts)
     squares = _weight_blocks(amplitudes, sizes)
-    rows = [weights.rows(w) for w in range(sizes.size)]
     filled = [0] * sizes.size
-    runs = []  # (weight, first matrix column, width), block by block
     blocks = {}
     offset = 0
     for (lam, du, dv), counts in zip(block_table(n, d), kostka.tolist()):
@@ -598,18 +587,13 @@ def _assemble(
         for w, count in enumerate(counts):
             if count:
                 start, width = filled[w], count * dv
-                pieces.append((rows[w], u * dv, squares[w][:, start : start + width]))
-                runs.append((w, offset + u * dv, width))
+                pieces.append((weights.rows(w), u * dv, squares[w][:, start : start + width]))
                 filled[w] += width
                 u += count
         span = slice(offset, offset + du * dv)
         blocks[lam] = SchurBlock(lam, du, dv, d**n, span, tuple(pieces))
         offset = span.stop
-    runs.sort(key=lambda run: run[0])  # stable: blocks in order within a weight
-    _, first, width = np.array(runs).T
-    # the columns of each run, the runs one after the other
-    columns = np.repeat(first - (np.cumsum(width) - width), width) + np.arange(width.sum())
-    return SchurBasis(n, d, blocks, kostka, amplitudes, squares, weights.order, columns)
+    return SchurBasis(n, d, blocks, kostka, amplitudes, squares)
 
 
 @lru_cache(maxsize=32)

@@ -317,9 +317,11 @@ def run_teleport(
     final = target / root
     # the basis is real and orthonormal and the turns unitary, so the
     # fidelity with the target (the conditioned state) is the same on the
-    # diagonals
+    # diagonals. Both norms are divided out: the target's squared norm is the
+    # weights' sum, |phi|^(2n), which an admitted norm puts up to 2n 1e-10 from 1
     spread = final * root  # the final state's blocks, weighted by sqrt(dim_v)
-    check = abs(np.vdot(spread, target)) ** 2 / np.vdot(spread, spread).real
+    norms = np.vdot(spread, spread).real * np.vdot(target, target).real
+    check = abs(np.vdot(spread, target)) ** 2 / norms
     if check < 1.0 - 1e-8:
         raise AssertionError(f"final state misses the analytic target: {check}")
     blocks = frame.blocks(final, kept)

@@ -813,7 +813,8 @@ def test_contents_column_is_the_kostka_table(n, d):
     # kostka[i, w] rows of the counts of weight w, weights in basis order
     basis = schur_basis(n, d)
     sizes = np.array([len(square) for square in basis.weight_blocks])
-    firsts = basis.rows[np.cumsum(sizes) - sizes]  # a string of each weight
+    order = schur_weyl._torus_weights(n, d).order
+    firsts = order[np.cumsum(sizes) - sizes]  # a string of each weight
     letters = np.array(np.unravel_index(firsts, (d,) * n)).T
     counts = np.array([np.bincount(word, minlength=d) for word in letters])
     blocks, weights = basis.kostka.shape
@@ -826,6 +827,29 @@ def test_contents_column_is_the_kostka_table(n, d):
     ends = np.cumsum([du for _, du, _ in table])
     assert ends[-1] == len(contents) == basis.references.shape[1]
     assert basis.kostka.sum(axis=1).tolist() == [du for _, du, _ in table]
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n, d in BASIS_LADDER if d**n <= 1024])
+def test_every_dense_read_is_one_scatter_of_the_weight_blocks(n, d):
+    # each read is built on access from the weight blocks, and the memoized
+    # basis keeps nothing it made for one
+    schur_weyl._memo_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        basis = schur_basis(n, d)
+        alone = tracemalloc.get_traced_memory()[0]
+        basis.matrix, basis.references
+        for block in basis.blocks.values():
+            block.vectors
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - alone <= 2**16
+    matrix = basis.matrix
+    for lam, block in basis.blocks.items():
+        assert np.array_equal(matrix[:, block.span], block.vectors), str(lam)
+    v0 = np.hstack([matrix[:, block.span][:, :: block.dim_v] for block in basis.blocks.values()])
+    assert np.array_equal(basis.references, v0)
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (5, 1), (1, 3), (2, 7), (30, 2), (8, 3), (3, 9)])

@@ -30,6 +30,7 @@ PHI4 = state_from_schmidt((0.4, 0.3, 0.2, 0.1))
 ROTATED = rotated(PHI, 0)
 BELL = bell_state(2)
 BASIS = build_schur_basis(10, 2)  # built before a test sets the budget
+WIDE_BASIS = build_schur_basis(2, 32)  # its v = 0 columns take 8.4 MB
 RESULT = run_teleport(PHI, 9, 0)  # its final state, built on access, takes 4 MiB
 FORM = standard_form(PHI, 200)  # its dense phi, built on access, takes 10 MiB
 # the same off the diagonal: their dense parts are turned by the irreps of a
@@ -72,6 +73,7 @@ GUARDED_CALLS = {
     "build_schur_basis": lambda: build_schur_basis(10, 2),
     "SchurBlock.vectors": lambda: BASIS.blocks[Partition((6, 4))].vectors,
     "SchurBasis.matrix": lambda: BASIS.matrix,
+    "SchurBasis.references": lambda: WIDE_BASIS.references,
     "standard_form": lambda: standard_form(PHI, 301),
     "standard_form.rotated": lambda: standard_form(ROTATED, 301),
     "run_teleport": lambda: run_teleport(PHI, 301, 0),
@@ -142,6 +144,13 @@ EDGES = {
         _access(lambda n: run_teleport(ROTATED, n, 0), "final_state"), 9
     ),
     "teleport_protocol": (_protocol_run, 5),
+    "SchurBasis.matrix": (_access(lambda n: build_schur_basis(n, 2), "matrix"), 10),
+    # over d at n = 2, where the widest dense block, (2), and the v = 0
+    # columns pass the budget before the build does
+    "SchurBlock.vectors.n2": (
+        _access(lambda d: next(iter(build_schur_basis(2, d).blocks.values())), "vectors"), 44
+    ),
+    "SchurBasis.references.n2": (_access(lambda d: build_schur_basis(2, d), "references"), 38),
     # frame_bytes at d = 3 and 4
     "standard_form.d3": (lambda n: lambda: standard_form(PHI3, n), 35),
     "run_teleport.d3": (lambda n: lambda: run_teleport(PHI3, n, 0), 35),

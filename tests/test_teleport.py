@@ -17,7 +17,7 @@ from locclab.partitions import (
     enumerate_partitions,
 )
 from locclab.schur_weyl import schur_basis, standard_form, weights_by_projector
-from locclab.states import bell_state, product_state, state_from_schmidt
+from locclab.states import StateVector, bell_state, product_state, state_from_schmidt
 from locclab.teleport import (
     NothingToTeleportError,
     _retained_weight,
@@ -480,6 +480,16 @@ def test_large_frame_runs_report_no_figure_above_one(p, n):
     assert abs(res.success_prob - ideal_fidelity(p, n)) <= 1e-12
     for figure in (res.success_prob, res.fidelity, res.unconditional_fidelity):
         assert figure <= 1.0
+
+
+@pytest.mark.parametrize("scale", [1 + 0.9e-10, 1 - 0.9e-10])
+@pytest.mark.parametrize("n", [60, 1000])
+def test_a_norm_inside_the_tolerance_passes_the_target_check(n, scale):
+    # the target's squared norm is |phi|^(2n), 2n 0.9e-10 off 1 here, so the
+    # check divides it out
+    phi = state_from_schmidt((0.6, 0.4))
+    scaled = StateVector(phi.amplitudes * scale, phi.dims)
+    assert abs(run_teleport(scaled, n, 0).success_prob - run_teleport(phi, n, 0).success_prob) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
